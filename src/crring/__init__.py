@@ -69,54 +69,10 @@ from .ring import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomCheck",
-    "BasisElement",
-    "CRClass",
-    "ChenRuanRing",
-    "DatumFormatError",
-    "DomainError",
-    "EmptySector",
-    "EquivariantClass",
-    "FactoredMonomial",
-    "FiniteCyclicFactor",
-    "IneffectiveAction",
-    "LaurentPoly",
-    "LaurentTerm",
-    "NonComposable",
-    "NonIntegralExponent",
-    "ObstructionSet",
-    "PhaseResult",
-    "QuotientDatum",
-    "Rational",
-    "RingAxiomReport",
-    "SectorInfo",
-    "SectorLabel",
-    "SelfTestReport",
-    "StructureTable",
-    "ValidatedDatum",
-    "WallCrossingReport",
-    "ZeroWeight",
-    "collapse",
-    "cr_class_from_doc",
-    "cr_class_to_doc",
-    "datum_from_doc",
-    "datum_to_doc",
-    "equivariant_euler_origin",
-    "equivariant_twist_restriction",
-    "format_rational",
-    "frac_part",
-    "kirwan",
-    "label_from_doc",
-    "label_to_doc",
-    "monomial_mul",
-    "obstruction_rank_oracle",
-    "parse_rational",
-    "residue",
-    "run_selftest",
-    "table_from_doc",
-    "table_to_doc",
-    "triple_localized",
-    "validate_datum",
-    "wall_crossing_delta",
-]
+# every name imported above; the submodules themselves stay out
+__all__ = sorted(
+    name
+    for name in dir()
+    if not name.startswith("_")
+    and name not in {"cli", "errors", "exact", "localization", "quotient", "ring"}
+)

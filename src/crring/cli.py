@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DatumFormatError, DomainError
+from .errors import DatumFormatError, DomainError, EmptySector
 from .exact import format_rational, parse_rational
 from .localization import report_to_doc, triple_localized, wall_crossing_delta
 from .quotient import (
@@ -76,31 +76,34 @@ def _involution_phase(vd: ValidatedDatum, chamber: str, name: str) -> PhaseResul
     return PhaseResult(name, "pass", f"{len(sectors)} sectors closed under inverse")
 
 
+def _line(table, s: int, t: int, j: int) -> str:
+    return f"({table.infos[s].label}, {table.infos[t].label}) line {j}"
+
+
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
-    sectors = [info.label for info in vd.sectors(ring.chamber)]
+    table = ring.table
+    sectors = range(len(table.codes))
     lines = 0
     for s in sectors:
         for t in sectors:
-            r = vd.inverse(vd.compose(s, t))
-            split = ring.obstruction_set(s, t)
-            outside = (
-                set(range(vd.n))
-                - vd.fixed_set(s)
-                - vd.fixed_set(t)
-                - vd.fixed_set(r)
-            )
-            for j in sorted(outside):
+            r = table.invert(table.compose(table.codes[s], table.codes[t]))
+            theta_r = vd.code_numerators(r)
+            outside = ~(table.fixed[s] | table.fixed[t] | vd.fixed_mask(theta_r))
+            # a line moved by r = (st)^-1 is moved by st, so it is an
+            # obstruction direction exactly when it is interacting
+            interacting = ring.carry(s, t)
+            for j in range(vd.n):
+                if not outside >> j & 1:
+                    continue
                 try:
                     rank = obstruction_rank_oracle(
-                        vd.theta(s, j), vd.theta(t, j), vd.theta(r, j)
+                        table.thetas[s][j], table.thetas[t][j], theta_r[j], table.denominator
                     )
                 except DomainError as exc:
-                    return PhaseResult(name, "fail", f"({s}, {t}) line {j}: {exc}")
-                if (rank == 1) != (j in split.obstruction):
+                    return PhaseResult(name, "fail", f"{_line(table, s, t, j)}: {exc}")
+                if (rank == 1) != (j in interacting):
                     return PhaseResult(
-                        name,
-                        "fail",
-                        f"({s}, {t}) line {j}: index rank {rank} vs exponent rule",
+                        name, "fail", f"{_line(table, s, t, j)}: index rank {rank} vs exponent rule"
                     )
                 lines += 1
     return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
@@ -109,34 +112,34 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
 def _agreement_phase(vd: ValidatedDatum) -> PhaseResult:
     name = "path_agreement"
     ring = ChenRuanRing(vd)
-    sectors = vd.sectors(ring.chamber)
-    triples = 0
-    for s_info in sectors:
-        for t_info in sectors:
-            r = vd.inverse(vd.compose(s_info.label, t_info.label))
-            if not vd.is_sector(r, ring.chamber):
+    table = ring.table
+    dims, sectors = table.dims, range(len(table.codes))
+    triples, zero = 0, Fraction(0)
+    for s in sectors:
+        for t in sectors:
+            r = table.index.get(table.invert(table.compose(table.codes[s], table.codes[t])))
+            if r is None:
                 continue
-            r_info = vd.sector_info(r, ring.chamber)
-            for k1 in range(s_info.dim + 1):
-                for k2 in range(t_info.dim + 1):
-                    product = ring.cup_basis(
-                        BasisElement(s_info.label, k1), BasisElement(t_info.label, k2)
-                    )
-                    for k3 in range(r_info.dim + 1):
-                        if product is None:
-                            direct = Fraction(0)
-                        else:
-                            direct = product[0] * ring.pairing_basis(
-                                product[1], BasisElement(r, k3)
-                            )
+            # direct side: eta^k1 1_(s) * eta^k2 1_(t) = coeff eta^(k1+k2+shift) 1_(h),
+            # paired with eta^k3 1_(r) when r = h^-1 and the degrees are complementary
+            product = ring.sector_product(s, t)
+            value = top = None
+            if product is not None and table.inverse[product[1]] == r:
+                coeff, h, shift = product
+                value, top = Fraction(coeff, ring.pairing_denominator(h)), dims[h] - shift
+            labels = table.infos[s].label, table.infos[t].label, table.infos[r].label
+            for k1 in range(dims[s] + 1):
+                for k2 in range(dims[t] + 1):
+                    for k3 in range(dims[r] + 1):
+                        direct = value if k1 + k2 + k3 == top else zero
                         localized = triple_localized(
-                            vd, (s_info.label, k1), (t_info.label, k2), (r, k3)
+                            vd, (labels[0], k1), (labels[1], k2), (labels[2], k3)
                         ).value
                         if direct != localized:
                             return PhaseResult(
                                 name,
                                 "fail",
-                                f"({s_info.label},{k1}) ({t_info.label},{k2}) ({r},{k3}): "
+                                f"({labels[0]},{k1}) ({labels[1]},{k2}) ({labels[2]},{k3}): "
                                 f"direct {format_rational(direct)} != "
                                 f"localized {format_rational(localized)}",
                             )
@@ -146,10 +149,12 @@ def _agreement_phase(vd: ValidatedDatum) -> PhaseResult:
 
 def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
     """Ring axioms, sector involution identities, obstruction/index
-    agreement, and (for all-positive weights) the two-path 3-point check."""
+    agreement, and (when every weight has the sign of the datum's chamber)
+    the two-path 3-point check.  Phase names carry the chamber they checked
+    whenever that is not simply the datum's own chamber."""
     phases: list[PhaseResult] = []
     chambers = [chamber for chamber in CHAMBERS if vd.sectors(chamber)]
-    tagged = len(chambers) > 1
+    tagged = chambers != [vd.chamber]
 
     def tag(base: str, chamber: str) -> str:
         return f"{base}[{chamber}]" if tagged else base
@@ -167,17 +172,19 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
         )
         phases.append(_involution_phase(vd, chamber, tag("sector_involution", chamber)))
         phases.append(_obstruction_phase(vd, ring, tag("obstruction_oracle", chamber)))
-    if all(w > 0 for w in vd.weights):
+    sign = 1 if vd.chamber == "positive" else -1
+    if vd.chamber not in chambers:
+        skip = f"the {vd.chamber} chamber of this datum is empty"
+    elif all(w * sign > 0 for w in vd.weights):
+        skip = None
         phases.append(_agreement_phase(vd))
     else:
-        phases.append(
-            PhaseResult(
-                "path_agreement",
-                "skipped",
-                "mixed-sign weights: one side of the wall is noncompact, so only "
-                "the localized delta is available (see the wallcross command)",
-            )
+        skip = (
+            "mixed-sign weights: both sides of the wall are noncompact, so only "
+            "the localized delta is available (see the wallcross command)"
         )
+    if skip:
+        phases.append(PhaseResult("path_agreement", "skipped", skip))
     return SelfTestReport(tuple(phases))
 
 
@@ -224,6 +231,22 @@ def _resolve(vd: ValidatedDatum, flag: tuple[Fraction, tuple[int, ...]]):
         return vd.label(flag[0], flag[1])
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _power(vd: ValidatedDatum, flag, k: int, chamber: str | None = None):
+    """A (label, eta power) request.  EmptySector when the label fixes no
+    coordinate (with a chamber: none on that side of the wall); a usage
+    error when k lies outside [0, |fixed set| - 1]."""
+    label = _resolve(vd, flag)
+    if chamber:
+        dim = vd.sector_info(label, chamber).dim
+    else:
+        dim = len(vd.fixed_set(label)) - 1
+        if dim < 0:
+            raise EmptySector(f"{label} fixes no coordinate")
+    if not 0 <= k <= dim:
+        raise _UsageError(f"eta power {k} of {label} is outside [0, {dim}]")
+    return label, k
 
 
 def _load(path: str) -> ValidatedDatum:
@@ -286,34 +309,22 @@ def _cmd_shift(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
-    records = [
-        {
-            "sector": label_to_doc(e.sector),
-            "eta_power": e.k,
-            "degree": format_rational(ring.degree(e)),
-        }
-        for e in ring.basis()
-    ]
+    basis = [(e, format_rational(ring.degree(e))) for e in ring.basis()]
     if args.format == "tsv":
         rows = [["index", "c", "finite", "eta_power", "degree"]]
-        for i, e in enumerate(ring.basis()):
-            rows.append(
-                [
-                    str(i),
-                    format_rational(e.sector.c),
-                    ":".join(str(a) for a in e.sector.finite),
-                    str(e.k),
-                    format_rational(ring.degree(e)),
-                ]
-            )
+        for i, (e, degree) in enumerate(basis):
+            finite = ":".join(str(a) for a in e.sector.finite)
+            rows.append([str(i), format_rational(e.sector.c), finite, str(e.k), degree])
         return _tsv(rows), 0
+    records = [
+        {"sector": label_to_doc(e.sector), "eta_power": e.k, "degree": degree}
+        for e, degree in basis
+    ]
     return _structured({"basis": records}), 0
 
 
 def _basis_class(vd: ValidatedDatum, flag, k: int) -> CRClass:
-    label = _resolve(vd, flag)
-    vd.sector_info(label)  # EmptySector when absent from this chamber
-    return CRClass.single(BasisElement(label, k))
+    return CRClass.single(BasisElement(*_power(vd, flag, k, vd.chamber)))
 
 
 def _cmd_pair(args, vd: ValidatedDatum) -> tuple[str, int]:
@@ -350,18 +361,16 @@ def _value_output(args, value: Fraction) -> str:
     return _structured(format_rational(value))
 
 
+def _triple_flags(args) -> list:
+    return [(args.t1, args.k1), (args.t2, args.k2), (args.t3, args.k3)]
+
+
 def _cmd_triple(args, vd: ValidatedDatum) -> tuple[str, int]:
-    pairs = [
-        (_resolve(vd, args.t1), args.k1),
-        (_resolve(vd, args.t2), args.k2),
-        (_resolve(vd, args.t3), args.k3),
-    ]
     if args.method == "direct":
-        ring = ChenRuanRing(vd)
-        classes = [_basis_class(vd, t, k) for (t, k) in zip((args.t1, args.t2, args.t3), (args.k1, args.k2, args.k3))]
-        value = ring.triple_direct(*classes)
+        classes = [_basis_class(vd, t, k) for t, k in _triple_flags(args)]
+        value = ChenRuanRing(vd).triple_direct(*classes)
     else:
-        value = triple_localized(vd, *pairs).value
+        value = triple_localized(vd, *(_power(vd, t, k) for t, k in _triple_flags(args))).value
     return _value_output(args, value), 0
 
 
@@ -385,12 +394,7 @@ def _cmd_table(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 
 def _cmd_wallcross(args, vd: ValidatedDatum) -> tuple[str, int]:
-    report = wall_crossing_delta(
-        vd,
-        (_resolve(vd, args.t1), args.k1),
-        (_resolve(vd, args.t2), args.k2),
-        (_resolve(vd, args.t3), args.k3),
-    )
+    report = wall_crossing_delta(vd, *(_power(vd, t, k) for t, k in _triple_flags(args)))
     if args.format == "tsv":
         rows = [
             ["value", format_rational(report.value)],

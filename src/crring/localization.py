@@ -16,28 +16,33 @@ identity, so the collapse is always legal; the reported value is the
 coefficient of u^{-1} of the collapsed term, and ``degree_check`` records
 the collapsed power so a vanishing value can be told apart from a
 degree-balanced cancellation.
+
+Exponent rule.  ``triple_localized`` evaluates that term in closed form from
+the integer theta numerators over the common denominator D: the summed
+exponent on coordinate j is e_j = (theta1_j + theta2_j + theta3_j) / D, one
+of 0, 1, 2, so the term is
+
+    prod_{e_j = 2} w_j / (|A| * prod_{e_j = 0} w_j) * u^{sum_j e_j + k1 + k2 + k3 - n}.
+
+This path calls no ring code.  ``FactoredMonomial`` and ``collapse`` keep
+the symbolic form of the same computation.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
+from operator import add
 from typing import Mapping
 
-from .errors import NonComposable
-from .exact import (
-    FactoredMonomial,
-    LaurentPoly,
-    collapse,
-    format_rational,
-    monomial_mul,
-    residue,
-)
+from .errors import EmptySector, NonComposable
+from .exact import FactoredMonomial, LaurentPoly, format_rational
 from .quotient import CHAMBERS, SectorLabel, ValidatedDatum, label_to_doc
 from .ring import BasisElement, CRClass
 
 SectorPower = tuple[SectorLabel, int]
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -80,21 +85,12 @@ def kirwan(vd: ValidatedDatum, e: EquivariantClass) -> CRClass:
     return CRClass(terms)
 
 
-_restrictions: "weakref.WeakKeyDictionary[ValidatedDatum, dict]" = weakref.WeakKeyDictionary()
-
-
 def equivariant_twist_restriction(vd: ValidatedDatum, t: SectorLabel) -> FactoredMonomial:
     """Restriction of the equivariant twist factor of t to the origin:
     the factored monomial prod_j (w_j u)^{theta_t(j)} over moved coordinates."""
-    per_datum = _restrictions.setdefault(vd, {})
-    cached = per_datum.get(t)
-    if cached is None:
-        thetas = vd.thetas(t)
-        cached = FactoredMonomial(
-            Fraction(1), Fraction(0), {j: th for j, th in enumerate(thetas) if th != 0}
-        )
-        per_datum[t] = cached
-    return cached
+    return FactoredMonomial(
+        Fraction(1), Fraction(0), {j: th for j, th in enumerate(vd.thetas(t)) if th != 0}
+    )
 
 
 def equivariant_euler_origin(vd: ValidatedDatum) -> FactoredMonomial:
@@ -105,61 +101,42 @@ def equivariant_euler_origin(vd: ValidatedDatum) -> FactoredMonomial:
     )
 
 
-def _side_existence(vd: ValidatedDatum, triple) -> dict[str, tuple[bool, bool, bool]]:
-    return {
-        chamber: tuple(vd.is_sector(t, chamber) for t, _ in triple)
-        for chamber in CHAMBERS
-    }
-
-
-_collapsed_triples: "weakref.WeakKeyDictionary[ValidatedDatum, dict]" = weakref.WeakKeyDictionary()
-_collapsed_euler: "weakref.WeakKeyDictionary[ValidatedDatum, object]" = weakref.WeakKeyDictionary()
-
-
-def _collapsed_euler_origin(vd: ValidatedDatum):
-    cached = _collapsed_euler.get(vd)
-    if cached is None:
-        cached = collapse(equivariant_euler_origin(vd), vd.weights)
-        _collapsed_euler[vd] = cached
-    return cached
-
-
-def _collapsed_restriction_product(vd: ValidatedDatum, labels: tuple[SectorLabel, ...]):
-    """Collapse of prod_i restriction(t_i), memoized per label triple."""
-    per_datum = _collapsed_triples.setdefault(vd, {})
-    cached = per_datum.get(labels)
-    if cached is None:
-        monomial = FactoredMonomial.one()
-        for t in labels:
-            monomial = monomial_mul(monomial, equivariant_twist_restriction(vd, t))
-        cached = collapse(monomial, vd.weights)
-        per_datum[labels] = cached
-    return cached
-
-
 def triple_localized(
     vd: ValidatedDatum, p1: SectorPower, p2: SectorPower, p3: SectorPower
 ) -> WallCrossingReport:
     """Localized 3-point function of eta^{k_i} lifts on sectors t_i.
 
-    Requires the labels to compose to the identity; collapses the twist
-    factors against the Euler class of the origin and extracts the u^{-1}
-    coefficient.
+    Requires every label to fix a coordinate (``EmptySector`` otherwise) and
+    the labels to compose to the identity (``NonComposable``); evaluates the
+    collapsed term by the exponent rule of the module docstring.
     """
     triple = (p1, p2, p3)
-    labels = (p1[0], p2[0], p3[0])
-    if vd.compose(labels[0], vd.compose(labels[1], labels[2])) != vd.identity():
-        raise NonComposable(f"{labels[0]}, {labels[1]}, {labels[2]} do not multiply to 1")
-    restricted = _collapsed_restriction_product(vd, labels)
-    euler = _collapsed_euler_origin(vd)
-    term_coeff = restricted.coeff / euler.coeff
-    term_power = restricted.power + p1[1] + p2[1] + p3[1] - euler.power
-    value = residue(LaurentPoly({term_power: term_coeff}))
+    thetas = [vd.theta_numerators(t)[1] for t, _ in triple]
+    masks = [vd.fixed_mask(numerators) for numerators in thetas]
+    if not all(masks):
+        raise EmptySector(f"{triple[masks.index(0)][0]} fixes no coordinate")
+    d = vd.denominator
+    sums = list(map(add, map(add, thetas[0], thetas[1]), thetas[2]))
+    exponents = [x // d for x in sums]
+    # the product of the labels acts with phases sums / D, so it is the
+    # identity exactly when every sum is a multiple of D (effective action)
+    if sum(exponents) * d != sum(sums):
+        raise NonComposable(f"{p1[0]}, {p2[0]}, {p3[0]} do not multiply to 1")
+    power = sum(exponents) + p1[1] + p2[1] + p3[1] - vd.n
+    value = _ZERO
+    if power == -1:
+        value = Fraction(
+            prod(w for w, e in zip(vd.weights, exponents) if e == 2),
+            vd.finite_order * prod(w for w, e in zip(vd.weights, exponents) if e == 0),
+        )
     return WallCrossingReport(
         triple=triple,
         value=value,
-        degree_check=term_power,
-        side_existence=_side_existence(vd, triple),
+        degree_check=power,
+        side_existence={
+            chamber: tuple(bool(m & vd.level_masks[chamber]) for m in masks)
+            for chamber in CHAMBERS
+        },
     )
 
 

@@ -21,20 +21,33 @@ the quotient exactly when the fixed coordinate subspace is nonempty and
 meets the chosen moment level (some fixed coordinate with the chamber's
 sign).  The degree shift (age) of a sector is the sum of the theta_j over
 the unfixed coordinates.  Coordinates are 0-indexed throughout.
+
+Integer encoding.  Every element that fixes a coordinate has c * D in Z for
+the common denominator D = lcm|w_j| * lcm(order_k), so it is stored as the
+code (c*D mod D, a_1 mod order_1, ...): composing and inverting elements is
+componentwise modular addition and negation.  Its phases are the integer
+numerators theta_j * D in [0, D) and its fixed set is a bitmask.  A
+``SectorTable``, built once per (datum, chamber) on first use, holds these
+for every sector together with the inverse sector's index, in the listing
+order of ``ValidatedDatum.sectors``.  ``SectorLabel``, with its Fraction c,
+is the public view of an element at the API and wire boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Iterable
+from itertools import compress, product
+from math import lcm, prod
+from operator import not_
+from typing import Iterable, Mapping
 
 from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
 from .exact import format_rational, frac_part, parse_rational
 
 CHAMBERS = ("positive", "negative")
+
+Code = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,8 +122,43 @@ class SectorInfo:
     dim: int
 
 
+@dataclass(frozen=True, eq=False)
+class SectorTable:
+    """The sectors of one chamber in integer form, indexed by position in
+    ``ValidatedDatum.sectors``: element codes, theta numerators over
+    ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse sector's
+    index; ``index`` maps a code back to its position."""
+
+    moduli: tuple[int, ...]
+    infos: tuple[SectorInfo, ...]
+    codes: tuple[Code, ...]
+    thetas: tuple[tuple[int, ...], ...]
+    fixed: tuple[int, ...]
+    dims: tuple[int, ...]
+    inverse: tuple[int, ...]
+    index: Mapping[Code, int]
+
+    @property
+    def denominator(self) -> int:
+        return self.moduli[0]
+
+    def compose(self, a: Code, b: Code) -> Code:
+        return tuple([(x + y) % m for x, y, m in zip(a, b, self.moduli)])
+
+    def invert(self, a: Code) -> Code:
+        return tuple([-x % m for x, m in zip(a, self.moduli)])
+
+    def position(self, t: SectorLabel) -> int | None:
+        """Index of the sector labeled t, or None if t is no sector here."""
+        num, den = t.c.as_integer_ratio()
+        if self.moduli[0] % den:
+            return None
+        code = (num * (self.moduli[0] // den), *t.finite)
+        return self.index.get(tuple([x % m for x, m in zip(code, self.moduli)]))
+
+
 class ValidatedDatum:
-    """A checked quotient presentation with cached sector data.
+    """A checked quotient presentation with its lazily built sector tables.
 
     Immutable after construction; all methods are pure.  Obtain instances
     via ``validate_datum``.
@@ -122,14 +170,20 @@ class ValidatedDatum:
         self.n = datum.n
         self.finite = datum.finite
         self.chamber = datum.chamber
-        self.finite_order = prod((f.order for f in self.finite), start=1)
-        self._thetas: dict[SectorLabel, tuple[Fraction, ...]] = {}
-        self._fixed: dict[SectorLabel, frozenset[int]] = {}
-        self._inverses: dict[SectorLabel, SectorLabel] = {}
-        self._composites: dict[tuple[SectorLabel, SectorLabel], SectorLabel] = {}
-        self._chamber_ok: dict[tuple[SectorLabel, str], bool] = {}
-        self._infos: dict[tuple[SectorLabel, str], SectorInfo] = {}
-        self._sectors: dict[str, tuple[SectorInfo, ...]] = {}
+        orders = [f.order for f in self.finite]
+        self.finite_order = prod(orders)
+        self.denominator = lcm(*(abs(w) for w in self.weights)) * lcm(*orders)
+        self.moduli = (self.denominator, *orders)
+        # phases_k[j] * D / order_k: a finite component's theta numerators
+        self._rows = tuple(
+            tuple(p * (self.denominator // f.order) for p in f.phases) for f in self.finite
+        )
+        self._bits = tuple(1 << j for j in range(self.n))
+        self.level_masks = {
+            "positive": sum(compress(self._bits, [w > 0 for w in self.weights])),
+            "negative": sum(compress(self._bits, [w < 0 for w in self.weights])),
+        }
+        self._tables: dict[str, SectorTable] = {}
         self._identity = SectorLabel(Fraction(0), (0,) * len(self.finite))
 
     @property
@@ -156,74 +210,111 @@ class ValidatedDatum:
         return SectorLabel(frac_part(Fraction(c)), components)
 
     def compose(self, s: SectorLabel, t: SectorLabel) -> SectorLabel:
-        cached = self._composites.get((s, t))
-        if cached is None:
-            cached = self.label(s.c + t.c, tuple(a + b for a, b in zip(s.finite, t.finite)))
-            self._composites[(s, t)] = cached
-        return cached
+        return self.label(s.c + t.c, tuple(a + b for a, b in zip(s.finite, t.finite)))
 
     def inverse(self, t: SectorLabel) -> SectorLabel:
-        cached = self._inverses.get(t)
-        if cached is None:
-            cached = self.label(-t.c, tuple(-a for a in t.finite))
-            self._inverses[t] = cached
-        return cached
+        return self.label(-t.c, tuple(-a for a in t.finite))
 
     # -- per-element geometry ----------------------------------------------
 
+    def _numerators(self, c_num: int, finite: Iterable[int], q: int) -> tuple[int, ...]:
+        """Theta numerators over q, a multiple of D, of the element with
+        circle phase c_num / q and the given finite components."""
+        scale = q // self.denominator
+        raw = [c_num * w for w in self.weights]
+        for a, row in zip(finite, self._rows):
+            if a:
+                raw = [x + a * scale * p for x, p in zip(raw, row)]
+        return tuple([x % q for x in raw])
+
+    def fixed_mask(self, numerators: Iterable[int]) -> int:
+        """Bitmask of the coordinates whose theta numerator is 0."""
+        return sum(compress(self._bits, map(not_, numerators)))
+
+    def code_numerators(self, code: Code) -> tuple[int, ...]:
+        """Theta numerators over D of the element with this code."""
+        return self._numerators(code[0], code[1:], self.denominator)
+
+    def theta_numerators(self, t: SectorLabel) -> tuple[int, tuple[int, ...]]:
+        """(q, numerators) with theta_j(t) = numerators[j] / q.  q is D for
+        every label that fixes a coordinate, a multiple of D otherwise."""
+        num, den = t.c.as_integer_ratio()
+        q = lcm(self.denominator, den)
+        return q, self._numerators(num * (q // den), t.finite, q)
+
     def thetas(self, t: SectorLabel) -> tuple[Fraction, ...]:
         """Rotation phases (theta_0, ..., theta_{n-1}) of t, each in [0, 1)."""
-        cached = self._thetas.get(t)
-        if cached is None:
-            cached = tuple(self._theta_raw(t, j) for j in range(self.n))
-            self._thetas[t] = cached
-        return cached
-
-    def _theta_raw(self, t: SectorLabel, j: int) -> Fraction:
-        phase = t.c * self.weights[j]
-        for a, factor in zip(t.finite, self.finite):
-            phase += Fraction(a * factor.phases[j], factor.order)
-        return frac_part(phase)
-
-    def theta(self, t: SectorLabel, j: int) -> Fraction:
-        return self.thetas(t)[j]
+        q, numerators = self.theta_numerators(t)
+        return tuple(Fraction(x, q) for x in numerators)
 
     def fixed_set(self, t: SectorLabel) -> frozenset[int]:
-        cached = self._fixed.get(t)
-        if cached is None:
-            cached = frozenset(j for j, th in enumerate(self.thetas(t)) if th == 0)
-            self._fixed[t] = cached
-        return cached
+        return frozenset(j for j, x in enumerate(self.theta_numerators(t)[1]) if not x)
 
     def degree_shift(self, t: SectorLabel) -> Fraction:
         """Age of t: the sum of theta_j over coordinates t moves."""
-        return sum((th for th in self.thetas(t) if th != 0), Fraction(0))
+        q, numerators = self.theta_numerators(t)
+        return Fraction(sum(numerators), q)
 
     # -- sector enumeration --------------------------------------------------
 
-    def _meets_level(self, fixed: frozenset[int], chamber: str) -> bool:
-        if chamber == "positive":
-            return any(self.weights[j] > 0 for j in fixed)
-        return any(self.weights[j] < 0 for j in fixed)
+    def _info(self, t: SectorLabel, numerators: tuple[int, ...], q: int) -> SectorInfo:
+        fixed = frozenset(j for j, x in enumerate(numerators) if not x)
+        thetas = tuple(Fraction(x, q) for x in numerators)
+        return SectorInfo(t, fixed, thetas, Fraction(sum(numerators), q), len(fixed) - 1)
 
-    def _info(self, t: SectorLabel, fixed: frozenset[int]) -> SectorInfo:
-        thetas = self.thetas(t)
-        shift = sum((thetas[j] for j in range(self.n) if j not in fixed), Fraction(0))
-        return SectorInfo(t, fixed, thetas, shift, len(fixed) - 1)
+    def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
+        # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where
+        # Phi_j(a) = sum_k a_k * rows_k[j] is divisible by |w_j|; the |w_j|
+        # solutions are C = -Phi_j(a)/w_j + m*D/|w_j|.
+        d = self.denominator
+        codes = set()
+        for a in product(*(range(f.order) for f in self.finite)):
+            for j in coordinates:
+                w = self.weights[j]
+                base = -sum(x * row[j] for x, row in zip(a, self._rows)) // w
+                step = d // abs(w)
+                codes.update(((base + m * step) % d, *a) for m in range(abs(w)))
+        return codes
 
-    def _candidate_labels(self) -> set[SectorLabel]:
-        # Any element fixing coordinate j solves c*w_j + phi_j(a) in Z, so
-        # exhausting m in [0, |w_j|) below covers every possible sector.
-        labels = {self.identity()}
-        for components in itertools.product(*(range(f.order) for f in self.finite)):
-            for j, w in enumerate(self.weights):
-                phi = sum(
-                    (Fraction(a * f.phases[j], f.order) for a, f in zip(components, self.finite)),
-                    Fraction(0),
-                )
-                for m in range(abs(w)):
-                    labels.add(SectorLabel(frac_part((m - phi) / w), components))
-        return labels
+    def _chamber(self, chamber: str | None) -> str:
+        chamber = chamber or self.chamber
+        if chamber not in CHAMBERS:
+            raise ValueError(f"chamber must be one of {CHAMBERS}, got {chamber!r}")
+        return chamber
+
+    def sector_table(self, chamber: str | None = None) -> SectorTable:
+        """The integer sector table of a chamber (default: the datum's)."""
+        chamber = self._chamber(chamber)
+        table = self._tables.get(chamber)
+        if table is None:
+            table = self._tables[chamber] = self._build_table(chamber)
+        return table
+
+    def _build_table(self, chamber: str) -> SectorTable:
+        d, level = self.denominator, self.level_masks[chamber]
+        rows = []
+        # identity (the zero code) first, then by (c, finite components)
+        for code in sorted(self._candidate_codes(range(self.n))):
+            numerators = self.code_numerators(code)
+            mask = self.fixed_mask(numerators)
+            if mask & level:
+                rows.append((code, numerators, mask))
+        codes = tuple(code for code, _, _ in rows)
+        index = {code: i for i, code in enumerate(codes)}
+        infos = tuple(
+            self._info(SectorLabel(Fraction(code[0], d), code[1:]), numerators, d)
+            for code, numerators, _ in rows
+        )
+        return SectorTable(
+            self.moduli,
+            infos,
+            codes,
+            tuple(numerators for _, numerators, _ in rows),
+            tuple(mask for _, _, mask in rows),
+            tuple(info.dim for info in infos),
+            tuple(index[tuple([-x % m for x, m in zip(c, self.moduli)])] for c in codes),
+            index,
+        )
 
     def sectors(self, chamber: str | None = None) -> tuple[SectorInfo, ...]:
         """All twisted sectors in the given chamber (default: the datum's).
@@ -232,46 +323,22 @@ class ValidatedDatum:
         (c, finite components).  The list is duplicate-free and closed under
         the label inverse.
         """
-        chamber = chamber or self.chamber
-        if chamber not in CHAMBERS:
-            raise ValueError(f"chamber must be one of {CHAMBERS}, got {chamber!r}")
-        cached = self._sectors.get(chamber)
-        if cached is None:
-            infos = []
-            for t in self._candidate_labels():
-                fixed = self.fixed_set(t)
-                if fixed and self._meets_level(fixed, chamber):
-                    infos.append(self._info(t, fixed))
-            identity = self.identity()
-            infos.sort(key=lambda s: (s.label != identity, s.label.c, s.label.finite))
-            cached = tuple(infos)
-            self._sectors[chamber] = cached
-        return cached
+        return self.sector_table(chamber).infos
 
     def is_sector(self, t: SectorLabel, chamber: str | None = None) -> bool:
-        chamber = chamber or self.chamber
-        cached = self._chamber_ok.get((t, chamber))
-        if cached is None:
-            fixed = self.fixed_set(t)
-            cached = bool(fixed) and self._meets_level(fixed, chamber)
-            self._chamber_ok[(t, chamber)] = cached
-        return cached
+        mask = self.fixed_mask(self.theta_numerators(t)[1])
+        return bool(mask & self.level_masks[self._chamber(chamber)])
 
     def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
         """Full sector record for t; EmptySector if t labels no sector here."""
-        chamber = chamber or self.chamber
-        cached = self._infos.get((t, chamber))
-        if cached is None:
-            fixed = self.fixed_set(t)
-            if not fixed:
-                raise EmptySector(f"{t} fixes no coordinate")
-            if not self._meets_level(fixed, chamber):
-                raise EmptySector(
-                    f"{t} has no fixed coordinate on the {chamber} side of the wall"
-                )
-            cached = self._info(t, fixed)
-            self._infos[(t, chamber)] = cached
-        return cached
+        chamber = self._chamber(chamber)
+        q, numerators = self.theta_numerators(t)
+        mask = self.fixed_mask(numerators)
+        if not mask:
+            raise EmptySector(f"{t} fixes no coordinate")
+        if not mask & self.level_masks[chamber]:
+            raise EmptySector(f"{t} has no fixed coordinate on the {chamber} side of the wall")
+        return self._info(t, numerators, q)
 
 
 def validate_datum(datum: QuotientDatum) -> ValidatedDatum:
@@ -286,19 +353,11 @@ def validate_datum(datum: QuotientDatum) -> ValidatedDatum:
         if w == 0:
             raise ZeroWeight(f"coordinate {j} has weight 0")
     vd = ValidatedDatum(datum)
-    identity = vd.identity()
-    for components in itertools.product(*(range(f.order) for f in datum.finite)):
-        # Solutions with full fixed set must in particular fix coordinate 0.
-        phi0 = sum(
-            (Fraction(a * f.phases[0], f.order) for a, f in zip(components, datum.finite)),
-            Fraction(0),
-        )
-        for m in range(abs(datum.weights[0])):
-            t = SectorLabel(frac_part((m - phi0) / datum.weights[0]), components)
-            if t == identity:
-                continue
-            if all(th == 0 for th in vd.thetas(t)):
-                raise IneffectiveAction(f"{t} acts trivially on every coordinate")
+    # an element acting trivially in particular fixes coordinate 0
+    for code in sorted(vd._candidate_codes([0])):
+        if any(code) and not any(vd.code_numerators(code)):
+            t = SectorLabel(Fraction(code[0], vd.denominator), code[1:])
+            raise IneffectiveAction(f"{t} acts trivially on every coordinate")
     return vd
 
 

@@ -17,6 +17,12 @@ are Thom pushforward directions; the remaining ones span the obstruction
 bundle, whose rank on each line is independently confirmed by the index
 count in ``obstruction_rank_oracle``.
 
+The ring works on the integer ``SectorTable`` of its chamber.  With theta
+numerators over the common denominator D, T is the carry mask
+{j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
+constant is the integer prod_{j in T} w_j, and h is found by adding element
+codes.  Products are computed per sector pair, without caching.
+
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
 power over the sector.
@@ -26,6 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import prod
+from operator import itemgetter, mul
 from typing import Iterator, Mapping
 
 from .errors import DatumFormatError, DomainError, EmptySector
@@ -126,7 +135,7 @@ class ObstructionSet:
     obstruction: frozenset[int]
 
 
-def obstruction_rank_oracle(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> int:
+def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
     """Invariant H^1 rank of one normal line over the 3-marked sphere.
 
     For a line where the three group elements act with phases theta_i, the
@@ -134,12 +143,14 @@ def obstruction_rank_oracle(theta1: Fraction, theta2: Fraction, theta3: Fraction
     (the first Chern class of the pushforward of a constant sheaf vanishes),
     so the invariant H^1 has rank max(-chi, 0): 1 exactly when the phase sum
     is 2.  Raises DomainError when the sum is not an integer, since then the
-    three elements cannot compose to the identity on this line.
+    three elements cannot compose to the identity on this line.  The phases
+    are rationals, or integer numerators over ``denominator``.
     """
-    total = Fraction(theta1) + Fraction(theta2) + Fraction(theta3)
-    if total.denominator != 1:
+    total, rest = divmod(theta1 + theta2 + theta3, denominator)
+    if rest:
+        total = Fraction(theta1 + theta2 + theta3, denominator)
         raise DomainError(f"phase sum {format_rational(total)} is not an integer")
-    return max(total.numerator - 1, 0)
+    return max(total - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -177,23 +188,21 @@ class ChenRuanRing:
 
     The ring is attached to the datum's chamber by default; pass ``chamber``
     to build the ring on the other side of the wall (used by the self-test
-    on mixed-sign weights).
+    on mixed-sign weights).  Sectors are addressed by their position in the
+    chamber's ``SectorTable``; basis element eta^k 1_(s) has index
+    ``start[s] + k``.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
         self.vd = vd
         self.chamber = chamber or vd.chamber
-        self._sectors = vd.sectors(self.chamber)
-        self._basis = tuple(
-            BasisElement(info.label, k)
-            for info in self._sectors
-            for k in range(len(info.fixed_set))
-        )
-        self._index = {element: i for i, element in enumerate(self._basis)}
-        self._pair_data: dict[tuple[SectorLabel, SectorLabel], tuple | None] = {}
-        self._ob_cache: dict[tuple[SectorLabel, SectorLabel], ObstructionSet] = {}
-        self._sector_pair_value: dict[SectorLabel, Fraction] = {}
-        self._table: StructureTable | None = None
+        self.table = vd.sector_table(self.chamber)
+        self.start = []
+        basis = []
+        for info in self.table.infos:
+            self.start.append(len(basis))
+            basis.extend(BasisElement(info.label, k) for k in range(info.dim + 1))
+        self._basis = tuple(basis)
 
     def basis(self) -> tuple[BasisElement, ...]:
         """Basis in sector order, eta power ascending within each sector."""
@@ -206,56 +215,53 @@ class ChenRuanRing:
     def unit(self) -> CRClass:
         return CRClass.single(BasisElement(self.vd.identity(), 0))
 
+    def _position(self, t: SectorLabel) -> int:
+        s = self.table.position(t)
+        if s is None:
+            raise EmptySector(f"{t} labels no sector in the {self.chamber} chamber")
+        return s
+
     # -- products ------------------------------------------------------------
+
+    def carry(self, s: int, t: int) -> list[int]:
+        """Interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}."""
+        d = self.table.denominator
+        return [
+            j
+            for j, (x, y) in enumerate(zip(self.table.thetas[s], self.table.thetas[t]))
+            if x + y >= d
+        ]
+
+    def sector_product(self, s: int, t: int) -> tuple[int, int, int] | None:
+        """1_(s) * 1_(t) by the carry rule as (integer coefficient, target
+        sector, eta shift |T|), or None when the sector product vanishes."""
+        table = self.table
+        if not table.fixed[s] & table.fixed[t]:
+            return None
+        h = table.index.get(table.compose(table.codes[s], table.codes[t]))
+        if h is None:
+            return None
+        carry = self.carry(s, t)
+        return prod(self.vd.weights[j] for j in carry), h, len(carry)
 
     def obstruction_set(self, s: SectorLabel, t: SectorLabel) -> ObstructionSet:
         """Coordinates where the phases of s and t overshoot those of s*t."""
-        cached = self._ob_cache.get((s, t))
-        if cached is None:
-            vd = self.vd
-            h = vd.compose(s, t)
-            theta_s, theta_t, theta_h = vd.thetas(s), vd.thetas(t), vd.thetas(h)
-            indices = frozenset(
-                j for j in range(vd.n) if theta_s[j] + theta_t[j] == theta_h[j] + 1
-            )
-            pushforward = frozenset(j for j in indices if theta_h[j] == 0)
-            cached = ObstructionSet(indices, pushforward, indices - pushforward)
-            self._ob_cache[(s, t)] = cached
-        return cached
-
-    def _sector_product(self, s: SectorLabel, t: SectorLabel):
-        """Sector-level product data (coeff, target label, target dim, |T|),
-        or None when the sector product vanishes; cached per ordered pair."""
-        key = (s, t)
-        if key in self._pair_data:
-            return self._pair_data[key]
-        vd = self.vd
-        data = None
-        if vd.fixed_set(s) & vd.fixed_set(t):
-            h = vd.compose(s, t)
-            try:
-                target = vd.sector_info(h, self.chamber)
-            except EmptySector:
-                target = None
-            if target is not None:
-                interacting = self.obstruction_set(s, t).indices
-                coeff = Fraction(1)
-                for j in interacting:
-                    coeff *= vd.weights[j]
-                data = (coeff, h, target.dim, len(interacting))
-        self._pair_data[key] = data
-        return data
+        si, ti = self._position(s), self._position(t)
+        indices = frozenset(self.carry(si, ti))
+        d, theta_s, theta_t = self.table.denominator, self.table.thetas[si], self.table.thetas[ti]
+        pushforward = frozenset(j for j in indices if theta_s[j] + theta_t[j] == d)
+        return ObstructionSet(indices, pushforward, indices - pushforward)
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
-        data = self._sector_product(a.sector, b.sector)
+        data = self.sector_product(self._position(a.sector), self._position(b.sector))
         if data is None:
             return None
-        coeff, h, dim, shift = data
+        coeff, h, shift = data
         k = a.k + b.k + shift
-        if k > dim:
+        if k > self.table.dims[h]:
             return None
-        return coeff, BasisElement(h, k)
+        return Fraction(coeff), BasisElement(self.table.infos[h].label, k)
 
     def cup(self, a: CRClass, b: CRClass) -> CRClass:
         """Bilinear extension of ``cup_basis``."""
@@ -271,21 +277,18 @@ class ChenRuanRing:
 
     # -- pairing ---------------------------------------------------------------
 
+    def pairing_denominator(self, s: int) -> int:
+        """|A| * prod_{j in I(s)} w_j: the pairing on sector s is its inverse."""
+        fixed = self.table.fixed[s]
+        return self.vd.finite_order * prod(
+            w for j, w in enumerate(self.vd.weights) if fixed >> j & 1
+        )
+
     def pairing_basis(self, a: BasisElement, b: BasisElement) -> Fraction:
-        vd = self.vd
-        if b.sector != vd.inverse(a.sector):
+        s = self._position(a.sector)
+        if self._position(b.sector) != self.table.inverse[s] or a.k + b.k != self.table.dims[s]:
             return Fraction(0)
-        fixed = vd.fixed_set(a.sector)
-        if a.k + b.k != len(fixed) - 1:
-            return Fraction(0)
-        value = self._sector_pair_value.get(a.sector)
-        if value is None:
-            denominator = vd.finite_order
-            for j in fixed:
-                denominator *= vd.weights[j]
-            value = Fraction(1, denominator)
-            self._sector_pair_value[a.sector] = value
-        return value
+        return Fraction(1, self.pairing_denominator(s))
 
     def pairing(self, a: CRClass, b: CRClass) -> Fraction:
         value = Fraction(0)
@@ -300,34 +303,41 @@ class ChenRuanRing:
 
     # -- tabulation ------------------------------------------------------------
 
-    def _indexed_products(self) -> list[list[tuple[Fraction, int] | None]]:
-        size = len(self._basis)
-        table: list[list[tuple[Fraction, int] | None]] = [[None] * size for _ in range(size)]
-        for i, a in enumerate(self._basis):
-            for j in range(i, size):
-                product = self.cup_basis(a, self._basis[j])
-                if product is not None:
-                    entry = (product[0], self._index[product[1]])
-                    table[i][j] = entry
-                    table[j][i] = entry
-        return table
+    def _basis_products(self, s: int, t: int) -> Iterator[tuple[int, int, int, int]]:
+        """(i, j, target index, coefficient) for every nonzero basis product
+        of sector s with sector t."""
+        data = self.sector_product(s, t)
+        if data is None:
+            return
+        coeff, h, shift = data
+        dims, start = self.table.dims, self.start
+        for k1 in range(dims[s] + 1):
+            for k2 in range(min(dims[t], dims[h] - shift - k1) + 1):
+                yield start[s] + k1, start[t] + k2, start[h] + k1 + k2 + shift, coeff
+
+    def _pairing_entries(self) -> Iterator[tuple[int, int, int]]:
+        """(i, j, s) for every nonzero pairing entry: eta^k 1_(s) paired with
+        eta^(dim-k) 1_(s^-1)."""
+        for s, dim in enumerate(self.table.dims):
+            u = self.start[self.table.inverse[s]]
+            for k in range(dim + 1):
+                yield self.start[s] + k, u + dim - k, s
 
     def structure_constants(self) -> StructureTable:
         """Deterministic full tables; products are stored sparsely for i <= j."""
-        if self._table is None:
-            basis = self._basis
-            degrees = tuple(self.degree(e) for e in basis)
-            pairing = tuple(
-                tuple(self.pairing_basis(a, b) for b in basis) for a in basis
-            )
-            products: dict[tuple[int, int], CRClass] = {}
-            for i, a in enumerate(basis):
-                for j in range(i, len(basis)):
-                    product = self.cup_basis(a, basis[j])
-                    if product is not None:
-                        products[(i, j)] = CRClass.single(product[1], product[0])
-            self._table = StructureTable(basis, degrees, pairing, products)
-        return self._table
+        table, basis = self.table, self._basis
+        degrees = tuple(2 * (k + info.shift) for info in table.infos for k in range(info.dim + 1))
+        zero = Fraction(0)
+        pairing = [[zero] * len(basis) for _ in basis]
+        for i, j, s in self._pairing_entries():
+            pairing[i][j] = Fraction(1, self.pairing_denominator(s))
+        products: dict[tuple[int, int], CRClass] = {}
+        for s in range(len(table.codes)):
+            for t in range(s, len(table.codes)):
+                for i, j, target, coeff in self._basis_products(s, t):
+                    if i <= j:
+                        products[(i, j)] = CRClass.single(basis[target], coeff)
+        return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
 
     # -- axioms ------------------------------------------------------------------
 
@@ -336,67 +346,56 @@ class ChenRuanRing:
         pairing nondegeneracy, and the Frobenius identity over the whole
         basis, reporting the first counterexample of each failing check.
 
-        The triple loops compare numerator/denominator products of plain
-        integers: exact, but without the gcd reductions a Fraction multiply
-        would redo millions of times.
+        Every ordered sector pair fills its own entries of the integer
+        product table.  Pairing values are scaled by |A| * prod_j |w_j| to
+        integers.  Each row carries a trailing sentinel (-1 for "zero
+        product", 0 for coefficients and pairing values), so the index -1 of
+        a zero product reads the sentinel and the exhaustive triple loop
+        over (i, j, k) runs its k-axis as whole-row list operations.
         """
-        basis = self._basis
-        size = len(basis)
-        products = self._indexed_products()
-        # integer views of the product table: target index (-1 for zero
-        # product) and coefficient numerator/denominator
-        pidx = [[-1] * size for _ in range(size)]
-        pnum = [[0] * size for _ in range(size)]
-        pden = [[1] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                entry = products[i][j]
-                if entry is not None:
-                    pidx[i][j] = entry[1]
-                    pnum[i][j] = entry[0].numerator
-                    pden[i][j] = entry[0].denominator
-        # pairing as sparse rows of (numerator, denominator)
-        pair_rows: list[dict[int, tuple[int, int]]] = []
-        for a in basis:
-            row = {}
-            for j, b in enumerate(basis):
-                value = self.pairing_basis(a, b)
-                if value != 0:
-                    row[j] = (value.numerator, value.denominator)
-            pair_rows.append(row)
+        basis, table = self._basis, self.table
+        size, sectors = len(basis), range(len(table.codes))
+        pidx = [[-1] * (size + 1) for _ in range(size)]
+        pnum = [[0] * (size + 1) for _ in range(size)]
+        for s in sectors:
+            for t in sectors:
+                for i, j, target, coeff in self._basis_products(s, t):
+                    pidx[i][j] = target
+                    pnum[i][j] = coeff
+        scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)
+        pair = [[0] * (size + 1) for _ in range(size)]
+        for i, j, s in self._pairing_entries():
+            pair[i][j] = scale // self.pairing_denominator(s)
         checks: list[AxiomCheck] = []
 
-        identity_element = BasisElement(self.vd.identity(), 0)
         unit_bad = None
-        if identity_element in self._index:
-            e = self._index[identity_element]
+        if size and table.codes[0] == (0,) * len(table.moduli):
             for j in range(size):
-                if products[e][j] != (Fraction(1), j):
-                    unit_bad = f"1 * {basis[j]} = {products[e][j]}"
+                if (pidx[0][j], pnum[0][j]) != (j, 1):
+                    unit_bad = f"1 * {basis[j]} = {pnum[0][j]} * basis[{pidx[0][j]}]"
                     break
         elif size:
             unit_bad = "no identity sector in this chamber"
         checks.append(AxiomCheck("unit", unit_bad is None, unit_bad))
 
         comm_bad = None
-        # products[i][j] was filled from i <= j only, so re-derive the
-        # transposed products independently.
-        for i in range(size):
-            for j in range(i + 1, size):
-                direct = self.cup_basis(basis[j], basis[i])
-                flipped = None if direct is None else (direct[0], self._index[direct[1]])
-                if flipped != products[i][j]:
-                    comm_bad = f"{basis[i]} * {basis[j]} != {basis[j]} * {basis[i]}"
-                    break
-            if comm_bad:
+        for i, (row, column, nums, num_column) in enumerate(
+            zip(pidx, zip(*pidx), pnum, zip(*pnum))
+        ):
+            if row[:size] != list(column) or nums[:size] != list(num_column):
+                j = next(j for j in range(size) if (row[j], nums[j]) != (column[j], num_column[j]))
+                comm_bad = f"{basis[i]} * {basis[j]} != {basis[j]} * {basis[i]}"
                 break
         checks.append(AxiomCheck("commutativity", comm_bad is None, comm_bad))
 
-        degrees = [self.degree(e) for e in basis]
+        degrees = [
+            k * table.denominator + sum(thetas)
+            for thetas, dim in zip(table.thetas, table.dims)
+            for k in range(dim + 1)
+        ]
         degree_bad = None
         for i in range(size):
-            for j in range(size):
-                target = pidx[i][j]
+            for j, target in enumerate(pidx[i][:size]):
                 if target >= 0 and degrees[i] + degrees[j] != degrees[target]:
                     degree_bad = f"deg({basis[i]}) + deg({basis[j]}) != deg({basis[target]})"
                     break
@@ -404,63 +403,57 @@ class ChenRuanRing:
                 break
         checks.append(AxiomCheck("degree_additivity", degree_bad is None, degree_bad))
 
-        assoc_bad = None
-        frob_bad = None
+        # gather[j](row) reads row[j*k] for every k, in one call; row j*k
+        # vanishes where pnum[j] does, so a 0/1 row j needs no multiplying
+        gather = [itemgetter(*row) for row in pidx]
+        zero_one = [set(row) <= {0, 1} for row in pnum]
+        pidx, pnum, pair = ([tuple(row) for row in rows] for rows in (pidx, pnum, pair))
+        none_row, zero_row = (-1,) * (size + 1), (0,) * (size + 1)
+        assoc_bad = frob_bad = None
         for i in range(size):
-            pidx_i, pnum_i, pden_i = pidx[i], pnum[i], pden[i]
-            pair_i = pair_rows[i]
+            idx_i, num_i, pair_i = pidx[i], pnum[i], pair[i]
             for j in range(size):
-                ij = pidx_i[j]
-                pidx_j, pnum_j, pden_j = pidx[j], pnum[j], pden[j]
+                ij, a, g, num_j = idx_i[j], num_i[j], gather[j], pnum[j]
+                # (i*j)*k and <i*j, k> for every k ...
+                lhs_idx, lhs_num, lhs_pair = none_row, zero_row, zero_row
                 if ij >= 0:
-                    a_n, a_d = pnum_i[j], pden_i[j]
-                    pidx_ij, pnum_ij, pden_ij = pidx[ij], pnum[ij], pden[ij]
-                    pair_ij = pair_rows[ij]
-                for k in range(size):
-                    jk = pidx_j[k]
-                    lhs = pidx_ij[k] if ij >= 0 else -1
-                    rhs = pidx_i[jk] if jk >= 0 else -1
-                    if lhs != rhs or (
-                        lhs >= 0
-                        and a_n * pnum_ij[k] * pden_j[k] * pden_i[jk]
-                        != pnum_j[k] * pnum_i[jk] * a_d * pden_ij[k]
-                    ):
-                        if assoc_bad is None:
-                            assoc_bad = (
-                                f"({basis[i]} * {basis[j]}) * {basis[k]} != "
-                                f"{basis[i]} * ({basis[j]} * {basis[k]})"
-                            )
-                    left = pair_ij.get(k) if ij >= 0 else None
-                    right = pair_i.get(jk) if jk >= 0 else None
-                    if (
-                        (left is None) != (right is None)
-                        or left is not None
-                        and a_n * left[0] * pden_j[k] * right[1]
-                        != pnum_j[k] * right[0] * a_d * left[1]
-                    ):
-                        if frob_bad is None:
-                            frob_bad = (
-                                f"<{basis[i]} * {basis[j]}, {basis[k]}> != "
-                                f"<{basis[i]}, {basis[j]} * {basis[k]}>"
-                            )
-                if assoc_bad and frob_bad:
-                    break
+                    lhs_idx, lhs_num, lhs_pair = pidx[ij], pnum[ij], pair[ij]
+                    if a != 1:
+                        lhs_num = tuple(map(mul, repeat(a), lhs_num))
+                        lhs_pair = tuple(map(mul, repeat(a), lhs_pair))
+                # ... against i*(j*k) and <i, j*k>
+                if assoc_bad is None:
+                    rhs_idx, rhs_num = g(idx_i), g(num_i)
+                    if not zero_one[j]:
+                        rhs_num = tuple(map(mul, num_j, rhs_num))
+                    if lhs_idx != rhs_idx or lhs_num != rhs_num:
+                        k = next(
+                            k
+                            for k in range(size)
+                            if (lhs_idx[k], lhs_num[k]) != (rhs_idx[k], rhs_num[k])
+                        )
+                        assoc_bad = (
+                            f"({basis[i]} * {basis[j]}) * {basis[k]} != "
+                            f"{basis[i]} * ({basis[j]} * {basis[k]})"
+                        )
+                if frob_bad is None:
+                    rhs_pair = g(pair_i)
+                    if not zero_one[j]:
+                        rhs_pair = tuple(map(mul, num_j, rhs_pair))
+                    if lhs_pair != rhs_pair:
+                        k = next(k for k in range(size) if lhs_pair[k] != rhs_pair[k])
+                        frob_bad = (
+                            f"<{basis[i]} * {basis[j]}, {basis[k]}> != "
+                            f"<{basis[i]}, {basis[j]} * {basis[k]}>"
+                        )
             if assoc_bad and frob_bad:
                 break
         checks.append(AxiomCheck("associativity", assoc_bad is None, assoc_bad))
         checks.append(AxiomCheck("frobenius", frob_bad is None, frob_bad))
 
-        rank = _matrix_rank(
-            [{j: Fraction(n, d) for j, (n, d) in row.items()} for row in pair_rows]
-        )
-        nondegenerate = rank == size
-        checks.append(
-            AxiomCheck(
-                "pairing_nondegenerate",
-                nondegenerate,
-                None if nondegenerate else f"pairing rank {rank} < {size}",
-            )
-        )
+        rank = _matrix_rank([{j: Fraction(v) for j, v in enumerate(row) if v} for row in pair])
+        rank_bad = None if rank == size else f"pairing rank {rank} < {size}"
+        checks.append(AxiomCheck("pairing_nondegenerate", rank_bad is None, rank_bad))
         return RingAxiomReport(tuple(checks))
 
 

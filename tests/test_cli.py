@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -233,3 +236,69 @@ def test_run_selftest_counts_triples():
     agreement = next(p for p in report.phases if p.name == "path_agreement")
     assert agreement.status == "pass"
     assert "36" in agreement.detail
+
+
+def test_eta_power_outside_the_fixed_set_is_a_usage_error(datum_file, capsys):
+    path = datum_file(WP112)
+    code, out, err = run(capsys, "pair", path, "--t1", "c=0", "--k1", "-1", "--t2", "c=0", "--k2", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:")
+    for method in ("direct", "localization"):
+        code, out, _ = run(
+            capsys, "triple", path, "--method", method,
+            "--t1", "c=0", "--k1", "-5", "--t2", "c=0", "--t3", "c=0",
+        )
+        assert (code, out) == (2, "")
+    # c=1/2 fixes one coordinate, so its only eta power is 0
+    assert run(capsys, "cup", path, "--t1", "c=1/2", "--k1", "1", "--t2", "c=0")[0] == 2
+    assert run(
+        capsys, "wallcross", path, "--t1", "c=0", "--k1", "3", "--t2", "c=0", "--t3", "c=0"
+    )[0] == 2
+
+
+def test_both_paths_refuse_a_label_that_fixes_nothing(datum_file, capsys):
+    path = datum_file(WP112)
+    thirds = ["--t1", "c=1/3", "--t2", "c=1/3", "--t3", "c=1/3"]
+    for command in (["triple", path, "--method", "localization"],
+                    ["triple", path, "--method", "direct"],
+                    ["wallcross", path]):
+        code, out, err = run(capsys, *command, *thirds)
+        assert (code, out) == (1, "")
+        assert err.startswith("EmptySector:")
+
+
+def test_selftest_checks_the_other_chamber_when_its_own_is_empty(datum_file, capsys):
+    doc = {"n": 2, "weights": [1, 1], "finite": [], "chamber": "negative"}
+    code, out, _ = run(capsys, "selftest", datum_file(doc))
+    assert code == 0
+    phases = {p["name"]: p for p in json.loads(out)["phases"]}
+    assert set(phases) == {
+        "ring_axioms[positive]", "sector_involution[positive]",
+        "obstruction_oracle[positive]", "path_agreement",
+    }
+    assert phases["path_agreement"]["status"] == "skipped"
+    assert phases["path_agreement"]["detail"] == "the negative chamber of this datum is empty"
+
+
+def test_selftest_compares_paths_on_all_negative_weights(datum_file, capsys):
+    doc = {"n": 3, "weights": [-1, -2, -2], "finite": [], "chamber": "negative"}
+    code, out, _ = run(capsys, "selftest", datum_file(doc))
+    assert code == 0
+    phases = {p["name"]: p for p in json.loads(out)["phases"]}
+    assert phases["path_agreement"]["status"] == "pass"
+    code, out, _ = run(capsys, "selftest", datum_file(MIXED))
+    skipped = next(p for p in json.loads(out)["phases"] if p["name"] == "path_agreement")
+    assert "both sides of the wall are noncompact" in skipped["detail"]
+
+
+def test_python_dash_m_crring_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-m", "crring", "selftest", str(root / "demos" / "data" / "wp112.datum")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["passed"] is True

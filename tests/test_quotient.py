@@ -79,9 +79,9 @@ def test_group_operations(wp122333):
 
 def test_theta_values(wp122333):
     third = wp122333.label(Fraction(1, 3))
-    assert wp122333.theta(third, 1) == Fraction(2, 3)
-    assert wp122333.theta(third, 3) == 0
-    assert all(wp122333.theta(wp122333.identity(), j) == 0 for j in range(6))
+    assert wp122333.thetas(third)[1] == Fraction(2, 3)
+    assert wp122333.thetas(third)[3] == 0
+    assert all(th == 0 for th in wp122333.thetas(wp122333.identity()))
 
 
 def test_fixed_sets(wp122333):
@@ -157,7 +157,7 @@ def test_sector_invariants(weights, finite):
         assert vd.fixed_set(inv) == info.fixed_set
         assert info.shift + vd.degree_shift(inv) == vd.n - len(info.fixed_set)
         for j in range(vd.n):
-            total = vd.theta(t, j) + vd.theta(inv, j)
+            total = vd.thetas(t)[j] + vd.thetas(inv)[j]
             assert total == (0 if j in info.fixed_set else 1)
         assert info.dim == len(info.fixed_set) - 1
         assert info.thetas == vd.thetas(t)
@@ -223,3 +223,13 @@ def test_label_doc_round_trip(wp122333):
     doc = label_to_doc(t)
     assert doc == {"c": "2/3", "finite": []}
     assert label_from_doc(doc, wp122333) == t
+
+
+def test_unknown_chamber_is_rejected(wp112):
+    half = wp112.label(Fraction(1, 2))
+    for query in (wp112.sectors, wp112.sector_table):
+        with pytest.raises(ValueError):
+            query("sideways")
+    for query in (wp112.sector_info, wp112.is_sector):
+        with pytest.raises(ValueError):
+            query(half, "sideways")
