@@ -37,6 +37,7 @@ from .localization import (
     equivariant_euler_origin,
     equivariant_twist_restriction,
     kirwan,
+    localized_residue,
     triple_localized,
     wall_crossing_delta,
 )

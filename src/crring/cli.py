@@ -20,10 +20,16 @@ from pathlib import Path
 
 from .errors import DatumFormatError, DomainError, EmptySector
 from .exact import format_rational, parse_rational
-from .localization import report_to_doc, triple_localized, wall_crossing_delta
+from .localization import (
+    localized_residue,
+    report_to_doc,
+    triple_localized,
+    wall_crossing_delta,
+)
 from .quotient import (
     CHAMBERS,
     SectorInfo,
+    SectorTable,
     ValidatedDatum,
     datum_from_doc,
     label_to_doc,
@@ -57,41 +63,65 @@ class SelfTestReport:
         return all(phase.status != "fail" for phase in self.phases)
 
 
-def _involution_phase(vd: ValidatedDatum, chamber: str, name: str) -> PhaseResult:
-    sectors = vd.sectors(chamber)
-    for info in sectors:
-        inverse = vd.inverse(info.label)
-        inv_info = vd.sector_info(inverse, chamber)
-        if inv_info.fixed_set != info.fixed_set:
-            return PhaseResult(name, "fail", f"fixed sets of {info.label} and its inverse differ")
-        if info.shift + inv_info.shift != vd.n - len(info.fixed_set):
+def _involution_phase(vd: ValidatedDatum, table: SectorTable, name: str) -> PhaseResult:
+    d = table.denominator
+    for s, (inverse, fixed, thetas) in enumerate(zip(table.inverse, table.fixed, table.thetas)):
+        label = table.infos[s].label
+        if table.fixed[inverse] != fixed:
+            return PhaseResult(name, "fail", f"fixed sets of {label} and its inverse differ")
+        if sum(thetas) + sum(table.thetas[inverse]) != (vd.n - fixed.bit_count()) * d:
             return PhaseResult(
-                name, "fail", f"age({info.label}) + age(inverse) != moved coordinate count"
+                name, "fail", f"age({label}) + age(inverse) != moved coordinate count"
             )
-        for j, (th, th_inv) in enumerate(zip(info.thetas, inv_info.thetas)):
-            if th + th_inv != (0 if j in info.fixed_set else 1):
+        for j, (x, y) in enumerate(zip(thetas, table.thetas[inverse])):
+            if x + y != (0 if fixed >> j & 1 else d):
                 return PhaseResult(
-                    name, "fail", f"theta complement fails for {info.label} at coordinate {j}"
+                    name, "fail", f"theta complement fails for {label} at coordinate {j}"
                 )
-    return PhaseResult(name, "pass", f"{len(sectors)} sectors closed under inverse")
+    return PhaseResult(name, "pass", f"{len(table.codes)} sectors closed under inverse")
 
 
-def _line(table, s: int, t: int, j: int) -> str:
+_PairRows = tuple[list[list[int]], list[list[int]]]
+
+
+def _pair_rows(ring: ChenRuanRing) -> _PairRows:
+    """For every ordered sector pair (s, t): the index of the composite
+    sector s*t (-1 when it is no sector of the ring's chamber) and the
+    ring's carry mask, as rows indexed [s][t]."""
+    table = ring.table
+    sectors = range(len(table.codes))
+    composite = [
+        [table.index.get(table.compose(table.codes[s], table.codes[t]), -1) for t in sectors]
+        for s in sectors
+    ]
+    carry = [[ring.carry(s, t) for t in sectors] for s in sectors]
+    return composite, carry
+
+
+def _line(table: SectorTable, s: int, t: int, j: int) -> str:
     return f"({table.infos[s].label}, {table.infos[t].label}) line {j}"
 
 
-def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
+def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...]) -> str:
+    return " ".join(f"({table.infos[x].label},{k})" for x, k in zip((s, t, r), powers))
+
+
+def _obstruction_phase(
+    vd: ValidatedDatum, ring: ChenRuanRing, rows: _PairRows, name: str
+) -> PhaseResult:
     table = ring.table
-    sectors = range(len(table.codes))
     lines = 0
-    for s in sectors:
-        for t in sectors:
-            r = table.invert(table.compose(table.codes[s], table.codes[t]))
-            theta_r = vd.code_numerators(r)
+    for s, (composite, carry) in enumerate(zip(*rows)):
+        for t, (h, interacting) in enumerate(zip(composite, carry)):
+            if h >= 0:
+                theta_r = table.thetas[table.inverse[h]]
+            else:
+                theta_r = vd.code_numerators(
+                    table.invert(table.compose(table.codes[s], table.codes[t]))
+                )
             outside = ~(table.fixed[s] | table.fixed[t] | vd.fixed_mask(theta_r))
             # a line moved by r = (st)^-1 is moved by st, so it is an
             # obstruction direction exactly when it is interacting
-            interacting = ring.carry(s, t)
             for j in range(vd.n):
                 if not outside >> j & 1:
                     continue
@@ -101,7 +131,7 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
                     )
                 except DomainError as exc:
                     return PhaseResult(name, "fail", f"{_line(table, s, t, j)}: {exc}")
-                if (rank == 1) != (j in interacting):
+                if (rank == 1) != bool(interacting >> j & 1):
                     return PhaseResult(
                         name, "fail", f"{_line(table, s, t, j)}: index rank {rank} vs exponent rule"
                     )
@@ -109,37 +139,43 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
     return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
 
 
-def _agreement_phase(vd: ValidatedDatum) -> PhaseResult:
+def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, rows: _PairRows) -> PhaseResult:
+    """Both 3-point paths on every composable basis triple.  The localized
+    kernel runs once per sector triple (s, t, r = (st)^-1); of the eta
+    powers only their sum enters either side."""
     name = "path_agreement"
-    ring = ChenRuanRing(vd)
     table = ring.table
-    dims, sectors = table.dims, range(len(table.codes))
-    triples, zero = 0, Fraction(0)
-    for s in sectors:
-        for t in sectors:
-            r = table.index.get(table.invert(table.compose(table.codes[s], table.codes[t])))
-            if r is None:
+    dims, thetas, zero = table.dims, table.thetas, Fraction(0)
+    triples = 0
+    for s, (composite, carry) in enumerate(zip(*rows)):
+        for t, (h, interacting) in enumerate(zip(composite, carry)):
+            if h < 0:
                 continue
-            # direct side: eta^k1 1_(s) * eta^k2 1_(t) = coeff eta^(k1+k2+shift) 1_(h),
-            # paired with eta^k3 1_(r) when r = h^-1 and the degrees are complementary
-            product = ring.sector_product(s, t)
+            r = table.inverse[h]
+            term = localized_residue(vd, thetas[s], thetas[t], thetas[r])
+            if term is None:
+                return PhaseResult(
+                    name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: the localized "
+                    "path finds that the sectors do not multiply to 1"
+                )
+            coeff, base = term
+            # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
+            # paired with eta^k3 1_(r) when the degrees are complementary
+            product = ring.carried_product(s, t, h, interacting)
             value = top = None
-            if product is not None and table.inverse[product[1]] == r:
-                coeff, h, shift = product
-                value, top = Fraction(coeff, ring.pairing_denominator(h)), dims[h] - shift
-            labels = table.infos[s].label, table.infos[t].label, table.infos[r].label
+            if product is not None:
+                value = Fraction(product[0], ring.pairing_denominator(h))
+                top = dims[h] - product[2]
             for k1 in range(dims[s] + 1):
                 for k2 in range(dims[t] + 1):
                     for k3 in range(dims[r] + 1):
                         direct = value if k1 + k2 + k3 == top else zero
-                        localized = triple_localized(
-                            vd, (labels[0], k1), (labels[1], k2), (labels[2], k3)
-                        ).value
-                        if direct != localized:
+                        localized = coeff if base + k1 + k2 + k3 == -1 else zero
+                        if direct is not localized and direct != localized:
                             return PhaseResult(
                                 name,
                                 "fail",
-                                f"({labels[0]},{k1}) ({labels[1]},{k2}) ({labels[2]},{k3}): "
+                                f"{_triple(table, s, t, r, (k1, k2, k3))}: "
                                 f"direct {format_rational(direct)} != "
                                 f"localized {format_rational(localized)}",
                             )
@@ -159,8 +195,12 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
     def tag(base: str, chamber: str) -> str:
         return f"{base}[{chamber}]" if tagged else base
 
+    own = None
     for chamber in chambers:
         ring = ChenRuanRing(vd, chamber)
+        rows = _pair_rows(ring)
+        if chamber == vd.chamber:
+            own = ring, rows
         report = ring.verify_ring_axioms()
         failure = report.first_failure()
         phases.append(
@@ -170,14 +210,14 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
                 None if failure is None else f"{failure.name}: {failure.counterexample}",
             )
         )
-        phases.append(_involution_phase(vd, chamber, tag("sector_involution", chamber)))
-        phases.append(_obstruction_phase(vd, ring, tag("obstruction_oracle", chamber)))
+        phases.append(_involution_phase(vd, ring.table, tag("sector_involution", chamber)))
+        phases.append(_obstruction_phase(vd, ring, rows, tag("obstruction_oracle", chamber)))
     sign = 1 if vd.chamber == "positive" else -1
-    if vd.chamber not in chambers:
+    if own is None:
         skip = f"the {vd.chamber} chamber of this datum is empty"
     elif all(w * sign > 0 for w in vd.weights):
         skip = None
-        phases.append(_agreement_phase(vd))
+        phases.append(_agreement_phase(vd, *own))
     else:
         skip = (
             "mixed-sign weights: both sides of the wall are noncompact, so only "

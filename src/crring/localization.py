@@ -17,15 +17,21 @@ coefficient of u^{-1} of the collapsed term, and ``degree_check`` records
 the collapsed power so a vanishing value can be told apart from a
 degree-balanced cancellation.
 
-Exponent rule.  ``triple_localized`` evaluates that term in closed form from
-the integer theta numerators over the common denominator D: the summed
+Exponent rule.  ``localized_residue`` evaluates that term in closed form
+from the integer theta numerators over the common denominator D: the summed
 exponent on coordinate j is e_j = (theta1_j + theta2_j + theta3_j) / D, one
 of 0, 1, 2, so the term is
 
     prod_{e_j = 2} w_j / (|A| * prod_{e_j = 0} w_j) * u^{sum_j e_j + k1 + k2 + k3 - n}.
 
-This path calls no ring code.  ``FactoredMonomial`` and ``collapse`` keep
-the symbolic form of the same computation.
+Only the u-power depends on the eta powers, so one sector triple has one
+collapsed coefficient and one base power sum_j e_j - n, and every basis
+triple on it reads its value off those two numbers.  The self-test calls
+the kernel once per composable sector triple; ``triple_localized`` is the
+label-level wrapper around the same kernel.  Composability is decided here
+from the numerator sums mod D.  This path calls no ring code.
+``FactoredMonomial`` and ``collapse`` keep the symbolic form of the same
+computation.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
-from operator import add
 from typing import Mapping
 
 from .errors import EmptySector, NonComposable
@@ -101,6 +106,34 @@ def equivariant_euler_origin(vd: ValidatedDatum) -> FactoredMonomial:
     )
 
 
+def localized_residue(
+    vd: ValidatedDatum,
+    theta1: tuple[int, ...],
+    theta2: tuple[int, ...],
+    theta3: tuple[int, ...],
+) -> tuple[Fraction, int] | None:
+    """The collapsed term of three lifts at eta powers 0, from the theta
+    numerators over D of their sectors: (coefficient, u-power), or None when
+    the elements do not compose to the identity.  Eta powers k_i only raise
+    the u-power by k1 + k2 + k3; the 3-point function is the coefficient
+    when the raised power is -1, and 0 otherwise."""
+    d = vd.denominator
+    exponents = []
+    # the product of the elements acts with phases (theta1 + theta2 + theta3) / D,
+    # so it is the identity exactly when every sum is a multiple of D
+    for x, y, z in zip(theta1, theta2, theta3):
+        e, rest = divmod(x + y + z, d)
+        if rest:
+            return None
+        exponents.append(e)
+    weights = vd.weights
+    coeff = Fraction(
+        prod([w for w, e in zip(weights, exponents) if e == 2]),
+        vd.finite_order * prod([w for w, e in zip(weights, exponents) if not e]),
+    )
+    return coeff, sum(exponents) - vd.n
+
+
 def triple_localized(
     vd: ValidatedDatum, p1: SectorPower, p2: SectorPower, p3: SectorPower
 ) -> WallCrossingReport:
@@ -108,30 +141,22 @@ def triple_localized(
 
     Requires every label to fix a coordinate (``EmptySector`` otherwise) and
     the labels to compose to the identity (``NonComposable``); evaluates the
-    collapsed term by the exponent rule of the module docstring.
+    collapsed term with ``localized_residue``.
     """
     triple = (p1, p2, p3)
     thetas = [vd.theta_numerators(t)[1] for t, _ in triple]
     masks = [vd.fixed_mask(numerators) for numerators in thetas]
     if not all(masks):
         raise EmptySector(f"{triple[masks.index(0)][0]} fixes no coordinate")
-    d = vd.denominator
-    sums = list(map(add, map(add, thetas[0], thetas[1]), thetas[2]))
-    exponents = [x // d for x in sums]
-    # the product of the labels acts with phases sums / D, so it is the
-    # identity exactly when every sum is a multiple of D (effective action)
-    if sum(exponents) * d != sum(sums):
+    # a label that fixes a coordinate has its numerators over D
+    term = localized_residue(vd, *thetas)
+    if term is None:
         raise NonComposable(f"{p1[0]}, {p2[0]}, {p3[0]} do not multiply to 1")
-    power = sum(exponents) + p1[1] + p2[1] + p3[1] - vd.n
-    value = _ZERO
-    if power == -1:
-        value = Fraction(
-            prod(w for w, e in zip(vd.weights, exponents) if e == 2),
-            vd.finite_order * prod(w for w, e in zip(vd.weights, exponents) if e == 0),
-        )
+    coeff, base = term
+    power = base + p1[1] + p2[1] + p3[1]
     return WallCrossingReport(
         triple=triple,
-        value=value,
+        value=coeff if power == -1 else _ZERO,
         degree_check=power,
         side_existence={
             chamber: tuple(bool(m & vd.level_masks[chamber]) for m in masks)

@@ -377,26 +377,27 @@ def datum_to_doc(datum: QuotientDatum) -> dict:
 
 
 def datum_from_doc(doc: object) -> QuotientDatum:
-    """Parse a datum document, checking the shape of every field."""
+    """Parse a datum document, checking the shape of every field.  Integer
+    fields take JSON integers only: ``true`` is no 1 here."""
     if not isinstance(doc, dict):
         raise DatumFormatError("datum document must be a mapping")
     missing = {"n", "weights", "finite", "chamber"} - set(doc)
     if missing:
         raise DatumFormatError(f"datum document lacks fields: {sorted(missing)}")
     weights = doc["weights"]
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+    if not isinstance(weights, list) or not all(type(w) is int for w in weights):
         raise DatumFormatError("weights must be a list of integers")
-    if doc["n"] != len(weights):
-        raise DatumFormatError(f"n={doc['n']} does not match {len(weights)} weights")
+    if type(doc["n"]) is not int or doc["n"] != len(weights):
+        raise DatumFormatError(f"n={doc['n']!r} does not match {len(weights)} weights")
     finite = []
     if not isinstance(doc["finite"], list):
         raise DatumFormatError("finite must be a list of {order, phases} records")
     for record in doc["finite"]:
         if (
             not isinstance(record, dict)
-            or not isinstance(record.get("order"), int)
+            or type(record.get("order")) is not int
             or not isinstance(record.get("phases"), list)
-            or not all(isinstance(p, int) for p in record["phases"])
+            or not all(type(p) is int for p in record["phases"])
         ):
             raise DatumFormatError("finite factors must be {order: int, phases: [int]}")
         try:
@@ -419,10 +420,13 @@ def label_from_doc(doc: object, vd: ValidatedDatum | None = None) -> SectorLabel
     """Parse a sector label document; normalizes against vd when given."""
     if not isinstance(doc, dict) or "c" not in doc:
         raise DatumFormatError("sector label must be a mapping with a 'c' field")
-    c = parse_rational(doc["c"])
-    finite = tuple(doc.get("finite", ()))
-    if not all(isinstance(a, int) for a in finite):
-        raise DatumFormatError("finite components must be integers")
-    if vd is not None:
-        return vd.label(c, finite)
-    return SectorLabel(frac_part(c), finite)
+    finite = doc.get("finite", ())
+    if not isinstance(finite, (list, tuple)) or not all(type(a) is int for a in finite):
+        raise DatumFormatError("finite components must be a list of integers")
+    try:
+        c = parse_rational(doc["c"])
+        if vd is not None:
+            return vd.label(c, finite)
+    except ValueError as exc:
+        raise DatumFormatError(str(exc)) from exc
+    return SectorLabel(frac_part(c), tuple(finite))

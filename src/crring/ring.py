@@ -223,31 +223,35 @@ class ChenRuanRing:
 
     # -- products ------------------------------------------------------------
 
-    def carry(self, s: int, t: int) -> list[int]:
-        """Interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}."""
-        d = self.table.denominator
-        return [
-            j
-            for j, (x, y) in enumerate(zip(self.table.thetas[s], self.table.thetas[t]))
-            if x + y >= d
-        ]
+    def carry(self, s: int, t: int) -> int:
+        """Bitmask of the interacting coordinates
+        T = {j : theta_s(j) + theta_t(j) >= D}."""
+        d, mask = self.table.denominator, 0
+        for j, (x, y) in enumerate(zip(self.table.thetas[s], self.table.thetas[t])):
+            if x + y >= d:
+                mask |= 1 << j
+        return mask
 
     def sector_product(self, s: int, t: int) -> tuple[int, int, int] | None:
         """1_(s) * 1_(t) by the carry rule as (integer coefficient, target
         sector, eta shift |T|), or None when the sector product vanishes."""
         table = self.table
-        if not table.fixed[s] & table.fixed[t]:
-            return None
         h = table.index.get(table.compose(table.codes[s], table.codes[t]))
-        if h is None:
+        return None if h is None else self.carried_product(s, t, h, self.carry(s, t))
+
+    def carried_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int, int] | None:
+        """``sector_product`` of s and t given their composite sector h and
+        their carry mask: None when the fixed sets of s and t are disjoint."""
+        if not self.table.fixed[s] & self.table.fixed[t]:
             return None
-        carry = self.carry(s, t)
-        return prod(self.vd.weights[j] for j in carry), h, len(carry)
+        weights = self.vd.weights
+        return prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), h, carry.bit_count()
 
     def obstruction_set(self, s: SectorLabel, t: SectorLabel) -> ObstructionSet:
         """Coordinates where the phases of s and t overshoot those of s*t."""
         si, ti = self._position(s), self._position(t)
-        indices = frozenset(self.carry(si, ti))
+        carry = self.carry(si, ti)
+        indices = frozenset(j for j in range(self.vd.n) if carry >> j & 1)
         d, theta_s, theta_t = self.table.denominator, self.table.thetas[si], self.table.thetas[ti]
         pushforward = frozenset(j for j in indices if theta_s[j] + theta_t[j] == d)
         return ObstructionSet(indices, pushforward, indices - pushforward)
@@ -488,7 +492,9 @@ def element_to_doc(element: BasisElement) -> dict:
 def element_from_doc(doc: object, vd: ValidatedDatum | None = None) -> BasisElement:
     if not isinstance(doc, dict) or "sector" not in doc or "eta_power" not in doc:
         raise DatumFormatError("basis element must have 'sector' and 'eta_power'")
-    return BasisElement(label_from_doc(doc["sector"], vd), int(doc["eta_power"]))
+    if type(doc["eta_power"]) is not int:
+        raise DatumFormatError(f"eta_power must be an integer, got {doc['eta_power']!r}")
+    return BasisElement(label_from_doc(doc["sector"], vd), doc["eta_power"])
 
 
 def cr_class_to_doc(value: CRClass) -> list[dict]:
@@ -508,7 +514,11 @@ def cr_class_from_doc(doc: object, vd: ValidatedDatum | None = None) -> CRClass:
     terms: dict[BasisElement, Fraction] = {}
     for record in doc:
         element = element_from_doc(record, vd)
-        terms[element] = terms.get(element, Fraction(0)) + parse_rational(record["coeff"])
+        try:
+            coeff = parse_rational(record["coeff"])
+        except (KeyError, ValueError) as exc:
+            raise DatumFormatError(f"a term record needs a rational 'coeff': {exc}") from exc
+        terms[element] = terms.get(element, Fraction(0)) + coeff
     return CRClass(terms)
 
 
@@ -525,13 +535,24 @@ def table_to_doc(table: StructureTable) -> dict:
 
 
 def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTable:
-    if not isinstance(doc, dict):
-        raise DatumFormatError("a table document must be a mapping")
+    fields = ("basis", "degrees", "pairing", "products")
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(f), list) for f in fields):
+        raise DatumFormatError(f"a table document must map {', '.join(fields)} to lists")
+    if not all(isinstance(row, list) for row in doc["pairing"]):
+        raise DatumFormatError("pairing rows must be lists")
     basis = tuple(element_from_doc(e, vd) for e in doc["basis"])
-    degrees = tuple(parse_rational(d) for d in doc["degrees"])
-    pairing = tuple(tuple(parse_rational(v) for v in row) for row in doc["pairing"])
-    products = {
-        (record["i"], record["j"]): cr_class_from_doc(record["terms"], vd)
-        for record in doc["products"]
-    }
+    try:
+        degrees = tuple(parse_rational(d) for d in doc["degrees"])
+        pairing = tuple(tuple(parse_rational(v) for v in row) for row in doc["pairing"])
+    except ValueError as exc:
+        raise DatumFormatError(str(exc)) from exc
+    products = {}
+    for record in doc["products"]:
+        if (
+            not isinstance(record, dict)
+            or type(record.get("i")) is not int
+            or type(record.get("j")) is not int
+        ):
+            raise DatumFormatError("a product record must have integer 'i' and 'j'")
+        products[(record["i"], record["j"])] = cr_class_from_doc(record.get("terms"), vd)
     return StructureTable(basis, degrees, pairing, products)

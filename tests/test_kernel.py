@@ -26,6 +26,7 @@ from crring import (
     collapse,
     datum_from_doc,
     frac_part,
+    localized_residue,
     monomial_mul,
     obstruction_rank_oracle,
     residue,
@@ -181,6 +182,38 @@ def test_carry_rule_products_match_fraction_rederivation(datum):
                 if i <= j:
                     stored = table.products.get((i, j))
                     assert (None if stored is None else next(iter(stored))[::-1]) == expected
+
+
+KERNEL_DATA = DEMOS + [NEGATIVE] + CRITERION6[::10]
+
+
+@pytest.mark.parametrize("datum", KERNEL_DATA, ids=_ids(KERNEL_DATA))
+def test_kernel_matches_the_public_call(datum):
+    """The sector-level kernel read at (k1, k2, k3) is the value and
+    u-power that ``triple_localized`` reports on that basis triple."""
+    vd = validate_datum(datum)
+    infos = {info.label: info for chamber in chambers_of(vd) for info in vd.sectors(chamber)}
+    checked = 0
+    for s, t in itertools.product(infos, repeat=2):
+        r = vd.inverse(vd.compose(s, t))
+        if r not in infos:
+            continue
+        coeff, base = localized_residue(vd, *(vd.theta_numerators(x)[1] for x in (s, t, r)))
+        dims = (infos[s].dim, infos[t].dim, infos[r].dim)
+        for k1, k2, k3 in itertools.product(*(range(dim + 1) for dim in dims)):
+            report = triple_localized(vd, (s, k1), (t, k2), (r, k3))
+            power = base + k1 + k2 + k3
+            assert (coeff if power == -1 else 0, power) == (report.value, report.degree_check)
+            checked += 1
+    assert checked > 0
+
+
+def test_kernel_refuses_a_non_composable_triple():
+    vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    third, half = vd.label(Fraction(1, 3)), vd.label(Fraction(1, 2))
+    thetas = [vd.theta_numerators(x)[1] for x in (third, third, half)]
+    assert localized_residue(vd, *thetas) is None
+    assert localized_residue(vd, *[vd.theta_numerators(third)[1]] * 3) == (Fraction(4, 27), -1)
 
 
 def test_localized_refuses_a_label_that_fixes_nothing():

@@ -1,0 +1,87 @@
+"""The self-test's agreement gate reads the localized kernel once per sector
+triple; these tests check that a wrong kernel value on one sector triple
+still fails the gate and is named, and pin the work counts of the demo data."""
+
+from __future__ import annotations
+
+import json
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from crring import QuotientDatum, datum_from_doc, run_selftest, validate_datum
+from crring import cli
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def _phase(report, name):
+    return next(p for p in report.phases if p.name == name)
+
+
+MUTATIONS = {
+    "base-power-shifted": lambda coeff, base: (coeff, base + 1),
+    "coefficient-scaled": lambda coeff, base: (coeff * 2, base),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize(
+    "weights, c",
+    [((1, 2, 2, 3, 3, 3), Fraction(1, 3)), ((1, 1, 2), Fraction(1, 2)), ((1, 1, 1), Fraction(0))],
+    ids=["wp122333", "wp112", "p2"],
+)
+def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, weights, c):
+    vd = validate_datum(QuotientDatum(weights))
+    s = vd.label(c)
+    r = vd.inverse(vd.compose(s, s))
+    target = tuple(vd.theta_numerators(x)[1] for x in (s, s, r))
+    kernel, hits = cli.localized_residue, []
+
+    def patched(vd_, *thetas):
+        term = kernel(vd_, *thetas)
+        if thetas == target:
+            hits.append(thetas)
+            return MUTATIONS[mutation](*term)
+        return term
+
+    monkeypatch.setattr(cli, "localized_residue", patched)
+    agreement = _phase(run_selftest(vd), "path_agreement")
+    assert hits
+    assert agreement.status == "fail"
+    named = rf"\({re.escape(str(s))},\d+\) \({re.escape(str(s))},\d+\) \({re.escape(str(r))},\d+\)"
+    assert re.match(named + ": direct ", agreement.detail), agreement.detail
+
+
+def test_gate_fails_when_the_localized_side_finds_no_triple(monkeypatch):
+    vd = validate_datum(QuotientDatum((1, 1, 2)))
+    monkeypatch.setattr(cli, "localized_residue", lambda *args: None)
+    agreement = _phase(run_selftest(vd), "path_agreement")
+    assert agreement.status == "fail"
+    assert "do not multiply to 1" in agreement.detail
+
+
+# (obstruction lines per chamber, agreement triples or None when skipped)
+DEMO_COUNTS = {
+    "wall_11m1": ([0, 0], None),
+    "wp112": ([0], 36),
+    "wp122333": ([10], 666),
+    "z3_on_p2": ([24], 99),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_COUNTS))
+def test_demo_work_counts_are_pinned(name):
+    doc = json.loads((DEMO_DIR / f"{name}.datum").read_text())
+    report = run_selftest(validate_datum(datum_from_doc(doc)))
+    assert report.passed
+    lines, triples = DEMO_COUNTS[name]
+    obstruction = [p.detail for p in report.phases if p.name.startswith("obstruction_oracle")]
+    assert obstruction == [f"{count} normal lines agree with the index count" for count in lines]
+    agreement = _phase(report, "path_agreement")
+    if triples is None:
+        assert agreement.status == "skipped"
+    else:
+        assert agreement.detail == f"{triples} composable basis triples agree"

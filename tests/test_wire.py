@@ -1,0 +1,160 @@
+"""The wire format takes JSON integers as integers only (``true`` is no 1,
+``"2"`` and 1.9 are no 2), and every malformed document raises
+``DatumFormatError``, never a bare KeyError, TypeError or ValueError."""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+
+from crring import (
+    ChenRuanRing,
+    DatumFormatError,
+    QuotientDatum,
+    cr_class_from_doc,
+    datum_from_doc,
+    label_from_doc,
+    table_from_doc,
+    table_to_doc,
+    validate_datum,
+)
+from crring.ring import element_from_doc
+
+
+def _datum_doc(**changes) -> dict:
+    doc = {
+        "n": 2,
+        "weights": [1, 2],
+        "finite": [{"order": 3, "phases": [0, 1]}],
+        "chamber": "positive",
+    }
+    for key, value in changes.items():
+        if key in ("order", "phases"):
+            doc["finite"][0][key] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+def test_datum_doc_baseline_parses():
+    assert datum_from_doc(_datum_doc()).weights == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"n": True, "weights": [1], "finite": []},
+        {"n": 2.0},
+        {"weights": [True, 2]},
+        {"order": True},
+        {"phases": [True, 2]},
+        {"phases": [1, 2.0]},
+    ],
+    ids=["n-bool", "n-float", "weight-bool", "order-bool", "phase-bool", "phase-float"],
+)
+def test_datum_doc_rejects_non_integers(changes):
+    with pytest.raises(DatumFormatError):
+        datum_from_doc(_datum_doc(**changes))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"c": "1/2", "finite": [True]},
+        {"c": "1/2", "finite": ["1"]},
+        {"c": "1/2", "finite": 1},
+        {"c": 0.5, "finite": []},
+        {"c": "1/0", "finite": []},
+    ],
+    ids=["component-bool", "component-str", "components-int", "c-float", "c-zero-denominator"],
+)
+def test_label_doc_rejects_malformed(doc):
+    with pytest.raises(DatumFormatError):
+        label_from_doc(doc)
+
+
+def test_label_doc_with_wrong_component_count_is_a_format_error():
+    vd = validate_datum(datum_from_doc(_datum_doc()))
+    with pytest.raises(DatumFormatError):
+        label_from_doc({"c": "0", "finite": [1, 1]}, vd)
+
+
+@pytest.mark.parametrize("power", [True, "2", 1.9, None], ids=["bool", "str", "float", "null"])
+def test_element_doc_requires_an_integer_eta_power(power):
+    doc = {"sector": {"c": "0", "finite": []}, "eta_power": power}
+    with pytest.raises(DatumFormatError):
+        element_from_doc(doc)
+
+
+def test_element_doc_keeps_an_integer_eta_power():
+    element = element_from_doc({"sector": {"c": "1/2", "finite": []}, "eta_power": 1})
+    assert element.k == 1 and type(element.k) is int
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"sector": {"c": "0", "finite": []}, "eta_power": 0}],
+        [{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": 2}],
+        [{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": "x"}],
+        ["term"],
+    ],
+    ids=["missing-coeff", "coeff-int", "coeff-text", "record-str"],
+)
+def test_class_doc_rejects_malformed(doc):
+    with pytest.raises(DatumFormatError):
+        cr_class_from_doc(doc)
+
+
+@pytest.fixture(scope="module")
+def table_doc():
+    vd = validate_datum(QuotientDatum((1, 1, 2)))
+    return table_to_doc(ChenRuanRing(vd).structure_constants())
+
+
+def _broken(doc: dict, edit) -> dict:
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("products"),
+        lambda d: d.pop("basis"),
+        lambda d: d.update(degrees="2"),
+        lambda d: d.update(pairing=[["1"], "0"]),
+        lambda d: d["pairing"][0].__setitem__(0, 1),
+        lambda d: d["degrees"].__setitem__(0, None),
+        lambda d: d["products"][0].pop("terms"),
+        lambda d: d["products"][0].pop("i"),
+        lambda d: d["products"][0].__setitem__("j", True),
+        lambda d: d["products"][0].__setitem__("i", "0"),
+        lambda d: d["products"].__setitem__(0, 7),
+        lambda d: d["basis"][0].__setitem__("eta_power", False),
+    ],
+    ids=[
+        "missing-products",
+        "missing-basis",
+        "degrees-str",
+        "pairing-row-str",
+        "pairing-entry-int",
+        "degree-null",
+        "missing-terms",
+        "missing-i",
+        "j-bool",
+        "i-str",
+        "product-int",
+        "eta-power-bool",
+    ],
+)
+def test_table_doc_rejects_malformed(table_doc, edit):
+    with pytest.raises(DatumFormatError):
+        table_from_doc(_broken(table_doc, edit))
+
+
+def test_table_doc_rejects_a_non_mapping():
+    with pytest.raises(DatumFormatError):
+        table_from_doc([])
