@@ -59,16 +59,19 @@ class BasisElement:
 class CRClass:
     """A finite rational combination of basis elements eta^k 1_(t).
 
-    Zero coefficients are never stored; classes are immutable and support
-    addition, subtraction, and scalar multiplication.
+    Coefficients are kept as given when they are ``int`` or ``Fraction`` and
+    converted with ``Fraction`` otherwise.  Zero coefficients are never
+    stored; classes are immutable and support addition, subtraction, and
+    scalar multiplication.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[BasisElement, Fraction | int] | None = None):
-        cleaned: dict[BasisElement, Fraction] = {}
+        cleaned: dict[BasisElement, Fraction | int] = {}
         for element, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction and type(coeff) is not int:
+                coeff = Fraction(coeff)
             if coeff != 0:
                 cleaned[element] = coeff
         self._terms = cleaned
@@ -489,12 +492,79 @@ def element_to_doc(element: BasisElement) -> dict:
     return {"sector": label_to_doc(element.sector), "eta_power": element.k}
 
 
+class _Reader:
+    """Parser of one wire document.  It parses each distinct rational string
+    and each distinct sector label document once, and lives for one call of
+    a ``*_from_doc`` function.  Every record still gets its own shape and
+    type checks; a memo is consulted only once they have passed.
+
+    With a datum, a basis element must name a sector of the datum's chamber
+    and an eta power in [0, dim] of that sector.
+    """
+
+    def __init__(self, vd: ValidatedDatum | None):
+        self.vd = vd
+        self.table = None if vd is None else vd.sector_table()
+        self.rationals: dict[str, Fraction] = {}
+        # (c text, finite components) -> (label, sector dim or None)
+        self.labels: dict[tuple, tuple[SectorLabel, int | None]] = {}
+
+    def rational(self, text: object) -> Fraction:
+        value = self.rationals.get(text) if type(text) is str else None
+        if value is None:
+            value = self.rationals[text] = parse_rational(text)
+        return value
+
+    def sector(self, doc: object) -> tuple[SectorLabel, int | None]:
+        # the types are checked before the memo is read: ("0", (True,)) is an
+        # equal key to ("0", (1,)), but only the latter is a valid record
+        key = None
+        if isinstance(doc, dict) and type(doc.get("c")) is str:
+            finite = doc.get("finite", ())
+            if isinstance(finite, (list, tuple)) and all(type(a) is int for a in finite):
+                key = doc["c"], tuple(finite)
+                known = self.labels.get(key)
+                if known is not None:
+                    return known
+        label, dim = label_from_doc(doc, self.vd), None
+        if self.table is not None:
+            s = self.table.position(label)
+            if s is None:
+                raise DatumFormatError(f"{label} labels no sector in the {self.vd.chamber} chamber")
+            dim = self.table.dims[s]
+        if key is not None:
+            self.labels[key] = label, dim
+        return label, dim
+
+    def element(self, doc: object) -> BasisElement:
+        if not isinstance(doc, dict) or "sector" not in doc or "eta_power" not in doc:
+            raise DatumFormatError("basis element must have 'sector' and 'eta_power'")
+        k = doc["eta_power"]
+        if type(k) is not int:
+            raise DatumFormatError(f"eta_power must be an integer, got {k!r}")
+        label, dim = self.sector(doc["sector"])
+        if dim is not None and not 0 <= k <= dim:
+            raise DatumFormatError(f"eta power {k} of {label} is outside [0, {dim}]")
+        return BasisElement(label, k)
+
+    def cr_class(self, doc: object) -> CRClass:
+        if not isinstance(doc, list):
+            raise DatumFormatError("a class document must be a list of term records")
+        terms: dict[BasisElement, Fraction] = {}
+        for record in doc:
+            element = self.element(record)
+            try:
+                coeff = self.rational(record["coeff"])
+            except (KeyError, ValueError) as exc:
+                raise DatumFormatError(f"a term record needs a rational 'coeff': {exc}") from exc
+            terms[element] = terms[element] + coeff if element in terms else coeff
+        return CRClass(terms)
+
+
 def element_from_doc(doc: object, vd: ValidatedDatum | None = None) -> BasisElement:
-    if not isinstance(doc, dict) or "sector" not in doc or "eta_power" not in doc:
-        raise DatumFormatError("basis element must have 'sector' and 'eta_power'")
-    if type(doc["eta_power"]) is not int:
-        raise DatumFormatError(f"eta_power must be an integer, got {doc['eta_power']!r}")
-    return BasisElement(label_from_doc(doc["sector"], vd), doc["eta_power"])
+    """Parse a basis element document; with vd, the element must exist in
+    vd's chamber (see ``_Reader``)."""
+    return _Reader(vd).element(doc)
 
 
 def cr_class_to_doc(value: CRClass) -> list[dict]:
@@ -509,17 +579,7 @@ def cr_class_to_doc(value: CRClass) -> list[dict]:
 
 
 def cr_class_from_doc(doc: object, vd: ValidatedDatum | None = None) -> CRClass:
-    if not isinstance(doc, list):
-        raise DatumFormatError("a class document must be a list of term records")
-    terms: dict[BasisElement, Fraction] = {}
-    for record in doc:
-        element = element_from_doc(record, vd)
-        try:
-            coeff = parse_rational(record["coeff"])
-        except (KeyError, ValueError) as exc:
-            raise DatumFormatError(f"a term record needs a rational 'coeff': {exc}") from exc
-        terms[element] = terms.get(element, Fraction(0)) + coeff
-    return CRClass(terms)
+    return _Reader(vd).cr_class(doc)
 
 
 def table_to_doc(table: StructureTable) -> dict:
@@ -540,10 +600,11 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         raise DatumFormatError(f"a table document must map {', '.join(fields)} to lists")
     if not all(isinstance(row, list) for row in doc["pairing"]):
         raise DatumFormatError("pairing rows must be lists")
-    basis = tuple(element_from_doc(e, vd) for e in doc["basis"])
+    reader = _Reader(vd)
+    basis = tuple(map(reader.element, doc["basis"]))
     try:
-        degrees = tuple(parse_rational(d) for d in doc["degrees"])
-        pairing = tuple(tuple(parse_rational(v) for v in row) for row in doc["pairing"])
+        degrees = tuple(map(reader.rational, doc["degrees"]))
+        pairing = tuple(tuple(map(reader.rational, row)) for row in doc["pairing"])
     except ValueError as exc:
         raise DatumFormatError(str(exc)) from exc
     products = {}
@@ -554,5 +615,5 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
             or type(record.get("j")) is not int
         ):
             raise DatumFormatError("a product record must have integer 'i' and 'j'")
-        products[(record["i"], record["j"])] = cr_class_from_doc(record.get("terms"), vd)
+        products[(record["i"], record["j"])] = reader.cr_class(record.get("terms"))
     return StructureTable(basis, degrees, pairing, products)
