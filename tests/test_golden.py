@@ -1,5 +1,5 @@
-"""Golden corpus: the structured and TSV output of ``table``, ``basis`` and
-``sectors`` on fixed data must stay byte-identical.
+"""Golden corpus: the structured and TSV output of ``table``, ``basis``,
+``sectors`` and ``selftest`` on fixed data must stay byte-identical.
 
 The expected files live in ``tests/golden/`` as ``<datum>.<command>.<ext>``.
 A deliberate output change re-records them with
@@ -27,7 +27,7 @@ DATA = {
     "p1_25": GOLDEN / "data" / "p1_25.datum",
     "z4_154": GOLDEN / "data" / "z4_154.datum",
 }
-COMMANDS = ("table", "basis", "sectors")
+COMMANDS = ("table", "basis", "sectors", "selftest")
 FORMATS = {"structured": "json", "tsv": "tsv"}
 CASES = [(name, command, fmt) for name in DATA for command in COMMANDS for fmt in FORMATS]
 
