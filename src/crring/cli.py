@@ -81,23 +81,6 @@ def _involution_phase(vd: ValidatedDatum, table: SectorTable, name: str) -> Phas
     return PhaseResult(name, "pass", f"{len(table.codes)} sectors closed under inverse")
 
 
-_PairRows = tuple[list[list[int]], list[list[int]]]
-
-
-def _pair_rows(ring: ChenRuanRing) -> _PairRows:
-    """For every ordered sector pair (s, t): the index of the composite
-    sector s*t (-1 when it is no sector of the ring's chamber) and the
-    ring's carry mask, as rows indexed [s][t]."""
-    table = ring.table
-    sectors = range(len(table.codes))
-    composite = [
-        [table.index.get(table.compose(table.codes[s], table.codes[t]), -1) for t in sectors]
-        for s in sectors
-    ]
-    carry = [[ring.carry(s, t) for t in sectors] for s in sectors]
-    return composite, carry
-
-
 def _line(table: SectorTable, s: int, t: int, j: int) -> str:
     return f"({table.infos[s].label}, {table.infos[t].label}) line {j}"
 
@@ -106,16 +89,16 @@ def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...])
     return " ".join(f"({table.infos[x].label},{k})" for x, k in zip((s, t, r), powers))
 
 
-def _obstruction_phase(
-    vd: ValidatedDatum, ring: ChenRuanRing, rows: _PairRows, name: str
-) -> PhaseResult:
+def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
     table = ring.table
     lines = 0
-    for s, (composite, carry) in enumerate(zip(*rows)):
+    for s, (composite, carry) in enumerate(zip(*ring.pairs)):
         for t, (h, interacting) in enumerate(zip(composite, carry)):
             if h >= 0:
                 theta_r = table.thetas[table.inverse[h]]
             else:
+                # re-derived from the codes: the index count must not read
+                # theta_r off the carry of theta_s + theta_t
                 theta_r = vd.code_numerators(
                     table.invert(table.compose(table.codes[s], table.codes[t]))
                 )
@@ -139,7 +122,7 @@ def _obstruction_phase(
     return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
 
 
-def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, rows: _PairRows) -> PhaseResult:
+def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
     """Both 3-point paths on every composable basis triple.  The localized
     kernel runs once per sector triple (s, t, r = (st)^-1); of the eta
     powers only their sum enters either side."""
@@ -147,7 +130,7 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, rows: _PairRows) ->
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
     triples = 0
-    for s, (composite, carry) in enumerate(zip(*rows)):
+    for s, (composite, carry) in enumerate(zip(*ring.pairs)):
         for t, (h, interacting) in enumerate(zip(composite, carry)):
             if h < 0:
                 continue
@@ -161,11 +144,11 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, rows: _PairRows) ->
             coeff, base = term
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
             # paired with eta^k3 1_(r) when the degrees are complementary
-            product = ring.carried_product(s, t, h, interacting)
+            product = ring.sector_product(s, t, h, interacting)
             value = top = None
             if product is not None:
                 value = Fraction(product[0], ring.pairing_denominator(h))
-                top = dims[h] - product[2]
+                top = dims[h] - product[1]
             for k1 in range(dims[s] + 1):
                 for k2 in range(dims[t] + 1):
                     for k3 in range(dims[r] + 1):
@@ -198,9 +181,8 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
     own = None
     for chamber in chambers:
         ring = ChenRuanRing(vd, chamber)
-        rows = _pair_rows(ring)
         if chamber == vd.chamber:
-            own = ring, rows
+            own = ring
         report = ring.verify_ring_axioms()
         failure = report.first_failure()
         phases.append(
@@ -211,13 +193,13 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
             )
         )
         phases.append(_involution_phase(vd, ring.table, tag("sector_involution", chamber)))
-        phases.append(_obstruction_phase(vd, ring, rows, tag("obstruction_oracle", chamber)))
+        phases.append(_obstruction_phase(vd, ring, tag("obstruction_oracle", chamber)))
     sign = 1 if vd.chamber == "positive" else -1
     if own is None:
         skip = f"the {vd.chamber} chamber of this datum is empty"
     elif all(w * sign > 0 for w in vd.weights):
         skip = None
-        phases.append(_agreement_phase(vd, *own))
+        phases.append(_agreement_phase(vd, own))
     else:
         skip = (
             "mixed-sign weights: both sides of the wall are noncompact, so only "

@@ -325,10 +325,6 @@ class ValidatedDatum:
         """
         return self.sector_table(chamber).infos
 
-    def is_sector(self, t: SectorLabel, chamber: str | None = None) -> bool:
-        mask = self.fixed_mask(self.theta_numerators(t)[1])
-        return bool(mask & self.level_masks[self._chamber(chamber)])
-
     def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
         """Full sector record for t; EmptySector if t labels no sector here."""
         chamber = self._chamber(chamber)

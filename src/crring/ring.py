@@ -21,7 +21,10 @@ The ring works on the integer ``SectorTable`` of its chamber.  With theta
 numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
 constant is the integer prod_{j in T} w_j, and h is found by adding element
-codes.  Products are computed per sector pair, without caching.
+codes.  ``ChenRuanRing.pair`` is the one place that derives (h, T) from a
+sector pair, and ``ChenRuanRing.sector_product`` the one place that turns
+them into a product; the self-test reads every ordered pair's (h, T) from
+the ring's ``pairs`` rows, built once on first use.
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import prod
 from operator import itemgetter, mul
@@ -194,6 +198,11 @@ class ChenRuanRing:
     on mixed-sign weights).  Sectors are addressed by their position in the
     chamber's ``SectorTable``; basis element eta^k 1_(s) has index
     ``start[s] + k``.
+
+    The product of sectors s and t is ``sector_product(s, t, *pair(s, t))``.
+    Point queries and ``structure_constants`` call ``pair`` per sector pair;
+    the axiom check and the self-test phases read ``pairs``, the rows of
+    ``pair`` over all ordered pairs, built once on first use.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
@@ -226,34 +235,38 @@ class ChenRuanRing:
 
     # -- products ------------------------------------------------------------
 
-    def carry(self, s: int, t: int) -> int:
-        """Bitmask of the interacting coordinates
-        T = {j : theta_s(j) + theta_t(j) >= D}."""
-        d, mask = self.table.denominator, 0
-        for j, (x, y) in enumerate(zip(self.table.thetas[s], self.table.thetas[t])):
-            if x + y >= d:
-                mask |= 1 << j
-        return mask
-
-    def sector_product(self, s: int, t: int) -> tuple[int, int, int] | None:
-        """1_(s) * 1_(t) by the carry rule as (integer coefficient, target
-        sector, eta shift |T|), or None when the sector product vanishes."""
+    def pair(self, s: int, t: int) -> tuple[int, int]:
+        """(h, T) of the ordered sector pair: the position h of the composite
+        sector s*t (-1 when it is no sector of this chamber) and the bitmask
+        of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}."""
         table = self.table
-        h = table.index.get(table.compose(table.codes[s], table.codes[t]))
-        return None if h is None else self.carried_product(s, t, h, self.carry(s, t))
+        d, carry = table.denominator, 0
+        for j, (x, y) in enumerate(zip(table.thetas[s], table.thetas[t])):
+            if x + y >= d:
+                carry |= 1 << j
+        return table.index.get(table.compose(table.codes[s], table.codes[t]), -1), carry
 
-    def carried_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int, int] | None:
-        """``sector_product`` of s and t given their composite sector h and
-        their carry mask: None when the fixed sets of s and t are disjoint."""
-        if not self.table.fixed[s] & self.table.fixed[t]:
+    @cached_property
+    def pairs(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``pair`` of every ordered sector pair as the rows
+        (composite[s][t], carry[s][t])."""
+        sectors = range(len(self.table.codes))
+        rows = [[self.pair(s, t) for t in sectors] for s in sectors]
+        return [[h for h, _ in row] for row in rows], [[carry for _, carry in row] for row in rows]
+
+    def sector_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int] | None:
+        """1_(s) * 1_(t) = coeff * eta^shift 1_(h) by the carry rule, given
+        (h, carry) = ``pair(s, t)``: (coeff, shift) = (prod_{j in T} w_j, |T|),
+        or None when h is no sector or the fixed sets of s and t are disjoint."""
+        if h < 0 or not self.table.fixed[s] & self.table.fixed[t]:
             return None
         weights = self.vd.weights
-        return prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), h, carry.bit_count()
+        return prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), carry.bit_count()
 
     def obstruction_set(self, s: SectorLabel, t: SectorLabel) -> ObstructionSet:
         """Coordinates where the phases of s and t overshoot those of s*t."""
         si, ti = self._position(s), self._position(t)
-        carry = self.carry(si, ti)
+        carry = self.pair(si, ti)[1]
         indices = frozenset(j for j in range(self.vd.n) if carry >> j & 1)
         d, theta_s, theta_t = self.table.denominator, self.table.thetas[si], self.table.thetas[ti]
         pushforward = frozenset(j for j in indices if theta_s[j] + theta_t[j] == d)
@@ -261,10 +274,12 @@ class ChenRuanRing:
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
-        data = self.sector_product(self._position(a.sector), self._position(b.sector))
+        s, t = self._position(a.sector), self._position(b.sector)
+        h, carry = self.pair(s, t)
+        data = self.sector_product(s, t, h, carry)
         if data is None:
             return None
-        coeff, h, shift = data
+        coeff, shift = data
         k = a.k + b.k + shift
         if k > self.table.dims[h]:
             return None
@@ -310,13 +325,13 @@ class ChenRuanRing:
 
     # -- tabulation ------------------------------------------------------------
 
-    def _basis_products(self, s: int, t: int) -> Iterator[tuple[int, int, int, int]]:
+    def _basis_products(self, s: int, t: int, h: int, carry: int) -> Iterator[tuple[int, ...]]:
         """(i, j, target index, coefficient) for every nonzero basis product
-        of sector s with sector t."""
-        data = self.sector_product(s, t)
+        of sector s with sector t, given (h, carry) = ``pair(s, t)``."""
+        data = self.sector_product(s, t, h, carry)
         if data is None:
             return
-        coeff, h, shift = data
+        coeff, shift = data
         dims, start = self.table.dims, self.start
         for k1 in range(dims[s] + 1):
             for k2 in range(min(dims[t], dims[h] - shift - k1) + 1):
@@ -341,7 +356,7 @@ class ChenRuanRing:
         products: dict[tuple[int, int], CRClass] = {}
         for s in range(len(table.codes)):
             for t in range(s, len(table.codes)):
-                for i, j, target, coeff in self._basis_products(s, t):
+                for i, j, target, coeff in self._basis_products(s, t, *self.pair(s, t)):
                     if i <= j:
                         products[(i, j)] = CRClass.single(basis[target], coeff)
         return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
@@ -361,12 +376,12 @@ class ChenRuanRing:
         over (i, j, k) runs its k-axis as whole-row list operations.
         """
         basis, table = self._basis, self.table
-        size, sectors = len(basis), range(len(table.codes))
+        size = len(basis)
         pidx = [[-1] * (size + 1) for _ in range(size)]
         pnum = [[0] * (size + 1) for _ in range(size)]
-        for s in sectors:
-            for t in sectors:
-                for i, j, target, coeff in self._basis_products(s, t):
+        for s, rows in enumerate(zip(*self.pairs)):
+            for t, (h, carry) in enumerate(zip(*rows)):
+                for i, j, target, coeff in self._basis_products(s, t, h, carry):
                     pidx[i][j] = target
                     pnum[i][j] = coeff
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)

@@ -230,6 +230,5 @@ def test_unknown_chamber_is_rejected(wp112):
     for query in (wp112.sectors, wp112.sector_table):
         with pytest.raises(ValueError):
             query("sideways")
-    for query in (wp112.sector_info, wp112.is_sector):
-        with pytest.raises(ValueError):
-            query(half, "sideways")
+    with pytest.raises(ValueError):
+        wp112.sector_info(half, "sideways")

@@ -9,6 +9,7 @@ from crring import (
     CRClass,
     ChenRuanRing,
     DomainError,
+    FiniteCyclicFactor,
     QuotientDatum,
     cr_class_from_doc,
     cr_class_to_doc,
@@ -54,8 +55,6 @@ def test_pairing_values(wp112, p11):
 
 
 def test_pairing_includes_finite_group_order():
-    from crring import FiniteCyclicFactor
-
     vd = validate_datum(QuotientDatum((1, 1), (FiniteCyclicFactor(5, (1, 2)),)))
     ring = ChenRuanRing(vd)
     top = CRClass.single(BasisElement(vd.identity(), 1))
@@ -114,6 +113,41 @@ def test_cup_unit(wp122333):
 def test_cup_disjoint_fixed_sets_vanish(wp122333):
     ring = ChenRuanRing(wp122333)
     assert ring.cup(one(wp122333, "1/3"), one(wp122333, "1/2")).is_zero()
+
+
+def test_pair_and_sector_product_values(wp122333):
+    ring = ChenRuanRing(wp122333)
+    third, two_thirds, half = (
+        ring.table.position(wp122333.label(Fraction(c))) for c in ("1/3", "2/3", "1/2")
+    )
+    # theta(1/3) = (1/3, 2/3, 2/3, 0, 0, 0): coordinates 1 and 2 carry
+    assert ring.pair(third, third) == (two_thirds, 0b110)
+    assert ring.sector_product(third, third, *ring.pair(third, third)) == (4, 2)
+    # c = 5/6 fixes no coordinate
+    h, carry = ring.pair(third, half)
+    assert h == -1
+    assert ring.sector_product(third, half, h, carry) is None
+    sectors = range(len(ring.table.codes))
+    composite, carry = ring.pairs
+    assert all(ring.pair(s, t) == (composite[s][t], carry[s][t]) for s in sectors for t in sectors)
+
+
+def test_sector_product_vanishes_on_disjoint_fixed_sets():
+    # on P^2/Z3 with phases (0, 1, 2) sectors fixing {0} and {1} compose to
+    # sectors fixing {2}; the carry covers that fixed set, so the eta
+    # truncation would zero every basis product there as well
+    vd = validate_datum(QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)))
+    ring = ChenRuanRing(vd)
+    fixed, sectors = ring.table.fixed, range(len(ring.table.codes))
+    disjoint = [(s, t) for s in sectors for t in sectors if not fixed[s] & fixed[t]]
+    composable = 0
+    for s, t in disjoint:
+        h, carry = ring.pair(s, t)
+        assert ring.sector_product(s, t, h, carry) is None
+        if h >= 0:
+            composable += 1
+            assert carry & fixed[h] == fixed[h]
+    assert composable
 
 
 def test_cup_truncates_past_sector_dimension(wp112):

@@ -1,6 +1,7 @@
 """The self-test's agreement gate reads the localized kernel once per sector
 triple; these tests check that a wrong kernel value on one sector triple
-still fails the gate and is named, and pin the work counts of the demo data."""
+still fails the gate and is named, pin the work counts of the demo data, and
+check that one self-test derives each ordered sector pair once."""
 
 from __future__ import annotations
 
@@ -11,10 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from crring import QuotientDatum, datum_from_doc, run_selftest, validate_datum
+from crring import ChenRuanRing, QuotientDatum, datum_from_doc, run_selftest, validate_datum
 from crring import cli
+from crring.quotient import CHAMBERS
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
+TESTS = Path(__file__).resolve().parent
+DEMO_DIR = TESTS.parent / "demos" / "data"
+
+
+def _load(path: Path):
+    return validate_datum(datum_from_doc(json.loads(path.read_text())))
 
 
 def _phase(report, name):
@@ -74,8 +81,7 @@ DEMO_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(DEMO_COUNTS))
 def test_demo_work_counts_are_pinned(name):
-    doc = json.loads((DEMO_DIR / f"{name}.datum").read_text())
-    report = run_selftest(validate_datum(datum_from_doc(doc)))
+    report = run_selftest(_load(DEMO_DIR / f"{name}.datum"))
     assert report.passed
     lines, triples = DEMO_COUNTS[name]
     obstruction = [p.detail for p in report.phases if p.name.startswith("obstruction_oracle")]
@@ -85,3 +91,22 @@ def test_demo_work_counts_are_pinned(name):
         assert agreement.status == "skipped"
     else:
         assert agreement.detail == f"{triples} composable basis triples agree"
+
+
+PAIR_DATA = [DEMO_DIR / f"{name}.datum" for name in sorted(DEMO_COUNTS)]
+PAIR_DATA.append(TESTS / "golden" / "data" / "p1_25.datum")
+
+
+@pytest.mark.parametrize("path", PAIR_DATA, ids=[path.stem for path in PAIR_DATA])
+def test_selftest_derives_each_sector_pair_once(monkeypatch, path):
+    vd = _load(path)
+    pair, calls = ChenRuanRing.pair, []
+
+    def counted(ring, s, t):
+        calls.append((ring.chamber, s, t))
+        return pair(ring, s, t)
+
+    monkeypatch.setattr(ChenRuanRing, "pair", counted)
+    assert run_selftest(vd).passed
+    assert len(calls) == sum(len(vd.sectors(chamber)) ** 2 for chamber in CHAMBERS)
+    assert len(set(calls)) == len(calls)
