@@ -1,5 +1,8 @@
-"""Golden corpus: the structured and TSV output of ``table``, ``basis``,
-``sectors`` and ``selftest`` on fixed data must stay byte-identical.
+"""Golden corpus: the structured and TSV output of every command on fixed
+data must stay byte-identical.  The whole-datum commands (``table``,
+``basis``, ``sectors``, ``selftest``) take no flags; the point commands
+(``shift``, ``pair``, ``cup``, ``triple`` by both methods, ``wallcross``)
+take the fixed flags of ``POINTS``.
 
 The expected files live in ``tests/golden/`` as ``<datum>.<command>.<ext>``.
 A deliberate output change re-records them with
@@ -27,7 +30,37 @@ DATA = {
     "p1_25": GOLDEN / "data" / "p1_25.datum",
     "z4_154": GOLDEN / "data" / "z4_154.datum",
 }
-COMMANDS = ("table", "basis", "sectors", "selftest")
+# per datum: a non-identity sector (wall_11m1's positive chamber has only
+# the identity), its inverse at its top eta power, and a composable triple
+# with a nonzero 3-point function
+POINTS = {
+    "wp112": ("c=1/2", ("c=1/2", 0), [("c=1/2", 0), ("c=1/2", 0), ("c=0", 0)]),
+    "wp122333": ("c=1/3", ("c=2/3", 2), [("c=1/3", 0), ("c=1/3", 0), ("c=1/3", 0)]),
+    "z3_on_p2": (
+        "c=1/3,a=1",
+        ("c=2/3,a=2", 0),
+        [("c=1/3,a=1", 0), ("c=2/3,a=2", 0), ("c=0,a=0", 0)],
+    ),
+    "wall_11m1": ("c=0", ("c=0", 2), [("c=0", 1), ("c=0", 1), ("c=0", 0)]),
+    "p1_25": ("c=1/25", ("c=24/25", 0), [("c=1/25", 0), ("c=1/25", 0), ("c=23/25", 0)]),
+    "z4_154": (
+        "c=1/10,a=1",
+        ("c=9/10,a=3", 0),
+        [("c=0,a=2", 0), ("c=1/10,a=1", 0), ("c=9/10,a=1", 0)],
+    ),
+}
+COMMANDS = (
+    "table",
+    "basis",
+    "sectors",
+    "selftest",
+    "shift",
+    "pair",
+    "cup",
+    "triple_direct",
+    "triple_localization",
+    "wallcross",
+)
 FORMATS = {"structured": "json", "tsv": "tsv"}
 CASES = [(name, command, fmt) for name in DATA for command in COMMANDS for fmt in FORMATS]
 
@@ -36,9 +69,27 @@ def golden_path(name: str, command: str, fmt: str) -> Path:
     return GOLDEN / f"{name}.{command}.{FORMATS[fmt]}"
 
 
+def point_flags(name: str, command: str) -> list[str]:
+    """The flags of a point command on ``name``; none for the others."""
+    sector, (inverse, top), triple = POINTS[name]
+    if command == "shift":
+        return ["--t", sector]
+    if command == "pair":
+        return ["--t1", sector, "--t2", inverse, "--k2", str(top)]
+    if command == "cup":
+        triple = triple[:2]
+    elif command not in ("wallcross", "triple_direct", "triple_localization"):
+        return []
+    flags = [x for i, (t, k) in enumerate(triple, 1) for x in (f"--t{i}", t, f"--k{i}", str(k))]
+    if command.startswith("triple_"):
+        flags += ["--method", command.partition("_")[2]]
+    return flags
+
+
 def render(name: str, command: str, fmt: str, work: Path) -> bytes:
     out = work / f"{name}.{command}.{FORMATS[fmt]}"
-    code = cli.main([command, str(DATA[name]), "--format", fmt, "--out", str(out)])
+    argv = [command.partition("_")[0], str(DATA[name]), *point_flags(name, command)]
+    code = cli.main([*argv, "--format", fmt, "--out", str(out)])
     assert code == 0, f"{command} on {name} exited {code}"
     return out.read_bytes()
 
