@@ -16,11 +16,8 @@ from crring import (
     CRClass,
     ChenRuanRing,
     QuotientDatum,
-    collapse,
-    equivariant_euler_origin,
-    equivariant_twist_restriction,
     format_rational,
-    monomial_mul,
+    localized_residue,
     triple_localized,
     validate_datum,
 )
@@ -37,18 +34,18 @@ print(f"direct path:    1_({third}) * 1_({third}) = {product}")
 print(f"                paired against 1_({third}): {format_rational(direct)}")
 
 # Path (b): the twist factor of the sector restricts to the origin as
-# (u)^(1/3) (2u)^(2/3) (2u)^(2/3); its cube has integer exponents and
-# collapses to an honest Laurent term.
-restriction = equivariant_twist_restriction(vd, third)
+# prod_j (w_j u)^theta_j = (u)^(1/3) (2u)^(2/3) (2u)^(2/3).  Over the three
+# copies the exponents sum to integers e_j, so the product collapses to an
+# honest Laurent term; dividing by the equivariant Euler class
+# |A| * prod_j (w_j u) of the origin leaves the quotient term.
+thetas = vd.thetas(third)
 print(f"\nequivariant restriction factors (coordinate -> exponent): "
-      f"{{{', '.join(f'{j}: {format_rational(e)}' for j, e in sorted(restriction.factors.items()))}}}")
-cube = monomial_mul(monomial_mul(restriction, restriction), restriction)
-numerator = collapse(cube, vd.weights)
-euler = collapse(equivariant_euler_origin(vd), vd.weights)
-print(f"cubed and collapsed: {format_rational(numerator.coeff)} * u^{numerator.power}")
-print(f"euler class at the origin: {format_rational(euler.coeff)} * u^{euler.power}")
-print(f"quotient term: ({format_rational(Fraction(numerator.coeff, euler.coeff))}) "
-      f"* u^{numerator.power - euler.power}")
+      f"{{{', '.join(f'{j}: {format_rational(th)}' for j, th in enumerate(thetas) if th)}}}")
+numerators = vd.theta_numerators(third)[1]
+print(f"theta numerators over D = {vd.denominator}: {numerators}")
+print(f"exponent sums e_j over the triple: {tuple(3 * x // vd.denominator for x in numerators)}")
+coeff, power = localized_residue(vd, numerators, numerators, numerators)
+print(f"collapsed quotient term: ({format_rational(coeff)}) * u^{power}")
 
 report = triple_localized(vd, (third, 0), (third, 0), (third, 0))
 print(f"residue (coefficient of u^-1): {format_rational(report.value)}")

@@ -16,27 +16,11 @@ from .errors import (
     EmptySector,
     IneffectiveAction,
     NonComposable,
-    NonIntegralExponent,
     ZeroWeight,
 )
-from .exact import (
-    FactoredMonomial,
-    LaurentPoly,
-    LaurentTerm,
-    Rational,
-    collapse,
-    format_rational,
-    frac_part,
-    monomial_mul,
-    parse_rational,
-    residue,
-)
+from .exact import format_rational, frac_part, parse_rational
 from .localization import (
-    EquivariantClass,
     WallCrossingReport,
-    equivariant_euler_origin,
-    equivariant_twist_restriction,
-    kirwan,
     localized_residue,
     triple_localized,
     wall_crossing_delta,
@@ -58,7 +42,6 @@ from .ring import (
     BasisElement,
     CRClass,
     ChenRuanRing,
-    ObstructionSet,
     RingAxiomReport,
     StructureTable,
     cr_class_from_doc,

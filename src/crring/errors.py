@@ -22,10 +22,6 @@ class EmptySector(DomainError):
     """The label does not name a twisted sector in the requested chamber."""
 
 
-class NonIntegralExponent(DomainError):
-    """A factored monomial was evaluated while an exponent is fractional."""
-
-
 class NonComposable(DomainError):
     """The three sector labels of a 3-point function do not multiply to 1."""
 

@@ -1,5 +1,5 @@
-"""Equivariant side of the computation: lifted classes on C^n, their
-restriction to the origin, and wall-crossing residues for 3-point functions.
+"""Equivariant side of the computation: wall-crossing residues for 3-point
+functions of classes lifted to C^n and restricted to the origin.
 
 For a linear circle action with nonzero weights the moment map has a single
 wall at 0 whose fixed locus is the origin, so every wall contribution is one
@@ -29,9 +29,7 @@ collapsed coefficient and one base power sum_j e_j - n, and every basis
 triple on it reads its value off those two numbers.  The self-test calls
 the kernel once per composable sector triple; ``triple_localized`` is the
 label-level wrapper around the same kernel.  Composability is decided here
-from the numerator sums mod D.  This path calls no ring code.
-``FactoredMonomial`` and ``collapse`` keep the symbolic form of the same
-computation.
+from the numerator sums mod D.  This path imports nothing from the ring.
 """
 
 from __future__ import annotations
@@ -42,24 +40,11 @@ from math import prod
 from typing import Mapping
 
 from .errors import EmptySector, NonComposable
-from .exact import FactoredMonomial, LaurentPoly, format_rational
+from .exact import format_rational
 from .quotient import CHAMBERS, SectorLabel, ValidatedDatum, label_to_doc
-from .ring import BasisElement, CRClass
 
 SectorPower = tuple[SectorLabel, int]
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class EquivariantClass:
-    """A polynomial class sum_k c_k u^k lifted to the sector of ``sector``."""
-
-    sector: SectorLabel
-    u_poly: LaurentPoly
-
-    def __post_init__(self):
-        if any(power < 0 for power in self.u_poly.terms):
-            raise ValueError("equivariant classes are polynomial in u (powers >= 0)")
 
 
 @dataclass(frozen=True)
@@ -72,38 +57,6 @@ class WallCrossingReport:
     degree_check: int
     side_existence: Mapping[str, tuple[bool, bool, bool]]
     note: str | None = None
-
-
-def kirwan(vd: ValidatedDatum, e: EquivariantClass) -> CRClass:
-    """Descend a lifted class to the quotient: u^k maps to eta^k 1_(t).
-
-    Powers beyond the sector dimension truncate to zero.  Raises
-    ``EmptySector`` when the sector itself is absent from the datum's
-    chamber, which is a different statement than truncation to zero.
-    """
-    info = vd.sector_info(e.sector)
-    terms = {
-        BasisElement(e.sector, power): coeff
-        for power, coeff in e.u_poly.terms.items()
-        if power <= info.dim
-    }
-    return CRClass(terms)
-
-
-def equivariant_twist_restriction(vd: ValidatedDatum, t: SectorLabel) -> FactoredMonomial:
-    """Restriction of the equivariant twist factor of t to the origin:
-    the factored monomial prod_j (w_j u)^{theta_t(j)} over moved coordinates."""
-    return FactoredMonomial(
-        Fraction(1), Fraction(0), {j: th for j, th in enumerate(vd.thetas(t)) if th != 0}
-    )
-
-
-def equivariant_euler_origin(vd: ValidatedDatum) -> FactoredMonomial:
-    """Equivariant Euler class of C^n at the orbifold point [0/A]:
-    |A| * prod_j (w_j u)."""
-    return FactoredMonomial(
-        Fraction(vd.finite_order), Fraction(0), {j: Fraction(1) for j in range(vd.n)}
-    )
 
 
 def localized_residue(

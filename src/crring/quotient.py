@@ -165,7 +165,6 @@ class ValidatedDatum:
     """
 
     def __init__(self, datum: QuotientDatum):
-        self._datum = datum
         self.weights = datum.weights
         self.n = datum.n
         self.finite = datum.finite
@@ -186,19 +185,13 @@ class ValidatedDatum:
         self._tables: dict[str, SectorTable] = {}
         self._identity = SectorLabel(Fraction(0), (0,) * len(self.finite))
 
-    @property
-    def datum(self) -> QuotientDatum:
-        return self._datum
-
     # -- group structure ---------------------------------------------------
 
     def identity(self) -> SectorLabel:
         return self._identity
 
-    def label(self, c: Fraction | int | str, finite: Iterable[int] = ()) -> SectorLabel:
+    def label(self, c: Fraction | int, finite: Iterable[int] = ()) -> SectorLabel:
         """Build a normalized label: c mod 1, components mod their orders."""
-        if isinstance(c, str):
-            c = parse_rational(c)
         components = tuple(finite)
         if not components:
             components = (0,) * len(self.finite)

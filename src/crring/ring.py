@@ -131,17 +131,6 @@ class CRClass:
         return f"CRClass({body})"
 
 
-@dataclass(frozen=True)
-class ObstructionSet:
-    """The interacting coordinates T of a sector pair, split into Thom
-    pushforward directions (fixed by the product label) and obstruction
-    directions (moved by it)."""
-
-    indices: frozenset[int]
-    pushforward: frozenset[int]
-    obstruction: frozenset[int]
-
-
 def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
     """Invariant H^1 rank of one normal line over the 3-marked sphere.
 
@@ -262,15 +251,6 @@ class ChenRuanRing:
             return None
         weights = self.vd.weights
         return prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), carry.bit_count()
-
-    def obstruction_set(self, s: SectorLabel, t: SectorLabel) -> ObstructionSet:
-        """Coordinates where the phases of s and t overshoot those of s*t."""
-        si, ti = self._position(s), self._position(t)
-        carry = self.pair(si, ti)[1]
-        indices = frozenset(j for j in range(self.vd.n) if carry >> j & 1)
-        d, theta_s, theta_t = self.table.denominator, self.table.thetas[si], self.table.thetas[ti]
-        pushforward = frozenset(j for j in indices if theta_s[j] + theta_t[j] == d)
-        return ObstructionSet(indices, pushforward, indices - pushforward)
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""

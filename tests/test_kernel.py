@@ -19,17 +19,12 @@ from crring import (
     ChenRuanRing,
     DomainError,
     EmptySector,
-    FactoredMonomial,
-    LaurentPoly,
     QuotientDatum,
     SectorLabel,
-    collapse,
     datum_from_doc,
     frac_part,
     localized_residue,
-    monomial_mul,
     obstruction_rank_oracle,
-    residue,
     triple_localized,
     validate_datum,
 )
@@ -118,30 +113,31 @@ def test_int_thetas_match_fraction_definition(datum):
             assert table.position(info.label) == i
 
 
-def reference_localized(datum: QuotientDatum, triple, restrictions: dict) -> tuple:
-    """The symbolic path: collapse prod_i restriction(t_i) against the
-    Euler class of the origin and take the coefficient of u^-1."""
-    monomial = FactoredMonomial.one()
+def reference_localized(datum: QuotientDatum, triple, thetas: dict) -> tuple:
+    """The 3-point function from the Fraction thetas (cached in ``thetas``).
+    The restricted twist factors multiply to prod_j (w_j u)^e_j with
+    e_j = sum_i theta_i(j), an integer on a composable triple; over the Euler
+    class |A| * prod_j (w_j u) of the origin, and with the lifts u^k_i, that
+    is prod_j w_j^e_j / (|A| * prod_j w_j) at the power sum_j e_j + sum_i k_i - n.
+    The value is the coefficient when that power is -1, and 0 otherwise."""
     for t, _ in triple:
-        if t not in restrictions:
-            exponents = dict(enumerate(fraction_thetas(datum, t)))
-            restrictions[t] = FactoredMonomial(Fraction(1), Fraction(0), exponents)
-        monomial = monomial_mul(monomial, restrictions[t])
-    order = prod(f.order for f in datum.finite)
-    euler = collapse(
-        FactoredMonomial(Fraction(order), Fraction(0), {j: Fraction(1) for j in range(datum.n)}),
-        datum.weights,
+        if t not in thetas:
+            thetas[t] = fraction_thetas(datum, t)
+    exponents = [sum(column) for column in zip(*(thetas[t] for t, _ in triple))]
+    assert all(e.denominator == 1 for e in exponents)
+    coeff = Fraction(
+        prod(w ** int(e) for w, e in zip(datum.weights, exponents)),
+        prod(f.order for f in datum.finite) * prod(datum.weights),
     )
-    term = collapse(monomial, datum.weights)
-    power = term.power + sum(k for _, k in triple) - euler.power
-    return residue(LaurentPoly({power: term.coeff / euler.coeff})), power
+    power = int(sum(exponents)) + sum(k for _, k in triple) - datum.n
+    return (coeff if power == -1 else 0), power
 
 
 @pytest.mark.parametrize("datum", SAMPLE, ids=_ids(SAMPLE))
 def test_closed_form_localized_matches_collapse_reference(datum):
     vd = validate_datum(datum)
     dims = {info.label: info.dim for chamber in chambers_of(vd) for info in vd.sectors(chamber)}
-    checked, restrictions = 0, {}
+    checked, thetas = 0, {}
     for s, t in itertools.product(dims, repeat=2):
         r = vd.inverse(vd.compose(s, t))
         if r not in dims:
@@ -150,7 +146,7 @@ def test_closed_form_localized_matches_collapse_reference(datum):
         for k1, k2, k3 in itertools.product(*powers):
             triple = ((s, k1), (t, k2), (r, k3))
             report = triple_localized(vd, *triple)
-            expected = reference_localized(datum, triple, restrictions)
+            expected = reference_localized(datum, triple, thetas)
             assert (report.value, report.degree_check) == expected
             checked += 1
     assert checked > 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,86 +11,66 @@ from crring import (
     CRClass,
     ChenRuanRing,
     EmptySector,
-    EquivariantClass,
-    FactoredMonomial,
-    LaurentPoly,
+    FiniteCyclicFactor,
     NonComposable,
     QuotientDatum,
-    collapse,
-    equivariant_euler_origin,
-    equivariant_twist_restriction,
-    kirwan,
+    localized_residue,
     triple_localized,
     validate_datum,
     wall_crossing_delta,
 )
 
-
-def test_kirwan_definitional(wp122333):
-    identity = wp122333.identity()
-    image = kirwan(wp122333, EquivariantClass(identity, LaurentPoly({0: 1})))
-    assert image == CRClass.single(BasisElement(identity, 0))
-    third = wp122333.label(Fraction(1, 3))
-    image = kirwan(wp122333, EquivariantClass(third, LaurentPoly({2: 1})))
-    assert image == CRClass.single(BasisElement(third, 2))
+LOCALIZATION = Path(__file__).resolve().parent.parent / "src" / "crring" / "localization.py"
 
 
-def test_kirwan_truncates(wp112):
-    half = wp112.label(Fraction(1, 2))
-    assert kirwan(wp112, EquivariantClass(half, LaurentPoly({1: 1}))).is_zero()
-    mixed_powers = EquivariantClass(half, LaurentPoly({0: 3, 1: 5}))
-    assert kirwan(wp112, mixed_powers) == CRClass.single(BasisElement(half, 0), 3)
-
-
-def test_kirwan_raises_for_absent_sector():
-    vd = validate_datum(QuotientDatum((1, -2), chamber="positive"))
-    half = vd.label(Fraction(1, 2))
-    with pytest.raises(EmptySector):
-        kirwan(vd, EquivariantClass(half, LaurentPoly({0: 1})))
-
-
-def test_kirwan_hits_every_basis_element(wp122333):
-    ring = ChenRuanRing(wp122333)
-    for element in ring.basis():
-        lifted = EquivariantClass(element.sector, LaurentPoly({element.k: 1}))
-        assert kirwan(wp122333, lifted) == CRClass.single(element)
-
-
-def test_equivariant_class_rejects_negative_powers(wp112):
-    with pytest.raises(ValueError):
-        EquivariantClass(wp112.identity(), LaurentPoly({-1: 1}))
+def test_localized_path_imports_nothing_from_the_ring():
+    # the two 3-point paths must share no code: no import of crring.ring, in
+    # any spelling, anywhere in the localization module
+    for node in ast.walk(ast.parse(LOCALIZATION.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert ".ring." not in f".{module}.", f"line {node.lineno} imports {module}"
 
 
 def test_twist_restriction_cube_root_sector(wp122333):
+    # the twist factor of t restricted to the origin is prod_j (w_j u)^theta_t(j);
+    # its cube for c = 1/3 has the integer exponents (1, 2, 2) and collapses to
+    # 16 u^5, over the Euler class 108 u^6 of the origin
     third = wp122333.label(Fraction(1, 3))
-    monomial = equivariant_twist_restriction(wp122333, third)
-    assert monomial == FactoredMonomial(
-        Fraction(1), Fraction(0), {0: Fraction(1, 3), 1: Fraction(2, 3), 2: Fraction(2, 3)}
-    )
-    assert equivariant_twist_restriction(wp122333, wp122333.identity()) == FactoredMonomial.one()
+    assert wp122333.thetas(third) == (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3), 0, 0, 0)
+    assert not any(wp122333.thetas(wp122333.identity()))
+    numerators = wp122333.theta_numerators(third)[1]
+    assert localized_residue(wp122333, *[numerators] * 3) == (Fraction(16, 108), -1)
 
 
 def test_twist_restriction_wp112(wp112):
     half = wp112.label(Fraction(1, 2))
-    assert equivariant_twist_restriction(wp112, half).factors == {
-        0: Fraction(1, 2),
-        1: Fraction(1, 2),
-    }
+    assert wp112.thetas(half) == (Fraction(1, 2), Fraction(1, 2), 0)
 
 
 def test_euler_origin(wp122333, p11, mixed):
-    assert collapse(equivariant_euler_origin(wp122333), wp122333.weights).coeff == 108
-    assert collapse(equivariant_euler_origin(wp122333), wp122333.weights).power == 6
-    assert collapse(equivariant_euler_origin(p11), p11.weights).coeff == 1
-    term = collapse(equivariant_euler_origin(mixed), mixed.weights)
-    assert (term.coeff, term.power) == (-1, 3)
+    # on three identity lifts the localized value is u^k over the Euler class
+    # |A| * prod_j (w_j u) of the origin, read at total power -1
+    for vd, k, euler in ((wp122333, 5, 108), (p11, 1, 1)):
+        identity = vd.identity()
+        report = triple_localized(vd, (identity, k), (identity, 0), (identity, 0))
+        assert (report.value, report.degree_check) == (Fraction(1, euler), -1)
+    identity = mixed.identity()
+    report = triple_localized(mixed, (identity, 1), (identity, 1), (identity, 0))
+    assert (report.value, report.degree_check) == (-1, -1)
 
 
 def test_euler_origin_counts_finite_group():
-    from crring import FiniteCyclicFactor
-
     vd = validate_datum(QuotientDatum((1, 1), (FiniteCyclicFactor(5, (1, 2)),)))
-    assert collapse(equivariant_euler_origin(vd), vd.weights).coeff == 5
+    identity = vd.identity()
+    report = triple_localized(vd, (identity, 1), (identity, 0), (identity, 0))
+    assert report.value == Fraction(1, 5)
 
 
 def test_triple_localized_wp122333_value(wp122333):
