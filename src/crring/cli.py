@@ -441,74 +441,61 @@ def _cmd_selftest(args, vd: ValidatedDatum) -> tuple[str, int]:
     return _structured(selftest_to_doc(report)), code
 
 
+# name -> (handler, help line, extra arguments, sector flags); every sector
+# flag but shift's lone --t comes with its eta power --k<i>
+_METHOD = ("--method", {"choices": ("direct", "localization"), "required": True})
+_TRIPLE = ("--t1", "--t2", "--t3")
 _COMMANDS = {
-    "sectors": _cmd_sectors,
-    "shift": _cmd_shift,
-    "basis": _cmd_basis,
-    "pair": _cmd_pair,
-    "cup": _cmd_cup,
-    "triple": _cmd_triple,
-    "table": _cmd_table,
-    "wallcross": _cmd_wallcross,
-    "selftest": _cmd_selftest,
+    "sectors": (
+        _cmd_sectors, "list twisted sectors with fixed sets, phases, and degree shifts", (), ()
+    ),
+    "shift": (_cmd_shift, "degree shift (age) and fixed set of one sector", (), ("--t",)),
+    "basis": (_cmd_basis, "graded basis of the Chen-Ruan ring", (), ()),
+    "pair": (_cmd_pair, "Poincare pairing of two basis classes", (), _TRIPLE[:2]),
+    "cup": (_cmd_cup, "cup product of two basis classes", (), _TRIPLE[:2]),
+    "triple": (_cmd_triple, "3-point function by either computation path", (_METHOD,), _TRIPLE),
+    "table": (_cmd_table, "full structure-constant and pairing tables", (), ()),
+    "wallcross": (_cmd_wallcross, "wall-crossing delta of a 3-point function", (), _TRIPLE),
+    "selftest": (_cmd_selftest, "run the built-in verification suites on the datum", (), ()),
 }
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """Only the subparser that ``argv[0]`` names; all nine for anything else
+    (help, an empty argv, an unknown command or a leading option)."""
     parser = argparse.ArgumentParser(
         prog="crring",
         description="Exact Chen-Ruan cohomology of diagonal abelian quotients.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    lean = bool(argv) and argv[0] in _COMMANDS
+    # a fixed metavar keeps all nine names in the lean tree's usage line; the
+    # full tree keeps the default, under which its errors name it "command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=_CHOICES if lean else None)
+    for name in [argv[0]] if lean else _COMMANDS:
+        _, help_text, extras, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("datum", help="datum file (JSON: n, weights, finite, chamber)")
         p.add_argument("--format", choices=("structured", "tsv"), default="structured")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        return p
-
-    def sector_arg(p: argparse.ArgumentParser, flag: str, *, count: bool = True) -> None:
-        p.add_argument(
-            flag, required=True, type=_sector_flag, metavar="c=p/q[,a=k1:k2:...]"
-        )
-        if count:
-            k_flag = flag.replace("--t", "--k")
-            p.add_argument(k_flag, type=int, default=0, metavar="K")
-
-    command("sectors", "list twisted sectors with fixed sets, phases, and degree shifts")
-    p = command("shift", "degree shift (age) and fixed set of one sector")
-    sector_arg(p, "--t", count=False)
-    command("basis", "graded basis of the Chen-Ruan ring")
-    p = command("pair", "Poincare pairing of two basis classes")
-    sector_arg(p, "--t1")
-    sector_arg(p, "--t2")
-    p = command("cup", "cup product of two basis classes")
-    sector_arg(p, "--t1")
-    sector_arg(p, "--t2")
-    p = command("triple", "3-point function by either computation path")
-    p.add_argument("--method", choices=("direct", "localization"), required=True)
-    sector_arg(p, "--t1")
-    sector_arg(p, "--t2")
-    sector_arg(p, "--t3")
-    command("table", "full structure-constant and pairing tables")
-    p = command("wallcross", "wall-crossing delta of a 3-point function")
-    sector_arg(p, "--t1")
-    sector_arg(p, "--t2")
-    sector_arg(p, "--t3")
-    command("selftest", "run the built-in verification suites on the datum")
+        for flag, options in extras:
+            p.add_argument(flag, **options)
+        for flag in flags:
+            p.add_argument(flag, required=True, type=_sector_flag, metavar="c=p/q[,a=k1:k2:...]")
+            if flag != "--t":
+                p.add_argument(flag.replace("--t", "--k"), type=int, default=0, metavar="K")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         vd = _load(args.datum)
-        text, code = _COMMANDS[args.command](args, vd)
+        text, code = _COMMANDS[args.command][0](args, vd)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -516,7 +503,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"usage error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, product
 from math import lcm, prod
 from operator import not_
@@ -102,6 +103,13 @@ class SectorLabel:
 
     c: Fraction
     finite: tuple[int, ...] = ()
+
+    @cached_property
+    def _hash(self) -> int:  # hashing c takes a modular inverse: once per label, on first use
+        return hash((self.c, self.finite))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         text = f"c={format_rational(self.c)}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -302,3 +303,47 @@ def test_python_dash_m_crring_runs_the_cli():
     assert done.returncode == 0
     assert done.stderr == ""
     assert json.loads(done.stdout)["passed"] is True
+
+
+def test_out_flag_that_cannot_be_written_is_a_usage_error(datum_file, tmp_path, capsys):
+    path = datum_file(WP112)
+    for target in (tmp_path, tmp_path / "absent" / "sectors.json"):
+        code, out, err = run(capsys, "sectors", path, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot write output file: ")
+        assert err.count("\n") == 1
+
+
+def test_a_named_command_builds_only_its_own_parser(datum_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = datum_file(WP112)
+    assert run(capsys, "shift", path, "--t", "c=1/2")[0] == 0
+    assert len(built) <= 2
+    built.clear()
+    assert run(capsys, "no-such-command", path)[0] == 2
+    assert len(built) == 10  # the top level and all nine commands
+
+
+def test_each_request_rereads_its_datum(datum_file, capsys):
+    path = datum_file(WP112)
+    code, out, _ = run(capsys, "sectors", path)
+    assert code == 0
+    assert len(json.loads(out)["sectors"]) == 2
+    datum_file(WP122333)  # same path, new content
+    code, out, _ = run(capsys, "sectors", path)
+    assert code == 0
+    assert len(json.loads(out)["sectors"]) == 4
+
+
+def test_main_reads_sys_argv_when_given_no_argv(datum_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["crring", "shift", datum_file(WP112), "--t", "c=1/2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["shift"] == "1"
