@@ -1,5 +1,5 @@
-"""Front-end texts: the help pages, usage errors and load errors of the
-command line must stay byte-identical.  Each case records the exit code,
+"""Front-end texts: the help pages, usage errors, load errors and domain
+refusals of the command line must stay byte-identical.  Each case records the exit code,
 stdout and stderr of one ``cli.main(argv)`` call, run from the root of the
 checkout with ``COLUMNS=80`` so that argparse wraps at a fixed width.
 
@@ -26,6 +26,7 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 FRONTEND = TESTS / "golden" / "frontend"
 DATUM = "demos/data/wp112.datum"
+WALL = "tests/golden/data/wall_1m2.datum"  # weights (1, -2), positive chamber
 COMMANDS = ("sectors", "shift", "basis", "pair", "cup", "triple", "table", "wallcross", "selftest")
 CASES = {
     "help": ["--help"],
@@ -42,6 +43,17 @@ CASES = {
     "format-xml": ["sectors", DATUM, "--format", "xml"],
     "extra-argument": ["shift", DATUM, "--t", "c=1/2", "extra"],
     "unknown-option": ["shift", DATUM, "--t", "c=1/2", "--bogus"],
+    "pair-empty-sector": ["pair", DATUM, "--t1", "c=1/5", "--t2", "c=4/5"],
+    "triple-empty-sector": [
+        "triple", DATUM, "--t1", "c=1/5", "--t2", "c=4/5", "--t3", "c=0",
+        "--method", "localization",
+    ],
+    "shift-other-side": ["shift", WALL, "--t", "c=1/2"],
+    "triple-non-composable": [
+        "triple", DATUM, "--t1", "c=1/2", "--t2", "c=0", "--t3", "c=0",
+        "--method", "localization",
+    ],
+    "pair-eta-power-out-of-range": ["pair", DATUM, "--t1", "c=0", "--k1", "3", "--t2", "c=0"],
 }
 
 
