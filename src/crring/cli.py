@@ -66,7 +66,7 @@ class SelfTestReport:
 def _involution_phase(vd: ValidatedDatum, table: SectorTable, name: str) -> PhaseResult:
     d = table.denominator
     for s, (inverse, fixed, thetas) in enumerate(zip(table.inverse, table.fixed, table.thetas)):
-        label = table.infos[s].label
+        label = table.labels[s]
         if table.fixed[inverse] != fixed:
             return PhaseResult(name, "fail", f"fixed sets of {label} and its inverse differ")
         if sum(thetas) + sum(table.thetas[inverse]) != (vd.n - fixed.bit_count()) * d:
@@ -82,11 +82,11 @@ def _involution_phase(vd: ValidatedDatum, table: SectorTable, name: str) -> Phas
 
 
 def _line(table: SectorTable, s: int, t: int, j: int) -> str:
-    return f"({table.infos[s].label}, {table.infos[t].label}) line {j}"
+    return f"({table.labels[s]}, {table.labels[t]}) line {j}"
 
 
 def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...]) -> str:
-    return " ".join(f"({table.infos[x].label},{k})" for x, k in zip((s, t, r), powers))
+    return " ".join(f"({table.labels[x]},{k})" for x, k in zip((s, t, r), powers))
 
 
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
@@ -168,44 +168,32 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
 
 def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
     """Ring axioms, sector involution identities, obstruction/index
-    agreement, and (when every weight has the sign of the datum's chamber)
-    the two-path 3-point check.  Phase names carry the chamber they checked
-    whenever that is not simply the datum's own chamber."""
+    agreement, and (when the datum's chamber is the only nonempty one, that
+    is, when every weight has its sign) the two-path 3-point check.  Phase
+    names carry the chamber they checked whenever that is not simply the
+    datum's own chamber."""
     phases: list[PhaseResult] = []
-    chambers = [chamber for chamber in CHAMBERS if vd.sectors(chamber)]
+    # the identity fixes every coordinate: a chamber is empty exactly when
+    # no weight has its sign
+    chambers = [chamber for chamber in CHAMBERS if vd.level_masks[chamber]]
     tagged = chambers != [vd.chamber]
-
-    def tag(base: str, chamber: str) -> str:
-        return f"{base}[{chamber}]" if tagged else base
-
-    own = None
     for chamber in chambers:
+        suffix = f"[{chamber}]" if tagged else ""
         ring = ChenRuanRing(vd, chamber)
-        if chamber == vd.chamber:
-            own = ring
-        report = ring.verify_ring_axioms()
-        failure = report.first_failure()
-        phases.append(
-            PhaseResult(
-                tag("ring_axioms", chamber),
-                "pass" if report.passed else "fail",
-                None if failure is None else f"{failure.name}: {failure.counterexample}",
-            )
-        )
-        phases.append(_involution_phase(vd, ring.table, tag("sector_involution", chamber)))
-        phases.append(_obstruction_phase(vd, ring, tag("obstruction_oracle", chamber)))
-    sign = 1 if vd.chamber == "positive" else -1
-    if own is None:
-        skip = f"the {vd.chamber} chamber of this datum is empty"
-    elif all(w * sign > 0 for w in vd.weights):
-        skip = None
-        phases.append(_agreement_phase(vd, own))
+        failure = ring.verify_ring_axioms().first_failure()
+        detail = None if failure is None else f"{failure.name}: {failure.counterexample}"
+        phases.append(PhaseResult("ring_axioms" + suffix, "fail" if failure else "pass", detail))
+        phases.append(_involution_phase(vd, ring.table, "sector_involution" + suffix))
+        phases.append(_obstruction_phase(vd, ring, "obstruction_oracle" + suffix))
+    if not tagged:
+        phases.append(_agreement_phase(vd, ring))
     else:
         skip = (
             "mixed-sign weights: both sides of the wall are noncompact, so only "
             "the localized delta is available (see the wallcross command)"
+            if vd.chamber in chambers
+            else f"the {vd.chamber} chamber of this datum is empty"
         )
-    if skip:
         phases.append(PhaseResult("path_agreement", "skipped", skip))
     return SelfTestReport(tuple(phases))
 

@@ -129,9 +129,9 @@ def wall_crossing_delta(
     """
     report = triple_localized(vd, p1, p2, p3)
     note = None
-    if not vd.sectors("negative"):
+    if not vd.level_masks["negative"]:  # a chamber with no weight of its sign has no sector
         note = "negative chamber is empty: the delta equals the positive-side 3-point function"
-    elif not vd.sectors("positive"):
+    elif not vd.level_masks["positive"]:
         note = "positive chamber is empty: the delta equals the negative-side 3-point function"
     return replace(report, note=note)
 

@@ -28,9 +28,10 @@ code (c*D mod D, a_1 mod order_1, ...): composing and inverting elements is
 componentwise modular addition and negation.  Its phases are the integer
 numerators theta_j * D in [0, D) and its fixed set is a bitmask.  A
 ``SectorTable``, built once per (datum, chamber) on first use, holds these
-for every sector together with the inverse sector's index, in the listing
-order of ``ValidatedDatum.sectors``.  ``SectorLabel``, with its Fraction c,
-is the public view of an element at the API and wire boundary.
+rows and the label of every sector together with the inverse sector's
+index, in the listing order of ``ValidatedDatum.sectors``.  ``SectorLabel``
+(with its Fraction c) and ``SectorInfo`` (with Fraction thetas and shift)
+are the public views of an element and of a table row at the API boundary.
 """
 
 from __future__ import annotations
@@ -132,13 +133,14 @@ class SectorInfo:
 
 @dataclass(frozen=True, eq=False)
 class SectorTable:
-    """The sectors of one chamber in integer form, indexed by position in
-    ``ValidatedDatum.sectors``: element codes, theta numerators over
-    ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse sector's
-    index; ``index`` maps a code back to its position."""
+    """The sectors of one chamber as labels plus integer rows, indexed by
+    position in ``ValidatedDatum.sectors``: element codes, theta numerators
+    over ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse
+    sector's index; ``index`` maps a code back to its position.
+    ``ValidatedDatum.sectors`` builds the ``SectorInfo`` views of the rows."""
 
     moduli: tuple[int, ...]
-    infos: tuple[SectorInfo, ...]
+    labels: tuple[SectorLabel, ...]
     codes: tuple[Code, ...]
     thetas: tuple[tuple[int, ...], ...]
     fixed: tuple[int, ...]
@@ -258,10 +260,12 @@ class ValidatedDatum:
 
     # -- sector enumeration --------------------------------------------------
 
-    def _info(self, t: SectorLabel, numerators: tuple[int, ...], q: int) -> SectorInfo:
+    def _info(self, t: SectorLabel, numerators: tuple[int, ...]) -> SectorInfo:
+        """The view of a sector, from its theta numerators over D."""
+        d = self.denominator
         fixed = frozenset(j for j, x in enumerate(numerators) if not x)
-        thetas = tuple(Fraction(x, q) for x in numerators)
-        return SectorInfo(t, fixed, thetas, Fraction(sum(numerators), q), len(fixed) - 1)
+        thetas = tuple(Fraction(x, d) for x in numerators)
+        return SectorInfo(t, fixed, thetas, Fraction(sum(numerators), d), len(fixed) - 1)
 
     def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
         # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where
@@ -302,17 +306,13 @@ class ValidatedDatum:
                 rows.append((code, numerators, mask))
         codes = tuple(code for code, _, _ in rows)
         index = {code: i for i, code in enumerate(codes)}
-        infos = tuple(
-            self._info(SectorLabel(Fraction(code[0], d), code[1:]), numerators, d)
-            for code, numerators, _ in rows
-        )
         return SectorTable(
             self.moduli,
-            infos,
+            tuple(SectorLabel(Fraction(code[0], d), code[1:]) for code in codes),
             codes,
             tuple(numerators for _, numerators, _ in rows),
             tuple(mask for _, _, mask in rows),
-            tuple(info.dim for info in infos),
+            tuple(mask.bit_count() - 1 for _, _, mask in rows),
             tuple(index[tuple([-x % m for x, m in zip(c, self.moduli)])] for c in codes),
             index,
         )
@@ -324,18 +324,19 @@ class ValidatedDatum:
         (c, finite components).  The list is duplicate-free and closed under
         the label inverse.
         """
-        return self.sector_table(chamber).infos
+        table = self.sector_table(chamber)
+        return tuple(map(self._info, table.labels, table.thetas))
 
     def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
         """Full sector record for t; EmptySector if t labels no sector here."""
         chamber = self._chamber(chamber)
-        q, numerators = self.theta_numerators(t)
+        numerators = self.theta_numerators(t)[1]
         mask = self.fixed_mask(numerators)
         if not mask:
             raise EmptySector(f"{t} fixes no coordinate")
         if not mask & self.level_masks[chamber]:
             raise EmptySector(f"{t} has no fixed coordinate on the {chamber} side of the wall")
-        return self._info(t, numerators, q)
+        return self._info(t, numerators)  # over D, since t fixes a coordinate
 
 
 def validate_datum(datum: QuotientDatum) -> ValidatedDatum:

@@ -64,9 +64,9 @@ class CRClass:
     """A finite rational combination of basis elements eta^k 1_(t).
 
     Coefficients are kept as given when they are ``int`` or ``Fraction`` and
-    converted with ``Fraction`` otherwise.  Zero coefficients are never
-    stored; classes are immutable and support addition, subtraction, and
-    scalar multiplication.
+    converted with ``Fraction`` otherwise; a ``float`` coefficient or scalar
+    raises ``TypeError``.  Zero coefficients are never stored; classes are
+    immutable and support addition, subtraction, and scalar multiplication.
     """
 
     __slots__ = ("_terms",)
@@ -75,14 +75,10 @@ class CRClass:
         cleaned: dict[BasisElement, Fraction | int] = {}
         for element, coeff in (terms or {}).items():
             if type(coeff) is not Fraction and type(coeff) is not int:
-                coeff = Fraction(coeff)
+                coeff = _fraction(coeff)
             if coeff != 0:
                 cleaned[element] = coeff
         self._terms = cleaned
-
-    @classmethod
-    def zero(cls) -> "CRClass":
-        return cls()
 
     @classmethod
     def single(cls, element: BasisElement, coeff: Fraction | int = 1) -> "CRClass":
@@ -115,7 +111,8 @@ class CRClass:
         return self + (-other)
 
     def __mul__(self, scalar) -> "CRClass":
-        return CRClass({e: c * Fraction(scalar) for e, c in self._terms.items()})
+        scalar = _fraction(scalar)
+        return CRClass({e: c * scalar for e, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -129,6 +126,13 @@ class CRClass:
             return "CRClass(0)"
         body = " + ".join(f"({format_rational(c)})*{e}" for e, c in self.items())
         return f"CRClass({body})"
+
+
+def _fraction(value) -> Fraction:
+    """Fraction(value), refusing a float: it is no exact rational."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; exact classes take int or Fraction")
+    return Fraction(value)
 
 
 def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
@@ -186,7 +190,8 @@ class ChenRuanRing:
     to build the ring on the other side of the wall (used by the self-test
     on mixed-sign weights).  Sectors are addressed by their position in the
     chamber's ``SectorTable``; basis element eta^k 1_(s) has index
-    ``start[s] + k``.
+    ``start[s] + k`` and degree 2 * ``degrees[start[s] + k]`` / D, the one
+    derivation of the age: ``degrees[i]`` = k * D + sum_j theta_s(j).
 
     The product of sectors s and t is ``sector_product(s, t, *pair(s, t))``.
     Point queries and ``structure_constants`` call ``pair`` per sector pair;
@@ -197,12 +202,13 @@ class ChenRuanRing:
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
         self.vd = vd
         self.chamber = chamber or vd.chamber
-        self.table = vd.sector_table(self.chamber)
-        self.start = []
-        basis = []
-        for info in self.table.infos:
+        self.table = table = vd.sector_table(self.chamber)
+        self.start, basis, self.degrees = [], [], []
+        for label, dim, thetas in zip(table.labels, table.dims, table.thetas):
             self.start.append(len(basis))
-            basis.extend(BasisElement(info.label, k) for k in range(info.dim + 1))
+            basis.extend(BasisElement(label, k) for k in range(dim + 1))
+            age = sum(thetas)
+            self.degrees.extend(k * table.denominator + age for k in range(dim + 1))
         self._basis = tuple(basis)
 
     def basis(self) -> tuple[BasisElement, ...]:
@@ -211,15 +217,20 @@ class ChenRuanRing:
 
     def degree(self, element: BasisElement) -> Fraction:
         """Rational grading 2*(k + age) of a basis element."""
-        return 2 * (element.k + self.vd.degree_shift(element.sector))
+        i = self.start[self._position(element)] + element.k
+        return Fraction(2 * self.degrees[i], self.table.denominator)
 
     def unit(self) -> CRClass:
         return CRClass.single(BasisElement(self.vd.identity(), 0))
 
-    def _position(self, t: SectorLabel) -> int:
-        s = self.table.position(t)
+    def _position(self, e: BasisElement) -> int:
+        """Sector index of a basis element; EmptySector if its label names no
+        sector of this chamber, DomainError if its eta power is outside [0, dim]."""
+        s = self.table.position(e.sector)
         if s is None:
-            raise EmptySector(f"{t} labels no sector in the {self.chamber} chamber")
+            raise EmptySector(f"{e.sector} labels no sector in the {self.chamber} chamber")
+        if not 0 <= e.k <= self.table.dims[s]:
+            raise DomainError(f"eta power {e.k} of {e.sector} is outside [0, {self.table.dims[s]}]")
         return s
 
     # -- products ------------------------------------------------------------
@@ -254,7 +265,7 @@ class ChenRuanRing:
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
-        s, t = self._position(a.sector), self._position(b.sector)
+        s, t = self._position(a), self._position(b)
         h, carry = self.pair(s, t)
         data = self.sector_product(s, t, h, carry)
         if data is None:
@@ -263,7 +274,7 @@ class ChenRuanRing:
         k = a.k + b.k + shift
         if k > self.table.dims[h]:
             return None
-        return Fraction(coeff), BasisElement(self.table.infos[h].label, k)
+        return Fraction(coeff), BasisElement(self.table.labels[h], k)
 
     def cup(self, a: CRClass, b: CRClass) -> CRClass:
         """Bilinear extension of ``cup_basis``."""
@@ -287,8 +298,8 @@ class ChenRuanRing:
         )
 
     def pairing_basis(self, a: BasisElement, b: BasisElement) -> Fraction:
-        s = self._position(a.sector)
-        if self._position(b.sector) != self.table.inverse[s] or a.k + b.k != self.table.dims[s]:
+        s = self._position(a)
+        if self._position(b) != self.table.inverse[s] or a.k + b.k != self.table.dims[s]:
             return Fraction(0)
         return Fraction(1, self.pairing_denominator(s))
 
@@ -328,7 +339,7 @@ class ChenRuanRing:
     def structure_constants(self) -> StructureTable:
         """Deterministic full tables; products are stored sparsely for i <= j."""
         table, basis = self.table, self._basis
-        degrees = tuple(2 * (k + info.shift) for info in table.infos for k in range(info.dim + 1))
+        degrees = tuple(Fraction(2 * x, table.denominator) for x in self.degrees)
         zero = Fraction(0)
         pairing = [[zero] * len(basis) for _ in basis]
         for i, j, s in self._pairing_entries():
@@ -390,12 +401,7 @@ class ChenRuanRing:
                 break
         checks.append(AxiomCheck("commutativity", comm_bad is None, comm_bad))
 
-        degrees = [
-            k * table.denominator + sum(thetas)
-            for thetas, dim in zip(table.thetas, table.dims)
-            for k in range(dim + 1)
-        ]
-        degree_bad = None
+        degrees, degree_bad = self.degrees, None
         for i in range(size):
             for j, target in enumerate(pidx[i][:size]):
                 if target >= 0 and degrees[i] + degrees[j] != degrees[target]:

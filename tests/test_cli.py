@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crring.cli import main, run_selftest
-from crring import QuotientDatum, validate_datum
+from crring import QuotientDatum, ValidatedDatum, validate_datum
 
 WP122333 = {"n": 6, "weights": [1, 2, 2, 3, 3, 3], "finite": [], "chamber": "positive"}
 WP112 = {"n": 3, "weights": [1, 1, 2], "finite": [], "chamber": "positive"}
@@ -347,3 +347,23 @@ def test_main_reads_sys_argv_when_given_no_argv(datum_file, monkeypatch, capsys)
     monkeypatch.setattr(sys, "argv", ["crring", "shift", datum_file(WP112), "--t", "c=1/2"])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["shift"] == "1"
+
+
+def test_no_sector_table_is_built_to_test_a_chamber_for_emptiness(datum_file, monkeypatch, capsys):
+    built = []
+    build = ValidatedDatum._build_table
+
+    def counting_build(self, chamber):
+        built.append(chamber)
+        return build(self, chamber)
+
+    monkeypatch.setattr(ValidatedDatum, "_build_table", counting_build)
+    path = datum_file(WP112)
+    for argv, tables in (
+        (["wallcross", path, "--t1", "c=1/2", "--t2", "c=1/2", "--t3", "c=0"], []),
+        (["selftest", path], ["positive"]),
+        (["pair", path, "--t1", "c=1/2", "--t2", "c=1/2"], ["positive"]),
+    ):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert built == tables, argv

@@ -10,6 +10,8 @@ A deliberate output change re-records them with
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of the recorded files belongs in the same change.
+``PYTHONPATH=src python tests/test_golden.py DIR`` writes them to DIR
+instead, so that an interpreter without pytest can be checked with ``cmp``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from crring import cli
 
@@ -94,13 +94,19 @@ def render(name: str, command: str, fmt: str, work: Path) -> bytes:
     return out.read_bytes()
 
 
-@pytest.mark.parametrize("name,command,fmt", CASES, ids=["-".join(case) for case in CASES])
+def pytest_generate_tests(metafunc):
+    # a module-level hook rather than a decorator: recording needs no pytest
+    metafunc.parametrize("name,command,fmt", CASES, ids=["-".join(case) for case in CASES])
+
+
 def test_output_matches_golden(name, command, fmt, tmp_path):
     assert render(name, command, fmt, tmp_path) == golden_path(name, command, fmt).read_bytes()
 
 
 if __name__ == "__main__":
+    target = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else GOLDEN
+    target.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for case in CASES:
-            golden_path(*case).write_bytes(render(*case, Path(work)))
-    print(f"recorded {len(CASES)} files under {GOLDEN}", file=sys.stderr)
+            (target / golden_path(*case).name).write_bytes(render(*case, Path(work)))
+    print(f"recorded {len(CASES)} files under {target}", file=sys.stderr)

@@ -104,12 +104,14 @@ def test_int_thetas_match_fraction_definition(datum):
             for t in candidates
             if any(th == 0 and w * sign > 0 for th, w in zip(fraction_thetas(datum, t), vd.weights))
         }
-        assert {info.label for info in table.infos} == expected
-        for i, info in enumerate(table.infos):
+        sectors = vd.sectors(chamber)
+        assert {info.label for info in sectors} == expected
+        for i, info in enumerate(sectors):
+            assert table.labels[i] == info.label
             assert table.thetas[i] == vd.theta_numerators(info.label)[1]
             assert table.fixed[i] == sum(1 << j for j in info.fixed_set)
             assert table.dims[i] == info.dim
-            assert table.infos[table.inverse[i]].label == vd.inverse(info.label)
+            assert table.labels[table.inverse[i]] == vd.inverse(info.label)
             assert table.position(info.label) == i
 
 

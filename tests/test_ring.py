@@ -9,6 +9,7 @@ from crring import (
     CRClass,
     ChenRuanRing,
     DomainError,
+    EmptySector,
     FiniteCyclicFactor,
     QuotientDatum,
     cr_class_from_doc,
@@ -29,6 +30,27 @@ def test_cr_degree(wp122333, wp112):
     assert ring.degree(BasisElement(wp122333.label(Fraction(1, 3)), 0)) == Fraction(10, 3)
     assert ring.degree(BasisElement(wp122333.identity(), 2)) == 4
     assert ChenRuanRing(wp112).degree(BasisElement(wp112.label(Fraction(1, 2)), 0)) == 2
+
+
+def test_point_api_refuses_elements_outside_the_basis():
+    p2 = validate_datum(QuotientDatum((1, 1, 1)))
+    ring, identity = ChenRuanRing(p2), p2.identity()
+    refusals = {
+        "eta power -1 of c=0 is outside [0, 2]": lambda: ring.pairing_basis(
+            BasisElement(identity, -1), BasisElement(identity, 3)
+        ),
+        "eta power 5 of c=0 is outside [0, 2]": lambda: ring.cup_basis(
+            BasisElement(identity, 5), BasisElement(identity, -4)
+        ),
+        "eta power 7 of c=0 is outside [0, 2]": lambda: ring.degree(BasisElement(identity, 7)),
+    }
+    for message, call in refusals.items():
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert type(refused.value) is DomainError
+        assert str(refused.value) == message
+    with pytest.raises(EmptySector, match="c=1/2 labels no sector in the positive chamber"):
+        ring.degree(BasisElement(p2.label(Fraction(1, 2)), 0))
 
 
 def test_basis_wp112(wp112):
@@ -272,6 +294,22 @@ def test_cr_class_arithmetic(wp112):
     assert combined == CRClass.single(BasisElement(wp112.identity(), 1), 3)
     assert (combined - combined).is_zero()
     assert CRClass({BasisElement(wp112.identity(), 0): Fraction(0)}).is_zero()
+
+
+def test_cr_class_refuses_floats(wp112):
+    element = BasisElement(wp112.identity(), 0)
+    x = CRClass.single(element)
+    for make in (
+        lambda: CRClass.single(element, 0.1),
+        lambda: CRClass({element: 0.5}),
+        lambda: x * 0.5,
+        lambda: 0.5 * x,
+        lambda: CRClass() * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert x * Fraction(1, 2) == CRClass.single(element, Fraction(1, 2))
+    assert CRClass.single(element, "1/2") == 2 * x * Fraction(1, 4)
 
 
 def test_cr_class_doc_round_trip(wp122333):
