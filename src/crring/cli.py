@@ -3,7 +3,10 @@
 Commands read a single datum file (a JSON document with fields n, weights,
 finite, chamber) and write exact results to stdout or ``--out``.  All numbers
 are rendered as exact "p/q" strings.  The structured (JSON) format is the
-source of truth; ``--format tsv`` is for spreadsheets.
+source of truth.  ``--format tsv`` prints each of its records as one row
+(``basis`` prefixes the index): a label gives two cells, c and the finite
+components joined by ':'; a list one cell joined by ','; null an empty cell;
+anything else its str.  ``table`` and ``wallcross`` keep their own layouts.
 
 Exit codes: 0 on success, 1 on domain errors (the error class name goes to
 stderr) or a failed self-test, 2 on usage errors.
@@ -32,6 +35,7 @@ from .quotient import (
     SectorTable,
     ValidatedDatum,
     datum_from_doc,
+    element_to_doc,
     label_to_doc,
     validate_datum,
 )
@@ -279,15 +283,25 @@ def _tsv(rows: list[list[str]]) -> str:
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
-def _sector_row(info: SectorInfo) -> list[str]:
-    return [
-        format_rational(info.label.c),
-        ":".join(str(a) for a in info.label.finite),
-        ",".join(str(j) for j in sorted(info.fixed_set)),
-        ",".join(format_rational(th) for th in info.thetas),
-        format_rational(info.shift),
-        str(info.dim),
-    ]
+def _flat(record: dict) -> list[str]:
+    """One TSV row of a structured record, by the rule in the module docstring."""
+    row = []
+    for value in record.values():
+        if isinstance(value, dict):
+            row += [value["c"], ":".join(map(str, value["finite"]))]
+        elif isinstance(value, list):
+            row.append(",".join(map(str, value)))
+        else:
+            row.append("" if value is None else str(value))
+    return row
+
+
+def _records(args, header: str, records: list[dict], doc) -> str:
+    """The TSV flattening of ``records`` under ``header``, or ``doc``, the
+    structured output that prints them."""
+    if args.format == "tsv":
+        return _tsv([header.split(), *map(_flat, records)])
+    return _structured(doc)
 
 
 def _sector_doc(info: SectorInfo) -> dict:
@@ -300,37 +314,27 @@ def _sector_doc(info: SectorInfo) -> dict:
     }
 
 
-_SECTOR_HEADER = ["c", "finite", "fixed_set", "thetas", "shift", "dim"]
+_SECTOR_HEADER = "c finite fixed_set thetas shift dim"
 
 
 def _cmd_sectors(args, vd: ValidatedDatum) -> tuple[str, int]:
-    sectors = vd.sectors()
-    if args.format == "tsv":
-        return _tsv([_SECTOR_HEADER] + [_sector_row(s) for s in sectors]), 0
-    return _structured({"sectors": [_sector_doc(s) for s in sectors]}), 0
+    records = [_sector_doc(s) for s in vd.sectors()]
+    return _records(args, _SECTOR_HEADER, records, {"sectors": records}), 0
 
 
 def _cmd_shift(args, vd: ValidatedDatum) -> tuple[str, int]:
-    info = vd.sector_info(_resolve(vd, args.t))
-    if args.format == "tsv":
-        return _tsv([_SECTOR_HEADER, _sector_row(info)]), 0
-    return _structured(_sector_doc(info)), 0
+    record = _sector_doc(vd.sector_info(_resolve(vd, args.t)))
+    return _records(args, _SECTOR_HEADER, [record], record), 0
 
 
 def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
-    basis = [(e, format_rational(ring.degree(e))) for e in ring.basis()]
-    if args.format == "tsv":
-        rows = [["index", "c", "finite", "eta_power", "degree"]]
-        for i, (e, degree) in enumerate(basis):
-            finite = ":".join(str(a) for a in e.sector.finite)
-            rows.append([str(i), format_rational(e.sector.c), finite, str(e.k), degree])
-        return _tsv(rows), 0
     records = [
-        {"sector": label_to_doc(e.sector), "eta_power": e.k, "degree": degree}
-        for e, degree in basis
+        {**element_to_doc(e.sector, e.k), "degree": format_rational(ring.degree(e))}
+        for e in ring.basis()
     ]
-    return _structured({"basis": records}), 0
+    indexed = [{"index": i, **record} for i, record in enumerate(records)]
+    return _records(args, "index c finite eta_power degree", indexed, {"basis": records}), 0
 
 
 def _basis_class(vd: ValidatedDatum, flag, k: int) -> CRClass:
@@ -350,19 +354,8 @@ def _cmd_cup(args, vd: ValidatedDatum) -> tuple[str, int]:
     product = ring.cup(
         _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
     )
-    if args.format == "tsv":
-        rows = [["c", "finite", "eta_power", "coeff"]]
-        for element, coeff in product.items():
-            rows.append(
-                [
-                    format_rational(element.sector.c),
-                    ":".join(str(a) for a in element.sector.finite),
-                    str(element.k),
-                    format_rational(coeff),
-                ]
-            )
-        return _tsv(rows), 0
-    return _structured(cr_class_to_doc(product)), 0
+    records = cr_class_to_doc(product)
+    return _records(args, "c finite eta_power coeff", records, records), 0
 
 
 def _value_output(args, value: Fraction) -> str:
@@ -384,6 +377,9 @@ def _cmd_triple(args, vd: ValidatedDatum) -> tuple[str, int]:
     return _value_output(args, value), 0
 
 
+# the TSV of table and wallcross is no flattening of their documents: table
+# prints labels as c=...,a=... and only the nonzero pairings, and wallcross
+# renames its keys
 def _cmd_table(args, vd: ValidatedDatum) -> tuple[str, int]:
     table = ChenRuanRing(vd).structure_constants()
     if args.format == "tsv":
@@ -420,13 +416,8 @@ def _cmd_wallcross(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 def _cmd_selftest(args, vd: ValidatedDatum) -> tuple[str, int]:
     report = run_selftest(vd)
-    code = 0 if report.passed else 1
-    if args.format == "tsv":
-        rows = [["phase", "status", "detail"]]
-        for phase in report.phases:
-            rows.append([phase.name, phase.status, phase.detail or ""])
-        return _tsv(rows), code
-    return _structured(selftest_to_doc(report)), code
+    doc = selftest_to_doc(report)
+    return _records(args, "phase status detail", doc["phases"], doc), 0 if report.passed else 1
 
 
 # name -> (handler, help line, extra arguments, sector flags); every sector

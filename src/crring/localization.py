@@ -41,7 +41,7 @@ from typing import Mapping
 
 from .errors import EmptySector, NonComposable
 from .exact import format_rational
-from .quotient import CHAMBERS, SectorLabel, ValidatedDatum, label_to_doc
+from .quotient import CHAMBERS, SectorLabel, ValidatedDatum, element_to_doc
 
 SectorPower = tuple[SectorLabel, int]
 _ZERO = Fraction(0)
@@ -141,9 +141,7 @@ def wall_crossing_delta(
 
 def report_to_doc(report: WallCrossingReport) -> dict:
     doc = {
-        "triple": [
-            {"sector": label_to_doc(t), "eta_power": k} for t, k in report.triple
-        ],
+        "triple": [element_to_doc(t, k) for t, k in report.triple],
         "value": format_rational(report.value),
         "degree_check": report.degree_check,
         "side_existence": {

@@ -99,7 +99,8 @@ class SectorLabel:
 
     Labels are normalized (c reduced to [0, 1), components reduced modulo
     their orders); build them through ``ValidatedDatum.label`` rather than
-    directly when in doubt.
+    directly when in doubt.  No components stand for all 0; any other count
+    than the datum's finite factors is a ``ValueError`` wherever it is read.
     """
 
     c: Fraction
@@ -163,8 +164,17 @@ class SectorTable:
         num, den = t.c.as_integer_ratio()
         if self.moduli[0] % den:
             return None
-        code = (num * (self.moduli[0] // den), *t.finite)
+        code = (num * (self.moduli[0] // den), *_components(t.finite, len(self.moduli) - 1))
         return self.index.get(tuple([x % m for x, m in zip(code, self.moduli)]))
+
+
+def _components(finite: Iterable[int], count: int) -> tuple[int, ...]:
+    """The finite components of a label read on a datum with ``count`` finite
+    factors: none stand for all 0, and any other count is a ``ValueError``."""
+    components = tuple(finite) or (0,) * count
+    if len(components) != count:
+        raise ValueError(f"label has {len(components)} finite components, datum has {count}")
+    return components
 
 
 class ValidatedDatum:
@@ -202,13 +212,7 @@ class ValidatedDatum:
 
     def label(self, c: Fraction | int, finite: Iterable[int] = ()) -> SectorLabel:
         """Build a normalized label: c mod 1, components mod their orders."""
-        components = tuple(finite)
-        if not components:
-            components = (0,) * len(self.finite)
-        if len(components) != len(self.finite):
-            raise ValueError(
-                f"label has {len(components)} finite components, datum has {len(self.finite)}"
-            )
+        components = _components(finite, len(self.finite))
         components = tuple(a % f.order for a, f in zip(components, self.finite))
         return SectorLabel(frac_part(Fraction(c)), components)
 
@@ -243,7 +247,7 @@ class ValidatedDatum:
         every label that fixes a coordinate, a multiple of D otherwise."""
         num, den = t.c.as_integer_ratio()
         q = lcm(self.denominator, den)
-        return q, self._numerators(num * (q // den), t.finite, q)
+        return q, self._numerators(num * (q // den), _components(t.finite, len(self.finite)), q)
 
     def thetas(self, t: SectorLabel) -> tuple[Fraction, ...]:
         """Rotation phases (theta_0, ..., theta_{n-1}) of t, each in [0, 1)."""
@@ -414,17 +418,29 @@ def label_to_doc(t: SectorLabel) -> dict:
     return {"c": format_rational(t.c), "finite": list(t.finite)}
 
 
-def label_from_doc(doc: object, vd: ValidatedDatum | None = None) -> SectorLabel:
-    """Parse a sector label document; normalizes against vd when given."""
+def element_to_doc(t: SectorLabel, k: int) -> dict:
+    """The document of the basis element eta^k 1_(t)."""
+    return {"sector": label_to_doc(t), "eta_power": k}
+
+
+def _label_key(doc: object) -> tuple[object, tuple[int, ...]]:
+    """(c, finite components) of a label document whose shape and integer
+    types check out; ``DatumFormatError`` otherwise."""
     if not isinstance(doc, dict) or "c" not in doc:
         raise DatumFormatError("sector label must be a mapping with a 'c' field")
     finite = doc.get("finite", ())
     if not isinstance(finite, (list, tuple)) or not all(type(a) is int for a in finite):
         raise DatumFormatError("finite components must be a list of integers")
+    return doc["c"], tuple(finite)
+
+
+def label_from_doc(doc: object, vd: ValidatedDatum | None = None) -> SectorLabel:
+    """Parse a sector label document; normalizes against vd when given."""
+    c, finite = _label_key(doc)
     try:
-        c = parse_rational(doc["c"])
+        c = parse_rational(c)
         if vd is not None:
             return vd.label(c, finite)
     except ValueError as exc:
         raise DatumFormatError(str(exc)) from exc
-    return SectorLabel(frac_part(c), tuple(finite))
+    return SectorLabel(frac_part(c), finite)

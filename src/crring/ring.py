@@ -43,21 +43,18 @@ from typing import Iterator, Mapping
 
 from .errors import DatumFormatError, DomainError, EmptySector
 from .exact import format_rational, parse_rational
-from .quotient import SectorLabel, ValidatedDatum, label_from_doc, label_to_doc
+from .quotient import SectorLabel, ValidatedDatum, _label_key, element_to_doc, label_from_doc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BasisElement:
-    """eta^k on the sector labeled by ``sector``."""
+    """eta^k on the sector labeled by ``sector``; ordered by sector, then k."""
 
     sector: SectorLabel
     k: int
 
     def __str__(self) -> str:
         return f"eta^{self.k}*1_({self.sector})"
-
-    def sort_key(self):
-        return (self.sector.c, self.sector.finite, self.k)
 
 
 class CRClass:
@@ -90,7 +87,7 @@ class CRClass:
 
     def items(self) -> list[tuple[BasisElement, Fraction]]:
         """Terms in the canonical (sector, eta power) order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -489,10 +486,6 @@ def _matrix_rank(rows: list[dict[int, Fraction]]) -> int:
 # -- wire format -------------------------------------------------------------
 
 
-def element_to_doc(element: BasisElement) -> dict:
-    return {"sector": label_to_doc(element.sector), "eta_power": element.k}
-
-
 class _Reader:
     """Parser of one wire document.  It parses each distinct rational string
     and each distinct sector label document once, and lives for one call of
@@ -519,22 +512,17 @@ class _Reader:
     def sector(self, doc: object) -> tuple[SectorLabel, int | None]:
         # the types are checked before the memo is read: ("0", (True,)) is an
         # equal key to ("0", (1,)), but only the latter is a valid record
-        key = None
-        if isinstance(doc, dict) and type(doc.get("c")) is str:
-            finite = doc.get("finite", ())
-            if isinstance(finite, (list, tuple)) and all(type(a) is int for a in finite):
-                key = doc["c"], tuple(finite)
-                known = self.labels.get(key)
-                if known is not None:
-                    return known
+        key = _label_key(doc)
+        known = self.labels.get(key) if type(key[0]) is str else None
+        if known is not None:
+            return known
         label, dim = label_from_doc(doc, self.vd), None
         if self.table is not None:
             s = self.table.position(label)
             if s is None:
                 raise DatumFormatError(f"{label} labels no sector in the {self.vd.chamber} chamber")
             dim = self.table.dims[s]
-        if key is not None:
-            self.labels[key] = label, dim
+        self.labels[key] = label, dim  # c parsed, so it is a str
         return label, dim
 
     def element(self, doc: object) -> BasisElement:
@@ -570,11 +558,7 @@ def element_from_doc(doc: object, vd: ValidatedDatum | None = None) -> BasisElem
 
 def cr_class_to_doc(value: CRClass) -> list[dict]:
     return [
-        {
-            "sector": label_to_doc(element.sector),
-            "eta_power": element.k,
-            "coeff": format_rational(coeff),
-        }
+        {**element_to_doc(element.sector, element.k), "coeff": format_rational(coeff)}
         for element, coeff in value.items()
     ]
 
@@ -585,7 +569,7 @@ def cr_class_from_doc(doc: object, vd: ValidatedDatum | None = None) -> CRClass:
 
 def table_to_doc(table: StructureTable) -> dict:
     return {
-        "basis": [element_to_doc(e) for e in table.basis],
+        "basis": [element_to_doc(e.sector, e.k) for e in table.basis],
         "degrees": [format_rational(d) for d in table.degrees],
         "pairing": [[format_rational(v) for v in row] for row in table.pairing],
         "products": [

@@ -12,11 +12,13 @@ from crring import (
     EmptySector,
     FiniteCyclicFactor,
     QuotientDatum,
+    SectorLabel,
     cr_class_from_doc,
     cr_class_to_doc,
     obstruction_rank_oracle,
     table_from_doc,
     table_to_doc,
+    triple_localized,
     validate_datum,
 )
 
@@ -180,6 +182,36 @@ def test_sector_product_vanishes_on_disjoint_fixed_sets():
             composable += 1
             assert carry & fixed[h] == fixed[h]
     assert composable
+
+
+def test_a_label_is_read_with_the_datums_component_count(wp112):
+    """A label with no finite components stands for all components 0; any
+    other count than the datum's is refused wherever the label is read, as
+    ``ValidatedDatum.label`` refuses it."""
+    seven = SectorLabel(Fraction(1, 2), (7,))  # P(1,1,2) has no finite factor
+    ring = ChenRuanRing(wp112)
+    reads = [
+        lambda: wp112.sector_info(seven),
+        lambda: wp112.degree_shift(seven),
+        lambda: ring.cup_basis(BasisElement(seven, 0), BasisElement(seven, 0)),
+        lambda: ring.degree(BasisElement(seven, 0)),
+        lambda: triple_localized(wp112, (seven, 0), (seven, 0), (wp112.identity(), 0)),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match="label has 1 finite components, datum has 0"):
+            read()
+    vd = validate_datum(QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)))
+    bare, identity = SectorLabel(Fraction(0), ()), vd.identity()
+    assert vd.sector_info(bare).dim == vd.sector_info(identity).dim == 2
+    assert vd.degree_shift(bare) == 0
+    ring = ChenRuanRing(vd)
+    for k in range(3):
+        assert ring.degree(BasisElement(bare, k)) == ring.degree(BasisElement(identity, k))
+    assert ring.cup_basis(BasisElement(bare, 1), BasisElement(bare, 1)) == (
+        1, BasisElement(identity, 2)
+    )
+    with pytest.raises(ValueError, match="label has 2 finite components, datum has 1"):
+        ring.degree(BasisElement(SectorLabel(Fraction(0), (0, 0)), 0))
 
 
 def test_cup_truncates_past_sector_dimension(wp112):

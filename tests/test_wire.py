@@ -107,6 +107,18 @@ def test_class_doc_rejects_malformed(doc):
         cr_class_from_doc(doc)
 
 
+@pytest.mark.parametrize("with_datum", [False, True], ids=["bare", "datum"])
+def test_label_memo_never_skips_a_records_checks(with_datum):
+    # ("0", (True,)) is an equal memo key to ("0", (1,)), but only the first
+    # term's label is a valid record
+    vd = validate_datum(datum_from_doc(_datum_doc())) if with_datum else None
+    good = {"sector": {"c": "0", "finite": [1]}, "eta_power": 0, "coeff": "1"}
+    bad = {"sector": {"c": "0", "finite": [True]}, "eta_power": 0, "coeff": "1"}
+    assert not cr_class_from_doc([good, good], vd).is_zero()
+    with pytest.raises(DatumFormatError):
+        cr_class_from_doc([good, bad], vd)
+
+
 @pytest.fixture(scope="module")
 def table_doc():
     vd = validate_datum(QuotientDatum((1, 1, 2)))
