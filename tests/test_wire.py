@@ -170,3 +170,50 @@ def test_table_doc_rejects_malformed(table_doc, edit):
 def test_table_doc_rejects_a_non_mapping():
     with pytest.raises(DatumFormatError):
         table_from_doc([])
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ({(0, 1): 1}, "not a rational in p/q form: 1"),
+        ({(0, 1): True}, "not a rational in p/q form: True"),
+        ({(0, 1): None}, "not a rational in p/q form: None"),
+        ({(0, 1): [1]}, "not a rational in p/q form: [1]"),
+        ({(0, 1): {"p": 1}}, "not a rational in p/q form: {'p': 1}"),
+        ({(0, 3): None, (1, 0): [1]}, "not a rational in p/q form: None"),
+        ({(0, 3): [1], (1, 0): None}, "not a rational in p/q form: [1]"),
+        ({(1, 2): 1, (2, 1): True}, "not a rational in p/q form: 1"),
+        ({(1, 2): True, (2, 1): 1}, "not a rational in p/q form: True"),
+        ({(0, 2): "1/0", (2, 0): "x"}, "zero denominator in '1/0'"),
+        ({(2, 0): "1/0", (0, 2): "x"}, "not a rational in p/q form: 'x'"),
+    ],
+    ids=[
+        "int",
+        "bool",
+        "null",
+        "list",
+        "dict",
+        "null-then-list",
+        "list-then-null",
+        "1-then-true",
+        "true-then-1",
+        "zero-denominator-first",
+        "bad-string-first",
+    ],
+)
+def test_table_reader_names_the_first_bad_pairing_entry(table_doc, entries, message):
+    # the first bad entry in row-major order, whatever its type and whatever
+    # equal entry follows it
+    def edit(doc):
+        for (i, j), value in entries.items():
+            doc["pairing"][i][j] = value
+
+    with pytest.raises(DatumFormatError) as caught:
+        table_from_doc(_broken(table_doc, edit))
+    assert str(caught.value) == message
+
+
+def test_table_reader_refuses_a_pairing_row_that_is_a_string(table_doc):
+    with pytest.raises(DatumFormatError) as caught:
+        table_from_doc(_broken(table_doc, lambda d: d["pairing"].__setitem__(1, "0000")))
+    assert str(caught.value) == "pairing rows must be lists"
