@@ -3,7 +3,9 @@
 Commands read a single datum file (a JSON document with fields n, weights,
 finite, chamber) and write exact results to stdout or ``--out``.  All numbers
 are rendered as exact "p/q" strings.  The structured (JSON) format is the
-source of truth.  ``--format tsv`` prints each of its records as one row
+source of truth.  Its bytes are those of ``json.dumps(doc, indent=2)``, but
+written by this module's own writer, whose per-string work runs in C.
+``--format tsv`` prints each of its records as one row
 (``basis`` prefixes the index): a label gives two cells, c and the finite
 components joined by ':'; a list one cell joined by ','; null an empty cell;
 anything else its str.  ``table`` and ``wallcross`` keep their own layouts.
@@ -19,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import DatumFormatError, DomainError, EmptySector
@@ -276,7 +279,37 @@ def _load(path: str) -> ValidatedDatum:
 
 
 def _structured(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte, for a
+    document of str, int, bool, None, lists, tuples and str-keyed dicts."""
+    return _json(doc, "") + "\n"
+
+
+def _json(value, pad: str) -> str:
+    """The indent-2 JSON text of ``value`` at indentation ``pad``; a list of
+    strings is quoted and joined in C."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {str}:
+            items = map(_quote, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _tsv(rows: list[list[str]]) -> str:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
 from math import lcm, prod
-from operator import not_
+from operator import add, not_
 from typing import Iterable, Mapping
 
 from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
@@ -217,7 +217,9 @@ class ValidatedDatum:
         return SectorLabel(frac_part(Fraction(c)), components)
 
     def compose(self, s: SectorLabel, t: SectorLabel) -> SectorLabel:
-        return self.label(s.c + t.c, tuple(a + b for a, b in zip(s.finite, t.finite)))
+        count = len(self.finite)
+        finite = map(add, _components(s.finite, count), _components(t.finite, count))
+        return self.label(s.c + t.c, tuple(finite))
 
     def inverse(self, t: SectorLabel) -> SectorLabel:
         return self.label(-t.c, tuple(-a for a in t.finite))

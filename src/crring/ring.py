@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, compress, repeat
 from math import prod
 from operator import itemgetter, mul
 from typing import Iterator, Mapping
@@ -456,31 +456,17 @@ class ChenRuanRing:
         checks.append(AxiomCheck("associativity", assoc_bad is None, assoc_bad))
         checks.append(AxiomCheck("frobenius", frob_bad is None, frob_bad))
 
-        rank = _matrix_rank([{j: Fraction(v) for j, v in enumerate(row) if v} for row in pair])
-        rank_bad = None if rank == size else f"pairing rank {rank} < {size}"
-        checks.append(AxiomCheck("pairing_nondegenerate", rank_bad is None, rank_bad))
-        return RingAxiomReport(tuple(checks))
-
-
-def _matrix_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Exact rank by sparse Gaussian elimination over the rationals."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for sparse in rows:
-        row = dict(sparse)
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
+        # the pairing couples each basis element with exactly one other: one
+        # nonzero in every row and every column, which makes it nondegenerate
+        match_bad = None
+        for kind, lines in ("row", pair), ("column", list(zip(*pair))[:size]):
+            counts = [len(line) - line.count(0) for line in lines]
+            bad = [i for i, count in enumerate(counts) if count != 1]
+            if bad:
+                match_bad = f"the {kind} of {basis[bad[0]]} holds {counts[bad[0]]} nonzero entries"
                 break
-            factor = row[col] / pivot[col]
-            for c, v in pivot.items():
-                updated = row.get(c, Fraction(0)) - factor * v
-                if updated == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = updated
-    return len(pivots)
+        checks.append(AxiomCheck("pairing_nondegenerate", match_bad is None, match_bad))
+        return RingAxiomReport(tuple(checks))
 
 
 # -- wire format -------------------------------------------------------------
@@ -571,12 +557,20 @@ def table_to_doc(table: StructureTable) -> dict:
     return {
         "basis": [element_to_doc(e.sector, e.k) for e in table.basis],
         "degrees": [format_rational(d) for d in table.degrees],
-        "pairing": [[format_rational(v) for v in row] for row in table.pairing],
+        "pairing": list(map(_pairing_row, table.pairing)),
         "products": [
             {"i": i, "j": j, "terms": cr_class_to_doc(value)}
             for (i, j), value in sorted(table.products.items())
         ],
     }
+
+
+def _pairing_row(row: tuple[Fraction, ...]) -> list[str]:
+    """The wire row of a pairing row: only its nonzero entries are formatted."""
+    texts = ["0"] * len(row)
+    for j in compress(range(len(row)), row):
+        texts[j] = format_rational(row[j])
+    return texts
 
 
 def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTable:
@@ -589,7 +583,7 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
     basis = tuple(map(reader.element, doc["basis"]))
     try:
         degrees = tuple(map(reader.rational, doc["degrees"]))
-        pairing = tuple(tuple(map(reader.rational, row)) for row in doc["pairing"])
+        pairing = _pairing_from_doc(reader, doc["pairing"])
     except ValueError as exc:
         raise DatumFormatError(str(exc)) from exc
     products = {}
@@ -602,3 +596,16 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
             raise DatumFormatError("a product record must have integer 'i' and 'j'")
         products[(record["i"], record["j"])] = reader.cr_class(record.get("terms"))
     return StructureTable(basis, degrees, pairing, products)
+
+
+def _pairing_from_doc(reader: _Reader, rows: list[list]) -> tuple[tuple[Fraction, ...], ...]:
+    """Each distinct entry is read once, in row-major first-seen order, so a
+    refusal names the first bad entry."""
+    try:
+        distinct = dict.fromkeys(chain.from_iterable(rows))
+    except TypeError:
+        # a list or dict entry: read every entry in order; the reader refuses
+        # the first bad one before it is hashed
+        distinct = chain.from_iterable(rows)
+    memo = {text: reader.rational(text) for text in distinct}
+    return tuple(tuple(map(memo.__getitem__, row)) for row in rows)

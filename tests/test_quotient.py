@@ -77,6 +77,15 @@ def test_group_operations(wp122333):
     assert wp122333.identity() == SectorLabel(Fraction(0), ())
 
 
+def test_compose_reads_both_labels_with_the_datums_component_count():
+    vd = validate_datum(QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)))
+    third, bare = vd.label(Fraction(1, 3), (1,)), SectorLabel(Fraction(0), ())
+    assert vd.compose(third, bare) == vd.compose(bare, third) == third
+    assert vd.compose(SectorLabel(Fraction(1, 3), ()), third) == vd.label(Fraction(2, 3), (1,))
+    with pytest.raises(ValueError, match="label has 2 finite components, datum has 1"):
+        vd.compose(SectorLabel(Fraction(0), (1, 1)), vd.identity())
+
+
 def test_theta_values(wp122333):
     third = wp122333.label(Fraction(1, 3))
     assert wp122333.thetas(third)[1] == Fraction(2, 3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from crring import (
+    AxiomCheck,
     BasisElement,
     CRClass,
     ChenRuanRing,
@@ -284,6 +285,24 @@ def test_verify_ring_axioms_pass(wp122333, wp112, p11):
             "frobenius",
             "pairing_nondegenerate",
         }
+
+
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        (lambda e: e + [(0, 1, 0)], "the row of eta^0*1_(c=0) holds 2 nonzero entries"),
+        (lambda e: [(1, 2, 0) if x[:2] == (1, 1) else x for x in e],
+         "the column of eta^1*1_(c=0) holds 0 nonzero entries"),
+    ],
+    ids=["row-with-two", "empty-column"],
+)
+def test_pairing_check_wants_one_nonzero_per_row_and_column(wp112, monkeypatch, edit, detail):
+    # wp112's pairing couples basis elements (0, 2), (1, 1), (2, 0) and (3, 3);
+    # the first edit leaves it nondegenerate, yet no pairing of the ring
+    entries = edit(list(ChenRuanRing(wp112)._pairing_entries()))
+    monkeypatch.setattr(ChenRuanRing, "_pairing_entries", lambda self: iter(entries))
+    checks = {c.name: c for c in ChenRuanRing(wp112).verify_ring_axioms().checks}
+    assert checks["pairing_nondegenerate"] == AxiomCheck("pairing_nondegenerate", False, detail)
 
 
 def test_verify_ring_axioms_mixed_chambers(mixed):

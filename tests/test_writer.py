@@ -1,0 +1,45 @@
+"""The structured writer is ``json.dumps(doc, indent=2)`` plus a newline, byte
+for byte, on every document shape the package writes."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from crring import cli
+
+strings = st.text() | st.sampled_from(
+    ["</", "</script>", '"\\/', "\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀"]
+)
+integers = st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+scalars = strings | integers | st.booleans() | st.none()
+documents = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(strings)
+        | st.dictionaries(strings, children)
+    ),
+    max_leaves=40,
+)
+
+
+@given(documents)
+@example("1/2")
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[]], "d": [{}]})
+@example([["0", "1/2"], ["0", 0], [None, "0"], [True, "x", False]])
+@example({"pairing": [["0"] * 3] * 2, "degrees": ["0", "2/3"], "n": -(10**30)})
+def test_structured_is_json_dumps_indent_2(doc):
+    assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, {1: "x"}, [object()]], ids=["float", "int-key", "object"])
+def test_structured_refuses_what_the_package_never_writes(doc):
+    with pytest.raises(TypeError):
+        cli._structured(doc)
