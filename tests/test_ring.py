@@ -305,6 +305,62 @@ def test_pairing_check_wants_one_nonzero_per_row_and_column(wp112, monkeypatch, 
     assert checks["pairing_nondegenerate"] == AxiomCheck("pairing_nondegenerate", False, detail)
 
 
+P1_25_ASSOCIATIVITY = (
+    "(eta^0*1_(c=1/25) * eta^0*1_(c=1/25)) * eta^0*1_(c=2/25) != "
+    "eta^0*1_(c=1/25) * (eta^0*1_(c=1/25) * eta^0*1_(c=2/25))"
+)
+P1_25_FROBENIUS = (
+    "<eta^0*1_(c=1/25) * eta^0*1_(c=2/25), eta^0*1_(c=22/25)> != "
+    "<eta^0*1_(c=1/25), eta^0*1_(c=2/25) * eta^0*1_(c=22/25)>"
+)
+WP122333_FROBENIUS = (
+    "<eta^0*1_(c=0) * eta^0*1_(c=1/3), eta^2*1_(c=2/3)> != "
+    "<eta^0*1_(c=0), eta^0*1_(c=1/3) * eta^2*1_(c=2/3)>"
+)
+
+
+@pytest.mark.parametrize(
+    "weights,pair,edit,failures",
+    [
+        # every coefficient of P(1,25) stays 0 or 1: the product of c=1/25
+        # and c=2/25 moves one eta power up, past the top of its target
+        ((1, 25), ("1/25", "2/25"), lambda coeff, shift: (coeff, shift + 1), [
+            ("associativity", P1_25_ASSOCIATIVITY),
+            ("frobenius", P1_25_FROBENIUS),
+        ]),
+        # the product of c=1/3 and c=2/3 is 4 eta^3 1_(c=0)
+        ((1, 2, 2, 3, 3, 3), ("1/3", "2/3"), lambda coeff, shift: (2 * coeff, shift), [
+            ("frobenius", WP122333_FROBENIUS),
+        ]),
+        ((1, 2, 2, 3, 3, 3), ("1/3", "2/3"), lambda coeff, shift: (coeff, shift - 1), [
+            ("degree_additivity",
+             "deg(eta^0*1_(c=1/3)) + deg(eta^0*1_(c=2/3)) != deg(eta^2*1_(c=0))"),
+            ("associativity",
+             "(eta^1*1_(c=0) * eta^2*1_(c=1/3)) * eta^0*1_(c=2/3) != "
+             "eta^1*1_(c=0) * (eta^2*1_(c=1/3) * eta^0*1_(c=2/3))"),
+            ("frobenius", WP122333_FROBENIUS),
+        ]),
+    ],
+    ids=["p1_25-shift-raised", "wp122333-coefficient-doubled", "wp122333-shift-lowered"],
+)
+def test_axiom_check_names_the_first_counterexample(monkeypatch, weights, pair, edit, failures):
+    # one symmetric sector-pair product is corrupted, so commutativity holds
+    vd = validate_datum(QuotientDatum(weights))
+    table = vd.sector_table()
+    s, t = (table.position(vd.label(Fraction(c))) for c in pair)
+    product = ChenRuanRing.sector_product
+
+    def patched(self, a, b, h, carry):
+        data = product(self, a, b, h, carry)
+        return edit(*data) if {a, b} == {s, t} and data else data
+
+    monkeypatch.setattr(ChenRuanRing, "sector_product", patched)
+    report = ChenRuanRing(vd).verify_ring_axioms()
+    assert [c for c in report.checks if not c.passed] == [
+        AxiomCheck(name, False, detail) for name, detail in failures
+    ]
+
+
 def test_verify_ring_axioms_mixed_chambers(mixed):
     for chamber in ("positive", "negative"):
         assert ChenRuanRing(mixed, chamber).verify_ring_axioms().passed

@@ -6,7 +6,6 @@ check that one self-test derives each ordered sector pair once."""
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,16 +30,39 @@ def _phase(report, name):
 MUTATIONS = {
     "base-power-shifted": lambda coeff, base: (coeff, base + 1),
     "coefficient-scaled": lambda coeff, base: (coeff * 2, base),
+    # the localized side moves past the top of the eta power range, while
+    # the direct side stays nonzero inside it
+    "base-power-past-the-range": lambda coeff, base: (coeff, base - 100),
+}
+
+# the whole detail of the failing phase for each (datum, mutation)
+WRONG_TRIPLE_DETAILS = {
+    ("wp122333", "base-power-shifted"):
+        "(c=1/3,0) (c=1/3,0) (c=1/3,0): direct 4/27 != localized 0",
+    ("wp122333", "coefficient-scaled"):
+        "(c=1/3,0) (c=1/3,0) (c=1/3,0): direct 4/27 != localized 8/27",
+    ("wp122333", "base-power-past-the-range"):
+        "(c=1/3,0) (c=1/3,0) (c=1/3,0): direct 4/27 != localized 0",
+    ("wp112", "base-power-shifted"): "(c=1/2,0) (c=1/2,0) (c=0,0): direct 1/2 != localized 0",
+    ("wp112", "coefficient-scaled"): "(c=1/2,0) (c=1/2,0) (c=0,0): direct 1/2 != localized 1",
+    ("wp112", "base-power-past-the-range"):
+        "(c=1/2,0) (c=1/2,0) (c=0,0): direct 1/2 != localized 0",
+    # P^2: the identity sector has dimension 2, so nonzero eta powers are named
+    ("p2", "base-power-shifted"): "(c=0,0) (c=0,0) (c=0,1): direct 0 != localized 1",
+    ("p2", "coefficient-scaled"): "(c=0,0) (c=0,0) (c=0,2): direct 1 != localized 2",
+    ("p2", "base-power-past-the-range"): "(c=0,0) (c=0,0) (c=0,2): direct 1 != localized 0",
+}
+WRONG_TRIPLE_DATA = {
+    "wp122333": ((1, 2, 2, 3, 3, 3), Fraction(1, 3)),
+    "wp112": ((1, 1, 2), Fraction(1, 2)),
+    "p2": ((1, 1, 1), Fraction(0)),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-@pytest.mark.parametrize(
-    "weights, c",
-    [((1, 2, 2, 3, 3, 3), Fraction(1, 3)), ((1, 1, 2), Fraction(1, 2)), ((1, 1, 1), Fraction(0))],
-    ids=["wp122333", "wp112", "p2"],
-)
-def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, weights, c):
+@pytest.mark.parametrize("name", list(WRONG_TRIPLE_DATA))
+def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, name):
+    weights, c = WRONG_TRIPLE_DATA[name]
     vd = validate_datum(QuotientDatum(weights))
     s = vd.label(c)
     r = vd.inverse(vd.compose(s, s))
@@ -58,8 +80,7 @@ def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, weights, c
     agreement = _phase(run_selftest(vd), "path_agreement")
     assert hits
     assert agreement.status == "fail"
-    named = rf"\({re.escape(str(s))},\d+\) \({re.escape(str(s))},\d+\) \({re.escape(str(r))},\d+\)"
-    assert re.match(named + ": direct ", agreement.detail), agreement.detail
+    assert agreement.detail == WRONG_TRIPLE_DETAILS[name, mutation]
 
 
 def test_gate_fails_when_the_localized_side_finds_no_triple(monkeypatch):
