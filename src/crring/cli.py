@@ -131,11 +131,19 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
 
 def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
     """Both 3-point paths on every composable basis triple.  The localized
-    kernel runs once per sector triple (s, t, r = (st)^-1); of the eta
-    powers only their sum enters either side."""
+    kernel runs once per sector triple (s, t, r = (st)^-1).  Of the eta
+    powers only their sum sigma = k1 + k2 + k3 enters either side, and each
+    side is nonzero at one sigma at most: the direct side at
+    dim(h) - shift, the localized one at -1 - base.  So the two agree on
+    every basis triple of (s, t, r) exactly when no sigma in
+    [0, dim(s) + dim(t) + dim(r)] holds one nonzero side alone or two
+    different values; a failure names the first basis triple in
+    (k1, k2, k3) order that disagrees, which is the first of the smallest
+    failing sigma."""
     name = "path_agreement"
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
+    denominators = [ring.pairing_denominator(h) for h in range(len(dims))]
     triples = 0
     for s, (composite, carry) in enumerate(zip(*ring.pairs)):
         for t, (h, interacting) in enumerate(zip(composite, carry)):
@@ -150,26 +158,30 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
                 )
             coeff, base = term
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
-            # paired with eta^k3 1_(r) when the degrees are complementary
+            # paired with eta^k3 1_(r) when the degrees are complementary; a
+            # side's sigma is None where it vanishes for every sigma
             product = ring.sector_product(s, t, h, interacting)
-            value = top = None
-            if product is not None:
-                value = Fraction(product[0], ring.pairing_denominator(h))
-                top = dims[h] - product[1]
-            for k1 in range(dims[s] + 1):
-                for k2 in range(dims[t] + 1):
-                    for k3 in range(dims[r] + 1):
-                        direct = value if k1 + k2 + k3 == top else zero
-                        localized = coeff if base + k1 + k2 + k3 == -1 else zero
-                        if direct is not localized and direct != localized:
-                            return PhaseResult(
-                                name,
-                                "fail",
-                                f"{_triple(table, s, t, r, (k1, k2, k3))}: "
-                                f"direct {format_rational(direct)} != "
-                                f"localized {format_rational(localized)}",
-                            )
-                        triples += 1
+            c = product[0] if product else 0
+            top = dims[h] - product[1] if c else None
+            at = -1 - base if coeff else None
+            span = dims[s] + dims[t] + dims[r]
+            inside = [x for x in (top, at) if x is not None and 0 <= x <= span]
+            if inside and not (
+                top == at and c * coeff.denominator == coeff.numerator * denominators[h]
+            ):
+                sigma = min(inside)
+                k1 = max(0, sigma - dims[t] - dims[r])
+                k2 = max(0, sigma - k1 - dims[r])
+                direct = Fraction(c, denominators[h]) if sigma == top else zero
+                localized = coeff if sigma == at else zero
+                return PhaseResult(
+                    name,
+                    "fail",
+                    f"{_triple(table, s, t, r, (k1, k2, sigma - k1 - k2))}: "
+                    f"direct {format_rational(direct)} != "
+                    f"localized {format_rational(localized)}",
+                )
+            triples += (dims[s] + 1) * (dims[t] + 1) * (dims[r] + 1)
     return PhaseResult(name, "pass", f"{triples} composable basis triples agree")
 
 

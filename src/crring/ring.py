@@ -412,13 +412,25 @@ class ChenRuanRing:
         # vanishes where pnum[j] does, so a 0/1 row j needs no multiplying
         gather = [itemgetter(*row) for row in pidx]
         zero_one = [set(row) <= {0, 1} for row in pnum]
+        # each (target, coefficient, pairing) entry interned as one int, 0
+        # for the sentinel's; the appended none row is read by the index -1
+        # of a zero product
+        entries = chain([(-1, 0, 0)], *map(zip, pidx, pnum, pair))
+        code = {entry: n for n, entry in enumerate(dict.fromkeys(entries))}
+        codes = [tuple(map(code.__getitem__, zip(*rows))) for rows in zip(pidx, pnum, pair)]
+        codes.append((0,) * (size + 1))
         pidx, pnum, pair = ([tuple(row) for row in rows] for rows in (pidx, pnum, pair))
         none_row, zero_row = (-1,) * (size + 1), (0,) * (size + 1)
         assoc_bad = frob_bad = None
         for i in range(size):
-            idx_i, num_i, pair_i = pidx[i], pnum[i], pair[i]
+            idx_i, num_i, pair_i, codes_i = pidx[i], pnum[i], pair[i], codes[i]
             for j in range(size):
                 ij, a, g, num_j = idx_i[j], num_i[j], gather[j], pnum[j]
+                # with a 0/1 row j and a = 1 (or no i*j) both sides below are
+                # plain reads, of row i*j and of row i gathered at j*k, so
+                # equal codes settle both checks for every k
+                if zero_one[j] and (ij < 0 or a == 1) and g(codes_i) == codes[ij]:
+                    continue
                 # (i*j)*k and <i*j, k> for every k ...
                 lhs_idx, lhs_num, lhs_pair = none_row, zero_row, zero_row
                 if ij >= 0:
