@@ -131,15 +131,12 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
 
 def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
     """Both 3-point paths on every composable basis triple.  The localized
-    kernel runs once per sector triple (s, t, r = (st)^-1).  Of the eta
-    powers only their sum sigma = k1 + k2 + k3 enters either side, and each
-    side is nonzero at one sigma at most: the direct side at
-    dim(h) - shift, the localized one at -1 - base.  So the two agree on
-    every basis triple of (s, t, r) exactly when no sigma in
-    [0, dim(s) + dim(t) + dim(r)] holds one nonzero side alone or two
-    different values; a failure names the first basis triple in
-    (k1, k2, k3) order that disagrees, which is the first of the smallest
-    failing sigma."""
+    kernel runs once per sector triple (s, t, r = (st)^-1).  Each side
+    depends on the eta powers only through sigma = k1 + k2 + k3 and is
+    nonzero at one sigma at most, so the sides agree on every basis triple
+    of (s, t, r) unless some sigma in [0, dim(s) + dim(t) + dim(r)] holds a
+    nonzero side alone or two different values; the smallest such sigma
+    holds the first failing basis triple in (k1, k2, k3) order."""
     name = "path_agreement"
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
@@ -159,7 +156,7 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
             coeff, base = term
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
             # paired with eta^k3 1_(r) when the degrees are complementary; a
-            # side's sigma is None where it vanishes for every sigma
+            # side that vanishes everywhere has sigma None
             product = ring.sector_product(s, t, h, interacting)
             c = product[0] if product else 0
             top = dims[h] - product[1] if c else None

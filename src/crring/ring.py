@@ -362,6 +362,14 @@ class ChenRuanRing:
         product", 0 for coefficients and pairing values), so the index -1 of
         a zero product reads the sentinel and the exhaustive triple loop
         over (i, j, k) runs its k-axis as whole-row list operations.
+
+        Where row j holds only 0/1 coefficients and i*j is zero or has
+        coefficient 1, both sides of associativity and Frobenius for every
+        k are plain reads, of row i*j and of row i at j*k; with each
+        (target, coefficient, pairing) entry interned as one int, one
+        comparison of code rows then checks every k.  Every other pair, and
+        every mismatch, runs the full comparison, which alone writes the
+        counterexample.
         """
         basis, table = self._basis, self.table
         size = len(basis)
@@ -426,9 +434,8 @@ class ChenRuanRing:
             idx_i, num_i, pair_i, codes_i = pidx[i], pnum[i], pair[i], codes[i]
             for j in range(size):
                 ij, a, g, num_j = idx_i[j], num_i[j], gather[j], pnum[j]
-                # with a 0/1 row j and a = 1 (or no i*j) both sides below are
-                # plain reads, of row i*j and of row i gathered at j*k, so
-                # equal codes settle both checks for every k
+                # both sides below are plain reads here: equal codes settle
+                # both checks for every k
                 if zero_one[j] and (ij < 0 or a == 1) and g(codes_i) == codes[ij]:
                     continue
                 # (i*j)*k and <i*j, k> for every k ...
