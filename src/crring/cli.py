@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -99,7 +100,7 @@ def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...])
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
     table = ring.table
     lines = 0
-    for s, (composite, carry) in enumerate(zip(*ring.pairs)):
+    for s, (composite, carry, _) in enumerate(zip(*ring.pairs)):
         for t, (h, interacting) in enumerate(zip(composite, carry)):
             if h >= 0:
                 theta_r = table.thetas[table.inverse[h]]
@@ -142,8 +143,8 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
     denominators = [ring.pairing_denominator(h) for h in range(len(dims))]
     triples = 0
-    for s, (composite, carry) in enumerate(zip(*ring.pairs)):
-        for t, (h, interacting) in enumerate(zip(composite, carry)):
+    for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
+        for t, (h, product) in enumerate(zip(composite, products)):
             if h < 0:
                 continue
             r = table.inverse[h]
@@ -157,7 +158,6 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
             # paired with eta^k3 1_(r) when the degrees are complementary; a
             # side that vanishes everywhere has sigma None
-            product = ring.sector_product(s, t, h, interacting)
             c = product[0] if product else 0
             top = dims[h] - product[1] if c else None
             at = -1 - base if coeff else None
@@ -479,22 +479,17 @@ _COMMANDS = {
     "wallcross": (_cmd_wallcross, "wall-crossing delta of a 3-point function", (), _TRIPLE),
     "selftest": (_cmd_selftest, "run the built-in verification suites on the datum", (), ()),
 }
-_CHOICES = "{" + ",".join(_COMMANDS) + "}"
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Only the subparser that ``argv[0]`` names; all nine for anything else
-    (help, an empty argv, an unknown command or a leading option)."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all nine commands, built once per process."""
     parser = argparse.ArgumentParser(
         prog="crring",
         description="Exact Chen-Ruan cohomology of diagonal abelian quotients.",
     )
-    lean = bool(argv) and argv[0] in _COMMANDS
-    # a fixed metavar keeps all nine names in the lean tree's usage line; the
-    # full tree keeps the default, under which its errors name it "command"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=_CHOICES if lean else None)
-    for name in [argv[0]] if lean else _COMMANDS:
-        _, help_text, extras, flags = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, extras, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("datum", help="datum file (JSON: n, weights, finite, chamber)")
         p.add_argument("--format", choices=("structured", "tsv"), default="structured")
@@ -509,9 +504,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -23,8 +23,8 @@ numerators over the common denominator D, T is the carry mask
 constant is the integer prod_{j in T} w_j, and h is found by adding element
 codes.  ``ChenRuanRing.pair`` is the one place that derives (h, T) from a
 sector pair, and ``ChenRuanRing.sector_product`` the one place that turns
-them into a product; the self-test reads every ordered pair's (h, T) from
-the ring's ``pairs`` rows, built once on first use.
+them into a product; the self-test reads every ordered pair's (h, T) and
+product from the ring's ``pairs`` rows, built once on first use.
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
@@ -193,7 +193,7 @@ class ChenRuanRing:
     The product of sectors s and t is ``sector_product(s, t, *pair(s, t))``.
     Point queries and ``structure_constants`` call ``pair`` per sector pair;
     the axiom check and the self-test phases read ``pairs``, the rows of
-    ``pair`` over all ordered pairs, built once on first use.
+    ``pair`` and its product over all ordered pairs, built once on first use.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
@@ -244,12 +244,12 @@ class ChenRuanRing:
         return table.index.get(table.compose(table.codes[s], table.codes[t]), -1), carry
 
     @cached_property
-    def pairs(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``pair`` of every ordered sector pair as the rows
-        (composite[s][t], carry[s][t])."""
+    def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
+        """Rows (composite, carry, product)[s][t] of ``pair`` and ``sector_product``."""
         sectors = range(len(self.table.codes))
         rows = [[self.pair(s, t) for t in sectors] for s in sectors]
-        return [[h for h, _ in row] for row in rows], [[carry for _, carry in row] for row in rows]
+        products = [[self.sector_product(s, t, *rows[s][t]) for t in sectors] for s in sectors]
+        return [[h for h, _ in r] for r in rows], [[c for _, c in r] for r in rows], products
 
     def sector_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int] | None:
         """1_(s) * 1_(t) = coeff * eta^shift 1_(h) by the carry rule, given
@@ -313,13 +313,12 @@ class ChenRuanRing:
 
     # -- tabulation ------------------------------------------------------------
 
-    def _basis_products(self, s: int, t: int, h: int, carry: int) -> Iterator[tuple[int, ...]]:
+    def _basis_products(self, s: int, t: int, h: int, product) -> Iterator[tuple[int, ...]]:
         """(i, j, target index, coefficient) for every nonzero basis product
-        of sector s with sector t, given (h, carry) = ``pair(s, t)``."""
-        data = self.sector_product(s, t, h, carry)
-        if data is None:
+        of sector s with sector t, given h and the ``sector_product`` of the pair."""
+        if product is None:
             return
-        coeff, shift = data
+        coeff, shift = product
         dims, start = self.table.dims, self.start
         for k1 in range(dims[s] + 1):
             for k2 in range(min(dims[t], dims[h] - shift - k1) + 1):
@@ -344,7 +343,9 @@ class ChenRuanRing:
         products: dict[tuple[int, int], CRClass] = {}
         for s in range(len(table.codes)):
             for t in range(s, len(table.codes)):
-                for i, j, target, coeff in self._basis_products(s, t, *self.pair(s, t)):
+                h, carry = self.pair(s, t)
+                product = self.sector_product(s, t, h, carry)
+                for i, j, target, coeff in self._basis_products(s, t, h, product):
                     if i <= j:
                         products[(i, j)] = CRClass.single(basis[target], coeff)
         return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
@@ -375,9 +376,9 @@ class ChenRuanRing:
         size = len(basis)
         pidx = [[-1] * (size + 1) for _ in range(size)]
         pnum = [[0] * (size + 1) for _ in range(size)]
-        for s, rows in enumerate(zip(*self.pairs)):
-            for t, (h, carry) in enumerate(zip(*rows)):
-                for i, j, target, coeff in self._basis_products(s, t, h, carry):
+        for s, (composite, _, products) in enumerate(zip(*self.pairs)):
+            for t, (h, product) in enumerate(zip(composite, products)):
+                for i, j, target, coeff in self._basis_products(s, t, h, product):
                     pidx[i][j] = target
                     pnum[i][j] = coeff
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from crring.cli import main, run_selftest
+from crring.cli import build_parser, main, run_selftest
 from crring import QuotientDatum, ValidatedDatum, validate_datum
 
 WP122333 = {"n": 6, "weights": [1, 2, 2, 3, 3, 3], "finite": [], "chamber": "positive"}
@@ -315,7 +315,8 @@ def test_out_flag_that_cannot_be_written_is_a_usage_error(datum_file, tmp_path, 
         assert err.count("\n") == 1
 
 
-def test_a_named_command_builds_only_its_own_parser(datum_file, monkeypatch, capsys):
+def test_the_parser_is_built_once_and_reused(datum_file, monkeypatch, capsys):
+    build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -325,11 +326,18 @@ def test_a_named_command_builds_only_its_own_parser(datum_file, monkeypatch, cap
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     path = datum_file(WP112)
-    assert run(capsys, "shift", path, "--t", "c=1/2")[0] == 0
-    assert len(built) <= 2
-    built.clear()
-    assert run(capsys, "no-such-command", path)[0] == 2
-    assert len(built) == 10  # the top level and all nine commands
+    requests = [
+        (["shift", path, "--t", "c=1/2"], 0),
+        (["shift", path, "--t", "nonsense"], 2),
+        (["--help"], 0),
+        (["no-such-command", path], 2),
+    ]
+    counts = []
+    for argv, code in requests:
+        built.clear()
+        assert run(capsys, *argv)[0] == code
+        counts.append(len(built))
+    assert counts == [10, 0, 0, 0]  # the top level and all nine commands, once
 
 
 def test_each_request_rereads_its_datum(datum_file, capsys):

@@ -65,12 +65,22 @@ def render(argv: list[str]) -> bytes:
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode()
 
 
-def test_front_end_texts_match_golden(monkeypatch):
+ORDERS = {"recorded": list(CASES), "reversed": list(CASES)[::-1]}
+
+
+def pytest_generate_tests(metafunc):
+    # a module-level hook rather than a decorator: recording needs no pytest
+    metafunc.parametrize("order", ORDERS)
+
+
+def test_front_end_texts_match_golden(monkeypatch, order):
+    # every case in one process, through the one parser the process builds:
+    # no help page, usage error or refusal may change a later request's text
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(ROOT)
     changed = [
-        name for name, argv in CASES.items()
-        if render(argv) != (FRONTEND / f"{name}.txt").read_bytes()
+        name for name in ORDERS[order]
+        if render(CASES[name]) != (FRONTEND / f"{name}.txt").read_bytes()
     ]
     assert changed == []
 

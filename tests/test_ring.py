@@ -163,8 +163,12 @@ def test_pair_and_sector_product_values(wp122333):
     assert h == -1
     assert ring.sector_product(third, half, h, carry) is None
     sectors = range(len(ring.table.codes))
-    composite, carry = ring.pairs
+    composite, carry, product = ring.pairs
     assert all(ring.pair(s, t) == (composite[s][t], carry[s][t]) for s in sectors for t in sectors)
+    assert all(
+        product[s][t] == ring.sector_product(s, t, composite[s][t], carry[s][t])
+        for s in sectors for t in sectors
+    )
 
 
 def test_sector_product_vanishes_on_disjoint_fixed_sets():

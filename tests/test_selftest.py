@@ -118,16 +118,23 @@ PAIR_DATA = [DEMO_DIR / f"{name}.datum" for name in sorted(DEMO_COUNTS)]
 PAIR_DATA.append(TESTS / "golden" / "data" / "p1_25.datum")
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """The (chamber, s, t) of every call of ``ChenRuanRing.<name>``."""
+    method, calls = getattr(ChenRuanRing, name), []
+
+    def counted(ring, s, t, *rest):
+        calls.append((ring.chamber, s, t))
+        return method(ring, s, t, *rest)
+
+    monkeypatch.setattr(ChenRuanRing, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("path", PAIR_DATA, ids=[path.stem for path in PAIR_DATA])
 def test_selftest_derives_each_sector_pair_once(monkeypatch, path):
     vd = _load(path)
-    pair, calls = ChenRuanRing.pair, []
-
-    def counted(ring, s, t):
-        calls.append((ring.chamber, s, t))
-        return pair(ring, s, t)
-
-    monkeypatch.setattr(ChenRuanRing, "pair", counted)
+    pairs, products = _counted(monkeypatch, "pair"), _counted(monkeypatch, "sector_product")
     assert run_selftest(vd).passed
-    assert len(calls) == sum(len(vd.sectors(chamber)) ** 2 for chamber in CHAMBERS)
-    assert len(set(calls)) == len(calls)
+    for calls in pairs, products:
+        assert len(calls) == sum(len(vd.sectors(chamber)) ** 2 for chamber in CHAMBERS)
+        assert len(set(calls)) == len(calls)
