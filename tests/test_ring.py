@@ -323,20 +323,36 @@ WP122333_FROBENIUS = (
 )
 
 
+P35711_13_ASSOCIATIVITY = (
+    "(eta^0*1_(c=1/13) * eta^0*1_(c=6/13)) * eta^0*1_(c=6/13) != "
+    "eta^0*1_(c=1/13) * (eta^0*1_(c=6/13) * eta^0*1_(c=6/13))"
+)
+P35711_13_FROBENIUS = (
+    "<eta^0*1_(c=0) * eta^0*1_(c=1/13), eta^0*1_(c=12/13)> != "
+    "<eta^0*1_(c=0), eta^0*1_(c=1/13) * eta^0*1_(c=12/13)>"
+)
+NEGATIVE_122_FROBENIUS = (
+    "<eta^0*1_(c=0) * eta^0*1_(c=1/2), eta^1*1_(c=1/2)> != "
+    "<eta^0*1_(c=0), eta^0*1_(c=1/2) * eta^1*1_(c=1/2)>"
+)
+
+
 @pytest.mark.parametrize(
-    "weights,pair,edit,failures",
+    "datum,pair,edit,failures",
     [
         # every coefficient of P(1,25) stays 0 or 1: the product of c=1/25
         # and c=2/25 moves one eta power up, past the top of its target
-        ((1, 25), ("1/25", "2/25"), lambda coeff, shift: (coeff, shift + 1), [
+        (QuotientDatum((1, 25)), ("1/25", "2/25"), lambda coeff, shift: (coeff, shift + 1), [
             ("associativity", P1_25_ASSOCIATIVITY),
             ("frobenius", P1_25_FROBENIUS),
         ]),
         # the product of c=1/3 and c=2/3 is 4 eta^3 1_(c=0)
-        ((1, 2, 2, 3, 3, 3), ("1/3", "2/3"), lambda coeff, shift: (2 * coeff, shift), [
+        (QuotientDatum((1, 2, 2, 3, 3, 3)), ("1/3", "2/3"),
+         lambda coeff, shift: (2 * coeff, shift), [
             ("frobenius", WP122333_FROBENIUS),
         ]),
-        ((1, 2, 2, 3, 3, 3), ("1/3", "2/3"), lambda coeff, shift: (coeff, shift - 1), [
+        (QuotientDatum((1, 2, 2, 3, 3, 3)), ("1/3", "2/3"),
+         lambda coeff, shift: (coeff, shift - 1), [
             ("degree_additivity",
              "deg(eta^0*1_(c=1/3)) + deg(eta^0*1_(c=2/3)) != deg(eta^2*1_(c=0))"),
             ("associativity",
@@ -344,12 +360,31 @@ WP122333_FROBENIUS = (
              "eta^1*1_(c=0) * (eta^2*1_(c=1/3) * eta^0*1_(c=2/3))"),
             ("frobenius", WP122333_FROBENIUS),
         ]),
+        # most rows of P(3,5,7,11,13) hold coefficients above 1; the product
+        # of c=1/13 and c=12/13 is 1155 eta^4 1_(c=0)
+        (QuotientDatum((3, 5, 7, 11, 13)), ("1/13", "12/13"),
+         lambda coeff, shift: (2 * coeff, shift), [
+            ("associativity", P35711_13_ASSOCIATIVITY),
+            ("frobenius", P35711_13_FROBENIUS),
+        ]),
+        # in the negative chamber of (-1,-2,-2) the product of c=1/2 with
+        # itself is -eta 1_(c=0)
+        (QuotientDatum((-1, -2, -2), chamber="negative"), ("1/2", "1/2"),
+         lambda coeff, shift: (-coeff, shift), [
+            ("frobenius", NEGATIVE_122_FROBENIUS),
+        ]),
     ],
-    ids=["p1_25-shift-raised", "wp122333-coefficient-doubled", "wp122333-shift-lowered"],
+    ids=[
+        "p1_25-shift-raised",
+        "wp122333-coefficient-doubled",
+        "wp122333-shift-lowered",
+        "p3_5_7_11_13-coefficient-doubled",
+        "negative-122-coefficient-negated",
+    ],
 )
-def test_axiom_check_names_the_first_counterexample(monkeypatch, weights, pair, edit, failures):
+def test_axiom_check_names_the_first_counterexample(monkeypatch, datum, pair, edit, failures):
     # one symmetric sector-pair product is corrupted, so commutativity holds
-    vd = validate_datum(QuotientDatum(weights))
+    vd = validate_datum(datum)
     table = vd.sector_table()
     s, t = (table.position(vd.label(Fraction(c))) for c in pair)
     product = ChenRuanRing.sector_product
