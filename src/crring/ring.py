@@ -33,12 +33,13 @@ power over the sector.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import DatumFormatError, DomainError, EmptySector
@@ -360,17 +361,18 @@ class ChenRuanRing:
         Every ordered sector pair fills its own entries of the integer
         product table.  Pairing values are scaled by |A| * prod_j |w_j| to
         integers.  Each row carries a trailing sentinel (-1 for "zero
-        product", 0 for coefficients and pairing values), so the index -1 of
-        a zero product reads the sentinel and the exhaustive triple loop
-        over (i, j, k) runs its k-axis as whole-row list operations.
+        product", 0 for coefficients and pairing values), which a zero
+        product reads.
 
-        Where row j holds only 0/1 coefficients and i*j is zero or has
-        coefficient 1, both sides of associativity and Frobenius for every
-        k are plain reads, of row i*j and of row i at j*k; with each
-        (target, coefficient, pairing) entry interned as one int, one
-        comparison of code rows then checks every k.  Every other pair, and
-        every mismatch, runs the full comparison, which alone writes the
-        counterexample.
+        Associativity and the Frobenius identity are settled by one
+        comparison per basis pair (i, j).  Every (target, coefficient,
+        pairing) entry, times every distinct coefficient of the table (0
+        included), is interned as one int, so row r holds one block of codes
+        per scalar.  The block of the coefficient of i*j in row i*j reads
+        (i*j)*k and <i*j, k> for every k; row i read at j*k, in the block of
+        the coefficient of j*k, gives i*(j*k) and <i, j*k>.  Only where the
+        two code tuples differ are the entries decoded, to name the first
+        counterexample of each check in (i, j, k) order.
         """
         basis, table = self._basis, self.table
         size = len(basis)
@@ -417,60 +419,41 @@ class ChenRuanRing:
                 break
         checks.append(AxiomCheck("degree_additivity", degree_bad is None, degree_bad))
 
-        # gather[j](row) reads row[j*k] for every k, in one call; row j*k
-        # vanishes where pnum[j] does, so a 0/1 row j needs no multiplying
-        gather = [itemgetter(*row) for row in pidx]
-        zero_one = [set(row) <= {0, 1} for row in pnum]
-        # each (target, coefficient, pairing) entry interned as one int, 0
-        # for the sentinel's; the appended none row is read by the index -1
-        # of a zero product
-        entries = chain([(-1, 0, 0)], *map(zip, pidx, pnum, pair))
-        code = {entry: n for n, entry in enumerate(dict.fromkeys(entries))}
-        codes = [tuple(map(code.__getitem__, zip(*rows))) for rows in zip(pidx, pnum, pair)]
-        codes.append((0,) * (size + 1))
-        pidx, pnum, pair = ([tuple(row) for row in rows] for rows in (pidx, pnum, pair))
-        none_row, zero_row = (-1,) * (size + 1), (0,) * (size + 1)
+        # blocks[r][n]: row r's entries times the n-th scalar, interned; the
+        # appended none row is read by the index -1 of a zero product
+        width = size + 1
+        scalars = {c: n for n, c in enumerate(dict.fromkeys(chain([0], *pnum)))}
+        code = defaultdict(count().__next__)
+        none = code[(-1, 0, 0)]
+        blocks = [
+            [tuple(map(code.__getitem__, zip(idx, [c * x for x in nums], [c * x for x in pairs])))
+             for c in scalars]
+            for idx, nums, pairs in zip(pidx, pnum, pair)
+        ]
+        blocks.append([(none,) * width] * len(scalars))
+        # gather[j] reads i*(j*k) with <i, j*k> for every k off row i's
+        # blocks laid end to end: at j*k, or at the sentinel for a zero j*k,
+        # in the block of the coefficient of j*k
+        gather = [
+            itemgetter(*(scalars[c] * width + (t if t >= 0 else size) for t, c in zip(idx, nums)))
+            for idx, nums in zip(pidx, pnum)
+        ]
+        decode = list(code)
         assoc_bad = frob_bad = None
         for i in range(size):
-            idx_i, num_i, pair_i, codes_i = pidx[i], pnum[i], pair[i], codes[i]
-            for j in range(size):
-                ij, a, g, num_j = idx_i[j], num_i[j], gather[j], pnum[j]
-                # both sides below are plain reads here: equal codes settle
-                # both checks for every k
-                if zero_one[j] and (ij < 0 or a == 1) and g(codes_i) == codes[ij]:
+            row = tuple(chain.from_iterable(blocks[i]))
+            for j, (ij, a, g) in enumerate(zip(pidx[i], pnum[i], gather)):
+                # (i*j)*k with <i*j, k> for every k against i*(j*k) with <i, j*k>
+                lhs, rhs = blocks[ij][scalars[a]], g(row)
+                if lhs == rhs:
                     continue
-                # (i*j)*k and <i*j, k> for every k ...
-                lhs_idx, lhs_num, lhs_pair = none_row, zero_row, zero_row
-                if ij >= 0:
-                    lhs_idx, lhs_num, lhs_pair = pidx[ij], pnum[ij], pair[ij]
-                    if a != 1:
-                        lhs_num = tuple(map(mul, repeat(a), lhs_num))
-                        lhs_pair = tuple(map(mul, repeat(a), lhs_pair))
-                # ... against i*(j*k) and <i, j*k>
-                if assoc_bad is None:
-                    rhs_idx, rhs_num = g(idx_i), g(num_i)
-                    if not zero_one[j]:
-                        rhs_num = tuple(map(mul, num_j, rhs_num))
-                    if lhs_idx != rhs_idx or lhs_num != rhs_num:
-                        k = next(
-                            k
-                            for k in range(size)
-                            if (lhs_idx[k], lhs_num[k]) != (rhs_idx[k], rhs_num[k])
-                        )
-                        assoc_bad = (
-                            f"({basis[i]} * {basis[j]}) * {basis[k]} != "
-                            f"{basis[i]} * ({basis[j]} * {basis[k]})"
-                        )
-                if frob_bad is None:
-                    rhs_pair = g(pair_i)
-                    if not zero_one[j]:
-                        rhs_pair = tuple(map(mul, num_j, rhs_pair))
-                    if lhs_pair != rhs_pair:
-                        k = next(k for k in range(size) if lhs_pair[k] != rhs_pair[k])
-                        frob_bad = (
-                            f"<{basis[i]} * {basis[j]}, {basis[k]}> != "
-                            f"<{basis[i]}, {basis[j]} * {basis[k]}>"
-                        )
+                x, y = basis[i], basis[j]
+                for k, (u, v) in enumerate(zip(lhs, rhs)):
+                    left, right = decode[u], decode[v]
+                    if assoc_bad is None and left[:2] != right[:2]:
+                        assoc_bad = f"({x} * {y}) * {basis[k]} != {x} * ({y} * {basis[k]})"
+                    if frob_bad is None and left[2] != right[2]:
+                        frob_bad = f"<{x} * {y}, {basis[k]}> != <{x}, {y} * {basis[k]}>"
             if assoc_bad and frob_bad:
                 break
         checks.append(AxiomCheck("associativity", assoc_bad is None, assoc_bad))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -373,6 +374,18 @@ NEGATIVE_122_FROBENIUS = (
          lambda coeff, shift: (-coeff, shift), [
             ("frobenius", NEGATIVE_122_FROBENIUS),
         ]),
+        # a zero coefficient scales both sides of the Frobenius identity to
+        # 0, whatever its target: on P^2 only the unit fails
+        (QuotientDatum((1, 1, 1)), ("0", "0"), lambda coeff, shift: (0, shift), [
+            ("unit", "1 * eta^0*1_(c=0) = 0 * basis[0]"),
+        ]),
+        # on P(1,1,2), 1_(c=0) * 1_(c=1/2) keeps coefficient 1
+        (QuotientDatum((1, 1, 2)), ("0", "0"), lambda coeff, shift: (0, shift), [
+            ("unit", "1 * eta^0*1_(c=0) = 0 * basis[0]"),
+            ("associativity",
+             "(eta^0*1_(c=0) * eta^0*1_(c=0)) * eta^0*1_(c=1/2) != "
+             "eta^0*1_(c=0) * (eta^0*1_(c=0) * eta^0*1_(c=1/2))"),
+        ]),
     ],
     ids=[
         "p1_25-shift-raised",
@@ -380,6 +393,8 @@ NEGATIVE_122_FROBENIUS = (
         "wp122333-shift-lowered",
         "p3_5_7_11_13-coefficient-doubled",
         "negative-122-coefficient-negated",
+        "p2-identity-coefficient-zeroed",
+        "wp112-identity-coefficient-zeroed",
     ],
 )
 def test_axiom_check_names_the_first_counterexample(monkeypatch, datum, pair, edit, failures):
@@ -398,6 +413,124 @@ def test_axiom_check_names_the_first_counterexample(monkeypatch, datum, pair, ed
     assert [c for c in report.checks if not c.passed] == [
         AxiomCheck(name, False, detail) for name, detail in failures
     ]
+
+
+def reference_axiom_checks(ring):
+    """The six checks of ``verify_ring_axioms`` by a plain loop over every
+    basis triple (i, j, k), on the tables it builds: a product is a pair
+    (target, coefficient), (-1, 0) where there is none, and a pairing value
+    a Fraction."""
+    basis = ring.basis()
+    size = len(basis)
+    product, pairing = {}, {}
+    for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
+        for t, (h, data) in enumerate(zip(composite, products)):
+            for i, j, target, coeff in ring._basis_products(s, t, h, data):
+                product[i, j] = target, coeff
+    for i, j, s in ring._pairing_entries():
+        pairing[i, j] = Fraction(1, ring.pairing_denominator(s))
+
+    def times(i, j):
+        return product.get((i, j), (-1, 0))
+
+    def scaled(a, i, j):
+        """a * (basis[i] * basis[j]) and a * <basis[i], basis[j]>."""
+        if i < 0:
+            return (-1, 0), 0
+        target, coeff = times(i, j)
+        return (target, a * coeff), a * pairing.get((i, j), 0)
+
+    degree = [ring.degree(element) for element in basis]
+    unit_bad = comm_bad = degree_bad = assoc_bad = frob_bad = match_bad = None
+    if size and basis[0] != BasisElement(ring.vd.identity(), 0):
+        unit_bad = "no identity sector in this chamber"
+    for i in range(size):
+        for j in range(size):
+            x, y = basis[i], basis[j]
+            target, coeff = times(i, j)
+            if unit_bad is None and i == 0 and (target, coeff) != (j, 1):
+                unit_bad = f"1 * {y} = {coeff} * basis[{target}]"
+            if comm_bad is None and (target, coeff) != times(j, i):
+                comm_bad = f"{x} * {y} != {y} * {x}"
+            if degree_bad is None and target >= 0 and degree[i] + degree[j] != degree[target]:
+                degree_bad = f"deg({x}) + deg({y}) != deg({basis[target]})"
+            for k in range(size):
+                z = basis[k]
+                lhs = scaled(coeff, target, k)
+                rhs = scaled(times(j, k)[1], i, times(j, k)[0])
+                if assoc_bad is None and lhs[0] != rhs[0]:
+                    assoc_bad = f"({x} * {y}) * {z} != {x} * ({y} * {z})"
+                if frob_bad is None and lhs[1] != rhs[1]:
+                    frob_bad = f"<{x} * {y}, {z}> != <{x}, {y} * {z}>"
+    for kind, key in ("row", lambda a, b: (a, b)), ("column", lambda a, b: (b, a)):
+        for a in range(size):
+            count = sum(1 for b in range(size) if pairing.get(key(a, b)))
+            if match_bad is None and count != 1:
+                match_bad = f"the {kind} of {basis[a]} holds {count} nonzero entries"
+    found = [
+        ("unit", unit_bad), ("commutativity", comm_bad), ("degree_additivity", degree_bad),
+        ("associativity", assoc_bad), ("frobenius", frob_bad),
+        ("pairing_nondegenerate", match_bad),
+    ]
+    return tuple(AxiomCheck(name, bad is None, bad) for name, bad in found)
+
+
+CORRUPTIONS = {
+    "doubled": lambda coeff, shift: (2 * coeff, shift),
+    "negated": lambda coeff, shift: (-coeff, shift),
+    "zeroed": lambda coeff, shift: (0, shift),
+    "shift-raised": lambda coeff, shift: (coeff, shift + 1),
+    "shift-lowered": lambda coeff, shift: (coeff, shift - 1),
+    "removed": lambda coeff, shift: None,
+}
+
+
+@pytest.mark.parametrize(
+    "datum,chamber",
+    [
+        (QuotientDatum((1, 1, 2)), None),
+        (QuotientDatum((1, 2, 2, 3, 3, 3)), None),
+        (QuotientDatum((3, 5, 7)), None),
+        (QuotientDatum((2, 3, 4)), None),
+        (QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)), None),
+        (QuotientDatum((1, 1, 2), (FiniteCyclicFactor(2, (1, 0, 0)),)), None),
+        (QuotientDatum((2, -3, 5)), "positive"),
+        (QuotientDatum((2, -3, 5)), "negative"),
+        (QuotientDatum((1, -1, 2, -2)), "negative"),
+        (QuotientDatum((-1, -2, -2), chamber="negative"), None),
+    ],
+    ids=[
+        "wp112", "wp122333", "p3_5_7", "p2_3_4", "z3_on_p2", "z2_on_wp112",
+        "mixed_2m35-positive", "mixed_2m35-negative", "mixed_1m12m2-negative", "negative_122",
+    ],
+)
+def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber):
+    """Under seeded corruptions of one sector-pair product, symmetric or of
+    one ordered pair, ``verify_ring_axioms`` reports the reference's checks
+    and first counterexamples."""
+    vd = validate_datum(datum)
+    ring = ChenRuanRing(vd, chamber)
+    assert ring.verify_ring_axioms().checks == reference_axiom_checks(ring)
+    nonzero = [(s, t) for s, row in enumerate(ring.pairs[2]) for t, data in enumerate(row) if data]
+    product = ChenRuanRing.sector_product
+    failing = 0
+    for kind, edit in CORRUPTIONS.items():
+        rng = random.Random(f"{datum}:{chamber}:{kind}")
+        for _ in range(4):
+            s, t = rng.choice(nonzero)
+            corrupted = {(s, t), (t, s)} if rng.random() < 0.5 else {(s, t)}
+
+            def patched(self, a, b, h, carry, corrupted=corrupted, edit=edit):
+                data = product(self, a, b, h, carry)
+                return edit(*data) if (a, b) in corrupted and data else data
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ChenRuanRing, "sector_product", patched)
+                ring = ChenRuanRing(vd, chamber)
+                report = ring.verify_ring_axioms()
+                assert report.checks == reference_axiom_checks(ring), (kind, s, t, corrupted)
+            failing += not report.passed
+    assert failing
 
 
 def test_verify_ring_axioms_mixed_chambers(mixed):
