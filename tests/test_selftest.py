@@ -1,17 +1,27 @@
 """The self-test's agreement gate reads the localized kernel once per sector
 triple; these tests check that a wrong kernel value on one sector triple
-still fails the gate and is named, pin the work counts of the demo data, and
-check that one self-test derives each ordered sector pair once."""
+still fails the gate and is named, pin the work counts of the demo data,
+check that one self-test derives each ordered sector pair once, and pin the
+failure texts of the involution and obstruction phases."""
 
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from crring import ChenRuanRing, QuotientDatum, datum_from_doc, run_selftest, validate_datum
+from crring import (
+    ChenRuanRing,
+    FiniteCyclicFactor,
+    QuotientDatum,
+    datum_from_doc,
+    run_selftest,
+    validate_datum,
+)
 from crring import cli
 from crring.quotient import CHAMBERS
 
@@ -138,3 +148,144 @@ def test_selftest_derives_each_sector_pair_once(monkeypatch, path):
     for calls in pairs, products:
         assert len(calls) == sum(len(vd.sectors(chamber)) ** 2 for chamber in CHAMBERS)
         assert len(set(calls)) == len(calls)
+
+
+def _with_row(rows: tuple, s: int, value) -> tuple:
+    return rows[:s] + (value,) + rows[s + 1:]
+
+
+def _third_of_wp122333(monkeypatch, edit):
+    """The self-test of P(1,2,2,3,3,3) on its sector table with the rows of
+    c=1/3 edited by ``edit(table, s)``."""
+    vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    table = vd.sector_table()
+    s = table.position(vd.label(Fraction(1, 3)))
+    assert table.thetas[s] == (2, 4, 4, 0, 0, 0)
+    edited = edit(table, s)
+    monkeypatch.setattr(vd, "sector_table", lambda chamber=None: edited)
+    return run_selftest(vd)
+
+
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        (lambda table, s: replace(table, thetas=_with_row(table.thetas, s, (3, 3, 4, 0, 0, 0))),
+         "theta complement fails for c=1/3 at coordinate 0"),
+        # the inverse of c=1/3 pointed at the identity
+        (lambda table, s: replace(table, inverse=_with_row(table.inverse, s, 0)),
+         "fixed sets of c=1/3 and its inverse differ"),
+    ],
+    ids=["theta-moved", "inverse-is-identity"],
+)
+def test_involution_phase_names_the_failing_sector(monkeypatch, edit, detail):
+    involution = _phase(_third_of_wp122333(monkeypatch, edit), "sector_involution")
+    assert (involution.status, involution.detail) == ("fail", detail)
+
+
+def _flip_first(oracle):
+    calls = []
+
+    def flipped(*args):
+        rank = oracle(*args)
+        calls.append(args)
+        return 1 - rank if len(calls) == 1 else rank
+
+    return flipped
+
+
+def _non_integral(oracle):
+    # one more numerator on every line makes its phase sum non-integral, so
+    # the oracle raises DomainError on the first line
+    return lambda theta1, *rest: oracle(theta1 + 1, *rest)
+
+
+@pytest.mark.parametrize(
+    "patch,detail",
+    [
+        (_flip_first, "(c=1/3, c=1/3) line 0: index rank 1 vs exponent rule"),
+        (_non_integral, "(c=1/3, c=1/3) line 0: phase sum 7/6 is not an integer"),
+    ],
+    ids=["rank-flipped", "domain-error"],
+)
+def test_obstruction_phase_names_the_failing_line(monkeypatch, patch, detail):
+    monkeypatch.setattr(cli, "obstruction_rank_oracle", patch(cli.obstruction_rank_oracle))
+    vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    obstruction = _phase(run_selftest(vd), "obstruction_oracle")
+    assert (obstruction.status, obstruction.detail) == ("fail", detail)
+
+
+def three_involution_identities(table, n: int) -> bool:
+    """Whether every sector s with inverse r = inverse[s] satisfies all three
+    Chen-Ruan involution identities: s and r fix the same set, age(s) +
+    age(r) counts the moved coordinates, and theta_s(j) + theta_r(j) is 0 on
+    the fixed coordinates of s and D on the others."""
+    d = table.denominator
+    for s, r in enumerate(table.inverse):
+        fixed, thetas, inverse = table.fixed[s], table.thetas[s], table.thetas[r]
+        if table.fixed[r] != fixed:
+            return False
+        if sum(thetas) + sum(inverse) != (n - fixed.bit_count()) * d:
+            return False
+        for j, (x, y) in enumerate(zip(thetas, inverse)):
+            if x + y != (0 if fixed >> j & 1 else d):
+                return False
+    return True
+
+
+def _corrupt(table, n: int, rng: random.Random):
+    """One seeded corruption of a sector table.  Theta numerators stay
+    residues in [0, D) and inverse indices stay sector positions, as in every
+    table that ``ValidatedDatum.sector_table`` builds."""
+    d, size = table.denominator, len(table.codes)
+    s, j = rng.randrange(size), rng.randrange(n)
+    r = table.inverse[s]
+    kind = rng.choice(["theta", "fixed", "inverse", "paired-thetas", "paired-fixed"])
+    thetas, fixed = list(map(list, table.thetas)), list(table.fixed)
+    if kind == "theta":
+        thetas[s][j] = rng.randrange(d)
+    elif kind == "fixed":
+        fixed[s] ^= 1 << j
+    elif kind == "inverse":
+        return replace(table, inverse=_with_row(table.inverse, s, rng.randrange(size)))
+    elif kind == "paired-thetas":
+        # theta_s(j) and theta_r(j) moved together: their sum may still hold
+        x = rng.randrange(d)
+        thetas[s][j], thetas[r][j] = x, (d - x) % d if rng.random() < 0.7 else rng.randrange(d)
+    else:
+        # coordinate j fixed (or freed) on s and r, with thetas to match or not
+        fixed[s] ^= 1 << j
+        fixed[r] = fixed[s] if r != s else fixed[r]
+        if rng.random() < 0.7:
+            x = 0 if fixed[s] >> j & 1 else rng.randrange(d)
+            thetas[s][j], thetas[r][j] = x, (d - x) % d
+    return replace(table, thetas=tuple(map(tuple, thetas)), fixed=tuple(fixed))
+
+
+INVOLUTION_DATA = [
+    QuotientDatum((1, 1, 2)),
+    QuotientDatum((1, 2, 2, 3, 3, 3)),
+    QuotientDatum((3, 5, 7)),
+    QuotientDatum((1, 2, 3, 4)),
+    QuotientDatum((2, 3, 5)),
+    QuotientDatum((1, 1, 1)),
+    QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)),
+    QuotientDatum((-1, -2, -2), chamber="negative"),
+]
+
+
+@pytest.mark.parametrize("datum", INVOLUTION_DATA, ids=str)
+def test_involution_phase_agrees_with_all_three_identities(datum):
+    """Under seeded corruptions of theta numerators, fixed masks and inverse
+    indices, the involution phase passes exactly when the sector table
+    satisfies all three involution identities."""
+    vd = validate_datum(datum)
+    table = vd.sector_table()
+    rng = random.Random(str(datum))
+    outcomes = set()
+    for _ in range(300):
+        corrupted = _corrupt(table, vd.n, rng)
+        expected = three_involution_identities(corrupted, vd.n)
+        phase = cli._involution_phase(vd, corrupted, "sector_involution")
+        assert (phase.status == "pass") == expected, corrupted
+        outcomes.add(expected)
+    assert outcomes == {True, False}
