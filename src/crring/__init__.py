@@ -9,7 +9,7 @@ be evaluated along two independent paths, the twist-factor cup product
 agreement together with the ring axioms on any datum.
 """
 
-from .cli import PhaseResult, SelfTestReport, run_selftest
+from .cli import run_selftest
 from .errors import (
     DatumFormatError,
     DomainError,
@@ -38,11 +38,11 @@ from .quotient import (
     validate_datum,
 )
 from .ring import (
-    AxiomCheck,
     BasisElement,
     CRClass,
     ChenRuanRing,
-    RingAxiomReport,
+    PhaseResult,
+    SelfTestReport,
     StructureTable,
     cr_class_from_doc,
     cr_class_to_doc,

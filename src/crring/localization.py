@@ -124,15 +124,17 @@ def wall_crossing_delta(
     """Change of the 3-point function across the wall at 0.
 
     Numerically identical to ``triple_localized``; additionally notes when
-    one chamber is empty, in which case the delta *is* the other side's
-    3-point function.
+    one chamber is empty.  By Res = int_+ - int_-, the delta then *is* the
+    positive side's 3-point function, or minus the negative side's.
     """
     report = triple_localized(vd, p1, p2, p3)
     note = None
     if not vd.level_masks["negative"]:  # a chamber with no weight of its sign has no sector
         note = "negative chamber is empty: the delta equals the positive-side 3-point function"
     elif not vd.level_masks["positive"]:
-        note = "positive chamber is empty: the delta equals the negative-side 3-point function"
+        note = (
+            "positive chamber is empty: the delta equals minus the negative-side 3-point function"
+        )
     return replace(report, note=note)
 
 

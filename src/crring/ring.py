@@ -152,22 +152,25 @@ def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class PhaseResult:
+    """One named check of a ring axiom or a self-test phase; a failure's
+    detail names its counterexample."""
+
     name: str
-    passed: bool
-    counterexample: str | None = None
+    status: str  # "pass" | "fail" | "skipped"
+    detail: str | None = None
 
 
 @dataclass(frozen=True)
-class RingAxiomReport:
-    checks: tuple[AxiomCheck, ...]
+class SelfTestReport:
+    phases: tuple[PhaseResult, ...]
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return all(phase.status != "fail" for phase in self.phases)
 
-    def first_failure(self) -> AxiomCheck | None:
-        return next((c for c in self.checks if not c.passed), None)
+    def first_failure(self) -> PhaseResult | None:
+        return next((p for p in self.phases if p.status == "fail"), None)
 
 
 @dataclass(frozen=True)
@@ -353,10 +356,11 @@ class ChenRuanRing:
 
     # -- axioms ------------------------------------------------------------------
 
-    def verify_ring_axioms(self) -> RingAxiomReport:
-        """Check unit, commutativity, associativity, degree additivity,
-        pairing nondegeneracy, and the Frobenius identity over the whole
-        basis, reporting the first counterexample of each failing check.
+    def verify_ring_axioms(self) -> SelfTestReport:
+        """Check unit, commutativity, degree additivity, associativity, the
+        Frobenius identity and pairing nondegeneracy over the whole basis:
+        one ``PhaseResult`` each, in that order, whose detail is the first
+        counterexample of a failing check.
 
         Every ordered sector pair fills its own entries of the integer
         product table.  Pairing values are scaled by |A| * prod_j |w_j| to
@@ -387,7 +391,6 @@ class ChenRuanRing:
         pair = [[0] * (size + 1) for _ in range(size)]
         for i, j, s in self._pairing_entries():
             pair[i][j] = scale // self.pairing_denominator(s)
-        checks: list[AxiomCheck] = []
 
         unit_bad = None
         if size and table.codes[0] == (0,) * len(table.moduli):
@@ -397,7 +400,6 @@ class ChenRuanRing:
                     break
         elif size:
             unit_bad = "no identity sector in this chamber"
-        checks.append(AxiomCheck("unit", unit_bad is None, unit_bad))
 
         comm_bad = None
         for i, (row, column, nums, num_column) in enumerate(
@@ -407,7 +409,6 @@ class ChenRuanRing:
                 j = next(j for j in range(size) if (row[j], nums[j]) != (column[j], num_column[j]))
                 comm_bad = f"{basis[i]} * {basis[j]} != {basis[j]} * {basis[i]}"
                 break
-        checks.append(AxiomCheck("commutativity", comm_bad is None, comm_bad))
 
         degrees, degree_bad = self.degrees, None
         for i in range(size):
@@ -417,7 +418,6 @@ class ChenRuanRing:
                     break
             if degree_bad:
                 break
-        checks.append(AxiomCheck("degree_additivity", degree_bad is None, degree_bad))
 
         # blocks[r][n]: row r's entries times the n-th scalar, interned; the
         # appended none row is read by the index -1 of a zero product
@@ -456,8 +456,6 @@ class ChenRuanRing:
                         frob_bad = f"<{x} * {y}, {basis[k]}> != <{x}, {y} * {basis[k]}>"
             if assoc_bad and frob_bad:
                 break
-        checks.append(AxiomCheck("associativity", assoc_bad is None, assoc_bad))
-        checks.append(AxiomCheck("frobenius", frob_bad is None, frob_bad))
 
         # the pairing couples each basis element with exactly one other: one
         # nonzero in every row and every column, which makes it nondegenerate
@@ -468,8 +466,13 @@ class ChenRuanRing:
             if bad:
                 match_bad = f"the {kind} of {basis[bad[0]]} holds {counts[bad[0]]} nonzero entries"
                 break
-        checks.append(AxiomCheck("pairing_nondegenerate", match_bad is None, match_bad))
-        return RingAxiomReport(tuple(checks))
+        found = {
+            "unit": unit_bad, "commutativity": comm_bad, "degree_additivity": degree_bad,
+            "associativity": assoc_bad, "frobenius": frob_bad, "pairing_nondegenerate": match_bad,
+        }
+        return SelfTestReport(tuple(
+            PhaseResult(name, "pass" if bad is None else "fail", bad) for name, bad in found.items()
+        ))
 
 
 # -- wire format -------------------------------------------------------------
@@ -582,6 +585,9 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         raise DatumFormatError(f"a table document must map {', '.join(fields)} to lists")
     if not all(isinstance(row, list) for row in doc["pairing"]):
         raise DatumFormatError("pairing rows must be lists")
+    size = len(doc["basis"])
+    if {len(doc["degrees"]), len(doc["pairing"]), *map(len, doc["pairing"])} != {size}:
+        raise DatumFormatError(f"{size} basis elements need {size} degrees, {size}x{size} pairings")
     reader = _Reader(vd)
     basis = tuple(map(reader.element, doc["basis"]))
     try:
@@ -595,8 +601,9 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
             not isinstance(record, dict)
             or type(record.get("i")) is not int
             or type(record.get("j")) is not int
+            or not (0 <= record["i"] < size and 0 <= record["j"] < size)
         ):
-            raise DatumFormatError("a product record must have integer 'i' and 'j'")
+            raise DatumFormatError(f"a product record must have integer 'i' and 'j' in [0, {size})")
         products[(record["i"], record["j"])] = reader.cr_class(record.get("terms"))
     return StructureTable(basis, degrees, pairing, products)
 

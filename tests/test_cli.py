@@ -130,6 +130,22 @@ def test_wallcross_positive_only_notes_empty_side(datum_file, capsys):
     assert "negative chamber is empty" in doc["note"]
 
 
+def test_wallcross_negative_only_notes_the_sign(datum_file, capsys):
+    # on the negative side (-1,-1,-1) is P^2, where the integral of H^2 is +1;
+    # by Res = int_+ - int_-, the delta is minus it
+    negative = {"n": 3, "weights": [-1, -1, -1], "finite": [], "chamber": "negative"}
+    code, out, _ = run(
+        capsys, "wallcross", datum_file(negative),
+        "--t1", "c=0", "--k1", "2", "--t2", "c=0", "--t3", "c=0",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == "-1"
+    assert doc["note"] == (
+        "positive chamber is empty: the delta equals minus the negative-side 3-point function"
+    )
+
+
 def test_selftest_passes(datum_file, capsys):
     code, out, _ = run(capsys, "selftest", datum_file(WP112))
     assert code == 0

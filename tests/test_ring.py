@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from crring import (
-    AxiomCheck,
     BasisElement,
     CRClass,
     ChenRuanRing,
     DomainError,
     EmptySector,
     FiniteCyclicFactor,
+    PhaseResult,
     QuotientDatum,
     SectorLabel,
     cr_class_from_doc,
@@ -282,7 +282,7 @@ def test_verify_ring_axioms_pass(wp122333, wp112, p11):
     for vd in (wp122333, wp112, p11):
         report = ChenRuanRing(vd).verify_ring_axioms()
         assert report.passed, report.first_failure()
-        assert {c.name for c in report.checks} == {
+        assert {c.name for c in report.phases} == {
             "unit",
             "commutativity",
             "degree_additivity",
@@ -306,8 +306,8 @@ def test_pairing_check_wants_one_nonzero_per_row_and_column(wp112, monkeypatch, 
     # the first edit leaves it nondegenerate, yet no pairing of the ring
     entries = edit(list(ChenRuanRing(wp112)._pairing_entries()))
     monkeypatch.setattr(ChenRuanRing, "_pairing_entries", lambda self: iter(entries))
-    checks = {c.name: c for c in ChenRuanRing(wp112).verify_ring_axioms().checks}
-    assert checks["pairing_nondegenerate"] == AxiomCheck("pairing_nondegenerate", False, detail)
+    checks = {c.name: c for c in ChenRuanRing(wp112).verify_ring_axioms().phases}
+    assert checks["pairing_nondegenerate"] == PhaseResult("pairing_nondegenerate", "fail", detail)
 
 
 P1_25_ASSOCIATIVITY = (
@@ -410,8 +410,8 @@ def test_axiom_check_names_the_first_counterexample(monkeypatch, datum, pair, ed
 
     monkeypatch.setattr(ChenRuanRing, "sector_product", patched)
     report = ChenRuanRing(vd).verify_ring_axioms()
-    assert [c for c in report.checks if not c.passed] == [
-        AxiomCheck(name, False, detail) for name, detail in failures
+    assert [c for c in report.phases if c.status != "pass"] == [
+        PhaseResult(name, "fail", detail) for name, detail in failures
     ]
 
 
@@ -472,7 +472,7 @@ def reference_axiom_checks(ring):
         ("associativity", assoc_bad), ("frobenius", frob_bad),
         ("pairing_nondegenerate", match_bad),
     ]
-    return tuple(AxiomCheck(name, bad is None, bad) for name, bad in found)
+    return tuple(PhaseResult(name, "pass" if bad is None else "fail", bad) for name, bad in found)
 
 
 CORRUPTIONS = {
@@ -510,7 +510,7 @@ def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber
     and first counterexamples."""
     vd = validate_datum(datum)
     ring = ChenRuanRing(vd, chamber)
-    assert ring.verify_ring_axioms().checks == reference_axiom_checks(ring)
+    assert ring.verify_ring_axioms().phases == reference_axiom_checks(ring)
     nonzero = [(s, t) for s, row in enumerate(ring.pairs[2]) for t, data in enumerate(row) if data]
     product = ChenRuanRing.sector_product
     failing = 0
@@ -528,7 +528,7 @@ def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber
                 patch.setattr(ChenRuanRing, "sector_product", patched)
                 ring = ChenRuanRing(vd, chamber)
                 report = ring.verify_ring_axioms()
-                assert report.checks == reference_axiom_checks(ring), (kind, s, t, corrupted)
+                assert report.phases == reference_axiom_checks(ring), (kind, s, t, corrupted)
             failing += not report.passed
     assert failing
 

@@ -1,8 +1,10 @@
 """The self-test's agreement gate reads the localized kernel once per sector
 triple; these tests check that a wrong kernel value on one sector triple
 still fails the gate and is named, pin the work counts of the demo data,
-check that one self-test derives each ordered sector pair once, and pin the
-failure texts of the involution and obstruction phases."""
+check that one self-test derives each ordered sector pair once, pin the
+failure texts of the involution and obstruction phases, and check that the
+one identity the involution phase tests fails exactly when one of the three
+involution identities does."""
 
 from __future__ import annotations
 
@@ -171,9 +173,9 @@ def _third_of_wp122333(monkeypatch, edit):
     [
         (lambda table, s: replace(table, thetas=_with_row(table.thetas, s, (3, 3, 4, 0, 0, 0))),
          "theta complement fails for c=1/3 at coordinate 0"),
-        # the inverse of c=1/3 pointed at the identity
+        # the inverse of c=1/3 pointed at the identity, whose theta numerators are 0
         (lambda table, s: replace(table, inverse=_with_row(table.inverse, s, 0)),
-         "fixed sets of c=1/3 and its inverse differ"),
+         "theta complement fails for c=1/3 at coordinate 0"),
     ],
     ids=["theta-moved", "inverse-is-identity"],
 )
@@ -254,7 +256,7 @@ def _corrupt(table, n: int, rng: random.Random):
     else:
         # coordinate j fixed (or freed) on s and r, with thetas to match or not
         fixed[s] ^= 1 << j
-        fixed[r] = fixed[s] if r != s else fixed[r]
+        fixed[r] = fixed[s]
         if rng.random() < 0.7:
             x = 0 if fixed[s] >> j & 1 else rng.randrange(d)
             thetas[s][j], thetas[r][j] = x, (d - x) % d
@@ -285,7 +287,7 @@ def test_involution_phase_agrees_with_all_three_identities(datum):
     for _ in range(300):
         corrupted = _corrupt(table, vd.n, rng)
         expected = three_involution_identities(corrupted, vd.n)
-        phase = cli._involution_phase(vd, corrupted, "sector_involution")
+        phase = cli._involution_phase(corrupted, "sector_involution")
         assert (phase.status == "pass") == expected, corrupted
         outcomes.add(expected)
     assert outcomes == {True, False}

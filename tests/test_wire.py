@@ -146,6 +146,19 @@ def _broken(doc: dict, edit) -> dict:
         lambda d: d["products"][0].__setitem__("i", "0"),
         lambda d: d["products"].__setitem__(0, 7),
         lambda d: d["basis"][0].__setitem__("eta_power", False),
+        lambda d: d["degrees"].append("0"),
+        lambda d: d["degrees"].pop(),
+        lambda d: d["pairing"].pop(),
+        lambda d: d["pairing"][0].pop(),
+        lambda d: d["pairing"][1].append("0"),
+        lambda d: d["products"][0].__setitem__("i", 7),
+        lambda d: d["products"][0].__setitem__("j", -3),
+        lambda d: d["products"][0].__setitem__("j", len(d["basis"])),
+        # one basis element, three degrees, pairing rows of two and one entries
+        lambda d: d.update(
+            basis=d["basis"][:1], degrees=["0", "2", "4"], pairing=[["1/2", "0"], ["0"]],
+            products=[{"i": 7, "j": -3, "terms": []}],
+        ),
     ],
     ids=[
         "missing-products",
@@ -160,6 +173,15 @@ def _broken(doc: dict, edit) -> dict:
         "i-str",
         "product-int",
         "eta-power-bool",
+        "degree-extra",
+        "degree-missing",
+        "pairing-row-missing",
+        "pairing-row-short",
+        "pairing-row-long",
+        "i-past-the-basis",
+        "j-negative",
+        "j-at-the-basis-size",
+        "inconsistent-shape",
     ],
 )
 def test_table_doc_rejects_malformed(table_doc, edit):
