@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crring.cli import build_parser, main, run_selftest
-from crring import QuotientDatum, ValidatedDatum, validate_datum
+from crring import ChenRuanRing, QuotientDatum, ValidatedDatum, validate_datum
 
 WP122333 = {"n": 6, "weights": [1, 2, 2, 3, 3, 3], "finite": [], "chamber": "positive"}
 WP112 = {"n": 3, "weights": [1, 1, 2], "finite": [], "chamber": "positive"}
@@ -391,3 +391,29 @@ def test_no_sector_table_is_built_to_test_a_chamber_for_emptiness(datum_file, mo
         built.clear()
         assert run(capsys, *argv)[0] == 0
         assert built == tables, argv
+
+
+def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
+    rings = []
+    init = ChenRuanRing.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        rings.append(self)
+
+    monkeypatch.setattr(ChenRuanRing, "__init__", recording_init)
+    path = datum_file(WP122333)
+    point = [path, "--t1", "c=1/3", "--t2", "c=2/3"]
+    for argv, built in (
+        (["pair", *point], False),
+        (["cup", *point], False),
+        (["triple", *point, "--t3", "c=0", "--method", "direct"], False),
+        (["basis", path], True),
+        (["table", path], True),
+        (["selftest", path], True),
+    ):
+        rings.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert rings, argv
+        for ring in rings:
+            assert ("_basis" in vars(ring), "degrees" in vars(ring)) == (built, built), argv

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crring import (
     BasisElement,
@@ -12,6 +14,7 @@ from crring import (
     DomainError,
     EmptySector,
     FiniteCyclicFactor,
+    IneffectiveAction,
     PhaseResult,
     QuotientDatum,
     SectorLabel,
@@ -23,6 +26,7 @@ from crring import (
     triple_localized,
     validate_datum,
 )
+from crring.quotient import CHAMBERS
 
 
 def one(vd, c, k=0):
@@ -188,6 +192,62 @@ def test_sector_product_vanishes_on_disjoint_fixed_sets():
             composable += 1
             assert carry & fixed[h] == fixed[h]
     assert composable
+
+
+def reference_pair(table, s: int, t: int) -> tuple[int, int]:
+    """(h, T) of the ordered sector pair by a per-coordinate carry loop and
+    code composition, with no packed integers."""
+    carry = 0
+    for j, (x, y) in enumerate(zip(table.thetas[s], table.thetas[t])):
+        if x + y >= table.denominator:
+            carry |= 1 << j
+    return table.index.get(table.compose(table.codes[s], table.codes[t]), -1), carry
+
+
+@st.composite
+def data(draw):
+    """Up to 4 coordinates with weights in [-6, 6] and up to 2 finite
+    factors of unequal orders in [2, 4]; ineffective actions are drawn again."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n))
+    orders = draw(st.lists(st.integers(2, 4), max_size=2, unique=True))
+    finite = tuple(
+        FiniteCyclicFactor(k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
+        for k in orders
+    )
+    try:
+        return validate_datum(QuotientDatum(tuple(weights), finite))
+    except IneffectiveAction:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data())
+def test_pair_matches_a_per_coordinate_carry_loop(vd):
+    for chamber in CHAMBERS:
+        ring = ChenRuanRing(vd, chamber)
+        sectors = range(len(ring.table.codes))
+        for s in sectors:
+            for t in sectors:
+                assert ring.pair(s, t) == reference_pair(ring.table, s, t), (chamber, s, t)
+
+
+def test_pair_matches_the_carry_loop_past_a_machine_word():
+    # D = 601 * 607 * ... * 641 is about 3.5e19 > 2**64: every theta and
+    # code lane is wider than a machine word
+    vd = validate_datum(QuotientDatum((601, 607, 613, 617, 619, 631, 641)))
+    ring = ChenRuanRing(vd)
+    assert vd.denominator > 2**64
+    assert len(ring.table.codes) == 4323
+    rng = random.Random(7)
+    composable = 0
+    for _ in range(3000):
+        s, t = rng.randrange(4323), rng.randrange(4323)
+        h, carry = ring.pair(s, t)
+        assert (h, carry) == reference_pair(ring.table, s, t), (s, t)
+        composable += h >= 0
+    assert composable
+    assert "pairs" not in vars(ring)
 
 
 def test_a_label_is_read_with_the_datums_component_count(wp112):

@@ -159,6 +159,9 @@ def _broken(doc: dict, edit) -> dict:
             basis=d["basis"][:1], degrees=["0", "2", "4"], pairing=[["1/2", "0"], ["0"]],
             products=[{"i": 7, "j": -3, "terms": []}],
         ),
+        lambda d: d["products"].append(copy.deepcopy(d["products"][0])),
+        lambda d: d["products"][3].update(i=3, j=0),
+        lambda d: d["products"][0]["terms"][0]["sector"].__setitem__("c", "1/3"),
     ],
     ids=[
         "missing-products",
@@ -182,6 +185,9 @@ def _broken(doc: dict, edit) -> dict:
         "j-negative",
         "j-at-the-basis-size",
         "inconsistent-shape",
+        "repeated-record",
+        "i-above-j",
+        "term-outside-the-basis",
     ],
 )
 def test_table_doc_rejects_malformed(table_doc, edit):
