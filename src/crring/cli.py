@@ -79,27 +79,28 @@ def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...])
 
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
     table = ring.table
+    thetas, fixed, d, everything = table.thetas, table.fixed, table.denominator, (1 << vd.n) - 1
     lines = 0
     for s, (composite, carry, _) in enumerate(zip(*ring.pairs)):
         for t, (h, interacting) in enumerate(zip(composite, carry)):
             if h >= 0:
-                theta_r = table.thetas[table.inverse[h]]
+                r = table.inverse[h]
+                theta_r, fixed_r = thetas[r], fixed[r]
             else:
                 # re-derived from the codes: the index count must not read
                 # theta_r off the carry of theta_s + theta_t
                 theta_r = vd.code_numerators(
                     table.invert(table.compose(table.codes[s], table.codes[t]))
                 )
-            outside = ~(table.fixed[s] | table.fixed[t] | vd.fixed_mask(theta_r))
+                fixed_r = vd.fixed_mask(theta_r)
+            outside = everything & ~(fixed[s] | fixed[t] | fixed_r)
             # a line moved by r = (st)^-1 is moved by st, so it is an
             # obstruction direction exactly when it is interacting
-            for j in range(vd.n):
-                if not outside >> j & 1:
-                    continue
+            while outside:
+                j = (outside & -outside).bit_length() - 1
+                outside &= outside - 1
                 try:
-                    rank = obstruction_rank_oracle(
-                        table.thetas[s][j], table.thetas[t][j], theta_r[j], table.denominator
-                    )
+                    rank = obstruction_rank_oracle(thetas[s][j], thetas[t][j], theta_r[j], d)
                 except DomainError as exc:
                     return PhaseResult(name, "fail", f"{_line(table, s, t, j)}: {exc}")
                 if (rank == 1) != bool(interacting >> j & 1):
@@ -142,10 +143,9 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
             top = dims[h] - product[1] if c else None
             at = -1 - base if coeff else None
             span = dims[s] + dims[t] + dims[r]
-            inside = [x for x in (top, at) if x is not None and 0 <= x <= span]
-            if inside and not (
-                top == at and c * coeff.denominator == coeff.numerator * denominators[h]
-            ):
+            matched = top == at and c * coeff.denominator == coeff.numerator * denominators[h]
+            inside = () if matched else [x for x in (top, at) if x is not None and 0 <= x <= span]
+            if inside:
                 sigma = min(inside)
                 k1 = max(0, sigma - dims[t] - dims[r])
                 k2 = max(0, sigma - k1 - dims[r])

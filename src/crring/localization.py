@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
 from typing import Mapping
 
 from .errors import EmptySector, NonComposable
@@ -70,21 +69,19 @@ def localized_residue(
     the elements do not compose to the identity.  Eta powers k_i only raise
     the u-power by k1 + k2 + k3; the 3-point function is the coefficient
     when the raised power is -1, and 0 otherwise."""
-    d = vd.denominator
-    exponents = []
+    d, top, bottom, power = vd.denominator, 1, vd.finite_order, -vd.n
     # the product of the elements acts with phases (theta1 + theta2 + theta3) / D,
     # so it is the identity exactly when every sum is a multiple of D
-    for x, y, z in zip(theta1, theta2, theta3):
+    for w, x, y, z in zip(vd.weights, theta1, theta2, theta3):
         e, rest = divmod(x + y + z, d)
         if rest:
             return None
-        exponents.append(e)
-    weights = vd.weights
-    coeff = Fraction(
-        prod([w for w, e in zip(weights, exponents) if e == 2]),
-        vd.finite_order * prod([w for w, e in zip(weights, exponents) if not e]),
-    )
-    return coeff, sum(exponents) - vd.n
+        if e == 2:
+            top *= w
+        elif not e:
+            bottom *= w
+        power += e
+    return Fraction(top, bottom), power
 
 
 def triple_localized(

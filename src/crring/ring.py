@@ -20,11 +20,13 @@ count in ``obstruction_rank_oracle``.
 The ring works on the integer ``SectorTable`` of its chamber.  With theta
 numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
-constant is the integer prod_{j in T} w_j, and h is found by adding element
-codes.  ``ChenRuanRing.pair`` is the one place that derives (h, T) from a
-sector pair, and ``ChenRuanRing.sector_product`` the one place that turns
-them into a product; the self-test reads every ordered pair's (h, T) and
-product from the ring's ``pairs`` rows, built once on first use.
+constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.pair`` is the one
+place that derives (h, T) from a sector pair, with one addition of packed
+theta numerators for T and one of packed element codes for h (lane widths
+and the no-overflow argument are in its docstring), and
+``ChenRuanRing.sector_product`` the one place that turns them into a
+product; the self-test reads every ordered pair's (h, T) and product from
+the ring's ``pairs`` rows, built once on first use.
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
@@ -37,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import accumulate, chain, compress, count
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Mapping
@@ -133,6 +135,11 @@ def _fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _pack(values, width: int) -> int:
+    """The integer whose lane i, bits [i*width, (i+1)*width), holds values[i]."""
+    return sum(x << width * i for i, x in enumerate(values))
+
+
 def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
     """Invariant H^1 rank of one normal line over the 3-marked sphere.
 
@@ -198,19 +205,37 @@ class ChenRuanRing:
     Point queries and ``structure_constants`` call ``pair`` per sector pair;
     the axiom check and the self-test phases read ``pairs``, the rows of
     ``pair`` and its product over all ordered pairs, built once on first use.
+
+    Construction builds ``start`` only, so a point query pays for no basis
+    element it does not name.  The basis tuple, ``degrees``, the packed
+    lanes of ``pair`` (a theta integer in lanes of D.bit_length() + 1 bits
+    and a code integer in lanes of max(moduli).bit_length() + 1 bits per
+    sector) and the coefficient of each carry mask are built on first use.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
         self.vd = vd
         self.chamber = chamber or vd.chamber
-        self.table = table = vd.sector_table(self.chamber)
-        self.start, basis, self.degrees = [], [], []
-        for label, dim, thetas in zip(table.labels, table.dims, table.thetas):
-            self.start.append(len(basis))
-            basis.extend(BasisElement(label, k) for k in range(dim + 1))
-            age = sum(thetas)
-            self.degrees.extend(k * table.denominator + age for k in range(dim + 1))
-        self._basis = tuple(basis)
+        self.table = vd.sector_table(self.chamber)
+        self.start = list(accumulate([dim + 1 for dim in self.table.dims], initial=0))[:-1]
+        # carry mask -> sector_product's (coeff, shift), filled on first use
+        self._coefficients: dict[int, tuple[int, int]] = {}
+
+    @cached_property
+    def _basis(self) -> tuple[BasisElement, ...]:
+        table = self.table
+        return tuple(
+            BasisElement(label, k) for label, dim in zip(table.labels, table.dims)
+            for k in range(dim + 1)
+        )
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        table = self.table
+        return [
+            k * table.denominator + age
+            for dim, age in zip(table.dims, map(sum, table.thetas)) for k in range(dim + 1)
+        ]
 
     def basis(self) -> tuple[BasisElement, ...]:
         """Basis in sector order, eta power ascending within each sector."""
@@ -236,33 +261,79 @@ class ChenRuanRing:
 
     # -- products ------------------------------------------------------------
 
+    @cached_property
+    def _lanes(self) -> tuple:
+        """The packed operands of ``pair``, laid out as its docstring says."""
+        table, n = self.table, self.vd.n
+        d, moduli = table.denominator, table.moduli
+        b, c = d.bit_length() + 1, max(moduli).bit_length() + 1
+        thetas = [_pack(row, b) for row in table.thetas]
+        theta_bias = _pack([(1 << b - 1) - d] * n, b)
+        codes = [_pack(code, c) for code in table.codes]
+        code_bias = _pack([(1 << c - 1) - m for m in moduli], c)
+        # for each set of overflowing code lanes: its high bits, and what the
+        # lanes lose, the bias everywhere and the modulus where they overflow
+        reduce = {}
+        for pattern in range(1 << len(moduli)):
+            over = [pattern >> i & 1 for i in range(len(moduli))]
+            reduce[_pack([x << c - 1 for x in over], c)] = code_bias + _pack(
+                [x * m for x, m in zip(over, moduli)], c
+            )
+        return (
+            [x + theta_bias for x in thetas], thetas, _pack([1 << b - 1] * n, b), {},
+            [x + code_bias for x in codes], codes, _pack([1 << c - 1] * len(moduli), c),
+            reduce, {_pack(code, c): h for code, h in table.index.items()}, b,
+        )
+
     def pair(self, s: int, t: int) -> tuple[int, int]:
         """(h, T) of the ordered sector pair: the position h of the composite
         sector s*t (-1 when it is no sector of this chamber) and the bitmask
-        of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}."""
-        table = self.table
-        d, carry = table.denominator, 0
-        for j, (x, y) in enumerate(zip(table.thetas[s], table.thetas[t])):
-            if x + y >= d:
-                carry |= 1 << j
-        return table.index.get(table.compose(table.codes[s], table.codes[t]), -1), carry
+        of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}.
+
+        Each comes from one addition of packed integers.  Theta lane j, of
+        b = D.bit_length() + 1 bits, holds theta_s(j) + 2^(b-1) - D on the
+        left and theta_t(j) on the right.  Numerators lie in [0, D), so the
+        lane sum lies in [1, 2^b): no lane spills into the next, and its high
+        bit is set exactly when theta_s(j) + theta_t(j) >= D; a memo of at
+        most 2^n words maps the high bits to T.  Code lane i, of
+        max(moduli).bit_length() + 1 bits, is biased likewise for modulus
+        m_i; removing the bias, and m_i where the high bit is set, leaves
+        the packed code of s*t, looked up in a packed-code index.  h comes
+        from the codes, not from the theta sums, so that the obstruction
+        phase's re-derivation of theta_r from codes still checks the thetas."""
+        biased, thetas, high, masks, biased_codes, codes, code_high, reduce, index, b = self._lanes
+        word = biased[s] + thetas[t] & high
+        carry = masks.get(word)
+        if carry is None:
+            carry = masks[word] = sum(
+                1 << j for j in range(self.vd.n) if word >> b * j + b - 1 & 1
+            )
+        total = biased_codes[s] + codes[t]
+        return index.get(total - reduce[total & code_high], -1), carry
 
     @cached_property
     def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
         """Rows (composite, carry, product)[s][t] of ``pair`` and ``sector_product``."""
         sectors = range(len(self.table.codes))
-        rows = [[self.pair(s, t) for t in sectors] for s in sectors]
-        products = [[self.sector_product(s, t, *rows[s][t]) for t in sectors] for s in sectors]
+        pair, sector_product = self.pair, self.sector_product
+        rows = [[pair(s, t) for t in sectors] for s in sectors]
+        products = [[sector_product(s, t, *rows[s][t]) for t in sectors] for s in sectors]
         return [[h for h, _ in r] for r in rows], [[c for _, c in r] for r in rows], products
 
     def sector_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int] | None:
         """1_(s) * 1_(t) = coeff * eta^shift 1_(h) by the carry rule, given
         (h, carry) = ``pair(s, t)``: (coeff, shift) = (prod_{j in T} w_j, |T|),
-        or None when h is no sector or the fixed sets of s and t are disjoint."""
+        or None when h is no sector or the fixed sets of s and t are disjoint.
+        The product of weights is formed once per distinct carry mask."""
         if h < 0 or not self.table.fixed[s] & self.table.fixed[t]:
             return None
-        weights = self.vd.weights
-        return prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), carry.bit_count()
+        product = self._coefficients.get(carry)
+        if product is None:
+            weights = self.vd.weights
+            product = self._coefficients[carry] = (
+                prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), carry.bit_count()
+            )
+        return product
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
@@ -595,7 +666,7 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         pairing = _pairing_from_doc(reader, doc["pairing"])
     except ValueError as exc:
         raise DatumFormatError(str(exc)) from exc
-    products = {}
+    products, elements = {}, set(basis)
     for record in doc["products"]:
         if (
             not isinstance(record, dict)
@@ -604,7 +675,15 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
             or not (0 <= record["i"] < size and 0 <= record["j"] < size)
         ):
             raise DatumFormatError(f"a product record must have integer 'i' and 'j' in [0, {size})")
-        products[(record["i"], record["j"])] = reader.cr_class(record.get("terms"))
+        key = record["i"], record["j"]
+        if key[0] > key[1]:
+            raise DatumFormatError(f"product record {key} must have i <= j")
+        if key in products:
+            raise DatumFormatError(f"product record {key} is repeated")
+        value = products[key] = reader.cr_class(record.get("terms"))
+        if not value._terms.keys() <= elements:
+            outside = min(value._terms.keys() - elements)
+            raise DatumFormatError(f"product record {key} names {outside}, outside the basis")
     return StructureTable(basis, degrees, pairing, products)
 
 

@@ -91,9 +91,11 @@ def test_reader_with_datum_refuses_a_label_that_is_no_sector(weights, c):
 def test_table_reader_with_datum_checks_products(wp112):
     doc = table_to_doc(ChenRuanRing(wp112).structure_constants())
     doc["products"][0]["terms"][0]["eta_power"] = 7
-    with pytest.raises(DatumFormatError):
+    with pytest.raises(DatumFormatError, match=r"eta power 7 of c=0 is outside \[0, 2\]"):
         table_from_doc(doc, wp112)
-    assert table_from_doc(doc).products[(0, 0)].items()[0][0].k == 7
+    # without the datum, the table's own basis refuses the term
+    with pytest.raises(DatumFormatError, match=r"names eta\^7\*1_\(c=0\), outside the basis"):
+        table_from_doc(doc)
 
 
 def test_reader_shares_one_value_per_distinct_string(wp112):
