@@ -682,7 +682,7 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
             raise DatumFormatError(f"product record {key} is repeated")
         value = products[key] = reader.cr_class(record.get("terms"))
         if not value._terms.keys() <= elements:
-            outside = min(value._terms.keys() - elements)
+            outside = next(e for e in value._terms if e not in elements)
             raise DatumFormatError(f"product record {key} names {outside}, outside the basis")
     return StructureTable(basis, degrees, pairing, products)
 
