@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -269,13 +270,20 @@ def _load(path: str) -> ValidatedDatum:
 
 def _structured(doc) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, byte for byte, for a
-    document of str, int, bool, None, lists, tuples and str-keyed dicts."""
-    return _json(doc, "") + "\n"
+    document of str, int, bool, None, lists, tuples and str-keyed dicts.
+    A list or tuple of records (dicts) met at several places
+    (``table_to_doc`` shares one ``terms`` list among equal products) is
+    rendered once per indentation in this call; other nodes pay for no
+    memo."""
+    return _json(doc, "", {}) + "\n"
 
 
-def _json(value, pad: str) -> str:
+def _json(value, pad: str, memo: dict) -> str:
     """The indent-2 JSON text of ``value`` at indentation ``pad``; a list of
-    strings is quoted and joined in C."""
+    strings is quoted and joined in C.  ``memo`` maps the id of a list or
+    tuple holding a dict to its last indentation and text.  The loops are
+    written out: before CPython 3.12 a comprehension makes ``inner`` and
+    ``memo`` closure cells, built on every call, a scalar's included."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -288,15 +296,27 @@ def _json(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {str}:
+        types = set(map(type, value))
+        if dict in types:
+            known = memo.get(id(value))
+            if known is not None and known[0] == pad:
+                return known[1]
+        if types == {str}:
             items = map(_quote, value)
         else:
-            items = [_json(v, inner) for v in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+            items = []
+            for v in value:
+                items.append(_json(v, inner, memo))
+        text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+        if dict in types:
+            memo[id(value)] = pad, text
+        return text
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()]
+        items = []
+        for k, v in value.items():
+            items.append(f"{_quote(k)}: {_json(v, inner, memo)}")
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -409,13 +429,15 @@ def _cmd_table(args, vd: ValidatedDatum) -> tuple[str, int]:
         for i, e in enumerate(table.basis):
             rows.append(["basis", str(i), str(e.k), str(e.sector)])
         for i, row in enumerate(table.pairing):
-            for j, v in enumerate(row):
-                if v != 0:
-                    rows.append(["pairing", str(i), str(j), format_rational(v)])
+            for j in compress(range(len(row)), row):
+                rows.append(["pairing", str(i), str(j), format_rational(row[j])])
+        cells: dict[int, str] = {}  # id of a product value -> its cell
         for (i, j), value in sorted(table.products.items()):
-            cell = " + ".join(
-                f"{format_rational(c)}*{e}" for e, c in value.items()
-            )
+            cell = cells.get(id(value))
+            if cell is None:
+                cell = cells[id(value)] = " + ".join(
+                    f"{format_rational(c)}*{e}" for e, c in value.items()
+                )
             rows.append(["product", str(i), str(j), cell])
         return _tsv(rows), 0
     return _structured(table_to_doc(table)), 0

@@ -408,7 +408,8 @@ class ChenRuanRing:
                 yield self.start[s] + k, u + dim - k, s
 
     def structure_constants(self) -> StructureTable:
-        """Deterministic full tables; products are stored sparsely for i <= j."""
+        """Deterministic full tables; products are stored sparsely for i <= j.
+        Equal products are one ``CRClass`` object, built once per call."""
         table, basis = self.table, self._basis
         degrees = tuple(Fraction(2 * x, table.denominator) for x in self.degrees)
         zero = Fraction(0)
@@ -416,13 +417,17 @@ class ChenRuanRing:
         for i, j, s in self._pairing_entries():
             pairing[i][j] = Fraction(1, self.pairing_denominator(s))
         products: dict[tuple[int, int], CRClass] = {}
+        classes: dict[tuple[int, int], CRClass] = {}  # (target, coeff) -> its class
         for s in range(len(table.codes)):
             for t in range(s, len(table.codes)):
                 h, carry = self.pair(s, t)
                 product = self.sector_product(s, t, h, carry)
                 for i, j, target, coeff in self._basis_products(s, t, h, product):
                     if i <= j:
-                        products[(i, j)] = CRClass.single(basis[target], coeff)
+                        value = classes.get((target, coeff))
+                        if value is None:
+                            value = classes[target, coeff] = CRClass.single(basis[target], coeff)
+                        products[(i, j)] = value
         return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
 
     # -- axioms ------------------------------------------------------------------
@@ -550,10 +555,13 @@ class ChenRuanRing:
 
 
 class _Reader:
-    """Parser of one wire document.  It parses each distinct rational string
-    and each distinct sector label document once, and lives for one call of
-    a ``*_from_doc`` function.  Every record still gets its own shape and
-    type checks; a memo is consulted only once they have passed.
+    """Parser of one wire document, living for one call of a ``*_from_doc``
+    function.  It parses each distinct rational string and each distinct
+    sector label document once, builds one ``BasisElement`` per (label,
+    eta power) and one ``CRClass`` per sequence of (element, coefficient)
+    objects, so equal product records of a table share one class.  Every
+    record still gets its own shape and type checks; a memo is consulted
+    only once they have passed.
 
     With a datum, a basis element must name a sector of the datum's chamber
     and an eta power in [0, dim] of that sector.
@@ -565,6 +573,10 @@ class _Reader:
         self.rationals: dict[str, Fraction] = {}
         # (c text, finite components) -> (label, sector dim or None)
         self.labels: dict[tuple, tuple[SectorLabel, int | None]] = {}
+        self.elements: dict[tuple[SectorLabel, int], BasisElement] = {}
+        # ids of a class document's elements and coefficients, in order -> its
+        # class and those objects, held so that no id is reused in the call
+        self.classes: dict[tuple[int, ...], tuple[CRClass, list]] = {}
 
     def rational(self, text: object) -> Fraction:
         value = self.rationals.get(text) if type(text) is str else None
@@ -597,20 +609,32 @@ class _Reader:
         label, dim = self.sector(doc["sector"])
         if dim is not None and not 0 <= k <= dim:
             raise DatumFormatError(f"eta power {k} of {label} is outside [0, {dim}]")
-        return BasisElement(label, k)
+        element = self.elements.get((label, k))
+        if element is None:
+            element = self.elements[label, k] = BasisElement(label, k)
+        return element
 
     def cr_class(self, doc: object) -> CRClass:
+        """The class of a document, repeated elements merged."""
         if not isinstance(doc, list):
             raise DatumFormatError("a class document must be a list of term records")
-        terms: dict[BasisElement, Fraction] = {}
+        terms = []
         for record in doc:
             element = self.element(record)
             try:
-                coeff = self.rational(record["coeff"])
+                terms.append((element, self.rational(record["coeff"])))
             except (KeyError, ValueError) as exc:
                 raise DatumFormatError(f"a term record needs a rational 'coeff': {exc}") from exc
-            terms[element] = terms[element] + coeff if element in terms else coeff
-        return CRClass(terms)
+        key = tuple(map(id, chain.from_iterable(terms)))
+        known = self.classes.get(key)
+        if known is not None:
+            return known[0]
+        merged: dict[BasisElement, Fraction] = {}
+        for element, coeff in terms:
+            merged[element] = merged[element] + coeff if element in merged else coeff
+        value = CRClass(merged)
+        self.classes[key] = value, terms
+        return value
 
 
 def element_from_doc(doc: object, vd: ValidatedDatum | None = None) -> BasisElement:
@@ -631,14 +655,22 @@ def cr_class_from_doc(doc: object, vd: ValidatedDatum | None = None) -> CRClass:
 
 
 def table_to_doc(table: StructureTable) -> dict:
+    """The wire document of a table.  Product records whose values are one
+    ``CRClass`` object share one ``terms`` list, so a caller who edits the
+    document should copy it through JSON text first; basis documents are
+    never shared."""
+    terms: dict[int, list[dict]] = {}  # id of a product value -> its terms
+    products = []
+    for key, value in sorted(table.products.items()):
+        shared = terms.get(id(value))
+        if shared is None:
+            shared = terms[id(value)] = cr_class_to_doc(value)
+        products.append({"i": key[0], "j": key[1], "terms": shared})
     return {
         "basis": [element_to_doc(e.sector, e.k) for e in table.basis],
         "degrees": [format_rational(d) for d in table.degrees],
         "pairing": list(map(_pairing_row, table.pairing)),
-        "products": [
-            {"i": i, "j": j, "terms": cr_class_to_doc(value)}
-            for (i, j), value in sorted(table.products.items())
-        ],
+        "products": products,
     }
 
 
@@ -666,7 +698,7 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         pairing = _pairing_from_doc(reader, doc["pairing"])
     except ValueError as exc:
         raise DatumFormatError(str(exc)) from exc
-    products, elements = {}, set(basis)
+    products, elements, checked = {}, set(basis), set()
     for record in doc["products"]:
         if (
             not isinstance(record, dict)
@@ -681,10 +713,31 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         if key in products:
             raise DatumFormatError(f"product record {key} is repeated")
         value = products[key] = reader.cr_class(record.get("terms"))
-        if not value._terms.keys() <= elements:
-            outside = next(e for e in value._terms if e not in elements)
-            raise DatumFormatError(f"product record {key} names {outside}, outside the basis")
+        # per record, not per class: a class merges repeated terms and drops
+        # zero ones, which no table writes
+        if not value._terms or len(value._terms) != len(record["terms"]):
+            raise DatumFormatError(_unwritten(key, reader, record["terms"]))
+        if id(value) not in checked:
+            if not value._terms.keys() <= elements:
+                outside = next(e for e in value._terms if e not in elements)
+                raise DatumFormatError(f"product record {key} names {outside}, outside the basis")
+            checked.add(id(value))
     return StructureTable(basis, degrees, pairing, products)
+
+
+def _unwritten(key: tuple[int, int], reader: _Reader, terms: list[dict]) -> str:
+    """Why the terms of product record ``key``, which ``reader`` has read,
+    are none that a table writes: a zero coefficient, an element named
+    twice or no term at all."""
+    seen = set()
+    for term in terms:
+        element = reader.element(term)
+        if not reader.rational(term["coeff"]):
+            return f"product record {key} has a zero coefficient of {element}"
+        if element in seen:
+            return f"product record {key} names {element} twice"
+        seen.add(element)
+    return f"product record {key} has no terms: a table stores nonzero products only"
 
 
 def _pairing_from_doc(reader: _Reader, rows: list[list]) -> tuple[tuple[Fraction, ...], ...]:

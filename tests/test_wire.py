@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -20,6 +21,9 @@ from crring import (
     validate_datum,
 )
 from crring.ring import element_from_doc
+
+from test_golden import DATA as GOLDEN_DATA
+from test_golden import GOLDEN
 
 
 def _datum_doc(**changes) -> dict:
@@ -119,6 +123,60 @@ def test_label_memo_never_skips_a_records_checks(with_datum):
         cr_class_from_doc([good, bad], vd)
 
 
+def _last_term(field: str, value):
+    """An edit of the last product record's first term: ``field`` set to
+    ``value``, or removed when ``value`` is None."""
+
+    def edit(doc):
+        term = doc["products"][-1]["terms"][0]
+        if value is None:
+            del term[field]
+        else:
+            term[field] = value
+
+    return edit
+
+
+@pytest.mark.parametrize("with_datum", [False, True], ids=["bare", "datum"])
+@pytest.mark.parametrize(
+    "edit,bare,datum",
+    [
+        (_last_term("eta_power", True), "eta_power must be an integer, got True", None),
+        (
+            _last_term("coeff", 1),
+            "a term record needs a rational 'coeff': not a rational in p/q form: 1",
+            None,
+        ),
+        (_last_term("coeff", None), "a term record needs a rational 'coeff': 'coeff'", None),
+        (
+            _last_term("eta_power", 7),
+            "product record (3, 3) names eta^7*1_(c=0), outside the basis",
+            "eta power 7 of c=0 is outside [0, 2]",
+        ),
+    ],
+    ids=["eta-power-bool", "coeff-int", "coeff-missing", "term-outside-the-basis"],
+)
+def test_class_memo_never_skips_a_records_checks(with_datum, edit, bare, datum):
+    # on P(1,1,2), records (0, 2), (1, 1) and (3, 3) are all eta^2*1_(c=0):
+    # the last record repeats a class the reader has already built and checked
+    vd = validate_datum(QuotientDatum((1, 1, 2)))
+    doc = json.loads(json.dumps(table_to_doc(ChenRuanRing(vd).structure_constants())))
+    table = table_from_doc(doc, vd if with_datum else None)
+    assert table.products[(3, 3)] is table.products[(1, 1)] is table.products[(0, 2)]
+    with pytest.raises(DatumFormatError) as caught:
+        table_from_doc(_broken(doc, edit), vd if with_datum else None)
+    assert str(caught.value) == (datum or bare if with_datum else bare)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.table.json")), ids=lambda p: p.stem)
+def test_golden_tables_reemit_as_read(path):
+    doc = json.loads(path.read_text())
+    datum = GOLDEN_DATA[path.name.split(".")[0]]
+    vd = validate_datum(datum_from_doc(json.loads(datum.read_text())))
+    for reader_vd in (None, vd):
+        assert table_to_doc(table_from_doc(doc, reader_vd)) == doc
+
+
 @pytest.fixture(scope="module")
 def table_doc():
     vd = validate_datum(QuotientDatum((1, 1, 2)))
@@ -132,36 +190,59 @@ def _broken(doc: dict, edit) -> dict:
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,message",
     [
-        lambda d: d.pop("products"),
-        lambda d: d.pop("basis"),
-        lambda d: d.update(degrees="2"),
-        lambda d: d.update(pairing=[["1"], "0"]),
-        lambda d: d["pairing"][0].__setitem__(0, 1),
-        lambda d: d["degrees"].__setitem__(0, None),
-        lambda d: d["products"][0].pop("terms"),
-        lambda d: d["products"][0].pop("i"),
-        lambda d: d["products"][0].__setitem__("j", True),
-        lambda d: d["products"][0].__setitem__("i", "0"),
-        lambda d: d["products"].__setitem__(0, 7),
-        lambda d: d["basis"][0].__setitem__("eta_power", False),
-        lambda d: d["degrees"].append("0"),
-        lambda d: d["degrees"].pop(),
-        lambda d: d["pairing"].pop(),
-        lambda d: d["pairing"][0].pop(),
-        lambda d: d["pairing"][1].append("0"),
-        lambda d: d["products"][0].__setitem__("i", 7),
-        lambda d: d["products"][0].__setitem__("j", -3),
-        lambda d: d["products"][0].__setitem__("j", len(d["basis"])),
+        (lambda d: d.pop("products"), None),
+        (lambda d: d.pop("basis"), None),
+        (lambda d: d.update(degrees="2"), None),
+        (lambda d: d.update(pairing=[["1"], "0"]), None),
+        (lambda d: d["pairing"][0].__setitem__(0, 1), None),
+        (lambda d: d["degrees"].__setitem__(0, None), None),
+        (lambda d: d["products"][0].pop("terms"), None),
+        (lambda d: d["products"][0].pop("i"), None),
+        (lambda d: d["products"][0].__setitem__("j", True), None),
+        (lambda d: d["products"][0].__setitem__("i", "0"), None),
+        (lambda d: d["products"].__setitem__(0, 7), None),
+        (lambda d: d["basis"][0].__setitem__("eta_power", False), None),
+        (lambda d: d["degrees"].append("0"), None),
+        (lambda d: d["degrees"].pop(), None),
+        (lambda d: d["pairing"].pop(), None),
+        (lambda d: d["pairing"][0].pop(), None),
+        (lambda d: d["pairing"][1].append("0"), None),
+        (lambda d: d["products"][0].__setitem__("i", 7), None),
+        (lambda d: d["products"][0].__setitem__("j", -3), None),
+        (lambda d: d["products"][0].__setitem__("j", len(d["basis"])), None),
         # one basis element, three degrees, pairing rows of two and one entries
-        lambda d: d.update(
-            basis=d["basis"][:1], degrees=["0", "2", "4"], pairing=[["1/2", "0"], ["0"]],
-            products=[{"i": 7, "j": -3, "terms": []}],
+        (
+            lambda d: d.update(
+                basis=d["basis"][:1], degrees=["0", "2", "4"], pairing=[["1/2", "0"], ["0"]],
+                products=[{"i": 7, "j": -3, "terms": []}],
+            ),
+            None,
         ),
-        lambda d: d["products"].append(copy.deepcopy(d["products"][0])),
-        lambda d: d["products"][3].update(i=3, j=0),
-        lambda d: d["products"][0]["terms"][0]["sector"].__setitem__("c", "1/3"),
+        (lambda d: d["products"].append(copy.deepcopy(d["products"][0])), None),
+        (lambda d: d["products"][3].update(i=3, j=0), None),
+        (lambda d: d["products"][0]["terms"][0]["sector"].__setitem__("c", "1/3"), None),
+        # terms that no table writes: a zero product, a zero coefficient, a
+        # term named twice and two terms that cancel
+        (
+            lambda d: d["products"][0].__setitem__("terms", []),
+            "product record (0, 0) has no terms: a table stores nonzero products only",
+        ),
+        (
+            lambda d: d["products"][0]["terms"][0].__setitem__("coeff", "0"),
+            "product record (0, 0) has a zero coefficient of eta^0*1_(c=0)",
+        ),
+        (
+            lambda d: d["products"][0]["terms"].append(dict(d["products"][0]["terms"][0])),
+            "product record (0, 0) names eta^0*1_(c=0) twice",
+        ),
+        (
+            lambda d: d["products"][0]["terms"].append(
+                {**d["products"][0]["terms"][0], "coeff": "-1"}
+            ),
+            "product record (0, 0) names eta^0*1_(c=0) twice",
+        ),
     ],
     ids=[
         "missing-products",
@@ -188,11 +269,17 @@ def _broken(doc: dict, edit) -> dict:
         "repeated-record",
         "i-above-j",
         "term-outside-the-basis",
+        "terms-empty",
+        "coeff-zero",
+        "term-repeated",
+        "terms-cancel",
     ],
 )
-def test_table_doc_rejects_malformed(table_doc, edit):
-    with pytest.raises(DatumFormatError):
+def test_table_doc_rejects_malformed(table_doc, edit, message):
+    with pytest.raises(DatumFormatError) as caught:
         table_from_doc(_broken(table_doc, edit))
+    if message is not None:
+        assert str(caught.value) == message
 
 
 def test_table_doc_rejects_a_non_mapping():

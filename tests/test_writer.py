@@ -43,3 +43,43 @@ def test_structured_is_json_dumps_indent_2(doc):
 def test_structured_refuses_what_the_package_never_writes(doc):
     with pytest.raises(TypeError):
         cli._structured(doc)
+
+
+@st.composite
+def shared_documents(draw):
+    """Documents holding one list of records (dicts), and one list, tuple or
+    dict around it, each at several positions and depths."""
+    records = st.dictionaries(strings, scalars, max_size=3)
+    first, rest = draw(st.tuples(records, st.lists(records | scalars, max_size=3)))
+    inner = [first, *rest]
+    children = (
+        scalars
+        | st.just(inner)
+        | st.dictionaries(strings, st.just(inner) | scalars, min_size=1, max_size=2)
+    )
+    node = draw(
+        st.lists(children, min_size=1, max_size=4)
+        | st.lists(children, min_size=1, max_size=4).map(tuple)
+        | st.dictionaries(strings, children, min_size=1, max_size=4)
+    )
+    skeleton = draw(
+        st.recursive(
+            st.just(node) | st.just(inner) | scalars,
+            lambda nested: (
+                st.lists(nested, max_size=4) | st.dictionaries(strings, nested, max_size=4)
+            ),
+            max_leaves=10,
+        )
+    )
+    return [node, {"deep": [[node], inner]}, skeleton, inner]
+
+
+_terms = [{"coeff": "1"}]
+_record = {"terms": _terms, "rows": [_terms, [_terms]]}
+
+
+@given(shared_documents())
+@example([_terms, {"deep": [[_terms], _terms]}, _terms])
+@example({"products": [_record, _record, [_record]], "terms": _terms})
+def test_structured_renders_a_shared_node_at_each_of_its_indentations(doc):
+    assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
