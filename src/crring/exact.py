@@ -10,7 +10,9 @@ decimal digit, Unicode digits included), not necessarily in lowest terms,
 and returns the value ``Fraction(text)`` would; anything else, a zero
 denominator, or a non-str raises ``ValueError``.  Equal strings give equal
 values, so a reader may parse each distinct string once and share the
-resulting ``Fraction`` object among all its occurrences.
+resulting ``Fraction`` object among all its occurrences.  The document
+readers in ``ring`` also require the writer's text, ``format_rational`` of
+the value; ``parse_rational`` stays lenient for the CLI's ``c=`` flags.
 """
 
 from __future__ import annotations

@@ -183,7 +183,7 @@ class SelfTestReport:
 @dataclass(frozen=True)
 class StructureTable:
     """The complete multiplication data of the ring: ordered basis, degrees,
-    dense pairing matrix, and the nonzero products for index pairs i <= j."""
+    dense pairing matrix, and the nonzero products for i <= j, each one term."""
 
     basis: tuple[BasisElement, ...]
     degrees: tuple[Fraction, ...]
@@ -556,12 +556,11 @@ class ChenRuanRing:
 
 class _Reader:
     """Parser of one wire document, living for one call of a ``*_from_doc``
-    function.  It parses each distinct rational string and each distinct
-    sector label document once, builds one ``BasisElement`` per (label,
-    eta power) and one ``CRClass`` per sequence of (element, coefficient)
-    objects, so equal product records of a table share one class.  Every
-    record still gets its own shape and type checks; a memo is consulted
-    only once they have passed.
+    function.  It reads each distinct rational string and each distinct
+    sector label document once, and builds one ``BasisElement`` per (label,
+    eta power).  A rational must be written as ``format_rational`` writes
+    it.  Every record still gets its own shape and type checks; a memo is
+    consulted only once they have passed.
 
     With a datum, a basis element must name a sector of the datum's chamber
     and an eta power in [0, dim] of that sector.
@@ -574,14 +573,14 @@ class _Reader:
         # (c text, finite components) -> (label, sector dim or None)
         self.labels: dict[tuple, tuple[SectorLabel, int | None]] = {}
         self.elements: dict[tuple[SectorLabel, int], BasisElement] = {}
-        # ids of a class document's elements and coefficients, in order -> its
-        # class and those objects, held so that no id is reused in the call
-        self.classes: dict[tuple[int, ...], tuple[CRClass, list]] = {}
 
     def rational(self, text: object) -> Fraction:
         value = self.rationals.get(text) if type(text) is str else None
         if value is None:
-            value = self.rationals[text] = parse_rational(text)
+            value = parse_rational(text)
+            if format_rational(value) != text:
+                raise ValueError(f"rational {text!r} must be written {format_rational(value)!r}")
+            self.rationals[text] = value
         return value
 
     def sector(self, doc: object) -> tuple[SectorLabel, int | None]:
@@ -614,8 +613,8 @@ class _Reader:
             element = self.elements[label, k] = BasisElement(label, k)
         return element
 
-    def cr_class(self, doc: object) -> CRClass:
-        """The class of a document, repeated elements merged."""
+    def terms(self, doc: object) -> list[tuple[BasisElement, Fraction]]:
+        """The (element, coefficient) pairs of a class document, in order."""
         if not isinstance(doc, list):
             raise DatumFormatError("a class document must be a list of term records")
         terms = []
@@ -625,16 +624,7 @@ class _Reader:
                 terms.append((element, self.rational(record["coeff"])))
             except (KeyError, ValueError) as exc:
                 raise DatumFormatError(f"a term record needs a rational 'coeff': {exc}") from exc
-        key = tuple(map(id, chain.from_iterable(terms)))
-        known = self.classes.get(key)
-        if known is not None:
-            return known[0]
-        merged: dict[BasisElement, Fraction] = {}
-        for element, coeff in terms:
-            merged[element] = merged[element] + coeff if element in merged else coeff
-        value = CRClass(merged)
-        self.classes[key] = value, terms
-        return value
+        return terms
 
 
 def element_from_doc(doc: object, vd: ValidatedDatum | None = None) -> BasisElement:
@@ -651,7 +641,11 @@ def cr_class_to_doc(value: CRClass) -> list[dict]:
 
 
 def cr_class_from_doc(doc: object, vd: ValidatedDatum | None = None) -> CRClass:
-    return _Reader(vd).cr_class(doc)
+    """The class of a document, repeated elements merged."""
+    merged: dict[BasisElement, Fraction] = {}
+    for element, coeff in _Reader(vd).terms(doc):
+        merged[element] = merged[element] + coeff if element in merged else coeff
+    return CRClass(merged)
 
 
 def table_to_doc(table: StructureTable) -> dict:
@@ -683,6 +677,8 @@ def _pairing_row(row: tuple[Fraction, ...]) -> list[str]:
 
 
 def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTable:
+    """Read a table by the writer's rule: records in increasing (i, j) order,
+    i <= j, each one nonzero term on an element of the table's basis."""
     fields = ("basis", "degrees", "pairing", "products")
     if not isinstance(doc, dict) or not all(isinstance(doc.get(f), list) for f in fields):
         raise DatumFormatError(f"a table document must map {', '.join(fields)} to lists")
@@ -698,7 +694,9 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         pairing = _pairing_from_doc(reader, doc["pairing"])
     except ValueError as exc:
         raise DatumFormatError(str(exc)) from exc
-    products, elements, checked = {}, set(basis), set()
+    # classes maps the ids of a term's element and coefficient to its class;
+    # the reader's memos hold both objects for the call, so no id is reused
+    products, elements, last, classes = {}, set(basis), (-1, -1), {}
     for record in doc["products"]:
         if (
             not isinstance(record, dict)
@@ -710,34 +708,22 @@ def table_from_doc(doc: object, vd: ValidatedDatum | None = None) -> StructureTa
         key = record["i"], record["j"]
         if key[0] > key[1]:
             raise DatumFormatError(f"product record {key} must have i <= j")
-        if key in products:
-            raise DatumFormatError(f"product record {key} is repeated")
-        value = products[key] = reader.cr_class(record.get("terms"))
-        # per record, not per class: a class merges repeated terms and drops
-        # zero ones, which no table writes
-        if not value._terms or len(value._terms) != len(record["terms"]):
-            raise DatumFormatError(_unwritten(key, reader, record["terms"]))
-        if id(value) not in checked:
-            if not value._terms.keys() <= elements:
-                outside = next(e for e in value._terms if e not in elements)
-                raise DatumFormatError(f"product record {key} names {outside}, outside the basis")
-            checked.add(id(value))
+        if key <= last:
+            raise DatumFormatError(f"product record {key} does not follow {last}")
+        terms = reader.terms(record.get("terms"))
+        if len(terms) != 1:
+            raise DatumFormatError(f"product record {key} has {len(terms)} terms, not 1")
+        [(element, coeff)] = terms
+        value = classes.get((id(element), id(coeff)))
+        if value is None:
+            if not coeff:
+                raise DatumFormatError(f"product record {key} has a zero coefficient of {element}")
+            if element not in elements:
+                raise DatumFormatError(f"product record {key} names {element}, outside the basis")
+            value = classes[id(element), id(coeff)] = CRClass.single(element, coeff)
+        products[key] = value
+        last = key
     return StructureTable(basis, degrees, pairing, products)
-
-
-def _unwritten(key: tuple[int, int], reader: _Reader, terms: list[dict]) -> str:
-    """Why the terms of product record ``key``, which ``reader`` has read,
-    are none that a table writes: a zero coefficient, an element named
-    twice or no term at all."""
-    seen = set()
-    for term in terms:
-        element = reader.element(term)
-        if not reader.rational(term["coeff"]):
-            return f"product record {key} has a zero coefficient of {element}"
-        if element in seen:
-            return f"product record {key} names {element} twice"
-        seen.add(element)
-    return f"product record {key} has no terms: a table stores nonzero products only"
 
 
 def _pairing_from_doc(reader: _Reader, rows: list[list]) -> tuple[tuple[Fraction, ...], ...]:

@@ -96,19 +96,42 @@ def test_element_doc_keeps_an_integer_eta_power():
     assert element.k == 1 and type(element.k) is int
 
 
+_COEFF = "a term record needs a rational 'coeff':"
+
+
+def _unit_term(coeff: str) -> list[dict]:
+    return [{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": coeff}]
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc,message",
     [
-        [{"sector": {"c": "0", "finite": []}, "eta_power": 0}],
-        [{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": 2}],
-        [{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": "x"}],
-        ["term"],
+        ([{"sector": {"c": "0", "finite": []}, "eta_power": 0}], None),
+        ([{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": 2}], None),
+        ([{"sector": {"c": "0", "finite": []}, "eta_power": 0, "coeff": "x"}], None),
+        (["term"], None),
+        # rational text the writer never writes
+        (_unit_term("2/4"), f"{_COEFF} rational '2/4' must be written '1/2'"),
+        (_unit_term("-0"), f"{_COEFF} rational '-0' must be written '0'"),
+        (_unit_term("\u0661"), f"{_COEFF} rational '\u0661' must be written '1'"),
     ],
-    ids=["missing-coeff", "coeff-int", "coeff-text", "record-str"],
+    ids=[
+        "missing-coeff",
+        "coeff-int",
+        "coeff-text",
+        "record-str",
+        "coeff-unreduced",
+        "coeff-minus-zero",
+        "coeff-unicode-digit",
+    ],
 )
-def test_class_doc_rejects_malformed(doc):
-    with pytest.raises(DatumFormatError):
-        cr_class_from_doc(doc)
+def test_class_doc_rejects_malformed(doc, message):
+    # a pinned text is the same with the datum
+    for vd in (None, validate_datum(datum_from_doc(_datum_doc()))) if message else (None,):
+        with pytest.raises(DatumFormatError) as caught:
+            cr_class_from_doc(doc, vd)
+        if message is not None:
+            assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("with_datum", [False, True], ids=["bare", "datum"])
@@ -175,6 +198,11 @@ def test_golden_tables_reemit_as_read(path):
     vd = validate_datum(datum_from_doc(json.loads(datum.read_text())))
     for reader_vd in (None, vd):
         assert table_to_doc(table_from_doc(doc, reader_vd)) == doc
+    # the writer's rule, which the reader enforces: one term per record, in
+    # strictly increasing (i, j) order
+    keys = [(record["i"], record["j"]) for record in doc["products"]]
+    assert keys == sorted(set(keys))
+    assert all(len(record["terms"]) == 1 for record in doc["products"])
 
 
 @pytest.fixture(scope="module")
@@ -224,10 +252,10 @@ def _broken(doc: dict, edit) -> dict:
         (lambda d: d["products"][3].update(i=3, j=0), None),
         (lambda d: d["products"][0]["terms"][0]["sector"].__setitem__("c", "1/3"), None),
         # terms that no table writes: a zero product, a zero coefficient, a
-        # term named twice and two terms that cancel
+        # term named twice, two terms that cancel and two different terms
         (
             lambda d: d["products"][0].__setitem__("terms", []),
-            "product record (0, 0) has no terms: a table stores nonzero products only",
+            "product record (0, 0) has 0 terms, not 1",
         ),
         (
             lambda d: d["products"][0]["terms"][0].__setitem__("coeff", "0"),
@@ -235,14 +263,40 @@ def _broken(doc: dict, edit) -> dict:
         ),
         (
             lambda d: d["products"][0]["terms"].append(dict(d["products"][0]["terms"][0])),
-            "product record (0, 0) names eta^0*1_(c=0) twice",
+            "product record (0, 0) has 2 terms, not 1",
         ),
         (
             lambda d: d["products"][0]["terms"].append(
                 {**d["products"][0]["terms"][0], "coeff": "-1"}
             ),
-            "product record (0, 0) names eta^0*1_(c=0) twice",
+            "product record (0, 0) has 2 terms, not 1",
         ),
+        (
+            lambda d: d["products"][0]["terms"].append({**d["basis"][1], "coeff": "1"}),
+            "product record (0, 0) has 2 terms, not 1",
+        ),
+        # records in the writer's (i, j) order: (1, 1) and (3, 3) exchanged
+        (
+            lambda d: d["products"].__setitem__(slice(4, 6), d["products"][5:3:-1]),
+            "product record (1, 1) does not follow (3, 3)",
+        ),
+        # rational text the writer never writes
+        (
+            lambda d: d["products"][0]["terms"][0].__setitem__("coeff", "2/2"),
+            f"{_COEFF} rational '2/2' must be written '1'",
+        ),
+        (
+            lambda d: d["products"][0]["terms"][0].__setitem__("coeff", "1/1"),
+            f"{_COEFF} rational '1/1' must be written '1'",
+        ),
+        (lambda d: d["degrees"].__setitem__(0, "-0"), "rational '-0' must be written '0'"),
+        (lambda d: d["degrees"].__setitem__(1, "02"), "rational '02' must be written '2'"),
+        (
+            lambda d: d["degrees"].__setitem__(1, "\u0662"),
+            "rational '\u0662' must be written '2'",
+        ),
+        (lambda d: d["pairing"][0].__setitem__(0, "00"), "rational '00' must be written '0'"),
+        (lambda d: d["pairing"][0].__setitem__(2, "2/4"), "rational '2/4' must be written '1/2'"),
     ],
     ids=[
         "missing-products",
@@ -273,13 +327,24 @@ def _broken(doc: dict, edit) -> dict:
         "coeff-zero",
         "term-repeated",
         "terms-cancel",
+        "two-terms",
+        "records-swapped",
+        "coeff-unreduced",
+        "coeff-over-one",
+        "degree-minus-zero",
+        "degree-leading-zero",
+        "degree-unicode-digit",
+        "pairing-entry-leading-zero",
+        "pairing-entry-unreduced",
     ],
 )
 def test_table_doc_rejects_malformed(table_doc, edit, message):
-    with pytest.raises(DatumFormatError) as caught:
-        table_from_doc(_broken(table_doc, edit))
-    if message is not None:
-        assert str(caught.value) == message
+    # a pinned text is the same with the datum
+    for vd in (None, validate_datum(QuotientDatum((1, 1, 2)))) if message else (None,):
+        with pytest.raises(DatumFormatError) as caught:
+            table_from_doc(_broken(table_doc, edit), vd)
+        if message is not None:
+            assert str(caught.value) == message
 
 
 def test_table_doc_rejects_a_non_mapping():
@@ -301,6 +366,10 @@ def test_table_doc_rejects_a_non_mapping():
         ({(1, 2): True, (2, 1): 1}, "not a rational in p/q form: True"),
         ({(0, 2): "1/0", (2, 0): "x"}, "zero denominator in '1/0'"),
         ({(2, 0): "1/0", (0, 2): "x"}, "not a rational in p/q form: 'x'"),
+        # text the writer never writes, before a malformed entry
+        ({(0, 1): "00", (1, 0): "x"}, "rational '00' must be written '0'"),
+        ({(0, 2): "2/4", (2, 0): None}, "rational '2/4' must be written '1/2'"),
+        ({(0, 1): "-0", (1, 0): [1]}, "rational '-0' must be written '0'"),
     ],
     ids=[
         "int",
@@ -314,6 +383,9 @@ def test_table_doc_rejects_a_non_mapping():
         "true-then-1",
         "zero-denominator-first",
         "bad-string-first",
+        "leading-zero-then-bad-string",
+        "unreduced-then-null",
+        "minus-zero-then-list",
     ],
 )
 def test_table_reader_names_the_first_bad_pairing_entry(table_doc, entries, message):
