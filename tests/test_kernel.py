@@ -1,6 +1,7 @@
-"""Reference checks of the integer sector kernel: theta numerators, the
-carry-rule products and the closed-form localized value are re-derived from
-the Fraction definitions on the demo data, one all-negative datum and the
+"""Reference checks of the integer sector kernel: the sector tables are
+rebuilt by a per-candidate loop, and theta numerators, the carry-rule
+products and the closed-form localized value are re-derived from the
+Fraction definitions, on the demo data, one all-negative datum and the
 seeded data of acceptance criterion 6."""
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from crring import (
     BasisElement,
@@ -28,7 +30,9 @@ from crring import (
     triple_localized,
     validate_datum,
 )
+from crring.quotient import CHAMBERS
 from test_acceptance import _random_datum
+from test_ring import data
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -51,6 +55,54 @@ SAMPLE = DEMOS + [NEGATIVE] + [
 
 def _ids(data):
     return [f"{d.weights}{'+A' if d.finite else ''}" for d in data]
+
+
+def reference_table(vd, chamber: str) -> dict:
+    """The fields of a chamber's sector table by a per-candidate loop: every
+    code that fixes some coordinate, in sorted order, with its numerators
+    and fixed mask computed one candidate at a time."""
+    d = vd.denominator
+    rows = [[p * (d // f.order) for p in f.phases] for f in vd.finite]
+    candidates = set()
+    for a in itertools.product(*(range(f.order) for f in vd.finite)):
+        for j, w in enumerate(vd.weights):
+            base = -sum(x * row[j] for x, row in zip(a, rows)) // w
+            candidates.update(((base + m * d // abs(w)) % d, *a) for m in range(abs(w)))
+    level = sum(1 << j for j, w in enumerate(vd.weights) if (w > 0) == (chamber == "positive"))
+    entries = []
+    for code in sorted(candidates):
+        numerators = tuple(
+            (code[0] * w + sum(x * row[j] for x, row in zip(code[1:], rows))) % d
+            for j, w in enumerate(vd.weights)
+        )
+        mask = sum(1 << j for j, x in enumerate(numerators) if not x)
+        if mask & level:
+            entries.append((code, numerators, mask))
+    codes = tuple(code for code, _, _ in entries)
+    index = {code: i for i, code in enumerate(codes)}
+    return {
+        "moduli": (d, *(f.order for f in vd.finite)),
+        "labels": tuple(SectorLabel(Fraction(code[0], d), code[1:]) for code in codes),
+        "codes": codes,
+        "thetas": tuple(numerators for _, numerators, _ in entries),
+        "fixed": tuple(mask for _, _, mask in entries),
+        "dims": tuple(bin(mask).count("1") - 1 for _, _, mask in entries),
+        "inverse": tuple(
+            index[tuple(-x % m for x, m in zip(code, vd.moduli))] for code in codes
+        ),
+        "index": index,
+    }
+
+
+def assert_tables_match_reference(vd):
+    for chamber in CHAMBERS:
+        table, expected = vd.sector_table(chamber), reference_table(vd, chamber)
+        for field, value in expected.items():
+            assert getattr(table, field) == value, (chamber, field)
+        assert table.denominator == vd.denominator
+        for i, label in enumerate(expected["labels"]):
+            assert table.position(label) == i, (chamber, label)
+    assert vd.sector_table() is vd.sector_table(vd.chamber)
 
 
 def fraction_thetas(datum: QuotientDatum, t: SectorLabel) -> tuple[Fraction, ...]:
@@ -81,6 +133,20 @@ def chambers_of(vd):
 
 
 ALL = DEMOS + [NEGATIVE] + CRITERION6
+# D = 601 * 607 * ... * 641 is about 3.5e19 > 2**64
+WIDE = QuotientDatum((601, 607, 613, 617, 619, 631, 641))
+
+
+@pytest.mark.parametrize("datum", ALL + [WIDE], ids=_ids(ALL + [WIDE]))
+def test_sector_tables_match_a_per_candidate_loop(datum):
+    assert_tables_match_reference(validate_datum(datum))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data())
+@example(validate_datum(QuotientDatum((-1, -2))))  # the positive chamber is empty
+def test_sector_tables_match_a_per_candidate_loop_on_drawn_data(vd):
+    assert_tables_match_reference(vd)
 
 
 @pytest.mark.parametrize("datum", ALL, ids=_ids(ALL))
