@@ -65,17 +65,17 @@ def _involution_phase(table: SectorTable, name: str) -> PhaseResult:
     for s, (inverse, fixed, thetas) in enumerate(zip(table.inverse, table.fixed, table.thetas)):
         for j, (x, y) in enumerate(zip(thetas, table.thetas[inverse])):
             if x + y != (0 if fixed >> j & 1 else d):
-                detail = f"theta complement fails for {table.labels[s]} at coordinate {j}"
+                detail = f"theta complement fails for {table.label(s)} at coordinate {j}"
                 return PhaseResult(name, "fail", detail)
     return PhaseResult(name, "pass", f"{len(table.codes)} sectors closed under inverse")
 
 
 def _line(table: SectorTable, s: int, t: int, j: int) -> str:
-    return f"({table.labels[s]}, {table.labels[t]}) line {j}"
+    return f"({table.label(s)}, {table.label(t)}) line {j}"
 
 
 def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...]) -> str:
-    return " ".join(f"({table.labels[x]},{k})" for x, k in zip((s, t, r), powers))
+    return " ".join(f"({table.label(x)},{k})" for x, k in zip((s, t, r), powers))
 
 
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
@@ -371,9 +371,10 @@ def _cmd_shift(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
+    d = ring.table.denominator
     records = [
-        {**element_to_doc(e.sector, e.k), "degree": format_rational(ring.degree(e))}
-        for e in ring.basis()
+        {**element_to_doc(e.sector, e.k), "degree": format_rational(Fraction(2 * x, d))}
+        for e, x in zip(ring.basis(), ring.degrees)
     ]
     indexed = [{"index": i, **record} for i, record in enumerate(records)]
     return _records(args, "index c finite eta_power degree", indexed, {"basis": records}), 0

@@ -28,10 +28,13 @@ code (c*D mod D, a_1 mod order_1, ...): composing and inverting elements is
 componentwise modular addition and negation.  Its phases are the integer
 numerators theta_j * D in [0, D) and its fixed set is a bitmask.  A
 ``SectorTable``, built once per (datum, chamber) on first use, holds these
-rows and the label of every sector together with the inverse sector's
-index, in the listing order of ``ValidatedDatum.sectors``.  ``SectorLabel``
-(with its Fraction c) and ``SectorInfo`` (with Fraction thetas and shift)
-are the public views of an element and of a table row at the API boundary.
+rows together with the inverse sector's index, in the listing order of
+``ValidatedDatum.sectors``.  It is built a column at a time: one pass over
+all candidate codes per coordinate and per finite factor, not one call per
+candidate.  ``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with
+Fraction thetas and shift) are the public views of an element and of a
+table row at the API boundary; a table builds the label of one sector, or
+its tuple of all labels, only on demand.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress, product, repeat
 from math import lcm, prod
 from operator import add, not_
 from typing import Iterable, Mapping
@@ -134,14 +137,16 @@ class SectorInfo:
 
 @dataclass(frozen=True, eq=False)
 class SectorTable:
-    """The sectors of one chamber as labels plus integer rows, indexed by
-    position in ``ValidatedDatum.sectors``: element codes, theta numerators
-    over ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse
-    sector's index; ``index`` maps a code back to its position.
-    ``ValidatedDatum.sectors`` builds the ``SectorInfo`` views of the rows."""
+    """The sectors of one chamber as integer rows, indexed by position in
+    ``ValidatedDatum.sectors``: element codes, theta numerators over
+    ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse sector's
+    index; ``index`` maps a code back to its position.  ``label(s)`` builds
+    the label of sector s alone and ``labels`` all of them, on first use;
+    only the commands that list every sector (``basis``, ``sectors``,
+    ``table``, ``selftest``) build that tuple.  ``ValidatedDatum.sectors``
+    builds the ``SectorInfo`` views of the rows."""
 
     moduli: tuple[int, ...]
-    labels: tuple[SectorLabel, ...]
     codes: tuple[Code, ...]
     thetas: tuple[tuple[int, ...], ...]
     fixed: tuple[int, ...]
@@ -152,6 +157,16 @@ class SectorTable:
     @property
     def denominator(self) -> int:
         return self.moduli[0]
+
+    @cached_property
+    def labels(self) -> tuple[SectorLabel, ...]:
+        """The label of every sector, built on first use."""
+        return tuple(map(self.label, range(len(self.codes))))
+
+    def label(self, s: int) -> SectorLabel:
+        """The label of sector s alone."""
+        code = self.codes[s]
+        return SectorLabel(Fraction(code[0], self.moduli[0]), code[1:])
 
     def compose(self, a: Code, b: Code) -> Code:
         return tuple([(x + y) % m for x, y, m in zip(a, b, self.moduli)])
@@ -276,15 +291,16 @@ class ValidatedDatum:
     def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
         # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where
         # Phi_j(a) = sum_k a_k * rows_k[j] is divisible by |w_j|; the |w_j|
-        # solutions are C = -Phi_j(a)/w_j + m*D/|w_j|.
+        # solutions are C = -Phi_j(a)/w_j + m*D/|w_j|, the residues in [0, D)
+        # of -Phi_j(a)/w_j modulo D/|w_j|.
         d = self.denominator
         codes = set()
         for a in product(*(range(f.order) for f in self.finite)):
             for j in coordinates:
                 w = self.weights[j]
-                base = -sum(x * row[j] for x, row in zip(a, self._rows)) // w
                 step = d // abs(w)
-                codes.update(((base + m * step) % d, *a) for m in range(abs(w)))
+                base = -sum(x * row[j] for x, row in zip(a, self._rows)) // w
+                codes.update(zip(range(base % step, d, step), *map(repeat, a)))
         return codes
 
     def _chamber(self, chamber: str | None) -> str:
@@ -302,24 +318,38 @@ class ValidatedDatum:
         return table
 
     def _build_table(self, chamber: str) -> SectorTable:
+        # a column per code component and one per coordinate over the sorted
+        # candidates: the identity (the zero code) first, then by (c, finite
+        # components); one comprehension per column, none per candidate
         d, level = self.denominator, self.level_masks[chamber]
-        rows = []
-        # identity (the zero code) first, then by (c, finite components)
-        for code in sorted(self._candidate_codes(range(self.n))):
-            numerators = self.code_numerators(code)
-            mask = self.fixed_mask(numerators)
-            if mask & level:
-                rows.append((code, numerators, mask))
-        codes = tuple(code for code, _, _ in rows)
-        index = {code: i for i, code in enumerate(codes)}
+        candidates = sorted(self._candidate_codes(range(self.n)))
+        circle, *components = zip(*candidates)
+        columns = []
+        for j, w in enumerate(self.weights):
+            column = [x * w for x in circle]
+            for a, row in zip(components, self._rows):
+                p = row[j]
+                if p:
+                    column = [x + y * p for x, y in zip(column, a)]
+            columns.append([x % d for x in column])
+        masks = [0] * len(candidates)
+        for bit, column in zip(self._bits, columns):
+            masks = [m if x else m | bit for m, x in zip(masks, column)]
+        keep = [m & level for m in masks]
+        codes = tuple(compress(candidates, keep))
+        fixed = tuple(compress(masks, keep))
+        index = dict(zip(codes, range(len(codes))))
+        inverse = zip(*(
+            [-x % m for x in compress(column, keep)]
+            for column, m in zip((circle, *components), self.moduli)
+        ))
         return SectorTable(
             self.moduli,
-            tuple(SectorLabel(Fraction(code[0], d), code[1:]) for code in codes),
             codes,
-            tuple(numerators for _, numerators, _ in rows),
-            tuple(mask for _, _, mask in rows),
-            tuple(mask.bit_count() - 1 for _, _, mask in rows),
-            tuple(index[tuple([-x % m for x, m in zip(c, self.moduli)])] for c in codes),
+            tuple(zip(*(compress(column, keep) for column in columns))),
+            fixed,
+            tuple([m.bit_count() - 1 for m in fixed]),
+            tuple(map(index.__getitem__, inverse)),
             index,
         )
 

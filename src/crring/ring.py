@@ -135,9 +135,15 @@ def _fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _pack(values, width: int) -> int:
-    """The integer whose lane i, bits [i*width, (i+1)*width), holds values[i]."""
-    return sum(x << width * i for i, x in enumerate(values))
+def _pack_rows(rows, width: int) -> list[int]:
+    """For each row, the integer whose lane i, bits [i*width, (i+1)*width),
+    holds row[i]; built a column at a time."""
+    columns = zip(*rows)
+    packed = list(next(columns, ()))
+    for i, column in enumerate(columns, 1):
+        shift = width * i
+        packed = [x + (y << shift) for x, y in zip(packed, column)]
+    return packed
 
 
 def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
@@ -207,10 +213,12 @@ class ChenRuanRing:
     ``pair`` and its product over all ordered pairs, built once on first use.
 
     Construction builds ``start`` only, so a point query pays for no basis
-    element it does not name.  The basis tuple, ``degrees``, the packed
-    lanes of ``pair`` (a theta integer in lanes of D.bit_length() + 1 bits
-    and a code integer in lanes of max(moduli).bit_length() + 1 bits per
-    sector) and the coefficient of each carry mask are built on first use.
+    element or sector label it does not name.  The basis tuple, ``degrees``,
+    the packed lanes of ``pair`` and the coefficient of each carry mask are
+    built on first use.  The lanes are a theta integer in lanes of
+    D.bit_length() + 1 bits and a code integer in lanes of
+    max(moduli).bit_length() + 1 bits per sector, packed a column at a time
+    by ``_pack_rows``, and an index from packed code to sector position.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
@@ -267,22 +275,23 @@ class ChenRuanRing:
         table, n = self.table, self.vd.n
         d, moduli = table.denominator, table.moduli
         b, c = d.bit_length() + 1, max(moduli).bit_length() + 1
-        thetas = [_pack(row, b) for row in table.thetas]
-        theta_bias = _pack([(1 << b - 1) - d] * n, b)
-        codes = [_pack(code, c) for code in table.codes]
-        code_bias = _pack([(1 << c - 1) - m for m in moduli], c)
+        thetas, codes = _pack_rows(table.thetas, b), _pack_rows(table.codes, c)
+        theta_bias, high = _pack_rows([[(1 << b - 1) - d] * n, [1 << b - 1] * n], b)
+        code_bias, code_high = _pack_rows(
+            [[(1 << c - 1) - m for m in moduli], [1 << c - 1] * len(moduli)], c
+        )
         # for each set of overflowing code lanes: its high bits, and what the
         # lanes lose, the bias everywhere and the modulus where they overflow
-        reduce = {}
-        for pattern in range(1 << len(moduli)):
-            over = [pattern >> i & 1 for i in range(len(moduli))]
-            reduce[_pack([x << c - 1 for x in over], c)] = code_bias + _pack(
-                [x * m for x, m in zip(over, moduli)], c
-            )
+        overs = [[p >> i & 1 for i in range(len(moduli))] for p in range(1 << len(moduli))]
+        losses = _pack_rows([[x * m for x, m in zip(over, moduli)] for over in overs], c)
+        reduce = dict(zip(
+            _pack_rows([[x << c - 1 for x in over] for over in overs], c),
+            [code_bias + x for x in losses],
+        ))
         return (
-            [x + theta_bias for x in thetas], thetas, _pack([1 << b - 1] * n, b), {},
-            [x + code_bias for x in codes], codes, _pack([1 << c - 1] * len(moduli), c),
-            reduce, {_pack(code, c): h for code, h in table.index.items()}, b,
+            [x + theta_bias for x in thetas], thetas, high, {},
+            [x + code_bias for x in codes], codes, code_high,
+            reduce, dict(zip(codes, range(len(codes)))), b,
         )
 
     def pair(self, s: int, t: int) -> tuple[int, int]:
@@ -346,7 +355,7 @@ class ChenRuanRing:
         k = a.k + b.k + shift
         if k > self.table.dims[h]:
             return None
-        return Fraction(coeff), BasisElement(self.table.labels[h], k)
+        return Fraction(coeff), BasisElement(self.table.label(h), k)
 
     def cup(self, a: CRClass, b: CRClass) -> CRClass:
         """Bilinear extension of ``cup_basis``."""

@@ -394,14 +394,22 @@ def test_no_sector_table_is_built_to_test_a_chamber_for_emptiness(datum_file, mo
 
 
 def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
-    rings = []
-    init = ChenRuanRing.__init__
+    """A direct-path point request builds neither the basis tuple and
+    degrees of its ring nor the labels of its sector table; the commands
+    that list every sector build them."""
+    rings, tables = [], []
+    init, build = ChenRuanRing.__init__, ValidatedDatum._build_table
 
     def recording_init(self, *args):
         init(self, *args)
         rings.append(self)
 
+    def recording_build(self, chamber):
+        tables.append(build(self, chamber))
+        return tables[-1]
+
     monkeypatch.setattr(ChenRuanRing, "__init__", recording_init)
+    monkeypatch.setattr(ValidatedDatum, "_build_table", recording_build)
     path = datum_file(WP122333)
     point = [path, "--t1", "c=1/3", "--t2", "c=2/3"]
     for argv, built in (
@@ -409,11 +417,16 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
         (["cup", *point], False),
         (["triple", *point, "--t3", "c=0", "--method", "direct"], False),
         (["basis", path], True),
+        (["sectors", path], True),
         (["table", path], True),
         (["selftest", path], True),
     ):
         rings.clear()
+        tables.clear()
         assert run(capsys, *argv)[0] == 0
-        assert rings, argv
+        assert tables, argv
+        assert rings or argv[0] == "sectors", argv
         for ring in rings:
             assert ("_basis" in vars(ring), "degrees" in vars(ring)) == (built, built), argv
+        for table in tables:
+            assert ("labels" in vars(table)) == built, argv

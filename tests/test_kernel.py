@@ -97,6 +97,7 @@ def reference_table(vd, chamber: str) -> dict:
 def assert_tables_match_reference(vd):
     for chamber in CHAMBERS:
         table, expected = vd.sector_table(chamber), reference_table(vd, chamber)
+        assert tuple(map(table.label, range(len(table.codes)))) == expected["labels"], chamber
         for field, value in expected.items():
             assert getattr(table, field) == value, (chamber, field)
         assert table.denominator == vd.denominator
