@@ -318,23 +318,21 @@ class ValidatedDatum:
         return table
 
     def _build_table(self, chamber: str) -> SectorTable:
-        # a column per code component and one per coordinate over the sorted
-        # candidates: the identity (the zero code) first, then by (c, finite
-        # components); one comprehension per column, none per candidate
+        # one comprehension per coordinate and per finite factor over all
+        # candidates, sorted: the identity (the zero code) first, then by
+        # (c, finite components)
         d, level = self.denominator, self.level_masks[chamber]
         candidates = sorted(self._candidate_codes(range(self.n)))
         circle, *components = zip(*candidates)
-        columns = []
-        for j, w in enumerate(self.weights):
+        columns, masks = [], [0] * len(candidates)
+        for j, (w, bit) in enumerate(zip(self.weights, self._bits)):
             column = [x * w for x in circle]
             for a, row in zip(components, self._rows):
                 p = row[j]
                 if p:
                     column = [x + y * p for x, y in zip(column, a)]
             columns.append([x % d for x in column])
-        masks = [0] * len(candidates)
-        for bit, column in zip(self._bits, columns):
-            masks = [m if x else m | bit for m, x in zip(masks, column)]
+            masks = [m if x else m | bit for m, x in zip(masks, columns[-1])]
         keep = [m & level for m in masks]
         codes = tuple(compress(candidates, keep))
         fixed = tuple(compress(masks, keep))

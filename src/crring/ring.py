@@ -283,11 +283,9 @@ class ChenRuanRing:
         # for each set of overflowing code lanes: its high bits, and what the
         # lanes lose, the bias everywhere and the modulus where they overflow
         overs = [[p >> i & 1 for i in range(len(moduli))] for p in range(1 << len(moduli))]
+        highs = _pack_rows([[x << c - 1 for x in over] for over in overs], c)
         losses = _pack_rows([[x * m for x, m in zip(over, moduli)] for over in overs], c)
-        reduce = dict(zip(
-            _pack_rows([[x << c - 1 for x in over] for over in overs], c),
-            [code_bias + x for x in losses],
-        ))
+        reduce = {h: code_bias + x for h, x in zip(highs, losses)}
         return (
             [x + theta_bias for x in thetas], thetas, high, {},
             [x + code_bias for x in codes], codes, code_high,
