@@ -44,8 +44,8 @@ print(f"\nequivariant restriction factors (coordinate -> exponent): "
 numerators = vd.theta_numerators(third)[1]
 print(f"theta numerators over D = {vd.denominator}: {numerators}")
 print(f"exponent sums e_j over the triple: {tuple(3 * x // vd.denominator for x in numerators)}")
-coeff, power = localized_residue(vd, numerators, numerators, numerators)
-print(f"collapsed quotient term: ({format_rational(coeff)}) * u^{power}")
+top, bottom, power = localized_residue(vd, numerators, numerators, numerators)
+print(f"collapsed quotient term: ({format_rational(Fraction(top, bottom))}) * u^{power}")
 
 report = triple_localized(vd, (third, 0), (third, 0), (third, 0))
 print(f"residue (coefficient of u^-1): {format_rational(report.value)}")

@@ -81,19 +81,21 @@ def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...])
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
     table = ring.table
     thetas, fixed, d, everything = table.thetas, table.fixed, table.denominator, (1 << vd.n) - 1
-    lines = 0
+    lines, others = 0, {}  # composite code that is no sector -> theta_r, fixed_r
     for s, (composite, carry, _) in enumerate(zip(*ring.pairs)):
         for t, (h, interacting) in enumerate(zip(composite, carry)):
             if h >= 0:
                 r = table.inverse[h]
                 theta_r, fixed_r = thetas[r], fixed[r]
             else:
-                # re-derived from the codes: the index count must not read
-                # theta_r off the carry of theta_s + theta_t
-                theta_r = vd.code_numerators(
-                    table.invert(table.compose(table.codes[s], table.codes[t]))
-                )
-                fixed_r = vd.fixed_mask(theta_r)
+                # re-derived from the codes, once per distinct composite: the
+                # index count must not read theta_r off the carry of theta_s + theta_t
+                code = table.compose(table.codes[s], table.codes[t])
+                known = others.get(code)
+                if known is None:
+                    theta_r = vd.code_numerators(table.invert(code))
+                    known = others[code] = theta_r, vd.fixed_mask(theta_r)
+                theta_r, fixed_r = known
             outside = everything & ~(fixed[s] | fixed[t] | fixed_r)
             # a line moved by r = (st)^-1 is moved by st, so it is an
             # obstruction direction exactly when it is interacting
@@ -136,22 +138,22 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
                     name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: the localized "
                     "path finds that the sectors do not multiply to 1"
                 )
-            coeff, base = term
+            numerator, bottom, base = term
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
             # paired with eta^k3 1_(r) when the degrees are complementary; a
             # side that vanishes everywhere has sigma None
             c = product[0] if product else 0
             top = dims[h] - product[1] if c else None
-            at = -1 - base if coeff else None
+            at = -1 - base if numerator else None
             span = dims[s] + dims[t] + dims[r]
-            matched = top == at and c * coeff.denominator == coeff.numerator * denominators[h]
+            matched = top == at and c * bottom == numerator * denominators[h]
             inside = () if matched else [x for x in (top, at) if x is not None and 0 <= x <= span]
             if inside:
                 sigma = min(inside)
                 k1 = max(0, sigma - dims[t] - dims[r])
                 k2 = max(0, sigma - k1 - dims[r])
                 direct = Fraction(c, denominators[h]) if sigma == top else zero
-                localized = coeff if sigma == at else zero
+                localized = Fraction(numerator, bottom) if sigma == at else zero
                 return PhaseResult(
                     name,
                     "fail",

@@ -26,9 +26,11 @@ of 0, 1, 2, so the term is
 
 Only the u-power depends on the eta powers, so one sector triple has one
 collapsed coefficient and one base power sum_j e_j - n, and every basis
-triple on it reads its value off those two numbers.  The self-test calls
-the kernel once per composable sector triple; ``triple_localized`` is the
-label-level wrapper around the same kernel.  Composability is decided here
+triple on it reads its value off those numbers.  The kernel keeps the
+coefficient as its two integer factors.  The self-test calls it once per
+composable sector triple and compares by cross-multiplication;
+``triple_localized`` is the label-level wrapper around the same kernel and
+builds the one ``Fraction`` it reports.  Composability is decided here
 from the numerator sums mod D.  This path imports nothing from the ring.
 """
 
@@ -63,12 +65,14 @@ def localized_residue(
     theta1: tuple[int, ...],
     theta2: tuple[int, ...],
     theta3: tuple[int, ...],
-) -> tuple[Fraction, int] | None:
+) -> tuple[int, int, int] | None:
     """The collapsed term of three lifts at eta powers 0, from the theta
-    numerators over D of their sectors: (coefficient, u-power), or None when
-    the elements do not compose to the identity.  Eta powers k_i only raise
-    the u-power by k1 + k2 + k3; the 3-point function is the coefficient
-    when the raised power is -1, and 0 otherwise."""
+    numerators over D of their sectors, in integers: (prod_{e_j=2} w_j,
+    |A| * prod_{e_j=0} w_j, u-power), the coefficient being the first over
+    the second; or None when the elements do not compose to the identity.
+    Eta powers k_i only raise the u-power by k1 + k2 + k3; the 3-point
+    function is the coefficient when the raised power is -1, and 0
+    otherwise."""
     d, top, bottom, power = vd.denominator, 1, vd.finite_order, -vd.n
     # the product of the elements acts with phases (theta1 + theta2 + theta3) / D,
     # so it is the identity exactly when every sum is a multiple of D
@@ -81,7 +85,7 @@ def localized_residue(
         elif not e:
             bottom *= w
         power += e
-    return Fraction(top, bottom), power
+    return top, bottom, power
 
 
 def triple_localized(
@@ -102,11 +106,11 @@ def triple_localized(
     term = localized_residue(vd, *thetas)
     if term is None:
         raise NonComposable(f"{p1[0]}, {p2[0]}, {p3[0]} do not multiply to 1")
-    coeff, base = term
+    top, bottom, base = term
     power = base + p1[1] + p2[1] + p3[1]
     return WallCrossingReport(
         triple=triple,
-        value=coeff if power == -1 else _ZERO,
+        value=Fraction(top, bottom) if power == -1 else _ZERO,
         degree_check=power,
         side_existence={
             chamber: tuple(bool(m & vd.level_masks[chamber]) for m in masks)

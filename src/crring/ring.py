@@ -20,13 +20,14 @@ count in ``obstruction_rank_oracle``.
 The ring works on the integer ``SectorTable`` of its chamber.  With theta
 numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
-constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.pair`` is the one
-place that derives (h, T) from a sector pair, with one addition of packed
-theta numerators for T and one of packed element codes for h (lane widths
-and the no-overflow argument are in its docstring), and
-``ChenRuanRing.sector_product`` the one place that turns them into a
-product; the self-test reads every ordered pair's (h, T) and product from
-the ring's ``pairs`` rows, built once on first use.
+constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.pair_row`` is
+the one place that derives (h, T), for one sector against a span of
+sectors, with one addition of packed theta numerators for T and one of
+packed element codes for h per pair (lane widths and the no-overflow
+argument are in the docstring of ``pair``, its one-sector case), and
+``ChenRuanRing.product_row`` the one place that turns them into products;
+the self-test reads every ordered pair's (h, T) and product from the
+ring's ``pairs`` rows, built once on first use.
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
@@ -207,15 +208,16 @@ class ChenRuanRing:
     ``start[s] + k`` and degree 2 * ``degrees[start[s] + k]`` / D, the one
     derivation of the age: ``degrees[i]`` = k * D + sum_j theta_s(j).
 
-    The product of sectors s and t is ``sector_product(s, t, *pair(s, t))``.
-    Point queries and ``structure_constants`` call ``pair`` per sector pair;
-    the axiom check and the self-test phases read ``pairs``, the rows of
-    ``pair`` and its product over all ordered pairs, built once on first use.
+    The product of sectors s and t is ``sector_product(s, t, *pair(s, t))``,
+    the one-sector case of ``product_row(s, *pair_row(s))``.  Point queries
+    call ``pair``; ``structure_constants`` reads one row per s over t >= s,
+    and the axiom check and the self-test phases read ``pairs``, the rows of
+    both row kernels over all ordered pairs, built once on first use.
 
     Construction builds ``start`` only, so a point query pays for no basis
     element or sector label it does not name.  The basis tuple, ``degrees``,
-    the packed lanes of ``pair`` and the coefficient of each carry mask are
-    built on first use.  The lanes are a theta integer in lanes of
+    the packed lanes of ``pair_row`` and the coefficient of each carry mask
+    are built on first use.  The lanes are a theta integer in lanes of
     D.bit_length() + 1 bits and a code integer in lanes of
     max(moduli).bit_length() + 1 bits per sector, packed a column at a time
     by ``_pack_rows``, and an index from packed code to sector position.
@@ -271,7 +273,8 @@ class ChenRuanRing:
 
     @cached_property
     def _lanes(self) -> tuple:
-        """The packed operands of ``pair``, laid out as its docstring says."""
+        """The packed operands of ``pair_row``, laid out as ``pair``'s
+        docstring says, and a memo from carry word to carry mask."""
         table, n = self.table, self.vd.n
         d, moduli = table.denominator, table.moduli
         b, c = d.bit_length() + 1, max(moduli).bit_length() + 1
@@ -295,7 +298,8 @@ class ChenRuanRing:
     def pair(self, s: int, t: int) -> tuple[int, int]:
         """(h, T) of the ordered sector pair: the position h of the composite
         sector s*t (-1 when it is no sector of this chamber) and the bitmask
-        of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}.
+        of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D};
+        ``pair_row`` on the one sector t.
 
         Each comes from one addition of packed integers.  Theta lane j, of
         b = D.bit_length() + 1 bits, holds theta_s(j) + 2^(b-1) - D on the
@@ -308,39 +312,49 @@ class ChenRuanRing:
         the packed code of s*t, looked up in a packed-code index.  h comes
         from the codes, not from the theta sums, so that the obstruction
         phase's re-derivation of theta_r from codes still checks the thetas."""
+        (h,), (carry,) = self.pair_row(s, slice(t, t + 1))
+        return h, carry
+
+    def pair_row(self, s: int, span: slice = slice(None)) -> tuple[list[int], list[int]]:
+        """The composites and carry masks of ``pair(s, t)`` for the sectors t
+        in ``span`` of the positions, one comprehension each."""
         biased, thetas, high, masks, biased_codes, codes, code_high, reduce, index, b = self._lanes
-        word = biased[s] + thetas[t] & high
-        carry = masks.get(word)
-        if carry is None:
-            carry = masks[word] = sum(
-                1 << j for j in range(self.vd.n) if word >> b * j + b - 1 & 1
-            )
-        total = biased_codes[s] + codes[t]
-        return index.get(total - reduce[total & code_high], -1), carry
+        x, y = biased[s], biased_codes[s]
+        words = [x + v & high for v in thetas[span]]
+        for word in set(words).difference(masks):
+            masks[word] = sum(1 << j for j in range(self.vd.n) if word >> b * j + b - 1 & 1)
+        return (
+            [index.get((z := y + v) - reduce[z & code_high], -1) for v in codes[span]],
+            list(map(masks.__getitem__, words)),
+        )
 
     @cached_property
     def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
-        """Rows (composite, carry, product)[s][t] of ``pair`` and ``sector_product``."""
-        sectors = range(len(self.table.codes))
-        pair, sector_product = self.pair, self.sector_product
-        rows = [[pair(s, t) for t in sectors] for s in sectors]
-        products = [[sector_product(s, t, *rows[s][t]) for t in sectors] for s in sectors]
-        return [[h for h, _ in r] for r in rows], [[c for _, c in r] for r in rows], products
+        """Rows (composite, carry, product)[s][t] of ``pair`` and
+        ``sector_product``, one ``pair_row`` and one ``product_row`` per s."""
+        rows = [self.pair_row(s) for s in range(len(self.table.codes))]
+        products = [self.product_row(s, *row) for s, row in enumerate(rows)]
+        return [h for h, _ in rows], [c for _, c in rows], products
 
     def sector_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int] | None:
         """1_(s) * 1_(t) = coeff * eta^shift 1_(h) by the carry rule, given
         (h, carry) = ``pair(s, t)``: (coeff, shift) = (prod_{j in T} w_j, |T|),
-        or None when h is no sector or the fixed sets of s and t are disjoint.
-        The product of weights is formed once per distinct carry mask."""
-        if h < 0 or not self.table.fixed[s] & self.table.fixed[t]:
-            return None
-        product = self._coefficients.get(carry)
-        if product is None:
-            weights = self.vd.weights
-            product = self._coefficients[carry] = (
-                prod([weights[j] for j in range(self.vd.n) if carry >> j & 1]), carry.bit_count()
-            )
-        return product
+        or None when h is no sector or the fixed sets of s and t are disjoint;
+        ``product_row`` on the one sector t."""
+        return self.product_row(s, [h], [carry], slice(t, t + 1))[0]
+
+    def product_row(self, s: int, composite, carries, span: slice = slice(None)) -> list:
+        """``sector_product(s, t, h, carry)`` for the sectors t in ``span``,
+        given their composites and carries from ``pair_row(s, span)``.  The
+        product of weights is formed once per distinct carry mask."""
+        fixed, f, coefficients = self.table.fixed, self.table.fixed[s], self._coefficients
+        for c in set(carries).difference(coefficients):
+            weights = [w for j, w in enumerate(self.vd.weights) if c >> j & 1]
+            coefficients[c] = prod(weights), len(weights)
+        return [
+            coefficients[c] if h >= 0 and f & g else None
+            for h, c, g in zip(composite, carries, fixed[span])
+        ]
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
@@ -426,9 +440,9 @@ class ChenRuanRing:
         products: dict[tuple[int, int], CRClass] = {}
         classes: dict[tuple[int, int], CRClass] = {}  # (target, coeff) -> its class
         for s in range(len(table.codes)):
-            for t in range(s, len(table.codes)):
-                h, carry = self.pair(s, t)
-                product = self.sector_product(s, t, h, carry)
+            composite, carries = self.pair_row(s, slice(s, None))
+            row = self.product_row(s, composite, carries, slice(s, None))
+            for t, h, product in zip(count(s), composite, row):
                 for i, j, target, coeff in self._basis_products(s, t, h, product):
                     if i <= j:
                         value = classes.get((target, coeff))

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crring import (
@@ -232,6 +233,56 @@ def test_pair_matches_a_per_coordinate_carry_loop(vd):
                 assert ring.pair(s, t) == reference_pair(ring.table, s, t), (chamber, s, t)
 
 
+def reference_product(ring, s: int, t: int) -> tuple[int, int] | None:
+    """``sector_product`` of the ordered sector pair from ``reference_pair``:
+    (prod_{j in T} w_j, |T|), or None when s*t is no sector or the fixed
+    sets of s and t are disjoint."""
+    h, carry = reference_pair(ring.table, s, t)
+    if h < 0 or not ring.table.fixed[s] & ring.table.fixed[t]:
+        return None
+    interacting = [j for j in range(ring.vd.n) if carry >> j & 1]
+    return prod(ring.vd.weights[j] for j in interacting), len(interacting)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data())
+@example(validate_datum(QuotientDatum((-1, -2), chamber="negative")))
+def test_pairs_rows_match_a_per_pair_loop(vd):
+    """Every row of ``pairs``, and every row over t >= s as
+    ``structure_constants`` reads it, is the per-pair reference loop, which
+    reads no packed lane."""
+    for chamber in CHAMBERS:
+        ring = ChenRuanRing(vd, chamber)
+        composite, carry, product = ring.pairs
+        sectors = range(len(ring.table.codes))
+        for s in sectors:
+            assert list(zip(composite[s], carry[s])) == [
+                reference_pair(ring.table, s, t) for t in sectors
+            ], (chamber, s)
+            assert product[s] == [reference_product(ring, s, t) for t in sectors], (chamber, s)
+            tail = ring.pair_row(s, slice(s, None))
+            assert tail == (composite[s][s:], carry[s][s:]), (chamber, s)
+            assert ring.product_row(s, *tail, slice(s, None)) == product[s][s:], (chamber, s)
+
+
+def test_structure_constants_read_one_row_per_sector(monkeypatch, wp122333):
+    rows = []
+    pair_row = ChenRuanRing.pair_row
+
+    def counted(ring, s, span=slice(None)):
+        rows.append((s, span))
+        return pair_row(ring, s, span)
+
+    def refused(*args):
+        raise AssertionError("a sweep called the one-sector form")
+
+    monkeypatch.setattr(ChenRuanRing, "pair_row", counted)
+    monkeypatch.setattr(ChenRuanRing, "pair", refused)
+    monkeypatch.setattr(ChenRuanRing, "sector_product", refused)
+    ChenRuanRing(wp122333).structure_constants()
+    assert rows == [(s, slice(s, None)) for s in range(len(wp122333.sectors()))]
+
+
 def test_pair_matches_the_carry_loop_past_a_machine_word():
     # D = 601 * 607 * ... * 641 is about 3.5e19 > 2**64: every theta and
     # code lane is wider than a machine word
@@ -398,6 +449,21 @@ NEGATIVE_122_FROBENIUS = (
 )
 
 
+def corrupting(edit, corrupted: set):
+    """``ChenRuanRing.product_row`` with ``edit(coeff, shift)`` applied to
+    the nonzero product of every ordered sector pair (s, t) in ``corrupted``."""
+    product_row = ChenRuanRing.product_row
+
+    def patched(self, s, composite, carries, span=slice(None)):
+        row = product_row(self, s, composite, carries, span)
+        sectors = range(len(self.table.codes))[span]
+        return [
+            edit(*data) if (s, t) in corrupted and data else data for t, data in zip(sectors, row)
+        ]
+
+    return patched
+
+
 @pytest.mark.parametrize(
     "datum,pair,edit,failures",
     [
@@ -462,13 +528,7 @@ def test_axiom_check_names_the_first_counterexample(monkeypatch, datum, pair, ed
     vd = validate_datum(datum)
     table = vd.sector_table()
     s, t = (table.position(vd.label(Fraction(c))) for c in pair)
-    product = ChenRuanRing.sector_product
-
-    def patched(self, a, b, h, carry):
-        data = product(self, a, b, h, carry)
-        return edit(*data) if {a, b} == {s, t} and data else data
-
-    monkeypatch.setattr(ChenRuanRing, "sector_product", patched)
+    monkeypatch.setattr(ChenRuanRing, "product_row", corrupting(edit, {(s, t), (t, s)}))
     report = ChenRuanRing(vd).verify_ring_axioms()
     assert [c for c in report.phases if c.status != "pass"] == [
         PhaseResult(name, "fail", detail) for name, detail in failures
@@ -572,20 +632,14 @@ def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber
     ring = ChenRuanRing(vd, chamber)
     assert ring.verify_ring_axioms().phases == reference_axiom_checks(ring)
     nonzero = [(s, t) for s, row in enumerate(ring.pairs[2]) for t, data in enumerate(row) if data]
-    product = ChenRuanRing.sector_product
     failing = 0
     for kind, edit in CORRUPTIONS.items():
         rng = random.Random(f"{datum}:{chamber}:{kind}")
         for _ in range(4):
             s, t = rng.choice(nonzero)
             corrupted = {(s, t), (t, s)} if rng.random() < 0.5 else {(s, t)}
-
-            def patched(self, a, b, h, carry, corrupted=corrupted, edit=edit):
-                data = product(self, a, b, h, carry)
-                return edit(*data) if (a, b) in corrupted and data else data
-
             with monkeypatch.context() as patch:
-                patch.setattr(ChenRuanRing, "sector_product", patched)
+                patch.setattr(ChenRuanRing, "product_row", corrupting(edit, corrupted))
                 ring = ChenRuanRing(vd, chamber)
                 report = ring.verify_ring_axioms()
                 assert report.phases == reference_axiom_checks(ring), (kind, s, t, corrupted)

@@ -1,7 +1,7 @@
 """The self-test's agreement gate reads the localized kernel once per sector
 triple; these tests check that a wrong kernel value on one sector triple
 still fails the gate and is named, pin the work counts of the demo data,
-check that one self-test derives each ordered sector pair once, pin the
+check that one self-test builds each sector row of the ring once, pin the
 failure texts of the involution and obstruction phases, and check that the
 one identity the involution phase tests fails exactly when one of the three
 involution identities does."""
@@ -85,7 +85,10 @@ def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, name):
         term = kernel(vd_, *thetas)
         if thetas == target:
             hits.append(thetas)
-            return MUTATIONS[mutation](*term)
+            # the kernel's coefficient is top / bottom
+            top, bottom, base = term
+            coeff, base = MUTATIONS[mutation](Fraction(top, bottom), base)
+            return coeff.numerator, coeff.denominator, base
         return term
 
     monkeypatch.setattr(cli, "localized_residue", patched)
@@ -131,12 +134,14 @@ PAIR_DATA.append(TESTS / "golden" / "data" / "p1_25.datum")
 
 
 def _counted(monkeypatch, name: str) -> list:
-    """The (chamber, s, t) of every call of ``ChenRuanRing.<name>``."""
+    """The (chamber, s, returned value) of every call of
+    ``ChenRuanRing.<name>``."""
     method, calls = getattr(ChenRuanRing, name), []
 
-    def counted(ring, s, t, *rest):
-        calls.append((ring.chamber, s, t))
-        return method(ring, s, t, *rest)
+    def counted(ring, s, *rest):
+        value = method(ring, s, *rest)
+        calls.append((ring.chamber, s, value))
+        return value
 
     monkeypatch.setattr(ChenRuanRing, name, counted)
     return calls
@@ -144,12 +149,22 @@ def _counted(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("path", PAIR_DATA, ids=[path.stem for path in PAIR_DATA])
 def test_selftest_derives_each_sector_pair_once(monkeypatch, path):
+    """Each (chamber, s) row of both row kernels is built once, over every
+    sector t, and the one-sector ``pair`` and ``sector_product`` are never
+    called."""
     vd = _load(path)
-    pairs, products = _counted(monkeypatch, "pair"), _counted(monkeypatch, "sector_product")
+    rows, products = _counted(monkeypatch, "pair_row"), _counted(monkeypatch, "product_row")
+    singles = _counted(monkeypatch, "pair"), _counted(monkeypatch, "sector_product")
     assert run_selftest(vd).passed
-    for calls in pairs, products:
-        assert len(calls) == sum(len(vd.sectors(chamber)) ** 2 for chamber in CHAMBERS)
-        assert len(set(calls)) == len(calls)
+    sizes = {chamber: len(vd.sectors(chamber)) for chamber in CHAMBERS}
+    expected = sorted((chamber, s) for chamber, size in sizes.items() for s in range(size))
+    for calls in rows, products:
+        assert sorted((chamber, s) for chamber, s, _ in calls) == expected
+    for chamber, _, (composite, carry) in rows:
+        assert len(composite) == len(carry) == sizes[chamber]
+    for chamber, _, row in products:
+        assert len(row) == sizes[chamber]
+    assert singles == ([], [])
 
 
 def _with_row(rows: tuple, s: int, value) -> tuple:
