@@ -115,29 +115,40 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
 
 
 def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
-    """Both 3-point paths on every composable basis triple.  The localized
-    kernel runs once per sector triple (s, t, r = (st)^-1).  Each side
-    depends on the eta powers only through sigma = k1 + k2 + k3 and is
-    nonzero at one sigma at most, so the sides agree on every basis triple
-    of (s, t, r) unless some sigma in [0, dim(s) + dim(t) + dim(r)] holds a
-    nonzero side alone or two different values; the smallest such sigma
-    holds the first failing basis triple in (k1, k2, k3) order."""
+    """Both 3-point paths on every composable basis triple, visiting the
+    ordered sector pairs (s, t) in row order.  The localized kernel is
+    symmetric in its sectors, so it runs once per unordered pair {s, t}: at
+    the first order (s, t), s <= t, for the sector triple (s, t, r =
+    (st)^-1).  The order (t, s) reuses that term when its own r is the
+    same; the term is dropped on reuse, so the memo lives for one call.  The
+    direct side reads both orders, so a non-commutative table still fails
+    at its first ordered triple.  Each side depends on the eta powers only
+    through sigma = k1 + k2 + k3 and is nonzero at one sigma at most, so
+    the sides agree on every basis triple of (s, t, r) unless some sigma in
+    [0, dim(s) + dim(t) + dim(r)] holds a nonzero side alone or two
+    different values; the smallest such sigma holds the first failing basis
+    triple in (k1, k2, k3) order."""
     name = "path_agreement"
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
     denominators = [ring.pairing_denominator(h) for h in range(len(dims))]
-    triples = 0
+    triples, first = 0, {}  # (t, s) -> r and term of the first order (s, t), s < t
     for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
         for t, (h, product) in enumerate(zip(composite, products)):
             if h < 0:
                 continue
             r = table.inverse[h]
-            term = localized_residue(vd, thetas[s], thetas[t], thetas[r])
-            if term is None:
-                return PhaseResult(
-                    name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: the localized "
-                    "path finds that the sectors do not multiply to 1"
-                )
+            if s > t and (known := first.pop((s, t), None)) and known[0] == r:
+                term = known[1]
+            else:
+                term = localized_residue(vd, thetas[s], thetas[t], thetas[r])
+                if term is None:
+                    return PhaseResult(
+                        name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: the localized "
+                        "path finds that the sectors do not multiply to 1"
+                    )
+                if s < t:
+                    first[t, s] = r, term
             numerator, bottom, base = term
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
             # paired with eta^k3 1_(r) when the degrees are complementary; a

@@ -27,11 +27,14 @@ of 0, 1, 2, so the term is
 Only the u-power depends on the eta powers, so one sector triple has one
 collapsed coefficient and one base power sum_j e_j - n, and every basis
 triple on it reads its value off those numbers.  The kernel keeps the
-coefficient as its two integer factors.  The self-test calls it once per
-composable sector triple and compares by cross-multiplication;
-``triple_localized`` is the label-level wrapper around the same kernel and
-builds the one ``Fraction`` it reports.  Composability is decided here
-from the numerator sums mod D.  This path imports nothing from the ring.
+coefficient as its two integer factors.  It is symmetric in its three
+sectors, so the self-test calls it once per unordered composable sector
+pair {s, t}, on (s, t, (st)^-1), and reuses that term for the order
+(t, s), while its direct side reads both orders; it compares the two
+sides by cross-multiplication.  ``triple_localized`` is the label-level
+wrapper around the same kernel and builds the one ``Fraction`` it reports.
+Composability is decided here from the numerator sums mod D.  This path
+imports nothing from the ring.
 """
 
 from __future__ import annotations

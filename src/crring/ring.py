@@ -36,7 +36,6 @@ power over the sector.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -145,6 +144,16 @@ def _pack_rows(rows, width: int) -> list[int]:
         shift = width * i
         packed = [x + (y << shift) for x, y in zip(packed, column)]
     return packed
+
+
+def _unpack(x: int, radix: int) -> tuple[int, int, int]:
+    """The balanced digits (low, middle, rest) of x = low + radix * (middle
+    + radix * rest), low and middle in [-radix/2, radix/2), radix even."""
+    half = radix // 2
+    low = (x + half) % radix - half
+    x = (x - low) // radix
+    middle = (x + half) % radix - half
+    return low, middle, (x - middle) // radix
 
 
 def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
@@ -459,31 +468,49 @@ class ChenRuanRing:
         one ``PhaseResult`` each, in that order, whose detail is the first
         counterexample of a failing check.
 
-        Every ordered sector pair fills its own entries of the integer
-        product table.  Pairing values are scaled by |A| * prod_j |w_j| to
-        integers.  Each row carries a trailing sentinel (-1 for "zero
-        product", 0 for coefficients and pairing values), which a zero
-        product reads.
+        The integer product table is filled one sector row s at a time:
+        each basis column j = eta^k2 1_(t) is mapped through row s of
+        ``pairs`` once, to the target index start[h] + k2 + shift at k1 = 0,
+        the room dim(h) - k2 - shift left in the target sector, and the
+        coefficient; basis row start[s] + k1 then reads target + k1 where
+        k1 <= room, and -1 ("zero product") elsewhere.  Pairing values are
+        scaled by |A| * prod_j |w_j| to integers.  Each row carries a
+        trailing sentinel (-1 for "zero product", 0 for coefficients and
+        pairing values), which a zero product reads.
 
         Associativity and the Frobenius identity are settled by one
         comparison per basis pair (i, j).  Every (target, coefficient,
-        pairing) entry, times every distinct coefficient of the table (0
-        included), is interned as one int, so row r holds one block of codes
-        per scalar.  The block of the coefficient of i*j in row i*j reads
-        (i*j)*k and <i*j, k> for every k; row i read at j*k, in the block of
-        the coefficient of j*k, gives i*(j*k) and <i, j*k>.  Only where the
-        two code tuples differ are the entries decoded, to name the first
-        counterexample of each check in (i, j, k) order.
+        pairing) entry, times every distinct coefficient c of the table (0
+        included), is packed as the one int target + c * (B * coefficient +
+        B^2 * pairing) in balanced digits of radix B = 4 * max(N, max c^2)
+        + 4, taken from the data: the target lies in [-1, N) and c times a
+        coefficient within max c^2, so both low digits lie in [-B/2, B/2)
+        and equal ints are equal entries.  Row r holds one block of packed
+        entries per scalar.  The block of the coefficient of i*j in row i*j
+        reads (i*j)*k and <i*j, k> for every k; row i read at j*k, in the
+        block of the coefficient of j*k, gives i*(j*k) and <i, j*k>.  Only
+        where the two tuples differ are the entries unpacked, by balanced
+        division, to name the first counterexample of each check in
+        (i, j, k) order.
         """
         basis, table = self._basis, self.table
-        size = len(basis)
-        pidx = [[-1] * (size + 1) for _ in range(size)]
-        pnum = [[0] * (size + 1) for _ in range(size)]
+        size, dims, start = len(basis), table.dims, self.start
+        column_sector = [t for t, dim in enumerate(dims) for _ in range(dim + 1)]
+        powers = [k2 for dim in dims for k2 in range(dim + 1)]
+        pidx, pnum = [], []
         for s, (composite, _, products) in enumerate(zip(*self.pairs)):
-            for t, (h, product) in enumerate(zip(composite, products)):
-                for i, j, target, coeff in self._basis_products(s, t, h, product):
-                    pidx[i][j] = target
-                    pnum[i][j] = coeff
+            # per sector t: (target at k1 = k2 = 0, room at k2 = 0, coefficient)
+            heads = [
+                (start[h] + p[1], dims[h] - p[1], p[0]) if p else (0, -1, 0)
+                for h, p in zip(composite, products)
+            ]
+            columns = [
+                (base + k2, room - k2, coeff)
+                for (base, room, coeff), k2 in zip(map(heads.__getitem__, column_sector), powers)
+            ]
+            for k1 in range(dims[s] + 1):
+                pidx.append([base + k1 if k1 <= room else -1 for base, room, _ in columns] + [-1])
+                pnum.append([coeff if k1 <= room else 0 for _, room, coeff in columns] + [0])
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)
         pair = [[0] * (size + 1) for _ in range(size)]
         for i, j, s in self._pairing_entries():
@@ -516,18 +543,16 @@ class ChenRuanRing:
             if degree_bad:
                 break
 
-        # blocks[r][n]: row r's entries times the n-th scalar, interned; the
+        # blocks[r][n]: row r's entries times the n-th scalar, packed; the
         # appended none row is read by the index -1 of a zero product
         width = size + 1
         scalars = {c: n for n, c in enumerate(dict.fromkeys(chain([0], *pnum)))}
-        code = defaultdict(count().__next__)
-        none = code[(-1, 0, 0)]
-        blocks = [
-            [tuple(map(code.__getitem__, zip(idx, [c * x for x in nums], [c * x for x in pairs])))
-             for c in scalars]
-            for idx, nums, pairs in zip(pidx, pnum, pair)
-        ]
-        blocks.append([(none,) * width] * len(scalars))
+        radix = 4 * max(size, max(c * c for c in scalars)) + 4
+        blocks = []
+        for idx, nums, pairs in zip(pidx, pnum, pair):
+            upper = [radix * (x + radix * y) for x, y in zip(nums, pairs)]
+            blocks.append([tuple([t + c * x for t, x in zip(idx, upper)]) for c in scalars])
+        blocks.append([(-1,) * width] * len(scalars))
         # gather[j] reads i*(j*k) with <i, j*k> for every k off row i's
         # blocks laid end to end: at j*k, or at the sentinel for a zero j*k,
         # in the block of the coefficient of j*k
@@ -535,7 +560,6 @@ class ChenRuanRing:
             itemgetter(*(scalars[c] * width + (t if t >= 0 else size) for t, c in zip(idx, nums)))
             for idx, nums in zip(pidx, pnum)
         ]
-        decode = list(code)
         assoc_bad = frob_bad = None
         for i in range(size):
             row = tuple(chain.from_iterable(blocks[i]))
@@ -546,7 +570,7 @@ class ChenRuanRing:
                     continue
                 x, y = basis[i], basis[j]
                 for k, (u, v) in enumerate(zip(lhs, rhs)):
-                    left, right = decode[u], decode[v]
+                    left, right = _unpack(u, radix), _unpack(v, radix)
                     if assoc_bad is None and left[:2] != right[:2]:
                         assoc_bad = f"({x} * {y}) * {basis[k]} != {x} * ({y} * {basis[k]})"
                     if frob_bad is None and left[2] != right[2]:

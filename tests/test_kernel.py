@@ -295,3 +295,29 @@ def test_rank_oracle_on_integer_numerators():
     assert obstruction_rank_oracle(0, 0, 0, 6) == 0
     with pytest.raises(DomainError):
         obstruction_rank_oracle(2, 2, 3, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data())
+@example(validate_datum(QuotientDatum((-1, -2, -2), chamber="negative")))
+def test_localized_kernel_is_symmetric_in_its_three_sectors(vd):
+    """On every composable sector triple (s, t, (st)^-1) of each chamber's
+    table, and on (s, t, u) with u the next sector after (st)^-1, which
+    mostly does not compose, ``localized_residue`` gives the same term under
+    every permutation of its three sectors, None included.  The self-test
+    reads the term of (t, s, r) off (s, t, r) by this symmetry."""
+    for chamber in CHAMBERS:
+        table = vd.sector_table(chamber)
+        thetas, size = table.thetas, len(table.codes)
+        for s in range(size):
+            for t in range(s, size):
+                h = table.index.get(table.compose(table.codes[s], table.codes[t]), -1)
+                if h < 0:
+                    continue
+                r = table.inverse[h]
+                for u in r, (r + 1) % size:
+                    triple = thetas[s], thetas[t], thetas[u]
+                    term = localized_residue(vd, *triple)
+                    assert (term is None) == (u != r), (chamber, s, t, u)
+                    for order in itertools.permutations(triple):
+                        assert localized_residue(vd, *order) == term, (chamber, s, t, u, order)

@@ -602,6 +602,10 @@ CORRUPTIONS = {
     "shift-raised": lambda coeff, shift: (coeff, shift + 1),
     "shift-lowered": lambda coeff, shift: (coeff, shift - 1),
     "removed": lambda coeff, shift: None,
+    # coefficient times scalar past 2**64: the packed entries' digits are
+    # sized from the data, never fixed
+    "scaled-huge": lambda coeff, shift: (coeff * 2**70 + 1, shift),
+    "scaled-huge-negated": lambda coeff, shift: (-(coeff * 2**70 + 1), shift),
 }
 
 

@@ -1,10 +1,11 @@
-"""The self-test's agreement gate reads the localized kernel once per sector
-triple; these tests check that a wrong kernel value on one sector triple
-still fails the gate and is named, pin the work counts of the demo data,
-check that one self-test builds each sector row of the ring once, pin the
-failure texts of the involution and obstruction phases, and check that the
-one identity the involution phase tests fails exactly when one of the three
-involution identities does."""
+"""The self-test's agreement gate reads the localized kernel once per
+unordered composable sector pair; these tests check that a wrong kernel
+value on one sector triple, or on both orders of one sector pair, still
+fails the gate and is named, pin the kernel calls and the work counts of
+the demo data, check that one self-test builds each sector row of the ring
+once, pin the failure texts of the involution and obstruction phases, and
+check that the one identity the involution phase tests fails exactly when
+one of the three involution identities does."""
 
 from __future__ import annotations
 
@@ -104,6 +105,69 @@ def test_gate_fails_when_the_localized_side_finds_no_triple(monkeypatch):
     agreement = _phase(run_selftest(vd), "path_agreement")
     assert agreement.status == "fail"
     assert "do not multiply to 1" in agreement.detail
+
+
+def test_gate_fails_on_one_wrong_unordered_sector_pair(monkeypatch):
+    """A kernel wrong on both orders of the sectors c=1/3 and c=2/3 of
+    P(1,2,2,3,3,3) fails the gate at the first ordered triple in row order,
+    (c=1/3, c=2/3, c=0), and is called on that order alone."""
+    vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    third, two_thirds = vd.label(Fraction(1, 3)), vd.label(Fraction(2, 3))
+    table = vd.sector_table()
+    assert table.position(third) < table.position(two_thirds)
+    a, b, r = (vd.theta_numerators(x)[1] for x in (third, two_thirds, vd.identity()))
+    kernel, hits = cli.localized_residue, []
+
+    def patched(vd_, *thetas):
+        top, bottom, base = kernel(vd_, *thetas)
+        if sorted(thetas[:2]) == sorted((a, b)) and thetas[2] == r:
+            hits.append(thetas)
+            return 2 * top, bottom, base
+        return top, bottom, base
+
+    monkeypatch.setattr(cli, "localized_residue", patched)
+    agreement = _phase(run_selftest(vd), "path_agreement")
+    assert hits == [(a, b, r)]
+    assert agreement.status == "fail"
+    assert agreement.detail == "(c=1/3,0) (c=2/3,0) (c=0,2): direct 1/27 != localized 2/27"
+
+
+def _table_pairs(table) -> dict:
+    """r = (st)^-1 of every composable ordered sector pair (s, t), by code
+    composition on the sector table."""
+    pairs, size = {}, len(table.codes)
+    for s in range(size):
+        for t in range(size):
+            h = table.index.get(table.compose(table.codes[s], table.codes[t]), -1)
+            if h >= 0:
+                pairs[s, t] = table.inverse[h]
+    return pairs
+
+
+KERNEL_COUNT_DATA = [
+    DEMO_DIR / "wp122333.datum", TESTS / "golden" / "data" / "p1_25.datum",
+    DEMO_DIR / "z3_on_p2.datum",
+]
+
+
+@pytest.mark.parametrize("path", KERNEL_COUNT_DATA, ids=[p.stem for p in KERNEL_COUNT_DATA])
+def test_agreement_calls_the_kernel_once_per_unordered_pair(monkeypatch, path):
+    """One kernel call per unordered composable pair {s, t} whose two orders
+    share r, and one per order otherwise; the sector table is commutative,
+    so that is one call per unordered composable pair."""
+    vd = _load(path)
+    kernel, calls = cli.localized_residue, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "localized_residue", counted)
+    assert run_selftest(vd).passed
+    pairs = _table_pairs(vd.sector_table())
+    expected = sum(1 for (s, t), r in pairs.items() if s <= t or pairs.get((t, s)) != r)
+    assert len(calls) == expected == sum(1 for s, t in pairs if s <= t)
+    assert expected < len(pairs)
 
 
 # (obstruction lines per chamber, agreement triples or None when skipped)
