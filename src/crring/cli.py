@@ -271,9 +271,11 @@ def _power(vd: ValidatedDatum, flag, k: int, chamber: str | None = None):
 
 def _load(path: str) -> ValidatedDatum:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DatumFormatError(f"cannot read datum file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatumFormatError(f"datum file is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

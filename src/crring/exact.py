@@ -48,6 +48,13 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _fraction(value) -> Fraction:
+    """Fraction(value), refusing a float: it is no exact rational."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; exact values take int or Fraction")
+    return Fraction(value)
+
+
 def frac_part(x: Fraction | int) -> Fraction:
     """Fractional part of x: the unique r in [0, 1) with x - r an integer."""
     x = Fraction(x)

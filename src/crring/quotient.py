@@ -48,7 +48,7 @@ from operator import add, not_
 from typing import Iterable, Mapping
 
 from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
-from .exact import format_rational, frac_part, parse_rational
+from .exact import _fraction, format_rational, frac_part, parse_rational
 
 CHAMBERS = ("positive", "negative")
 
@@ -226,10 +226,11 @@ class ValidatedDatum:
         return self._identity
 
     def label(self, c: Fraction | int, finite: Iterable[int] = ()) -> SectorLabel:
-        """Build a normalized label: c mod 1, components mod their orders."""
+        """Build a normalized label: c mod 1, components mod their orders; a
+        float c raises TypeError."""
         components = _components(finite, len(self.finite))
         components = tuple(a % f.order for a, f in zip(components, self.finite))
-        return SectorLabel(frac_part(Fraction(c)), components)
+        return SectorLabel(frac_part(_fraction(c)), components)
 
     def compose(self, s: SectorLabel, t: SectorLabel) -> SectorLabel:
         count = len(self.finite)

@@ -22,9 +22,8 @@ numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
 constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.pair_row`` is
 the one place that derives (h, T), for one sector against a span of
-sectors, with one addition of packed theta numerators for T and one of
-packed element codes for h per pair (lane widths and the no-overflow
-argument are in the docstring of ``pair``, its one-sector case), and
+sectors, with one comprehension over the table's columns per code
+component for h and per coordinate that s moves for T, and
 ``ChenRuanRing.product_row`` the one place that turns them into products;
 the self-test reads every ordered pair's (h, T) and product from the
 ring's ``pairs`` rows, built once on first use.
@@ -39,13 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import DatumFormatError, DomainError, EmptySector
-from .exact import format_rational, parse_rational
+from .exact import _fraction, format_rational, parse_rational
 from .quotient import SectorLabel, ValidatedDatum, _label_key, element_to_doc, label_from_doc
 
 
@@ -128,24 +127,6 @@ class CRClass:
         return f"CRClass({body})"
 
 
-def _fraction(value) -> Fraction:
-    """Fraction(value), refusing a float: it is no exact rational."""
-    if isinstance(value, float):
-        raise TypeError(f"{value!r} is a float; exact classes take int or Fraction")
-    return Fraction(value)
-
-
-def _pack_rows(rows, width: int) -> list[int]:
-    """For each row, the integer whose lane i, bits [i*width, (i+1)*width),
-    holds row[i]; built a column at a time."""
-    columns = zip(*rows)
-    packed = list(next(columns, ()))
-    for i, column in enumerate(columns, 1):
-        shift = width * i
-        packed = [x + (y << shift) for x, y in zip(packed, column)]
-    return packed
-
-
 def _unpack(x: int, radix: int) -> tuple[int, int, int]:
     """The balanced digits (low, middle, rest) of x = low + radix * (middle
     + radix * rest), low and middle in [-radix/2, radix/2), radix even."""
@@ -224,12 +205,9 @@ class ChenRuanRing:
     both row kernels over all ordered pairs, built once on first use.
 
     Construction builds ``start`` only, so a point query pays for no basis
-    element or sector label it does not name.  The basis tuple, ``degrees``,
-    the packed lanes of ``pair_row`` and the coefficient of each carry mask
-    are built on first use.  The lanes are a theta integer in lanes of
-    D.bit_length() + 1 bits and a code integer in lanes of
-    max(moduli).bit_length() + 1 bits per sector, packed a column at a time
-    by ``_pack_rows``, and an index from packed code to sector position.
+    element or sector label it does not name.  The basis tuple, ``degrees``
+    and the columns of the sector table that ``pair_row`` reads are built
+    on first use.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
@@ -237,8 +215,6 @@ class ChenRuanRing:
         self.chamber = chamber or vd.chamber
         self.table = vd.sector_table(self.chamber)
         self.start = list(accumulate([dim + 1 for dim in self.table.dims], initial=0))[:-1]
-        # carry mask -> sector_product's (coeff, shift), filled on first use
-        self._coefficients: dict[int, tuple[int, int]] = {}
 
     @cached_property
     def _basis(self) -> tuple[BasisElement, ...]:
@@ -281,61 +257,44 @@ class ChenRuanRing:
     # -- products ------------------------------------------------------------
 
     @cached_property
-    def _lanes(self) -> tuple:
-        """The packed operands of ``pair_row``, laid out as ``pair``'s
-        docstring says, and a memo from carry word to carry mask."""
-        table, n = self.table, self.vd.n
-        d, moduli = table.denominator, table.moduli
-        b, c = d.bit_length() + 1, max(moduli).bit_length() + 1
-        thetas, codes = _pack_rows(table.thetas, b), _pack_rows(table.codes, c)
-        theta_bias, high = _pack_rows([[(1 << b - 1) - d] * n, [1 << b - 1] * n], b)
-        code_bias, code_high = _pack_rows(
-            [[(1 << c - 1) - m for m in moduli], [1 << c - 1] * len(moduli)], c
-        )
-        # for each set of overflowing code lanes: its high bits, and what the
-        # lanes lose, the bias everywhere and the modulus where they overflow
-        overs = [[p >> i & 1 for i in range(len(moduli))] for p in range(1 << len(moduli))]
-        highs = _pack_rows([[x << c - 1 for x in over] for over in overs], c)
-        losses = _pack_rows([[x * m for x, m in zip(over, moduli)] for over in overs], c)
-        reduce = {h: code_bias + x for h, x in zip(highs, losses)}
-        return (
-            [x + theta_bias for x in thetas], thetas, high, {},
-            [x + code_bias for x in codes], codes, code_high,
-            reduce, dict(zip(codes, range(len(codes)))), b,
-        )
+    def _columns(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The columns of the sector table: one tuple of every sector's entry
+        per code component, and one per coordinate's theta numerator."""
+        return list(zip(*self.table.codes)), list(zip(*self.table.thetas))
 
     def pair(self, s: int, t: int) -> tuple[int, int]:
         """(h, T) of the ordered sector pair: the position h of the composite
         sector s*t (-1 when it is no sector of this chamber) and the bitmask
         of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D};
-        ``pair_row`` on the one sector t.
-
-        Each comes from one addition of packed integers.  Theta lane j, of
-        b = D.bit_length() + 1 bits, holds theta_s(j) + 2^(b-1) - D on the
-        left and theta_t(j) on the right.  Numerators lie in [0, D), so the
-        lane sum lies in [1, 2^b): no lane spills into the next, and its high
-        bit is set exactly when theta_s(j) + theta_t(j) >= D; a memo of at
-        most 2^n words maps the high bits to T.  Code lane i, of
-        max(moduli).bit_length() + 1 bits, is biased likewise for modulus
-        m_i; removing the bias, and m_i where the high bit is set, leaves
-        the packed code of s*t, looked up in a packed-code index.  h comes
-        from the codes, not from the theta sums, so that the obstruction
-        phase's re-derivation of theta_r from codes still checks the thetas."""
+        ``pair_row`` on the one sector t."""
         (h,), (carry,) = self.pair_row(s, slice(t, t + 1))
         return h, carry
 
     def pair_row(self, s: int, span: slice = slice(None)) -> tuple[list[int], list[int]]:
         """The composites and carry masks of ``pair(s, t)`` for the sectors t
-        in ``span`` of the positions, one comprehension each."""
-        biased, thetas, high, masks, biased_codes, codes, code_high, reduce, index, b = self._lanes
-        x, y = biased[s], biased_codes[s]
-        words = [x + v & high for v in thetas[span]]
-        for word in set(words).difference(masks):
-            masks[word] = sum(1 << j for j in range(self.vd.n) if word >> b * j + b - 1 & 1)
-        return (
-            [index.get((z := y + v) - reduce[z & code_high], -1) for v in codes[span]],
-            list(map(masks.__getitem__, words)),
-        )
+        in ``span`` of the positions.
+
+        Each code component of s*t is one comprehension, (x + code_s) mod m
+        over that component's column, and the composite codes are looked up
+        in ``table.index``.  h comes from the codes, not from the theta
+        sums, so that the obstruction phase's re-derivation of theta_r from
+        codes still checks the thetas.  For each coordinate j that s moves,
+        one comprehension sets bit j of the carry mask wherever theta_t(j)
+        >= D - theta_s(j)."""
+        table = self.table
+        code_columns, theta_columns = self._columns
+        components = [
+            [(x + a) % m for x in column[span]]
+            for column, a, m in zip(code_columns, table.codes[s], table.moduli)
+        ]
+        composite = list(map(table.index.get, zip(*components), repeat(-1)))
+        carries = [0] * len(composite)
+        for j, x in enumerate(table.thetas[s]):
+            if x:
+                bit, low = 1 << j, table.denominator - x
+                column = theta_columns[j][span]
+                carries = [c | bit if y >= low else c for c, y in zip(carries, column)]
+        return composite, carries
 
     @cached_property
     def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
@@ -355,15 +314,15 @@ class ChenRuanRing:
     def product_row(self, s: int, composite, carries, span: slice = slice(None)) -> list:
         """``sector_product(s, t, h, carry)`` for the sectors t in ``span``,
         given their composites and carries from ``pair_row(s, span)``.  The
-        product of weights is formed once per distinct carry mask."""
-        fixed, f, coefficients = self.table.fixed, self.table.fixed[s], self._coefficients
-        for c in set(carries).difference(coefficients):
+        product of weights is formed once per distinct carry mask of a
+        product that is not None."""
+        f = self.table.fixed[s]
+        nonzero = [h >= 0 and f & g for h, g in zip(composite, self.table.fixed[span])]
+        coefficients = {}
+        for c in set(compress(carries, nonzero)):
             weights = [w for j, w in enumerate(self.vd.weights) if c >> j & 1]
             coefficients[c] = prod(weights), len(weights)
-        return [
-            coefficients[c] if h >= 0 and f & g else None
-            for h, c, g in zip(composite, carries, fixed[span])
-        ]
+        return [coefficients[c] if x else None for c, x in zip(carries, nonzero)]
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""

@@ -194,6 +194,12 @@ def test_missing_or_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.datum"
     bad.write_text("{not json")
     assert run(capsys, "sectors", str(bad))[0] == 1
+    binary = tmp_path / "binary.datum"
+    binary.write_bytes(b"\xff\xfe")  # no UTF-8 text: refused, not a traceback
+    code, _, err = run(capsys, "shift", str(binary), "--t", "c=0")
+    assert code == 1
+    assert err.startswith("DatumFormatError: datum file is not UTF-8 text:")
+    assert err.count("\n") == 1
 
 
 def test_out_flag_writes_file(datum_file, tmp_path, capsys):

@@ -197,7 +197,7 @@ def test_sector_product_vanishes_on_disjoint_fixed_sets():
 
 def reference_pair(table, s: int, t: int) -> tuple[int, int]:
     """(h, T) of the ordered sector pair by a per-coordinate carry loop and
-    code composition, with no packed integers."""
+    code composition, one pair at a time from the table's rows."""
     carry = 0
     for j, (x, y) in enumerate(zip(table.thetas[s], table.thetas[t])):
         if x + y >= table.denominator:
@@ -245,12 +245,14 @@ def reference_product(ring, s: int, t: int) -> tuple[int, int] | None:
 
 
 @settings(max_examples=100, deadline=None)
-@given(data())
-@example(validate_datum(QuotientDatum((-1, -2), chamber="negative")))
-def test_pairs_rows_match_a_per_pair_loop(vd):
-    """Every row of ``pairs``, and every row over t >= s as
-    ``structure_constants`` reads it, is the per-pair reference loop, which
-    reads no packed lane."""
+@given(data(), st.builds(slice, st.integers(0, 40), st.integers(0, 40)))
+@example(validate_datum(QuotientDatum((-1, -2), chamber="negative")), slice(1, 3))
+@example(validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3))), slice(2, 2))
+def test_pairs_rows_match_a_per_pair_loop(vd, span):
+    """Every row of ``pairs``, every row over t >= s as
+    ``structure_constants`` reads it, and every row over a drawn ``span``
+    (empty when it starts at or past its end, or past the last sector) is
+    the per-pair reference loop, which reads no column of the table."""
     for chamber in CHAMBERS:
         ring = ChenRuanRing(vd, chamber)
         composite, carry, product = ring.pairs
@@ -263,6 +265,13 @@ def test_pairs_rows_match_a_per_pair_loop(vd):
             tail = ring.pair_row(s, slice(s, None))
             assert tail == (composite[s][s:], carry[s][s:]), (chamber, s)
             assert ring.product_row(s, *tail, slice(s, None)) == product[s][s:], (chamber, s)
+            row = ring.pair_row(s, span)
+            assert list(zip(*row)) == [
+                reference_pair(ring.table, s, t) for t in sectors[span]
+            ], (chamber, s, span)
+            assert ring.product_row(s, *row, span) == [
+                reference_product(ring, s, t) for t in sectors[span]
+            ], (chamber, s, span)
 
 
 def test_structure_constants_read_one_row_per_sector(monkeypatch, wp122333):
@@ -284,8 +293,8 @@ def test_structure_constants_read_one_row_per_sector(monkeypatch, wp122333):
 
 
 def test_pair_matches_the_carry_loop_past_a_machine_word():
-    # D = 601 * 607 * ... * 641 is about 3.5e19 > 2**64: every theta and
-    # code lane is wider than a machine word
+    # D = 601 * 607 * ... * 641 is about 3.5e19 > 2**64: theta numerators,
+    # their sums and codes are wider than a machine word
     vd = validate_datum(QuotientDatum((601, 607, 613, 617, 619, 631, 641)))
     ring = ChenRuanRing(vd)
     assert vd.denominator > 2**64
@@ -702,9 +711,14 @@ def test_cr_class_refuses_floats(wp112):
         lambda: x * 0.5,
         lambda: 0.5 * x,
         lambda: CRClass() * 0.5,
+        # a label's phase: 0.1 would be c = 3602879701896397/2^55
+        lambda: wp112.label(0.1),
+        lambda: wp112.label(1.0),
     ):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="is a float"):
             make()
+    assert wp112.label(Fraction(3, 2)) == wp112.label(Fraction(1, 2))
+    assert wp112.label(1) == wp112.identity()
     assert x * Fraction(1, 2) == CRClass.single(element, Fraction(1, 2))
     assert CRClass.single(element, "1/2") == 2 * x * Fraction(1, 4)
 
