@@ -4,7 +4,8 @@ Every coefficient in this package is an exact rational (a
 ``fractions.Fraction``, or an ``int`` where it is integral); nothing ever
 rounds.  Rationals serialize as ``"p/q"`` in lowest terms with q > 0, or
 ``"p"`` when the denominator is 1.  ``format_rational`` renders an ``int``
-or a ``Fraction`` directly and any other rational through ``Fraction(x)``.
+or a ``Fraction`` directly and any other rational through ``Fraction(x)``;
+it and ``frac_part`` refuse a ``float`` with ``TypeError``.
 ``parse_rational`` accepts exactly the strings ``-?D+`` and ``-?D+/D+`` (D a
 decimal digit, Unicode digits included), not necessarily in lowest terms,
 and returns the value ``Fraction(text)`` would; anything else, a zero
@@ -42,20 +43,26 @@ def format_rational(x: Fraction | int) -> str:
     if type(x) is int:
         return str(x)
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = _fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def _fraction(value) -> Fraction:
-    """Fraction(value), refusing a float: it is no exact rational."""
+def _refuse_float(value) -> None:
+    """TypeError for a float: it is no exact rational."""
     if isinstance(value, float):
         raise TypeError(f"{value!r} is a float; exact values take int or Fraction")
+
+
+def _fraction(value) -> Fraction:
+    """Fraction(value), refusing a float."""
+    _refuse_float(value)
     return Fraction(value)
 
 
 def frac_part(x: Fraction | int) -> Fraction:
-    """Fractional part of x: the unique r in [0, 1) with x - r an integer."""
-    x = Fraction(x)
+    """Fractional part of x: the unique r in [0, 1) with x - r an integer;
+    a float x raises TypeError."""
+    x = _fraction(x)
     return x - (x.numerator // x.denominator)

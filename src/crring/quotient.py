@@ -48,7 +48,7 @@ from operator import add, not_
 from typing import Iterable, Mapping
 
 from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
-from .exact import _fraction, format_rational, frac_part, parse_rational
+from .exact import _refuse_float, format_rational, frac_part, parse_rational
 
 CHAMBERS = ("positive", "negative")
 
@@ -176,6 +176,7 @@ class SectorTable:
 
     def position(self, t: SectorLabel) -> int | None:
         """Index of the sector labeled t, or None if t is no sector here."""
+        _refuse_float(t.c)
         num, den = t.c.as_integer_ratio()
         if self.moduli[0] % den:
             return None
@@ -185,8 +186,12 @@ class SectorTable:
 
 def _components(finite: Iterable[int], count: int) -> tuple[int, ...]:
     """The finite components of a label read on a datum with ``count`` finite
-    factors: none stand for all 0, and any other count is a ``ValueError``."""
+    factors: none stand for all 0, and any other count is a ``ValueError``;
+    a component that is no int is a ``TypeError``."""
     components = tuple(finite) or (0,) * count
+    for a in components:
+        if isinstance(a, (float, Fraction)):
+            raise TypeError(f"finite component {a!r} is a {type(a).__name__}; components take int")
     if len(components) != count:
         raise ValueError(f"label has {len(components)} finite components, datum has {count}")
     return components
@@ -230,7 +235,7 @@ class ValidatedDatum:
         float c raises TypeError."""
         components = _components(finite, len(self.finite))
         components = tuple(a % f.order for a, f in zip(components, self.finite))
-        return SectorLabel(frac_part(_fraction(c)), components)
+        return SectorLabel(frac_part(c), components)
 
     def compose(self, s: SectorLabel, t: SectorLabel) -> SectorLabel:
         count = len(self.finite)
@@ -263,6 +268,7 @@ class ValidatedDatum:
     def theta_numerators(self, t: SectorLabel) -> tuple[int, tuple[int, ...]]:
         """(q, numerators) with theta_j(t) = numerators[j] / q.  q is D for
         every label that fixes a coordinate, a multiple of D otherwise."""
+        _refuse_float(t.c)
         num, den = t.c.as_integer_ratio()
         q = lcm(self.denominator, den)
         return q, self._numerators(num * (q // den), _components(t.finite, len(self.finite)), q)

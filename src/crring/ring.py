@@ -20,13 +20,13 @@ count in ``obstruction_rank_oracle``.
 The ring works on the integer ``SectorTable`` of its chamber.  With theta
 numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
-constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.pair_row`` is
-the one place that derives (h, T), for one sector against a span of
-sectors, with one comprehension over the table's columns per code
-component for h and per coordinate that s moves for T, and
-``ChenRuanRing.product_row`` the one place that turns them into products;
-the self-test reads every ordered pair's (h, T) and product from the
-ring's ``pairs`` rows, built once on first use.
+constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.row`` is the one
+place that applies this rule: for one sector s against a span of sectors t
+it returns the composites h, the carry masks T and the sector products,
+with one comprehension over the table's columns per code component for h
+and per coordinate that s moves for T.  ``ChenRuanRing.product`` is its
+one-sector case; the self-test reads every ordered pair from the ring's
+``pairs`` rows, built once on first use.
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
@@ -198,16 +198,16 @@ class ChenRuanRing:
     ``start[s] + k`` and degree 2 * ``degrees[start[s] + k]`` / D, the one
     derivation of the age: ``degrees[i]`` = k * D + sum_j theta_s(j).
 
-    The product of sectors s and t is ``sector_product(s, t, *pair(s, t))``,
-    the one-sector case of ``product_row(s, *pair_row(s))``.  Point queries
-    call ``pair``; ``structure_constants`` reads one row per s over t >= s,
-    and the axiom check and the self-test phases read ``pairs``, the rows of
-    both row kernels over all ordered pairs, built once on first use.
+    ``row(s, span)`` gives (h, T, product) of sector s against every sector
+    t in ``span``, and ``product(s, t)`` is its one-sector case, for point
+    queries.  ``structure_constants`` reads one row per s over t >= s, and
+    the axiom check and the self-test phases read ``pairs``, the rows over
+    all ordered pairs, built once on first use.
 
     Construction builds ``start`` only, so a point query pays for no basis
     element or sector label it does not name.  The basis tuple, ``degrees``
-    and the columns of the sector table that ``pair_row`` reads are built
-    on first use.
+    and the columns of the sector table that ``row`` reads are built on
+    first use.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
@@ -262,17 +262,14 @@ class ChenRuanRing:
         per code component, and one per coordinate's theta numerator."""
         return list(zip(*self.table.codes)), list(zip(*self.table.thetas))
 
-    def pair(self, s: int, t: int) -> tuple[int, int]:
-        """(h, T) of the ordered sector pair: the position h of the composite
-        sector s*t (-1 when it is no sector of this chamber) and the bitmask
-        of the interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D};
-        ``pair_row`` on the one sector t."""
-        (h,), (carry,) = self.pair_row(s, slice(t, t + 1))
-        return h, carry
-
-    def pair_row(self, s: int, span: slice = slice(None)) -> tuple[list[int], list[int]]:
-        """The composites and carry masks of ``pair(s, t)`` for the sectors t
-        in ``span`` of the positions.
+    def row(self, s: int, span: slice = slice(None)) -> tuple[list[int], list[int], list]:
+        """(composites, carries, products) of sector s against each sector t
+        in ``span`` of the positions: the position h of the composite sector
+        s*t (-1 when it is no sector of this chamber), the bitmask of the
+        interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}, and
+        1_(s) * 1_(t) = coeff * eta^shift 1_(h) as (coeff, shift) =
+        (prod_{j in T} w_j, |T|), or None when h is no sector or the fixed
+        sets of s and t are disjoint.
 
         Each code component of s*t is one comprehension, (x + code_s) mod m
         over that component's column, and the composite codes are looked up
@@ -280,7 +277,8 @@ class ChenRuanRing:
         sums, so that the obstruction phase's re-derivation of theta_r from
         codes still checks the thetas.  For each coordinate j that s moves,
         one comprehension sets bit j of the carry mask wherever theta_t(j)
-        >= D - theta_s(j)."""
+        >= D - theta_s(j).  The product of weights is formed once per
+        distinct carry mask of a product that is not None."""
         table = self.table
         code_columns, theta_columns = self._columns
         components = [
@@ -294,44 +292,34 @@ class ChenRuanRing:
                 bit, low = 1 << j, table.denominator - x
                 column = theta_columns[j][span]
                 carries = [c | bit if y >= low else c for c, y in zip(carries, column)]
-        return composite, carries
-
-    @cached_property
-    def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
-        """Rows (composite, carry, product)[s][t] of ``pair`` and
-        ``sector_product``, one ``pair_row`` and one ``product_row`` per s."""
-        rows = [self.pair_row(s) for s in range(len(self.table.codes))]
-        products = [self.product_row(s, *row) for s, row in enumerate(rows)]
-        return [h for h, _ in rows], [c for _, c in rows], products
-
-    def sector_product(self, s: int, t: int, h: int, carry: int) -> tuple[int, int] | None:
-        """1_(s) * 1_(t) = coeff * eta^shift 1_(h) by the carry rule, given
-        (h, carry) = ``pair(s, t)``: (coeff, shift) = (prod_{j in T} w_j, |T|),
-        or None when h is no sector or the fixed sets of s and t are disjoint;
-        ``product_row`` on the one sector t."""
-        return self.product_row(s, [h], [carry], slice(t, t + 1))[0]
-
-    def product_row(self, s: int, composite, carries, span: slice = slice(None)) -> list:
-        """``sector_product(s, t, h, carry)`` for the sectors t in ``span``,
-        given their composites and carries from ``pair_row(s, span)``.  The
-        product of weights is formed once per distinct carry mask of a
-        product that is not None."""
-        f = self.table.fixed[s]
-        nonzero = [h >= 0 and f & g for h, g in zip(composite, self.table.fixed[span])]
+        f = table.fixed[s]
+        nonzero = [h >= 0 and f & g for h, g in zip(composite, table.fixed[span])]
         coefficients = {}
         for c in set(compress(carries, nonzero)):
             weights = [w for j, w in enumerate(self.vd.weights) if c >> j & 1]
             coefficients[c] = prod(weights), len(weights)
-        return [coefficients[c] if x else None for c, x in zip(carries, nonzero)]
+        products = [coefficients[c] if x else None for c, x in zip(carries, nonzero)]
+        return composite, carries, products
+
+    def product(self, s: int, t: int) -> tuple[int, int, tuple[int, int] | None]:
+        """(h, carry, product) of the ordered sector pair: ``row`` on the one
+        sector t."""
+        (h,), (carry,), (product,) = self.row(s, slice(t, t + 1))
+        return h, carry, product
+
+    @cached_property
+    def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
+        """Rows (composite, carry, product)[s][t] over every ordered sector
+        pair, one ``row`` per s."""
+        rows = [self.row(s) for s in range(len(self.table.codes))]
+        return tuple(map(list, zip(*rows))) or ([], [], [])
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
-        s, t = self._position(a), self._position(b)
-        h, carry = self.pair(s, t)
-        data = self.sector_product(s, t, h, carry)
-        if data is None:
+        h, _, product = self.product(self._position(a), self._position(b))
+        if product is None:
             return None
-        coeff, shift = data
+        coeff, shift = product
         k = a.k + b.k + shift
         if k > self.table.dims[h]:
             return None
@@ -377,17 +365,6 @@ class ChenRuanRing:
 
     # -- tabulation ------------------------------------------------------------
 
-    def _basis_products(self, s: int, t: int, h: int, product) -> Iterator[tuple[int, ...]]:
-        """(i, j, target index, coefficient) for every nonzero basis product
-        of sector s with sector t, given h and the ``sector_product`` of the pair."""
-        if product is None:
-            return
-        coeff, shift = product
-        dims, start = self.table.dims, self.start
-        for k1 in range(dims[s] + 1):
-            for k2 in range(min(dims[t], dims[h] - shift - k1) + 1):
-                yield start[s] + k1, start[t] + k2, start[h] + k1 + k2 + shift, coeff
-
     def _pairing_entries(self) -> Iterator[tuple[int, int, int]]:
         """(i, j, s) for every nonzero pairing entry: eta^k 1_(s) paired with
         eta^(dim-k) 1_(s^-1)."""
@@ -407,16 +384,22 @@ class ChenRuanRing:
             pairing[i][j] = Fraction(1, self.pairing_denominator(s))
         products: dict[tuple[int, int], CRClass] = {}
         classes: dict[tuple[int, int], CRClass] = {}  # (target, coeff) -> its class
+        dims, start = table.dims, self.start
         for s in range(len(table.codes)):
-            composite, carries = self.pair_row(s, slice(s, None))
-            row = self.product_row(s, composite, carries, slice(s, None))
+            composite, _, row = self.row(s, slice(s, None))
             for t, h, product in zip(count(s), composite, row):
-                for i, j, target, coeff in self._basis_products(s, t, h, product):
-                    if i <= j:
+                if product is None:
+                    continue
+                # eta^k1 1_(s) * eta^k2 1_(t) = coeff eta^(k1+k2+shift) 1_(h),
+                # kept for i <= j and up to the top of the target sector
+                coeff, shift = product
+                for k1 in range(dims[s] + 1):
+                    for k2 in range(k1 if t == s else 0, min(dims[t], dims[h] - shift - k1) + 1):
+                        target = start[h] + k1 + k2 + shift
                         value = classes.get((target, coeff))
                         if value is None:
                             value = classes[target, coeff] = CRClass.single(basis[target], coeff)
-                        products[(i, j)] = value
+                        products[(start[s] + k1, start[t] + k2)] = value
         return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
 
     # -- axioms ------------------------------------------------------------------

@@ -21,6 +21,8 @@ from crring import (
     SectorLabel,
     cr_class_from_doc,
     cr_class_to_doc,
+    format_rational,
+    frac_part,
     obstruction_rank_oracle,
     table_from_doc,
     table_to_doc,
@@ -95,11 +97,11 @@ def test_pairing_includes_finite_group_order():
 
 def obstruction_split(ring, s, t):
     """The interacting coordinates T of a sector pair, read off the carry mask
-    of ``ring.pair``, and their split: a coordinate of T where the theta
+    of ``ring.product``, and their split: a coordinate of T where the theta
     numerators sum to D is a Thom pushforward direction, one where they sum
     past D an obstruction direction."""
     si, ti = ring.table.position(s), ring.table.position(t)
-    carry = ring.pair(si, ti)[1]
+    carry = ring.product(si, ti)[1]
     indices = {j for j in range(ring.vd.n) if carry >> j & 1}
     sums = [x + y for x, y in zip(ring.table.thetas[si], ring.table.thetas[ti])]
     d = ring.table.denominator
@@ -162,17 +164,15 @@ def test_pair_and_sector_product_values(wp122333):
         ring.table.position(wp122333.label(Fraction(c))) for c in ("1/3", "2/3", "1/2")
     )
     # theta(1/3) = (1/3, 2/3, 2/3, 0, 0, 0): coordinates 1 and 2 carry
-    assert ring.pair(third, third) == (two_thirds, 0b110)
-    assert ring.sector_product(third, third, *ring.pair(third, third)) == (4, 2)
+    assert ring.product(third, third) == (two_thirds, 0b110, (4, 2))
     # c = 5/6 fixes no coordinate
-    h, carry = ring.pair(third, half)
+    h, _, product = ring.product(third, half)
     assert h == -1
-    assert ring.sector_product(third, half, h, carry) is None
+    assert product is None
     sectors = range(len(ring.table.codes))
     composite, carry, product = ring.pairs
-    assert all(ring.pair(s, t) == (composite[s][t], carry[s][t]) for s in sectors for t in sectors)
     assert all(
-        product[s][t] == ring.sector_product(s, t, composite[s][t], carry[s][t])
+        ring.product(s, t) == (composite[s][t], carry[s][t], product[s][t])
         for s in sectors for t in sectors
     )
 
@@ -187,8 +187,8 @@ def test_sector_product_vanishes_on_disjoint_fixed_sets():
     disjoint = [(s, t) for s in sectors for t in sectors if not fixed[s] & fixed[t]]
     composable = 0
     for s, t in disjoint:
-        h, carry = ring.pair(s, t)
-        assert ring.sector_product(s, t, h, carry) is None
+        h, carry, product = ring.product(s, t)
+        assert product is None
         if h >= 0:
             composable += 1
             assert carry & fixed[h] == fixed[h]
@@ -230,11 +230,11 @@ def test_pair_matches_a_per_coordinate_carry_loop(vd):
         sectors = range(len(ring.table.codes))
         for s in sectors:
             for t in sectors:
-                assert ring.pair(s, t) == reference_pair(ring.table, s, t), (chamber, s, t)
+                assert ring.product(s, t)[:2] == reference_pair(ring.table, s, t), (chamber, s, t)
 
 
 def reference_product(ring, s: int, t: int) -> tuple[int, int] | None:
-    """``sector_product`` of the ordered sector pair from ``reference_pair``:
+    """The sector product of the ordered sector pair from ``reference_pair``:
     (prod_{j in T} w_j, |T|), or None when s*t is no sector or the fixed
     sets of s and t are disjoint."""
     h, carry = reference_pair(ring.table, s, t)
@@ -262,32 +262,30 @@ def test_pairs_rows_match_a_per_pair_loop(vd, span):
                 reference_pair(ring.table, s, t) for t in sectors
             ], (chamber, s)
             assert product[s] == [reference_product(ring, s, t) for t in sectors], (chamber, s)
-            tail = ring.pair_row(s, slice(s, None))
-            assert tail == (composite[s][s:], carry[s][s:]), (chamber, s)
-            assert ring.product_row(s, *tail, slice(s, None)) == product[s][s:], (chamber, s)
-            row = ring.pair_row(s, span)
-            assert list(zip(*row)) == [
+            tail = ring.row(s, slice(s, None))
+            assert tail == (composite[s][s:], carry[s][s:], product[s][s:]), (chamber, s)
+            composites, carries, products = ring.row(s, span)
+            assert list(zip(composites, carries)) == [
                 reference_pair(ring.table, s, t) for t in sectors[span]
             ], (chamber, s, span)
-            assert ring.product_row(s, *row, span) == [
+            assert products == [
                 reference_product(ring, s, t) for t in sectors[span]
             ], (chamber, s, span)
 
 
 def test_structure_constants_read_one_row_per_sector(monkeypatch, wp122333):
     rows = []
-    pair_row = ChenRuanRing.pair_row
+    row = ChenRuanRing.row
 
     def counted(ring, s, span=slice(None)):
         rows.append((s, span))
-        return pair_row(ring, s, span)
+        return row(ring, s, span)
 
     def refused(*args):
         raise AssertionError("a sweep called the one-sector form")
 
-    monkeypatch.setattr(ChenRuanRing, "pair_row", counted)
-    monkeypatch.setattr(ChenRuanRing, "pair", refused)
-    monkeypatch.setattr(ChenRuanRing, "sector_product", refused)
+    monkeypatch.setattr(ChenRuanRing, "row", counted)
+    monkeypatch.setattr(ChenRuanRing, "product", refused)
     ChenRuanRing(wp122333).structure_constants()
     assert rows == [(s, slice(s, None)) for s in range(len(wp122333.sectors()))]
 
@@ -303,7 +301,7 @@ def test_pair_matches_the_carry_loop_past_a_machine_word():
     composable = 0
     for _ in range(3000):
         s, t = rng.randrange(4323), rng.randrange(4323)
-        h, carry = ring.pair(s, t)
+        h, carry, _ = ring.product(s, t)
         assert (h, carry) == reference_pair(ring.table, s, t), (s, t)
         composable += h >= 0
     assert composable
@@ -459,15 +457,16 @@ NEGATIVE_122_FROBENIUS = (
 
 
 def corrupting(edit, corrupted: set):
-    """``ChenRuanRing.product_row`` with ``edit(coeff, shift)`` applied to
-    the nonzero product of every ordered sector pair (s, t) in ``corrupted``."""
-    product_row = ChenRuanRing.product_row
+    """``ChenRuanRing.row`` with ``edit(coeff, shift)`` applied to the
+    nonzero product of every ordered sector pair (s, t) in ``corrupted``."""
+    row = ChenRuanRing.row
 
-    def patched(self, s, composite, carries, span=slice(None)):
-        row = product_row(self, s, composite, carries, span)
+    def patched(self, s, span=slice(None)):
+        composite, carries, products = row(self, s, span)
         sectors = range(len(self.table.codes))[span]
-        return [
-            edit(*data) if (s, t) in corrupted and data else data for t, data in zip(sectors, row)
+        return composite, carries, [
+            edit(*data) if (s, t) in corrupted and data else data
+            for t, data in zip(sectors, products)
         ]
 
     return patched
@@ -537,7 +536,7 @@ def test_axiom_check_names_the_first_counterexample(monkeypatch, datum, pair, ed
     vd = validate_datum(datum)
     table = vd.sector_table()
     s, t = (table.position(vd.label(Fraction(c))) for c in pair)
-    monkeypatch.setattr(ChenRuanRing, "product_row", corrupting(edit, {(s, t), (t, s)}))
+    monkeypatch.setattr(ChenRuanRing, "row", corrupting(edit, {(s, t), (t, s)}))
     report = ChenRuanRing(vd).verify_ring_axioms()
     assert [c for c in report.phases if c.status != "pass"] == [
         PhaseResult(name, "fail", detail) for name, detail in failures
@@ -548,14 +547,22 @@ def reference_axiom_checks(ring):
     """The six checks of ``verify_ring_axioms`` by a plain loop over every
     basis triple (i, j, k), on the tables it builds: a product is a pair
     (target, coefficient), (-1, 0) where there is none, and a pairing value
-    a Fraction."""
+    a Fraction.  The basis products are expanded from the sector products
+    of ``ring.pairs``: eta^k1 1_(s) * eta^k2 1_(t) = coeff eta^k 1_(h) with
+    k = k1 + k2 + shift, zero past the top of h."""
     basis = ring.basis()
-    size = len(basis)
+    size, dims, start = len(basis), ring.table.dims, ring.start
     product, pairing = {}, {}
     for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
         for t, (h, data) in enumerate(zip(composite, products)):
-            for i, j, target, coeff in ring._basis_products(s, t, h, data):
-                product[i, j] = target, coeff
+            if data is None:
+                continue
+            coeff, shift = data
+            for k1 in range(dims[s] + 1):
+                for k2 in range(dims[t] + 1):
+                    k = k1 + k2 + shift
+                    if k <= dims[h]:
+                        product[start[s] + k1, start[t] + k2] = start[h] + k, coeff
     for i, j, s in ring._pairing_entries():
         pairing[i, j] = Fraction(1, ring.pairing_denominator(s))
 
@@ -652,12 +659,22 @@ def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber
             s, t = rng.choice(nonzero)
             corrupted = {(s, t), (t, s)} if rng.random() < 0.5 else {(s, t)}
             with monkeypatch.context() as patch:
-                patch.setattr(ChenRuanRing, "product_row", corrupting(edit, corrupted))
+                patch.setattr(ChenRuanRing, "row", corrupting(edit, corrupted))
                 ring = ChenRuanRing(vd, chamber)
                 report = ring.verify_ring_axioms()
                 assert report.phases == reference_axiom_checks(ring), (kind, s, t, corrupted)
             failing += not report.passed
     assert failing
+
+
+def test_a_chamber_with_no_sectors_has_an_empty_ring():
+    # P(1,2) has no negative weight, so its negative chamber has no sector
+    ring = ChenRuanRing(validate_datum(QuotientDatum((1, 2))), "negative")
+    assert ring.table.codes == ()
+    assert ring.pairs == ([], [], [])
+    assert ring.verify_ring_axioms().passed
+    table = ring.structure_constants()
+    assert table.basis == () and table.products == {}
 
 
 def test_verify_ring_axioms_mixed_chambers(mixed):
@@ -705,6 +722,8 @@ def test_cr_class_arithmetic(wp112):
 def test_cr_class_refuses_floats(wp112):
     element = BasisElement(wp112.identity(), 0)
     x = CRClass.single(element)
+    ring, halved = ChenRuanRing(wp112), SectorLabel(0.5, ())
+    z3 = validate_datum(QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)))
     for make in (
         lambda: CRClass.single(element, 0.1),
         lambda: CRClass({element: 0.5}),
@@ -714,10 +733,23 @@ def test_cr_class_refuses_floats(wp112):
         # a label's phase: 0.1 would be c = 3602879701896397/2^55
         lambda: wp112.label(0.1),
         lambda: wp112.label(1.0),
+        lambda: format_rational(0.1),
+        lambda: frac_part(0.1),
+        # a label built directly with a float phase is refused wherever its
+        # phase is read, though c=1/2 is a sector of P(1,1,2)
+        lambda: ring.table.position(halved),
+        lambda: ring.cup_basis(BasisElement(halved, 0), BasisElement(halved, 0)),
+        lambda: ring.degree(BasisElement(halved, 0)),
+        lambda: wp112.theta_numerators(halved),
+        # a finite component: its document would read "finite": [1.0]
+        lambda: z3.label(0, (1.0,)),
     ):
         with pytest.raises(TypeError, match="is a float"):
             make()
+    with pytest.raises(TypeError, match="finite component Fraction\\(1, 1\\) is a Fraction"):
+        z3.label(0, (Fraction(1),))
     assert wp112.label(Fraction(3, 2)) == wp112.label(Fraction(1, 2))
+    assert z3.label(0, (4,)) == SectorLabel(Fraction(0), (1,))
     assert wp112.label(1) == wp112.identity()
     assert x * Fraction(1, 2) == CRClass.single(element, Fraction(1, 2))
     assert CRClass.single(element, "1/2") == 2 * x * Fraction(1, 4)

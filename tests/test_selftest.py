@@ -213,22 +213,17 @@ def _counted(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("path", PAIR_DATA, ids=[path.stem for path in PAIR_DATA])
 def test_selftest_derives_each_sector_pair_once(monkeypatch, path):
-    """Each (chamber, s) row of both row kernels is built once, over every
-    sector t, and the one-sector ``pair`` and ``sector_product`` are never
-    called."""
+    """Each (chamber, s) row of the kernel is built once, over every sector
+    t, and the one-sector ``product`` is never called."""
     vd = _load(path)
-    rows, products = _counted(monkeypatch, "pair_row"), _counted(monkeypatch, "product_row")
-    singles = _counted(monkeypatch, "pair"), _counted(monkeypatch, "sector_product")
+    rows, singles = _counted(monkeypatch, "row"), _counted(monkeypatch, "product")
     assert run_selftest(vd).passed
     sizes = {chamber: len(vd.sectors(chamber)) for chamber in CHAMBERS}
     expected = sorted((chamber, s) for chamber, size in sizes.items() for s in range(size))
-    for calls in rows, products:
-        assert sorted((chamber, s) for chamber, s, _ in calls) == expected
-    for chamber, _, (composite, carry) in rows:
-        assert len(composite) == len(carry) == sizes[chamber]
-    for chamber, _, row in products:
-        assert len(row) == sizes[chamber]
-    assert singles == ([], [])
+    assert sorted((chamber, s) for chamber, s, _ in rows) == expected
+    for chamber, _, (composite, carry, products) in rows:
+        assert len(composite) == len(carry) == len(products) == sizes[chamber]
+    assert singles == []
 
 
 def _with_row(rows: tuple, s: int, value) -> tuple:
