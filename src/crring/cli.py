@@ -79,38 +79,72 @@ def _triple(table: SectorTable, s: int, t: int, r: int, powers: tuple[int, ...])
 
 
 def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> PhaseResult:
+    """The carry mask of every ordered sector pair (s, t) against the index
+    count, on every normal line j that s, t and r = (st)^-1 all move: such a
+    line is moved by st, so it is an obstruction direction exactly when it
+    carries, that is, when ``obstruction_rank_oracle`` gives rank 1.
+
+    The phase sweeps one sector row s at a time.  Row h of ``inverse_thetas``
+    and ``inverse_fixed`` belongs to h^-1, so the pair table's composite h
+    names the row of r.  A composite that is no sector gets its r a row past
+    the table, with theta_r re-derived from the code of r, never off the
+    carry, once per distinct code.  For each coordinate j that s moves, one
+    comprehension lists the (phase sum, carry bit) of every line (s, t, j)
+    in t order, and the oracle, which reads the three phases only through
+    their sum, runs once per distinct pair, in first-occurrence order.  A
+    failure names the first failing line in (s, t, j) order from the
+    verdicts of its row, without asking the oracle again."""
     table = ring.table
-    thetas, fixed, d, everything = table.thetas, table.fixed, table.denominator, (1 << vd.n) - 1
-    lines, others = 0, {}  # composite code that is no sector -> theta_r, fixed_r
-    for s, (composite, carry, _) in enumerate(zip(*ring.pairs)):
-        for t, (h, interacting) in enumerate(zip(composite, carry)):
-            if h >= 0:
-                r = table.inverse[h]
-                theta_r, fixed_r = thetas[r], fixed[r]
-            else:
-                # re-derived from the codes, once per distinct composite: the
-                # index count must not read theta_r off the carry of theta_s + theta_t
-                code = table.compose(table.codes[s], table.codes[t])
-                known = others.get(code)
-                if known is None:
-                    theta_r = vd.code_numerators(table.invert(code))
-                    known = others[code] = theta_r, vd.fixed_mask(theta_r)
-                theta_r, fixed_r = known
-            outside = everything & ~(fixed[s] | fixed[t] | fixed_r)
-            # a line moved by r = (st)^-1 is moved by st, so it is an
-            # obstruction direction exactly when it is interacting
-            while outside:
-                j = (outside & -outside).bit_length() - 1
-                outside &= outside - 1
+    d, columns, code_columns = table.denominator, list(zip(*table.thetas)), list(zip(*table.codes))
+    inverse_thetas = [table.thetas[r] for r in table.inverse]
+    inverse_fixed = [table.fixed[r] for r in table.inverse]
+    lines, others = 0, {}  # code of an r whose composite is no sector -> its row
+    for s, (composite, carries, _) in enumerate(zip(*ring.pairs)):
+        if -1 in composite:
+            composite = list(composite)  # each -1 becomes the row of its r
+            missing = list(compress(range(len(composite)), [h < 0 for h in composite]))
+            # the code of r = (st)^-1, one comprehension per code component
+            codes = zip(*[
+                [-(column[t] + a) % m for t in missing]
+                for column, a, m in zip(code_columns, table.codes[s], table.moduli)
+            ])
+            for t, code in zip(missing, codes):
+                h = others.get(code)
+                if h is None:
+                    theta_r = vd.code_numerators(code)
+                    h = others[code] = len(inverse_thetas)
+                    inverse_thetas.append(theta_r)
+                    inverse_fixed.append(vd.fixed_mask(theta_r))
+                composite[t] = h
+        blocked = [f | inverse_fixed[h] for f, h in zip(table.fixed, composite)]
+        failures = []  # (t, j, text) of the first failing line at each coordinate
+        for j, x in enumerate(table.thetas[s]):
+            bit = 1 << j
+            if table.fixed[s] & bit:
+                continue
+            keys = [
+                (x + y + inverse_thetas[h][j], c & bit)
+                for y, h, b, c in zip(columns[j], composite, blocked, carries)
+                if not b & bit
+            ]
+            lines += len(keys)
+            verdicts = {}  # failing key -> its text
+            for key in dict.fromkeys(keys):
+                total, carry = key
                 try:
-                    rank = obstruction_rank_oracle(thetas[s][j], thetas[t][j], theta_r[j], d)
+                    rank = obstruction_rank_oracle(total, 0, 0, d)
                 except DomainError as exc:
-                    return PhaseResult(name, "fail", f"{_line(table, s, t, j)}: {exc}")
-                if (rank == 1) != bool(interacting >> j & 1):
-                    return PhaseResult(
-                        name, "fail", f"{_line(table, s, t, j)}: index rank {rank} vs exponent rule"
-                    )
-                lines += 1
+                    verdicts[key] = str(exc)
+                    continue
+                if (rank == 1) != bool(carry):
+                    verdicts[key] = f"index rank {rank} vs exponent rule"
+            if verdicts:
+                i = next(i for i, key in enumerate(keys) if key in verdicts)
+                t = list(compress(range(len(blocked)), [not b & bit for b in blocked]))[i]
+                failures.append((t, j, verdicts[keys[i]]))
+        if failures:
+            t, j, text = min(failures)
+            return PhaseResult(name, "fail", f"{_line(table, s, t, j)}: {text}")
     return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
 
 

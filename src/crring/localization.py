@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import EmptySector, NonComposable
-from .exact import format_rational
+from .exact import _refuse_float, format_rational
 from .quotient import CHAMBERS, SectorLabel, ValidatedDatum, element_to_doc
 
 SectorPower = tuple[SectorLabel, int]
@@ -75,19 +75,22 @@ def localized_residue(
     the second; or None when the elements do not compose to the identity.
     Eta powers k_i only raise the u-power by k1 + k2 + k3; the 3-point
     function is the coefficient when the raised power is -1, and 0
-    otherwise."""
+    otherwise.  A float numerator raises TypeError."""
     d, top, bottom, power = vd.denominator, 1, vd.finite_order, -vd.n
     # the product of the elements acts with phases (theta1 + theta2 + theta3) / D,
-    # so it is the identity exactly when every sum is a multiple of D
+    # so it is the identity exactly when every sum is a multiple of D; a float
+    # numerator makes its sum, and from then on the u-power, a float
     for w, x, y, z in zip(vd.weights, theta1, theta2, theta3):
         e, rest = divmod(x + y + z, d)
         if rest:
+            _refuse_float(power + rest)
             return None
         if e == 2:
             top *= w
         elif not e:
             bottom *= w
         power += e
+    _refuse_float(power)
     return top, bottom, power
 
 

@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import DatumFormatError, DomainError, EmptySector
-from .exact import _fraction, format_rational, parse_rational
+from .exact import _fraction, _refuse_float, format_rational, parse_rational
 from .quotient import SectorLabel, ValidatedDatum, _label_key, element_to_doc, label_from_doc
 
 
@@ -146,8 +146,11 @@ def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int
     so the invariant H^1 has rank max(-chi, 0): 1 exactly when the phase sum
     is 2.  Raises DomainError when the sum is not an integer, since then the
     three elements cannot compose to the identity on this line.  The phases
-    are rationals, or integer numerators over ``denominator``.
+    are rationals, or integer numerators over ``denominator``; a float raises
+    TypeError.
     """
+    for value in (theta1, theta2, theta3, denominator):
+        _refuse_float(value)
     total, rest = divmod(theta1 + theta2 + theta3, denominator)
     if rest:
         total = Fraction(theta1 + theta2 + theta3, denominator)
@@ -277,8 +280,9 @@ class ChenRuanRing:
         sums, so that the obstruction phase's re-derivation of theta_r from
         codes still checks the thetas.  For each coordinate j that s moves,
         one comprehension sets bit j of the carry mask wherever theta_t(j)
-        >= D - theta_s(j).  The product of weights is formed once per
-        distinct carry mask of a product that is not None."""
+        >= D - theta_s(j); the first such comprehension starts the masks.
+        The product of weights is formed once per distinct carry mask of a
+        product that is not None."""
         table = self.table
         code_columns, theta_columns = self._columns
         components = [
@@ -286,12 +290,17 @@ class ChenRuanRing:
             for column, a, m in zip(code_columns, table.codes[s], table.moduli)
         ]
         composite = list(map(table.index.get, zip(*components), repeat(-1)))
-        carries = [0] * len(composite)
+        carries = None
         for j, x in enumerate(table.thetas[s]):
             if x:
                 bit, low = 1 << j, table.denominator - x
                 column = theta_columns[j][span]
-                carries = [c | bit if y >= low else c for c, y in zip(carries, column)]
+                if carries is None:
+                    carries = [bit if y >= low else 0 for y in column]
+                else:
+                    carries = [c | bit if y >= low else c for c, y in zip(carries, column)]
+        if carries is None:  # s moves no coordinate
+            carries = [0] * len(composite)
         f = table.fixed[s]
         nonzero = [h >= 0 and f & g for h, g in zip(composite, table.fixed[span])]
         coefficients = {}

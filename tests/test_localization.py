@@ -50,6 +50,21 @@ def test_twist_restriction_cube_root_sector(wp122333):
     assert localized_residue(wp122333, *[numerators] * 3) == (4, 27, -1)
 
 
+def test_localized_residue_refuses_float_numerators(wp112):
+    # P(1,1,2): (1, 1, 0) twice and the identity compose to 1 with term
+    # (1, 2, -1); a float numerator is refused, composable or not
+    assert localized_residue(wp112, (1, 1, 0), (1, 1, 0), (0, 0, 0)) == (1, 2, -1)
+    for thetas in [
+        ((1.0, 1, 0), (1, 1, 0), (0, 0, 0)),
+        ((1, 1, 0), (1, 1, 0), (0, 0, 0.0)),
+        # non-composable, at a float coordinate and after one
+        ((1.5, 1, 0), (1, 1, 0), (0, 0, 0)),
+        ((1.0, 1, 0), (1, 0, 0), (0, 0, 0)),
+    ]:
+        with pytest.raises(TypeError, match="is a float"):
+            localized_residue(wp112, *thetas)
+
+
 def test_twist_restriction_wp112(wp112):
     half = wp112.label(Fraction(1, 2))
     assert wp112.thetas(half) == (Fraction(1, 2), Fraction(1, 2), 0)

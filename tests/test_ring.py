@@ -138,6 +138,10 @@ def test_obstruction_rank_oracle():
     assert obstruction_rank_oracle(Fraction(0), Fraction(0), Fraction(0)) == 0
     with pytest.raises(DomainError):
         obstruction_rank_oracle(third, third, Fraction(1, 2))
+    # floats are refused, also when their sum is an integer
+    for phases in [(0.5, 0.5, 1.0), (1, 1, 0, 1.0), (0.5, 0.25, third)]:
+        with pytest.raises(TypeError, match="is a float"):
+            obstruction_rank_oracle(*phases)
 
 
 def test_cup_square_of_cube_root_sector(wp122333):

@@ -3,9 +3,11 @@ unordered composable sector pair; these tests check that a wrong kernel
 value on one sector triple, or on both orders of one sector pair, still
 fails the gate and is named, pin the kernel calls and the work counts of
 the demo data, check that one self-test builds each sector row of the ring
-once, pin the failure texts of the involution and obstruction phases, and
-check that the one identity the involution phase tests fails exactly when
-one of the three involution identities does."""
+once, pin the failure texts of the involution and obstruction phases, check
+that the obstruction phase's row sweep reports what a per-line loop reports
+and asks the oracle once per distinct phase sum, and check that the one
+identity the involution phase tests fails exactly when one of the three
+involution identities does."""
 
 from __future__ import annotations
 
@@ -13,20 +15,27 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from crring import (
     ChenRuanRing,
+    DomainError,
     FiniteCyclicFactor,
+    IneffectiveAction,
+    PhaseResult,
     QuotientDatum,
     datum_from_doc,
+    obstruction_rank_oracle,
     run_selftest,
     validate_datum,
 )
 from crring import cli
 from crring.quotient import CHAMBERS
+from test_ring import data
 
 TESTS = Path(__file__).resolve().parent
 DEMO_DIR = TESTS.parent / "demos" / "data"
@@ -288,6 +297,196 @@ def test_obstruction_phase_names_the_failing_line(monkeypatch, patch, detail):
     vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
     obstruction = _phase(run_selftest(vd), "obstruction_oracle")
     assert (obstruction.status, obstruction.detail) == ("fail", detail)
+
+
+def reference_lines(vd, ring):
+    """(s, t, j, theta_s(j), theta_t(j), theta_r(j), carry bit) of every
+    normal line j that s, t and r = (st)^-1 all move, in (s, t, j) order,
+    one line at a time: r comes from the composite of ``ring.pairs``, or,
+    for a composite that is no sector, from the codes."""
+    table = ring.table
+    thetas, fixed, everything = table.thetas, table.fixed, (1 << vd.n) - 1
+    for s, (composite, carry, _) in enumerate(zip(*ring.pairs)):
+        for t, (h, interacting) in enumerate(zip(composite, carry)):
+            if h >= 0:
+                theta_r, fixed_r = thetas[table.inverse[h]], fixed[table.inverse[h]]
+            else:
+                code = table.compose(table.codes[s], table.codes[t])
+                theta_r = vd.code_numerators(table.invert(code))
+                fixed_r = vd.fixed_mask(theta_r)
+            outside = everything & ~(fixed[s] | fixed[t] | fixed_r)
+            for j in range(vd.n):
+                if outside >> j & 1:
+                    yield s, t, j, thetas[s][j], thetas[t][j], theta_r[j], interacting >> j & 1
+
+
+def reference_obstruction_phase(vd, ring, name):
+    """The obstruction phase as a per-line loop: one oracle call per line,
+    stopping at the first line that fails."""
+    table, d, lines = ring.table, ring.table.denominator, 0
+    for s, t, j, x, y, z, carry in reference_lines(vd, ring):
+        try:
+            rank = obstruction_rank_oracle(x, y, z, d)
+        except DomainError as exc:
+            return PhaseResult(name, "fail", f"{cli._line(table, s, t, j)}: {exc}")
+        if (rank == 1) != bool(carry):
+            return PhaseResult(
+                name, "fail", f"{cli._line(table, s, t, j)}: index rank {rank} vs exponent rule"
+            )
+        lines += 1
+    return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
+
+
+def _both_phases(vd, ring):
+    return (
+        cli._obstruction_phase(vd, ring, "obstruction_oracle"),
+        reference_obstruction_phase(vd, ring, "obstruction_oracle"),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data())
+def test_obstruction_phase_matches_a_per_line_loop(vd):
+    for chamber in CHAMBERS:
+        swept, reference = _both_phases(vd, ChenRuanRing(vd, chamber))
+        assert swept == reference, chamber
+
+
+def _weight_only_data(n_max: int, bound: int):
+    """Every effective weight-only datum with n <= n_max and 0 < |w_j| <= bound."""
+    weights = [w for w in range(-bound, bound + 1) if w]
+    for n in range(1, n_max + 1):
+        for ws in product(weights, repeat=n):
+            try:
+                yield validate_datum(QuotientDatum(ws))
+            except IneffectiveAction:
+                continue
+
+
+def test_obstruction_phase_matches_a_per_line_loop_on_small_weights():
+    count = 0
+    for vd in _weight_only_data(3, 4):
+        for chamber in CHAMBERS:
+            swept, reference = _both_phases(vd, ChenRuanRing(vd, chamber))
+            assert swept == reference, (vd.weights, chamber)
+            assert swept.status == "pass"
+        count += 1
+    assert count == 486
+
+
+def _flipping(flips: set):
+    """``ChenRuanRing.row`` with carry bit j flipped on every ordered sector
+    pair (s, t) of each (s, t, j) in ``flips``."""
+    row = ChenRuanRing.row
+
+    def patched(self, s, span=slice(None)):
+        composite, carries, products = row(self, s, span)
+        sectors = range(len(self.table.codes))[span]
+        for flipped, t, j in flips:
+            if flipped == s and t in sectors:
+                carries[sectors.index(t)] ^= 1 << j
+        return composite, carries, products
+
+    return patched
+
+
+# every datum has normal lines in each chamber it tests
+OBSTRUCTION_DATA = [
+    QuotientDatum((2, 3, 5)),
+    QuotientDatum((1, 2, 2, 3, 3, 3)),
+    QuotientDatum((3, 5, 7)),
+    QuotientDatum((1, 2, 3, 4)),
+    QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)),
+    QuotientDatum((1, 2, 3), (FiniteCyclicFactor(2, (0, 1, 1)), FiniteCyclicFactor(3, (0, 1, 2)))),
+    QuotientDatum((2, -3, 5)),
+    QuotientDatum((-2, -3, -5), chamber="negative"),
+]
+
+
+@pytest.mark.parametrize("datum", OBSTRUCTION_DATA, ids=str)
+def test_obstruction_phase_matches_a_per_line_loop_under_corruption(monkeypatch, datum):
+    """Under seeded carry flips through the ``row`` seam, one or two per
+    table and mostly on normal lines, and seeded edits of one theta
+    numerator, the sweep reports what the per-line loop reports, failures
+    included."""
+    vd = validate_datum(datum)
+    rng = random.Random(str(datum))
+    failing = 0
+    for chamber in CHAMBERS:
+        table = vd.sector_table(chamber)
+        if not vd.level_masks[chamber]:
+            continue
+        size = len(table.codes)
+        lines = [line[:3] for line in reference_lines(vd, ChenRuanRing(vd, chamber))]
+
+        def flip():
+            # a normal line, or any (s, t, j), which the phase may not read
+            if rng.random() < 0.7:
+                return rng.choice(lines)
+            return rng.randrange(size), rng.randrange(size), rng.randrange(vd.n)
+
+        for _ in range(30):
+            flips = {flip() for _ in range(rng.choice([1, 2]))}
+            with monkeypatch.context() as patch:
+                patch.setattr(ChenRuanRing, "row", _flipping(flips))
+                swept, reference = _both_phases(vd, ChenRuanRing(vd, chamber))
+            assert swept == reference, (chamber, flips)
+            failing += swept.status == "fail"
+        for _ in range(30):
+            s, j = rng.randrange(size), rng.randrange(vd.n)
+            thetas = list(map(list, table.thetas))
+            thetas[s][j] = rng.randrange(table.denominator)
+            ring = ChenRuanRing(vd, chamber)
+            ring.table = replace(table, thetas=tuple(map(tuple, thetas)))
+            swept, reference = _both_phases(vd, ring)
+            assert swept == reference, (chamber, s, j, thetas[s])
+            failing += swept.status == "fail"
+    assert failing
+
+
+def test_obstruction_phase_names_an_earlier_sector_at_a_later_line(monkeypatch):
+    """Two flipped carries in one row: the line (t1, j1) fails and so does
+    (t2, j2) with t1 < t2 and j2 < j1.  The sweep meets coordinate j2 first,
+    but the failure names (t1, j1), the first in (s, t, j) order."""
+    vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    ring = ChenRuanRing(vd)
+    lines = [line[:3] for line in reference_lines(vd, ring)]
+    first, second = next(
+        (a, b) for a in lines for b in lines
+        if a[0] == b[0] and a[1] < b[1] and a[2] > b[2]
+    )
+    # both flips name the first; either flip alone names its own line
+    for flips, named in [({first, second}, first), ({first}, first), ({second}, second)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(ChenRuanRing, "row", _flipping(flips))
+            swept, reference = _both_phases(vd, ChenRuanRing(vd))
+        assert swept == reference
+        assert swept.detail.startswith(f"{cli._line(ring.table, *named)}: index rank ")
+
+
+@pytest.mark.parametrize("path", KERNEL_COUNT_DATA, ids=[p.stem for p in KERNEL_COUNT_DATA])
+def test_obstruction_oracle_runs_once_per_distinct_phase_sum(monkeypatch, path):
+    """One oracle call per distinct (chamber, row, coordinate, phase sum,
+    carry bit) of the normal lines, far fewer than one per line."""
+    vd = _load(path)
+    oracle, calls = cli.obstruction_rank_oracle, []
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    expected, lines = set(), 0
+    for chamber in CHAMBERS:
+        ring = ChenRuanRing(vd, chamber)
+        for s, t, j, x, y, z, carry in reference_lines(vd, ring):
+            expected.add((chamber, s, j, x + y + z, carry))
+            lines += 1
+    monkeypatch.setattr(cli, "obstruction_rank_oracle", counted)
+    assert run_selftest(vd).passed
+    assert len(calls) == len(expected) < lines
+    d = vd.denominator
+    assert sorted(sum(args[:3]) for args in calls) == sorted(key[3] for key in expected)
+    assert all(args[3] == d for args in calls)
 
 
 def three_involution_identities(table, n: int) -> bool:
