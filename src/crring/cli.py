@@ -84,48 +84,35 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
     line is moved by st, so it is an obstruction direction exactly when it
     carries, that is, when ``obstruction_rank_oracle`` gives rank 1.
 
-    The phase sweeps one sector row s at a time.  Row h of ``inverse_thetas``
-    and ``inverse_fixed`` belongs to h^-1, so the pair table's composite h
-    names the row of r.  A composite that is no sector gets its r a row past
-    the table, with theta_r re-derived from the code of r, never off the
-    carry, once per distinct code.  For each coordinate j that s moves, one
-    comprehension lists the (phase sum, carry bit) of every line (s, t, j)
-    in t order, and the oracle, which reads the three phases only through
-    their sum, runs once per distinct pair, in first-occurrence order.  A
-    failure names the first failing line in (s, t, j) order from the
-    verdicts of its row, without asking the oracle again."""
+    The phase sweeps one sector row s at a time and reads only the carries
+    of ``ring.pairs``.  One comprehension per code component gives the code
+    of r for every t, sector or not, and for each coordinate j that s moves
+    ``vd.theta_column`` gives theta_r(j) from those codes, never off the
+    carry or the table; the line is normal where theta_r(j) is not 0 and t
+    moves j.  One comprehension lists the (phase sum, carry bit) of every
+    normal line in t order, and the oracle, which reads the three phases
+    only through their sum, runs once per distinct pair, in first-occurrence
+    order.  A failure names the first failing line in (s, t, j) order from
+    the verdicts of its row, without asking the oracle again."""
     table = ring.table
-    d, columns, code_columns = table.denominator, list(zip(*table.thetas)), list(zip(*table.codes))
-    inverse_thetas = [table.thetas[r] for r in table.inverse]
-    inverse_fixed = [table.fixed[r] for r in table.inverse]
-    lines, others = 0, {}  # code of an r whose composite is no sector -> its row
-    for s, (composite, carries, _) in enumerate(zip(*ring.pairs)):
-        if -1 in composite:
-            composite = list(composite)  # each -1 becomes the row of its r
-            missing = list(compress(range(len(composite)), [h < 0 for h in composite]))
-            # the code of r = (st)^-1, one comprehension per code component
-            codes = zip(*[
-                [-(column[t] + a) % m for t in missing]
-                for column, a, m in zip(code_columns, table.codes[s], table.moduli)
-            ])
-            for t, code in zip(missing, codes):
-                h = others.get(code)
-                if h is None:
-                    theta_r = vd.code_numerators(code)
-                    h = others[code] = len(inverse_thetas)
-                    inverse_thetas.append(theta_r)
-                    inverse_fixed.append(vd.fixed_mask(theta_r))
-                composite[t] = h
-        blocked = [f | inverse_fixed[h] for f, h in zip(table.fixed, composite)]
+    d, fixed, lines = table.denominator, table.fixed, 0
+    columns, code_columns = list(zip(*table.thetas)), list(zip(*table.codes))
+    for s, carries in enumerate(ring.pairs[1]):
+        # the code of r = (st)^-1 for every t, one comprehension per component
+        r_columns = [
+            [-(x + a) % m for x in column]
+            for column, a, m in zip(code_columns, table.codes[s], table.moduli)
+        ]
         failures = []  # (t, j, text) of the first failing line at each coordinate
         for j, x in enumerate(table.thetas[s]):
             bit = 1 << j
-            if table.fixed[s] & bit:
+            if fixed[s] & bit:
                 continue
+            theta_r = vd.theta_column(j, r_columns)
             keys = [
-                (x + y + inverse_thetas[h][j], c & bit)
-                for y, h, b, c in zip(columns[j], composite, blocked, carries)
-                if not b & bit
+                (x + y + z, c & bit)
+                for y, z, f, c in zip(columns[j], theta_r, fixed, carries)
+                if z and not f & bit
             ]
             lines += len(keys)
             verdicts = {}  # failing key -> its text
@@ -140,7 +127,7 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
                     verdicts[key] = f"index rank {rank} vs exponent rule"
             if verdicts:
                 i = next(i for i, key in enumerate(keys) if key in verdicts)
-                t = list(compress(range(len(blocked)), [not b & bit for b in blocked]))[i]
+                t = [t for t, (z, f) in enumerate(zip(theta_r, fixed)) if z and not f & bit][i]
                 failures.append((t, j, verdicts[keys[i]]))
         if failures:
             t, j, text = min(failures)

@@ -29,12 +29,13 @@ componentwise modular addition and negation.  Its phases are the integer
 numerators theta_j * D in [0, D) and its fixed set is a bitmask.  A
 ``SectorTable``, built once per (datum, chamber) on first use, holds these
 rows together with the inverse sector's index, in the listing order of
-``ValidatedDatum.sectors``.  It is built a column at a time: one pass over
-all candidate codes per coordinate and per finite factor, not one call per
-candidate.  ``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with
-Fraction thetas and shift) are the public views of an element and of a
-table row at the API boundary; a table builds the label of one sector, or
-its tuple of all labels, only on demand.
+``ValidatedDatum.sectors``.  It is built a column at a time by
+``ValidatedDatum.theta_column``, the theta formula over columns of codes,
+which also gives the self-test theta_r of r = (st)^-1 from the code of r.
+``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with Fraction
+thetas and shift) are the public views of an element and of a table row at
+the API boundary; a table builds the label of one sector, or its tuple of
+all labels, only on demand.
 """
 
 from __future__ import annotations
@@ -265,6 +266,18 @@ class ValidatedDatum:
         """Theta numerators over D of the element with this code."""
         return self._numerators(code[0], code[1:], self.denominator)
 
+    def theta_column(self, j: int, code_columns: Iterable[Iterable[int]]) -> list[int]:
+        """Theta numerators over D at coordinate j of the elements whose code
+        components are given as columns (circle, then one per finite factor):
+        (C * w_j + sum_k a_k * phases_k[j] * D / order_k) mod D."""
+        circle, *components = code_columns
+        column = [x * self.weights[j] for x in circle]
+        for a, row in zip(components, self._rows):
+            p = row[j]
+            if p:
+                column = [x + y * p for x, y in zip(column, a)]
+        return [x % self.denominator for x in column]
+
     def theta_numerators(self, t: SectorLabel) -> tuple[int, tuple[int, ...]]:
         """(q, numerators) with theta_j(t) = numerators[j] / q.  q is D for
         every label that fixes a coordinate, a multiple of D otherwise."""
@@ -325,28 +338,22 @@ class ValidatedDatum:
         return table
 
     def _build_table(self, chamber: str) -> SectorTable:
-        # one comprehension per coordinate and per finite factor over all
-        # candidates, sorted: the identity (the zero code) first, then by
-        # (c, finite components)
-        d, level = self.denominator, self.level_masks[chamber]
+        # one theta column per coordinate over all candidates, sorted: the
+        # identity (the zero code) first, then by (c, finite components)
         candidates = sorted(self._candidate_codes(range(self.n)))
-        circle, *components = zip(*candidates)
-        columns, masks = [], [0] * len(candidates)
-        for j, (w, bit) in enumerate(zip(self.weights, self._bits)):
-            column = [x * w for x in circle]
-            for a, row in zip(components, self._rows):
-                p = row[j]
-                if p:
-                    column = [x + y * p for x, y in zip(column, a)]
-            columns.append([x % d for x in column])
-            masks = [m if x else m | bit for m, x in zip(masks, columns[-1])]
+        code_columns = list(zip(*candidates))
+        columns = [self.theta_column(j, code_columns) for j in range(self.n)]
+        masks = [0] * len(candidates)
+        for column, bit in zip(columns, self._bits):
+            masks = [m if x else m | bit for m, x in zip(masks, column)]
+        level = self.level_masks[chamber]
         keep = [m & level for m in masks]
         codes = tuple(compress(candidates, keep))
         fixed = tuple(compress(masks, keep))
         index = dict(zip(codes, range(len(codes))))
         inverse = zip(*(
             [-x % m for x in compress(column, keep)]
-            for column, m in zip((circle, *components), self.moduli)
+            for column, m in zip(code_columns, self.moduli)
         ))
         return SectorTable(
             self.moduli,

@@ -276,11 +276,12 @@ class ChenRuanRing:
 
         Each code component of s*t is one comprehension, (x + code_s) mod m
         over that component's column, and the composite codes are looked up
-        in ``table.index``.  h comes from the codes, not from the theta
-        sums, so that the obstruction phase's re-derivation of theta_r from
-        codes still checks the thetas.  For each coordinate j that s moves,
-        one comprehension sets bit j of the carry mask wherever theta_t(j)
-        >= D - theta_s(j); the first such comprehension starts the masks.
+        in ``table.index``.  h comes from the codes and the carries from the
+        thetas; the obstruction phase reads only the carries, with theta_r
+        taken from the code of r = (st)^-1.  For each coordinate j that s
+        moves, one comprehension sets bit j of the carry mask wherever
+        theta_t(j) >= D - theta_s(j); the first such comprehension starts
+        the masks.
         The product of weights is formed once per distinct carry mask of a
         product that is not None."""
         table = self.table

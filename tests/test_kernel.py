@@ -1,5 +1,6 @@
 """Reference checks of the integer sector kernel: the sector tables are
-rebuilt by a per-candidate loop, and theta numerators, the carry-rule
+rebuilt by a per-candidate loop, the column form of the theta formula is
+checked against the per-code one, and theta numerators, the carry-rule
 products and the closed-form localized value are re-derived from the
 Fraction definitions, on the demo data, one all-negative datum and the
 seeded data of acceptance criterion 6."""
@@ -21,6 +22,7 @@ from crring import (
     ChenRuanRing,
     DomainError,
     EmptySector,
+    FiniteCyclicFactor,
     QuotientDatum,
     SectorLabel,
     datum_from_doc,
@@ -148,6 +150,26 @@ def test_sector_tables_match_a_per_candidate_loop(datum):
 @example(validate_datum(QuotientDatum((-1, -2))))  # the positive chamber is empty
 def test_sector_tables_match_a_per_candidate_loop_on_drawn_data(vd):
     assert_tables_match_reference(vd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data())
+# no, one and two finite factors; c = 1/6 and 5/6 of the first fix nothing,
+# and the last has sectors in both chambers
+@example(validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3))))
+@example(validate_datum(QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),))))
+@example(validate_datum(QuotientDatum(
+    (1, 2, 3), (FiniteCyclicFactor(2, (0, 1, 1)), FiniteCyclicFactor(3, (0, 1, 2)))
+)))
+@example(validate_datum(QuotientDatum((2, -3, 5))))
+def test_theta_column_matches_code_numerators(vd):
+    """``vd.theta_column`` at every coordinate against ``vd.code_numerators``
+    one code at a time, on every code within the moduli: every table code of
+    both chambers, and the codes that are no sector."""
+    codes = list(itertools.product(*map(range, vd.moduli)))
+    columns, expected = list(zip(*codes)), list(zip(*map(vd.code_numerators, codes)))
+    for j in range(vd.n):
+        assert vd.theta_column(j, columns) == list(expected[j]), j
 
 
 @pytest.mark.parametrize("datum", ALL, ids=_ids(ALL))

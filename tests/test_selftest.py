@@ -267,21 +267,36 @@ def test_involution_phase_names_the_failing_sector(monkeypatch, edit, detail):
     assert (involution.status, involution.detail) == ("fail", detail)
 
 
-def _flip_first(oracle):
-    calls = []
+def _flip_first(monkeypatch, vd):
+    oracle, calls = cli.obstruction_rank_oracle, []
 
     def flipped(*args):
         rank = oracle(*args)
         calls.append(args)
         return 1 - rank if len(calls) == 1 else rank
 
-    return flipped
+    monkeypatch.setattr(cli, "obstruction_rank_oracle", flipped)
 
 
-def _non_integral(oracle):
+def _non_integral(monkeypatch, vd):
     # one more numerator on every line makes its phase sum non-integral, so
     # the oracle raises DomainError on the first line
-    return lambda theta1, *rest: oracle(theta1 + 1, *rest)
+    oracle = cli.obstruction_rank_oracle
+    monkeypatch.setattr(
+        cli, "obstruction_rank_oracle", lambda theta1, *rest: oracle(theta1 + 1, *rest)
+    )
+
+
+def _two_thirds_edited(monkeypatch, vd):
+    # theta(c=2/3) at coordinate 2 edited from 2 to 4.  On the self-pair, r
+    # is c=2/3 too, but its theta_r comes from its code: the phase sum is
+    # 4 + 4 + 2 over 6.  Read from the edited row, it would be 4 + 4 + 4,
+    # an integer.
+    table = vd.sector_table()
+    s = table.position(vd.label(Fraction(2, 3)))
+    assert table.thetas[s] == (4, 2, 2, 0, 0, 0)
+    edited = replace(table, thetas=_with_row(table.thetas, s, (4, 2, 4, 0, 0, 0)))
+    monkeypatch.setattr(vd, "sector_table", lambda chamber=None: edited)
 
 
 @pytest.mark.parametrize(
@@ -289,12 +304,13 @@ def _non_integral(oracle):
     [
         (_flip_first, "(c=1/3, c=1/3) line 0: index rank 1 vs exponent rule"),
         (_non_integral, "(c=1/3, c=1/3) line 0: phase sum 7/6 is not an integer"),
+        (_two_thirds_edited, "(c=2/3, c=2/3) line 2: phase sum 5/3 is not an integer"),
     ],
-    ids=["rank-flipped", "domain-error"],
+    ids=["rank-flipped", "domain-error", "theta-edited"],
 )
 def test_obstruction_phase_names_the_failing_line(monkeypatch, patch, detail):
-    monkeypatch.setattr(cli, "obstruction_rank_oracle", patch(cli.obstruction_rank_oracle))
     vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    patch(monkeypatch, vd)
     obstruction = _phase(run_selftest(vd), "obstruction_oracle")
     assert (obstruction.status, obstruction.detail) == ("fail", detail)
 
@@ -302,18 +318,15 @@ def test_obstruction_phase_names_the_failing_line(monkeypatch, patch, detail):
 def reference_lines(vd, ring):
     """(s, t, j, theta_s(j), theta_t(j), theta_r(j), carry bit) of every
     normal line j that s, t and r = (st)^-1 all move, in (s, t, j) order,
-    one line at a time: r comes from the composite of ``ring.pairs``, or,
-    for a composite that is no sector, from the codes."""
+    one line at a time: theta_r and its fixed mask come from the code of r
+    for every pair, whether or not st is a sector."""
     table = ring.table
     thetas, fixed, everything = table.thetas, table.fixed, (1 << vd.n) - 1
-    for s, (composite, carry, _) in enumerate(zip(*ring.pairs)):
-        for t, (h, interacting) in enumerate(zip(composite, carry)):
-            if h >= 0:
-                theta_r, fixed_r = thetas[table.inverse[h]], fixed[table.inverse[h]]
-            else:
-                code = table.compose(table.codes[s], table.codes[t])
-                theta_r = vd.code_numerators(table.invert(code))
-                fixed_r = vd.fixed_mask(theta_r)
+    for s, carry in enumerate(ring.pairs[1]):
+        for t, interacting in enumerate(carry):
+            code = table.invert(table.compose(table.codes[s], table.codes[t]))
+            theta_r = vd.code_numerators(code)
+            fixed_r = vd.fixed_mask(theta_r)
             outside = everything & ~(fixed[s] | fixed[t] | fixed_r)
             for j in range(vd.n):
                 if outside >> j & 1:
