@@ -10,6 +10,11 @@ written by this module's own writer, whose per-string work runs in C.
 components joined by ':'; a list one cell joined by ','; null an empty cell;
 anything else its str.  ``table`` and ``wallcross`` keep their own layouts.
 
+``main`` reads argv (``sys.argv[1:]`` when given none) with the parser of
+the command that argv[0] names; the top-level parser reads it only when
+argv[0] names no command or arguments are left over.  The namespace and
+every help page and error are those of ``build_parser().parse_args(argv)``.
+
 Exit codes: 0 on success, 1 on domain errors (the error class name goes to
 stderr) or a failed self-test, 2 on usage errors.
 """
@@ -24,8 +29,9 @@ from functools import cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterable
 
-from .errors import DatumFormatError, DomainError, EmptySector
+from .errors import DatumFormatError, DomainError
 from .exact import format_rational, parse_rational
 from .localization import (
     localized_residue,
@@ -35,12 +41,11 @@ from .localization import (
 )
 from .quotient import (
     CHAMBERS,
-    SectorInfo,
+    Code,
     SectorTable,
     ValidatedDatum,
     datum_from_doc,
     element_to_doc,
-    label_to_doc,
     validate_datum,
 )
 from .ring import (
@@ -279,12 +284,7 @@ def _power(vd: ValidatedDatum, flag, k: int, chamber: str | None = None):
     coordinate (with a chamber: none on that side of the wall); a usage
     error when k lies outside [0, |fixed set| - 1]."""
     label = _resolve(vd, flag)
-    if chamber:
-        dim = vd.sector_info(label, chamber).dim
-    else:
-        dim = len(vd.fixed_set(label)) - 1
-        if dim < 0:
-            raise EmptySector(f"{label} fixes no coordinate")
+    dim = vd.sector_row(label, chamber)[2].bit_count() - 1
     if not 0 <= k <= dim:
         raise _UsageError(f"eta power {k} of {label} is outside [0, {dim}]")
     return label, k
@@ -382,26 +382,43 @@ def _records(args, header: str, records: list[dict], doc) -> str:
     return _structured(doc)
 
 
-def _sector_doc(info: SectorInfo) -> dict:
-    return {
-        "label": label_to_doc(info.label),
-        "fixed_set": sorted(info.fixed_set),
-        "thetas": [format_rational(th) for th in info.thetas],
-        "shift": format_rational(info.shift),
-        "dim": info.dim,
-    }
+def _sector_records(d: int, rows: Iterable[tuple[Code, tuple[int, ...], int]]) -> list[dict]:
+    """The records of sectors given as integer rows (code, theta numerators
+    over D, fixed-set mask), as a sector table holds them; each distinct
+    numerator over D is formatted once per call."""
+    texts: dict[int, str] = {}
+
+    def text(x: int) -> str:
+        known = texts.get(x)
+        if known is None:
+            known = texts[x] = format_rational(Fraction(x, d))
+        return known
+
+    records = []
+    for code, thetas, mask in rows:
+        fixed = [j for j in range(len(thetas)) if mask >> j & 1]
+        records.append({
+            "label": {"c": text(code[0]), "finite": list(code[1:])},
+            "fixed_set": fixed,
+            "thetas": [text(x) for x in thetas],
+            "shift": text(sum(thetas)),
+            "dim": len(fixed) - 1,
+        })
+    return records
 
 
 _SECTOR_HEADER = "c finite fixed_set thetas shift dim"
 
 
 def _cmd_sectors(args, vd: ValidatedDatum) -> tuple[str, int]:
-    records = [_sector_doc(s) for s in vd.sectors()]
+    table = vd.sector_table()
+    records = _sector_records(table.denominator, zip(table.codes, table.thetas, table.fixed))
     return _records(args, _SECTOR_HEADER, records, {"sectors": records}), 0
 
 
 def _cmd_shift(args, vd: ValidatedDatum) -> tuple[str, int]:
-    record = _sector_doc(vd.sector_info(_resolve(vd, args.t)))
+    row = vd.sector_row(_resolve(vd, args.t), vd.chamber)
+    (record,) = _sector_records(vd.denominator, [row])
     return _records(args, _SECTOR_HEADER, [record], record), 0
 
 
@@ -412,8 +429,10 @@ def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
         {**element_to_doc(e.sector, e.k), "degree": format_rational(Fraction(2 * x, d))}
         for e, x in zip(ring.basis(), ring.degrees)
     ]
-    indexed = [{"index": i, **record} for i, record in enumerate(records)]
-    return _records(args, "index c finite eta_power degree", indexed, {"basis": records}), 0
+    doc = {"basis": records}
+    if args.format == "tsv":
+        records = [{"index": i, **record} for i, record in enumerate(records)]
+    return _records(args, "index c finite eta_power degree", records, doc), 0
 
 
 def _basis_class(vd: ValidatedDatum, flag, k: int) -> CRClass:
@@ -522,7 +541,9 @@ _COMMANDS = {
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of all nine commands, built once per process."""
+    """The parser of all nine commands, built once per process.  Its
+    ``commands`` attribute maps each command name to that command's own
+    parser."""
     parser = argparse.ArgumentParser(
         prog="crring",
         description="Exact Chen-Ruan cohomology of diagonal abelian quotients.",
@@ -539,12 +560,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, required=True, type=_sector_flag, metavar="c=p/q[,a=k1:k2:...]")
             if flag != "--t":
                 p.add_argument(flag.replace("--t", "--k"), type=int, default=0, metavar="K")
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read by the command's own parser
+    when argv[0] names one and it leaves no argument over."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -143,9 +143,9 @@ class SectorTable:
     ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse sector's
     index; ``index`` maps a code back to its position.  ``label(s)`` builds
     the label of sector s alone and ``labels`` all of them, on first use;
-    only the commands that list every sector (``basis``, ``sectors``,
-    ``table``, ``selftest``) build that tuple.  ``ValidatedDatum.sectors``
-    builds the ``SectorInfo`` views of the rows."""
+    only the commands that list every basis element (``basis``, ``table``,
+    ``selftest``) build that tuple.  ``ValidatedDatum.sectors`` builds the
+    ``SectorInfo`` views of the rows."""
 
     moduli: tuple[int, ...]
     codes: tuple[Code, ...]
@@ -178,11 +178,16 @@ class SectorTable:
     def position(self, t: SectorLabel) -> int | None:
         """Index of the sector labeled t, or None if t is no sector here."""
         _refuse_float(t.c)
-        num, den = t.c.as_integer_ratio()
-        if self.moduli[0] % den:
+        if self.moduli[0] % t.c.denominator:
             return None
-        code = (num * (self.moduli[0] // den), *_components(t.finite, len(self.moduli) - 1))
-        return self.index.get(tuple([x % m for x, m in zip(code, self.moduli)]))
+        return self.index.get(_code(t, self.moduli))
+
+
+def _code(t: SectorLabel, moduli: tuple[int, ...]) -> Code:
+    """The code of t, whose c has a denominator dividing D = moduli[0]."""
+    num, den = t.c.as_integer_ratio()
+    code = (num * (moduli[0] // den), *_components(t.finite, len(moduli) - 1))
+    return tuple([x % m for x, m in zip(code, moduli)])
 
 
 def _components(finite: Iterable[int], count: int) -> tuple[int, ...]:
@@ -377,14 +382,21 @@ class ValidatedDatum:
 
     def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
         """Full sector record for t; EmptySector if t labels no sector here."""
-        chamber = self._chamber(chamber)
-        numerators = self.theta_numerators(t)[1]
+        return self._info(t, self.sector_row(t, self._chamber(chamber))[1])
+
+    def sector_row(
+        self, t: SectorLabel, chamber: str | None = None
+    ) -> tuple[Code, tuple[int, ...], int]:
+        """The integer row of t as a sector table holds it: its code, theta
+        numerators over D and fixed-set mask.  EmptySector if t fixes no
+        coordinate or, given a chamber, none on that side of the wall."""
+        numerators = self.theta_numerators(t)[1]  # over D, once t fixes a coordinate
         mask = self.fixed_mask(numerators)
         if not mask:
             raise EmptySector(f"{t} fixes no coordinate")
-        if not mask & self.level_masks[chamber]:
+        if chamber and not mask & self.level_masks[self._chamber(chamber)]:
             raise EmptySector(f"{t} has no fixed coordinate on the {chamber} side of the wall")
-        return self._info(t, numerators)  # over D, since t fixes a coordinate
+        return _code(t, self.moduli), numerators, mask
 
 
 def validate_datum(datum: QuotientDatum) -> ValidatedDatum:

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from crring import cli
 from crring.cli import build_parser, main, run_selftest
 from crring import ChenRuanRing, QuotientDatum, ValidatedDatum, validate_datum
+from test_frontend import CASES as FRONT_END
+from test_golden import CASES as GOLDEN, DATA, point_flags
 
 WP122333 = {"n": 6, "weights": [1, 2, 2, 3, 3, 3], "finite": [], "chamber": "positive"}
 WP112 = {"n": 3, "weights": [1, 1, 2], "finite": [], "chamber": "positive"}
@@ -401,10 +404,12 @@ def test_no_sector_table_is_built_to_test_a_chamber_for_emptiness(datum_file, mo
 
 def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
     """A direct-path point request builds neither the basis tuple and
-    degrees of its ring nor the labels of its sector table; the commands
-    that list every sector build them."""
-    rings, tables = [], []
-    init, build = ChenRuanRing.__init__, ValidatedDatum._build_table
+    degrees of its ring nor the labels of its sector table, and ``sectors``
+    writes its records from the table's integer rows without labels; the
+    commands that list every basis element build them.  No command builds a
+    ``SectorInfo`` view."""
+    rings, tables, views = [], [], []
+    init, build, info = ChenRuanRing.__init__, ValidatedDatum._build_table, ValidatedDatum._info
 
     def recording_init(self, *args):
         init(self, *args)
@@ -414,8 +419,13 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
         tables.append(build(self, chamber))
         return tables[-1]
 
+    def recording_info(self, *args):
+        views.append(args)
+        return info(self, *args)
+
     monkeypatch.setattr(ChenRuanRing, "__init__", recording_init)
     monkeypatch.setattr(ValidatedDatum, "_build_table", recording_build)
+    monkeypatch.setattr(ValidatedDatum, "_info", recording_info)
     path = datum_file(WP122333)
     point = [path, "--t1", "c=1/3", "--t2", "c=2/3"]
     for argv, built in (
@@ -423,7 +433,7 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
         (["cup", *point], False),
         (["triple", *point, "--t3", "c=0", "--method", "direct"], False),
         (["basis", path], True),
-        (["sectors", path], True),
+        (["sectors", path], False),
         (["table", path], True),
         (["selftest", path], True),
     ):
@@ -436,3 +446,53 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
             assert ("_basis" in vars(ring), "degrees" in vars(ring)) == (built, built), argv
         for table in tables:
             assert ("labels" in vars(table)) == built, argv
+    for argv in (
+        ["shift", path, "--t", "c=1/3"],
+        ["triple", *point, "--t3", "c=0", "--method", "localization"],
+        ["wallcross", *point, "--t3", "c=0"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert views == []
+
+
+def test_each_command_parser_gives_the_top_level_namespace(tmp_path, monkeypatch, capsys):
+    """``main`` hands each command its own parser's reading of the request.
+    On every golden request and front-end case, the handler receives the
+    namespace of ``build_parser().parse_args(argv)``, and a request that
+    parser refuses exits with its code and reaches no handler; the
+    front-end texts pin what the refusals print."""
+    received = []
+
+    def recording_handler(args, vd):
+        received.append(vars(args))
+        return "", 0
+
+    monkeypatch.setattr(cli, "_load", lambda path: None)
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, (recording_handler, *cli._COMMANDS[name][1:]))
+    out = str(tmp_path / "out")
+    requests = [
+        [command.partition("_")[0], str(DATA[name]), *point_flags(name, command),
+         "--format", fmt, "--out", out]
+        for name, command, fmt in GOLDEN
+    ]
+    for argv in [*requests, *FRONT_END.values()]:
+        try:
+            expected, code = vars(build_parser().parse_args(argv)), 0
+        except SystemExit as exc:
+            expected, code = None, exc.code
+        received.clear()
+        assert main(list(argv)) == code, argv
+        assert received == ([] if expected is None else [expected]), argv
+    capsys.readouterr()
+    # with no argument, main reads sys.argv[1:], left-over arguments included
+    shift = ["shift", str(DATA["wp112"]), "--t", "c=1/2"]
+    for tail, code, namespaces in (
+        ([], 0, [vars(build_parser().parse_args(shift))]),
+        (["extra"], 2, []),
+    ):
+        received.clear()
+        monkeypatch.setattr(sys, "argv", ["crring", *shift, *tail])
+        assert main() == code
+        assert received == namespaces
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
