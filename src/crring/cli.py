@@ -66,12 +66,16 @@ def _involution_phase(table: SectorTable, name: str) -> PhaseResult:
     # theta_s(j) + theta_(s^-1)(j) is 0 on the fixed set of s and D elsewhere.
     # Numerators lie in [0, D), so over all sectors this also makes s and s^-1
     # fix the same set, and age(s) + age(s^-1) the moved coordinate count.
+    # Every label must read back as its sector, as cup and pair read labels.
     d = table.denominator
     for s, (inverse, fixed, thetas) in enumerate(zip(table.inverse, table.fixed, table.thetas)):
         for j, (x, y) in enumerate(zip(thetas, table.thetas[inverse])):
             if x + y != (0 if fixed >> j & 1 else d):
                 detail = f"theta complement fails for {table.label(s)} at coordinate {j}"
                 return PhaseResult(name, "fail", detail)
+    for s, label in enumerate(table.labels):
+        if table.position(label) != s:
+            return PhaseResult(name, "fail", f"label {label} does not read back as its sector")
     return PhaseResult(name, "pass", f"{len(table.codes)} sectors closed under inverse")
 
 
@@ -157,7 +161,7 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
     name = "path_agreement"
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
-    denominators = [ring.pairing_denominator(h) for h in range(len(dims))]
+    pairings = [(v.numerator, v.denominator) for v in map(ring.pairing_value, range(len(dims)))]
     triples, first = 0, {}  # (t, s) -> r and term of the first order (s, t), s < t
     for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
         for t, (h, product) in enumerate(zip(composite, products)):
@@ -183,13 +187,14 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
             top = dims[h] - product[1] if c else None
             at = -1 - base if numerator else None
             span = dims[s] + dims[t] + dims[r]
-            matched = top == at and c * bottom == numerator * denominators[h]
+            p, q = pairings[h]
+            matched = top == at and c * bottom * p == numerator * q
             inside = () if matched else [x for x in (top, at) if x is not None and 0 <= x <= span]
             if inside:
                 sigma = min(inside)
                 k1 = max(0, sigma - dims[t] - dims[r])
                 k2 = max(0, sigma - k1 - dims[r])
-                direct = Fraction(c, denominators[h]) if sigma == top else zero
+                direct = Fraction(c * p, q) if sigma == top else zero
                 localized = Fraction(numerator, bottom) if sigma == at else zero
                 return PhaseResult(
                     name,
@@ -424,10 +429,9 @@ def _cmd_shift(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
-    d = ring.table.denominator
     records = [
-        {**element_to_doc(e.sector, e.k), "degree": format_rational(Fraction(2 * x, d))}
-        for e, x in zip(ring.basis(), ring.degrees)
+        {**element_to_doc(e.sector, e.k), "degree": format_rational(ring.degree_at(i))}
+        for i, e in enumerate(ring.basis())
     ]
     doc = {"basis": records}
     if args.format == "tsv":

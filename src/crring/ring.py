@@ -20,13 +20,9 @@ count in ``obstruction_rank_oracle``.
 The ring works on the integer ``SectorTable`` of its chamber.  With theta
 numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
-constant is the integer prod_{j in T} w_j.  ``ChenRuanRing.row`` is the one
-place that applies this rule: for one sector s against a span of sectors t
-it returns the composites h, the carry masks T and the sector products,
-with one comprehension over the table's columns per code component for h
-and per coordinate that s moves for T.  ``ChenRuanRing.product`` is its
-one-sector case; the self-test reads every ordered pair from the ring's
-``pairs`` rows, built once on first use.
+constant is the integer prod_{j in T} w_j.  The truncation and the pairing
+each have one statement in ``ChenRuanRing`` (``basis_rows``, ``partner`` and
+``pairing_value``), which the self-test runs and the commands read.
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
@@ -197,43 +193,38 @@ class ChenRuanRing:
     The ring is attached to the datum's chamber by default; pass ``chamber``
     to build the ring on the other side of the wall (used by the self-test
     on mixed-sign weights).  Sectors are addressed by their position in the
-    chamber's ``SectorTable``; basis element eta^k 1_(s) has index
-    ``start[s] + k`` and degree 2 * ``degrees[start[s] + k]`` / D, the one
-    derivation of the age: ``degrees[i]`` = k * D + sum_j theta_s(j).
+    chamber's ``SectorTable``; basis element eta^k 1_(s), k in ``powers[s]``,
+    has index ``start[s] + k`` and integer degree ``degrees[start[s] + k]``
+    = k * D + sum_j theta_s(j), the one derivation of the age.
 
     ``row(s, span)`` gives (h, T, product) of sector s against every sector
-    t in ``span``, and ``product(s, t)`` is its one-sector case, for point
-    queries.  ``structure_constants`` reads one row per s over t >= s, and
-    the axiom check and the self-test phases read ``pairs``, the rows over
-    all ordered pairs, built once on first use.
+    t in ``span``, and ``product(s, t)`` is its one-sector case.
+    ``basis_rows`` turns a row into basis products for the axiom check over
+    ``pairs`` (one row per s, built once on first use), for
+    ``structure_constants`` over t >= s and for ``cup_basis``.  ``partner``,
+    ``pairing_value`` and ``degree_at`` state the pairing and the rational
+    grading for every reader.
 
-    Construction builds ``start`` only, so a point query pays for no basis
-    element or sector label it does not name.  The basis tuple, ``degrees``
-    and the columns of the sector table that ``row`` reads are built on
-    first use.
+    Construction builds ``powers`` and ``start`` only, so a point query pays
+    for no basis element or sector label it does not name.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
         self.vd = vd
         self.chamber = chamber or vd.chamber
         self.table = vd.sector_table(self.chamber)
-        self.start = list(accumulate([dim + 1 for dim in self.table.dims], initial=0))[:-1]
+        self.powers = [range(dim + 1) for dim in self.table.dims]
+        self.start = list(accumulate(map(len, self.powers), initial=0))[:-1]
 
     @cached_property
     def _basis(self) -> tuple[BasisElement, ...]:
-        table = self.table
-        return tuple(
-            BasisElement(label, k) for label, dim in zip(table.labels, table.dims)
-            for k in range(dim + 1)
-        )
+        labels = self.table.labels
+        return tuple(BasisElement(label, k) for label, ks in zip(labels, self.powers) for k in ks)
 
     @cached_property
     def degrees(self) -> list[int]:
-        table = self.table
-        return [
-            k * table.denominator + age
-            for dim, age in zip(table.dims, map(sum, table.thetas)) for k in range(dim + 1)
-        ]
+        d, ages = self.table.denominator, map(sum, self.table.thetas)
+        return [k * d + age for ks, age in zip(self.powers, ages) for k in ks]
 
     def basis(self) -> tuple[BasisElement, ...]:
         """Basis in sector order, eta power ascending within each sector."""
@@ -241,7 +232,10 @@ class ChenRuanRing:
 
     def degree(self, element: BasisElement) -> Fraction:
         """Rational grading 2*(k + age) of a basis element."""
-        i = self.start[self._position(element)] + element.k
+        return self.degree_at(self.start[self._position(element)] + element.k)
+
+    def degree_at(self, i: int) -> Fraction:
+        """Rational grading of basis element i: 2 * ``degrees[i]`` / D."""
         return Fraction(2 * self.degrees[i], self.table.denominator)
 
     def unit(self) -> CRClass:
@@ -324,16 +318,33 @@ class ChenRuanRing:
         rows = [self.row(s) for s in range(len(self.table.codes))]
         return tuple(map(list, zip(*rows))) or ([], [], [])
 
+    def heads(self, composite: list[int], products: list) -> list[tuple[int, int, int]]:
+        """(head, room, coeff) = (start[h] + shift, dim(h) - shift, coeff) of each
+        1_(s) * 1_(t) = coeff eta^shift 1_(h) of a row, (0, -1, 0) for zero."""
+        start, dims = self.start, self.table.dims
+        return [(start[h] + p[1], dims[h] - p[1], p[0]) if p else (0, -1, 0)
+                for h, p in zip(composite, products)]
+
+    def basis_rows(self, s: int, composite: list[int], products: list, first: int = 0) -> list:
+        """For each k1 = 0..dim(s), the targets and coefficients of eta^k1 1_(s)
+        times each basis column eta^k2 1_(t), t = first, first + 1, ..., of a
+        row of s.  The one truncation rule: with the ``heads`` of the row, it
+        is coeff * basis[head + k1 + k2] if k1 + k2 <= room, else zero
+        (target -1, coefficient 0)."""
+        powers = self.powers
+        heads = zip(self.heads(composite, products), powers[first:first + len(composite)])
+        columns = [(head + k2, room - k2, c) for (head, room, c), k2s in heads for k2 in k2s]
+        return [([head + k1 if k1 <= room else -1 for head, room, _ in columns],
+                 [coeff if k1 <= room else 0 for _, room, coeff in columns]) for k1 in powers[s]]
+
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0."""
-        h, _, product = self.product(self._position(a), self._position(b))
-        if product is None:
+        s, t = self._position(a), self._position(b)
+        h, _, product = self.product(s, t)
+        targets, coeffs = self.basis_rows(s, [h], [product], t)[a.k]
+        if (target := targets[b.k]) < 0:
             return None
-        coeff, shift = product
-        k = a.k + b.k + shift
-        if k > self.table.dims[h]:
-            return None
-        return Fraction(coeff), BasisElement(self.table.label(h), k)
+        return Fraction(coeffs[b.k]), BasisElement(self.table.label(h), target - self.start[h])
 
     def cup(self, a: CRClass, b: CRClass) -> CRClass:
         """Bilinear extension of ``cup_basis``."""
@@ -349,18 +360,20 @@ class ChenRuanRing:
 
     # -- pairing ---------------------------------------------------------------
 
-    def pairing_denominator(self, s: int) -> int:
-        """|A| * prod_{j in I(s)} w_j: the pairing on sector s is its inverse."""
+    def pairing_value(self, s: int) -> Fraction:
+        """1 / (|A| * prod_{j in I(s)} w_j): eta^k 1_(s) paired with its partner."""
         fixed = self.table.fixed[s]
-        return self.vd.finite_order * prod(
-            w for j, w in enumerate(self.vd.weights) if fixed >> j & 1
-        )
+        weights = [w for j, w in enumerate(self.vd.weights) if fixed >> j & 1]
+        return Fraction(1, self.vd.finite_order * prod(weights))
+
+    def partner(self, s: int, k: int) -> tuple[int, int]:
+        """(s^-1, dim(s) - k): the one element that eta^k 1_(s) pairs with."""
+        return self.table.inverse[s], self.table.dims[s] - k
 
     def pairing_basis(self, a: BasisElement, b: BasisElement) -> Fraction:
         s = self._position(a)
-        if self._position(b) != self.table.inverse[s] or a.k + b.k != self.table.dims[s]:
-            return Fraction(0)
-        return Fraction(1, self.pairing_denominator(s))
+        matched = (self._position(b), b.k) == self.partner(s, a.k)
+        return self.pairing_value(s) if matched else Fraction(0)
 
     def pairing(self, a: CRClass, b: CRClass) -> Fraction:
         value = Fraction(0)
@@ -376,40 +389,34 @@ class ChenRuanRing:
     # -- tabulation ------------------------------------------------------------
 
     def _pairing_entries(self) -> Iterator[tuple[int, int, int]]:
-        """(i, j, s) for every nonzero pairing entry: eta^k 1_(s) paired with
-        eta^(dim-k) 1_(s^-1)."""
-        for s, dim in enumerate(self.table.dims):
-            u = self.start[self.table.inverse[s]]
-            for k in range(dim + 1):
-                yield self.start[s] + k, u + dim - k, s
+        """(i, j, s) for every nonzero pairing entry: eta^k 1_(s) and its partner."""
+        start = self.start
+        for s, ks in enumerate(self.powers):
+            for k in ks:
+                u, partner_k = self.partner(s, k)
+                yield start[s] + k, start[u] + partner_k, s
 
     def structure_constants(self) -> StructureTable:
         """Deterministic full tables; products are stored sparsely for i <= j.
         Equal products are one ``CRClass`` object, built once per call."""
-        table, basis = self.table, self._basis
-        degrees = tuple(Fraction(2 * x, table.denominator) for x in self.degrees)
-        zero = Fraction(0)
-        pairing = [[zero] * len(basis) for _ in basis]
+        basis = self._basis
+        degrees = tuple(map(self.degree_at, range(len(basis))))
+        pairing = [[Fraction(0)] * len(basis) for _ in basis]
         for i, j, s in self._pairing_entries():
-            pairing[i][j] = Fraction(1, self.pairing_denominator(s))
+            pairing[i][j] = self.pairing_value(s)
         products: dict[tuple[int, int], CRClass] = {}
         classes: dict[tuple[int, int], CRClass] = {}  # (target, coeff) -> its class
-        dims, start = table.dims, self.start
-        for s in range(len(table.codes)):
+        for s, first in enumerate(self.start):
             composite, _, row = self.row(s, slice(s, None))
-            for t, h, product in zip(count(s), composite, row):
-                if product is None:
-                    continue
-                # eta^k1 1_(s) * eta^k2 1_(t) = coeff eta^(k1+k2+shift) 1_(h),
-                # kept for i <= j and up to the top of the target sector
-                coeff, shift = product
-                for k1 in range(dims[s] + 1):
-                    for k2 in range(k1 if t == s else 0, min(dims[t], dims[h] - shift - k1) + 1):
-                        target = start[h] + k1 + k2 + shift
-                        value = classes.get((target, coeff))
-                        if value is None:
-                            value = classes[target, coeff] = CRClass.single(basis[target], coeff)
-                        products[(start[s] + k1, start[t] + k2)] = value
+            for k1, (targets, coeffs) in enumerate(self.basis_rows(s, composite, row, s)):
+                # columns start at j = first: row i keeps j >= i, nonzero only
+                i = first + k1
+                entries = zip(count(i), targets[k1:], coeffs[k1:])
+                for j, target, coeff in compress(entries, coeffs[k1:]):
+                    value = classes.get((target, coeff))
+                    if value is None:
+                        value = classes[target, coeff] = CRClass.single(basis[target], coeff)
+                    products[(i, j)] = value
         return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
 
     # -- axioms ------------------------------------------------------------------
@@ -420,13 +427,9 @@ class ChenRuanRing:
         one ``PhaseResult`` each, in that order, whose detail is the first
         counterexample of a failing check.
 
-        The integer product table is filled one sector row s at a time:
-        each basis column j = eta^k2 1_(t) is mapped through row s of
-        ``pairs`` once, to the target index start[h] + k2 + shift at k1 = 0,
-        the room dim(h) - k2 - shift left in the target sector, and the
-        coefficient; basis row start[s] + k1 then reads target + k1 where
-        k1 <= room, and -1 ("zero product") elsewhere.  Pairing values are
-        scaled by |A| * prod_j |w_j| to integers.  Each row carries a
+        The integer product table is ``basis_rows`` over each row of
+        ``pairs``, as in ``table`` and ``cup``, and pairing values are
+        ``pairing_value`` times |A| * prod_j |w_j|.  Each row carries a
         trailing sentinel (-1 for "zero product", 0 for coefficients and
         pairing values), which a zero product reads.
 
@@ -445,28 +448,17 @@ class ChenRuanRing:
         division, to name the first counterexample of each check in
         (i, j, k) order.
         """
-        basis, table = self._basis, self.table
-        size, dims, start = len(basis), table.dims, self.start
-        column_sector = [t for t, dim in enumerate(dims) for _ in range(dim + 1)]
-        powers = [k2 for dim in dims for k2 in range(dim + 1)]
+        basis, table, size = self._basis, self.table, len(self._basis)
         pidx, pnum = [], []
         for s, (composite, _, products) in enumerate(zip(*self.pairs)):
-            # per sector t: (target at k1 = k2 = 0, room at k2 = 0, coefficient)
-            heads = [
-                (start[h] + p[1], dims[h] - p[1], p[0]) if p else (0, -1, 0)
-                for h, p in zip(composite, products)
-            ]
-            columns = [
-                (base + k2, room - k2, coeff)
-                for (base, room, coeff), k2 in zip(map(heads.__getitem__, column_sector), powers)
-            ]
-            for k1 in range(dims[s] + 1):
-                pidx.append([base + k1 if k1 <= room else -1 for base, room, _ in columns] + [-1])
-                pnum.append([coeff if k1 <= room else 0 for _, room, coeff in columns] + [0])
+            for targets, coeffs in self.basis_rows(s, composite, products):
+                pidx.append(targets + [-1])
+                pnum.append(coeffs + [0])
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)
+        values = [int(scale * self.pairing_value(s)) for s in range(len(self.powers))]
         pair = [[0] * (size + 1) for _ in range(size)]
         for i, j, s in self._pairing_entries():
-            pair[i][j] = scale // self.pairing_denominator(s)
+            pair[i][j] = values[s]
 
         unit_bad = None
         if size and table.codes[0] == (0,) * len(table.moduli):
@@ -521,7 +513,9 @@ class ChenRuanRing:
                 if lhs == rhs:
                     continue
                 x, y = basis[i], basis[j]
-                for k, (u, v) in enumerate(zip(lhs, rhs)):
+                # k runs over the basis: a pairing entry that lands in the
+                # sentinel column is named by the nondegeneracy check
+                for k, u, v in zip(range(size), lhs, rhs):
                     left, right = _unpack(u, radix), _unpack(v, radix)
                     if assoc_bad is None and left[:2] != right[:2]:
                         assoc_bad = f"({x} * {y}) * {basis[k]} != {x} * ({y} * {basis[k]})"

@@ -568,7 +568,7 @@ def reference_axiom_checks(ring):
                     if k <= dims[h]:
                         product[start[s] + k1, start[t] + k2] = start[h] + k, coeff
     for i, j, s in ring._pairing_entries():
-        pairing[i, j] = Fraction(1, ring.pairing_denominator(s))
+        pairing[i, j] = ring.pairing_value(s)
 
     def times(i, j):
         return product.get((i, j), (-1, 0))

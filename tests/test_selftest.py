@@ -7,10 +7,13 @@ once, pin the failure texts of the involution and obstruction phases, check
 that the obstruction phase's row sweep reports what a per-line loop reports
 and asks the oracle once per distinct phase sum, and check that the one
 identity the involution phase tests fails exactly when one of the three
-involution identities does."""
+involution identities does, and check that the self-test sees an edit of
+the truncation rule, the pairing partner or the label lookup that
+``table``, ``cup`` and ``pair`` read."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from dataclasses import replace
@@ -34,7 +37,7 @@ from crring import (
     validate_datum,
 )
 from crring import cli
-from crring.quotient import CHAMBERS
+from crring.quotient import CHAMBERS, SectorTable
 from test_ring import data
 
 TESTS = Path(__file__).resolve().parent
@@ -577,3 +580,107 @@ def test_involution_phase_agrees_with_all_three_identities(datum):
         assert (phase.status == "pass") == expected, corrupted
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def _room_off_by_one(monkeypatch):
+    heads = ChenRuanRing.heads
+
+    def patched(ring, *row):
+        return [(head, room + 1 if c else room, c) for head, room, c in heads(ring, *row)]
+
+    monkeypatch.setattr(ChenRuanRing, "heads", patched)
+
+
+def _partner_off_by_one(monkeypatch):
+    partner = ChenRuanRing.partner
+
+    def patched(ring, s, k):
+        u, partner_k = partner(ring, s, k)
+        return u, partner_k - 1
+
+    monkeypatch.setattr(ChenRuanRing, "partner", patched)
+
+
+def _label_at_the_wrong_row(monkeypatch):
+    # the label of sector 1, the first twisted one, reads back as sector 2
+    position = SectorTable.position
+
+    def patched(table, t):
+        s = position(table, t)
+        return 2 if s == 1 else s
+
+    monkeypatch.setattr(SectorTable, "position", patched)
+
+
+RULE_EDITS = {
+    "room-off-by-one": _room_off_by_one,
+    "partner-off-by-one": _partner_off_by_one,
+    "label-at-the-wrong-row": _label_at_the_wrong_row,
+}
+# the first failing phase and its detail, per (datum, edit)
+RULE_EDIT_FAILURES = {
+    ("wp122333", "room-off-by-one"): (
+        "ring_axioms",
+        "degree_additivity: deg(eta^1*1_(c=0)) + deg(eta^5*1_(c=0)) != deg(eta^0*1_(c=1/3))",
+    ),
+    ("wp122333", "partner-off-by-one"): (
+        "ring_axioms",
+        "frobenius: <eta^0*1_(c=0) * eta^2*1_(c=1/3), eta^1*1_(c=1/2)> != "
+        "<eta^0*1_(c=0), eta^2*1_(c=1/3) * eta^1*1_(c=1/2)>",
+    ),
+    ("wp122333", "label-at-the-wrong-row"):
+        ("sector_involution", "label c=1/3 does not read back as its sector"),
+    ("z3_on_p2", "room-off-by-one"): (
+        "ring_axioms",
+        "degree_additivity: deg(eta^1*1_(c=0,a=0)) + deg(eta^2*1_(c=0,a=0)) "
+        "!= deg(eta^0*1_(c=0,a=1))",
+    ),
+    ("z3_on_p2", "partner-off-by-one"): (
+        "ring_axioms",
+        "frobenius: <eta^0*1_(c=0,a=0) * eta^0*1_(c=0,a=1), eta^0*1_(c=0,a=1)> != "
+        "<eta^0*1_(c=0,a=0), eta^0*1_(c=0,a=1) * eta^0*1_(c=0,a=1)>",
+    ),
+    ("z3_on_p2", "label-at-the-wrong-row"):
+        ("sector_involution", "label c=0,a=1 does not read back as its sector"),
+}
+
+
+def _printed(vd) -> list[str]:
+    """What ``table`` prints on vd, and what ``cup`` and ``pair`` print on
+    every ordered pair of basis elements: the text, or the class name of the
+    error raised (a label read back as another sector can put an eta power
+    out of range, and a longer room can point past the basis)."""
+    table = vd.sector_table()
+    flags = [
+        ((label.c, label.finite), k)
+        for label, dim in zip(table.labels, table.dims) for k in range(dim + 1)
+    ]
+    requests = [(cli._cmd_table, {})] + [
+        (command, {"t1": t1, "k1": k1, "t2": t2, "k2": k2})
+        for (t1, k1), (t2, k2) in product(flags, repeat=2)
+        for command in (cli._cmd_cup, cli._cmd_pair)
+    ]
+    texts = []
+    for command, flags_ in requests:
+        try:
+            texts.append(command(argparse.Namespace(format="structured", **flags_), vd)[0])
+        except (DomainError, IndexError) as exc:  # an edited rule may break a command
+            texts.append(type(exc).__name__)
+    return texts
+
+
+@pytest.mark.parametrize("edit", sorted(RULE_EDITS))
+@pytest.mark.parametrize("name", ["wp122333", "z3_on_p2"])
+def test_selftest_sees_the_rules_that_the_commands_print(monkeypatch, name, edit):
+    """A truncation room, a pairing partner or a label lookup that is off by
+    one changes what ``table``, ``cup`` or ``pair`` print, and the self-test
+    fails on it; a partner outside the basis fails it without an error."""
+    vd = _load(DEMO_DIR / f"{name}.datum")
+    assert run_selftest(vd).passed
+    before = _printed(vd)
+    with monkeypatch.context() as patch:
+        RULE_EDITS[edit](patch)
+        failure = run_selftest(vd).first_failure()
+        after = _printed(vd)
+    assert after != before
+    assert (failure.name, failure.detail) == RULE_EDIT_FAILURES[name, edit]
