@@ -46,6 +46,7 @@ from .quotient import (
     ValidatedDatum,
     datum_from_doc,
     element_to_doc,
+    sector_dim,
     validate_datum,
 )
 from .ring import (
@@ -66,17 +67,32 @@ def _involution_phase(table: SectorTable, name: str) -> PhaseResult:
     # theta_s(j) + theta_(s^-1)(j) is 0 on the fixed set of s and D elsewhere.
     # Numerators lie in [0, D), so over all sectors this also makes s and s^-1
     # fix the same set, and age(s) + age(s^-1) the moved coordinate count.
-    # Every label must read back as its sector, as cup and pair read labels.
     d = table.denominator
     for s, (inverse, fixed, thetas) in enumerate(zip(table.inverse, table.fixed, table.thetas)):
         for j, (x, y) in enumerate(zip(thetas, table.thetas[inverse])):
             if x + y != (0 if fixed >> j & 1 else d):
                 detail = f"theta complement fails for {table.label(s)} at coordinate {j}"
                 return PhaseResult(name, "fail", detail)
-    for s, label in enumerate(table.labels):
-        if table.position(label) != s:
-            return PhaseResult(name, "fail", f"label {label} does not read back as its sector")
     return PhaseResult(name, "pass", f"{len(table.codes)} sectors closed under inverse")
+
+
+def _label_phase(ring: ChenRuanRing, phase: PhaseResult) -> PhaseResult:
+    """``phase``, the passed involution phase, failed at the first sector whose
+    label does not read back as its sector: to its position through
+    ``SectorTable.position``, the lookup of ``cup`` and ``pair``, and to its
+    table row through ``ValidatedDatum.sector_row``, the route of ``shift``,
+    ``triple --method localization`` and ``wallcross``."""
+    table = ring.table
+    for s, (t, *row) in enumerate(zip(table.labels, table.codes, table.thetas, table.fixed)):
+        if table.position(t) != s:
+            return PhaseResult(phase.name, "fail", f"label {t} does not read back as its sector")
+        try:
+            same = ring.vd.sector_row(t, ring.chamber) == tuple(row)
+        except DomainError:
+            same = False
+        if not same:
+            return PhaseResult(phase.name, "fail", f"label {t} reads back as another table row")
+    return phase
 
 
 def _line(table: SectorTable, s: int, t: int, j: int) -> str:
@@ -105,7 +121,7 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
     the verdicts of its row, without asking the oracle again."""
     table = ring.table
     d, fixed, lines = table.denominator, table.fixed, 0
-    columns, code_columns = list(zip(*table.thetas)), list(zip(*table.codes))
+    code_columns, columns = ring._columns
     for s, carries in enumerate(ring.pairs[1]):
         # the code of r = (st)^-1 for every t, one comprehension per component
         r_columns = [
@@ -208,11 +224,11 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
 
 
 def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
-    """Ring axioms, sector involution identities, obstruction/index
-    agreement, and (when the datum's chamber is the only nonempty one, that
-    is, when every weight has its sign) the two-path 3-point check.  Phase
-    names carry the chamber they checked whenever that is not simply the
-    datum's own chamber."""
+    """Ring axioms, sector involution identities with every label read back
+    to its sector and table row, obstruction/index agreement, and (when the
+    datum's chamber is the only nonempty one, that is, when every weight has
+    its sign) the two-path 3-point check.  Phase names carry the chamber
+    they checked whenever that is not simply the datum's own chamber."""
     phases: list[PhaseResult] = []
     # the identity fixes every coordinate: a chamber is empty exactly when
     # no weight has its sign
@@ -224,7 +240,8 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
         failure = ring.verify_ring_axioms().first_failure()
         detail = None if failure is None else f"{failure.name}: {failure.detail}"
         phases.append(PhaseResult("ring_axioms" + suffix, "fail" if failure else "pass", detail))
-        phases.append(_involution_phase(ring.table, "sector_involution" + suffix))
+        involution = _involution_phase(ring.table, "sector_involution" + suffix)
+        phases.append(_label_phase(ring, involution) if involution.status == "pass" else involution)
         phases.append(_obstruction_phase(vd, ring, "obstruction_oracle" + suffix))
     if not tagged:
         phases.append(_agreement_phase(vd, ring))
@@ -289,7 +306,7 @@ def _power(vd: ValidatedDatum, flag, k: int, chamber: str | None = None):
     coordinate (with a chamber: none on that side of the wall); a usage
     error when k lies outside [0, |fixed set| - 1]."""
     label = _resolve(vd, flag)
-    dim = vd.sector_row(label, chamber)[2].bit_count() - 1
+    dim = sector_dim(vd.sector_row(label, chamber)[2])
     if not 0 <= k <= dim:
         raise _UsageError(f"eta power {k} of {label} is outside [0, {dim}]")
     return label, k
@@ -391,23 +408,15 @@ def _sector_records(d: int, rows: Iterable[tuple[Code, tuple[int, ...], int]]) -
     """The records of sectors given as integer rows (code, theta numerators
     over D, fixed-set mask), as a sector table holds them; each distinct
     numerator over D is formatted once per call."""
-    texts: dict[int, str] = {}
-
-    def text(x: int) -> str:
-        known = texts.get(x)
-        if known is None:
-            known = texts[x] = format_rational(Fraction(x, d))
-        return known
-
+    text = cache(lambda x: format_rational(Fraction(x, d)))
     records = []
     for code, thetas, mask in rows:
-        fixed = [j for j in range(len(thetas)) if mask >> j & 1]
         records.append({
             "label": {"c": text(code[0]), "finite": list(code[1:])},
-            "fixed_set": fixed,
+            "fixed_set": [j for j in range(len(thetas)) if mask >> j & 1],
             "thetas": [text(x) for x in thetas],
             "shift": text(sum(thetas)),
-            "dim": len(fixed) - 1,
+            "dim": sector_dim(mask),
         })
     return records
 

@@ -33,6 +33,9 @@ pair {s, t}, on (s, t, (st)^-1), and reuses that term for the order
 (t, s), while its direct side reads both orders; it compares the two
 sides by cross-multiplication.  ``triple_localized`` is the label-level
 wrapper around the same kernel and builds the one ``Fraction`` it reports.
+It reads each label's row by ``ValidatedDatum.sector_row``, the statement
+that refuses a label fixing no coordinate and whose rows the self-test
+checks against the sector table.
 Composability is decided here from the numerator sums mod D.  This path
 imports nothing from the ring.
 """
@@ -43,7 +46,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import EmptySector, NonComposable
+from .errors import NonComposable
 from .exact import _refuse_float, format_rational
 from .quotient import CHAMBERS, SectorLabel, ValidatedDatum, element_to_doc
 
@@ -99,27 +102,24 @@ def triple_localized(
 ) -> WallCrossingReport:
     """Localized 3-point function of eta^{k_i} lifts on sectors t_i.
 
-    Requires every label to fix a coordinate (``EmptySector`` otherwise) and
-    the labels to compose to the identity (``NonComposable``); evaluates the
-    collapsed term with ``localized_residue``.
+    Reads each label's theta numerators and fixed-set mask by
+    ``vd.sector_row``, which refuses a label that fixes no coordinate
+    (``EmptySector``); the labels must compose to the identity
+    (``NonComposable``).  Evaluates the collapsed term with
+    ``localized_residue``.
     """
-    triple = (p1, p2, p3)
-    thetas = [vd.theta_numerators(t)[1] for t, _ in triple]
-    masks = [vd.fixed_mask(numerators) for numerators in thetas]
-    if not all(masks):
-        raise EmptySector(f"{triple[masks.index(0)][0]} fixes no coordinate")
-    # a label that fixes a coordinate has its numerators over D
-    term = localized_residue(vd, *thetas)
+    rows = [vd.sector_row(t) for t, _ in (p1, p2, p3)]
+    term = localized_residue(vd, *(numerators for _, numerators, _ in rows))
     if term is None:
         raise NonComposable(f"{p1[0]}, {p2[0]}, {p3[0]} do not multiply to 1")
     top, bottom, base = term
     power = base + p1[1] + p2[1] + p3[1]
     return WallCrossingReport(
-        triple=triple,
+        triple=(p1, p2, p3),
         value=Fraction(top, bottom) if power == -1 else _ZERO,
         degree_check=power,
         side_existence={
-            chamber: tuple(bool(m & vd.level_masks[chamber]) for m in masks)
+            chamber: tuple(bool(mask & vd.level_masks[chamber]) for *_, mask in rows)
             for chamber in CHAMBERS
         },
     )

@@ -29,13 +29,24 @@ componentwise modular addition and negation.  Its phases are the integer
 numerators theta_j * D in [0, D) and its fixed set is a bitmask.  A
 ``SectorTable``, built once per (datum, chamber) on first use, holds these
 rows together with the inverse sector's index, in the listing order of
-``ValidatedDatum.sectors``.  It is built a column at a time by
-``ValidatedDatum.theta_column``, the theta formula over columns of codes,
-which also gives the self-test theta_r of r = (st)^-1 from the code of r.
-``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with Fraction
-thetas and shift) are the public views of an element and of a table row at
-the API boundary; a table builds the label of one sector, or its tuple of
-all labels, only on demand.
+``ValidatedDatum.sectors``.
+
+One statement per sector-level rule.  ``_theta`` is the theta formula,
+(x * X + sum_k y_k * Y_k) mod q over zipped vectors.  Its column form
+``theta_column`` (the codes as vectors) builds the table a coordinate at a
+time and gives the self-test theta_r of r = (st)^-1 from the code of r;
+its row form ``code_numerators`` (one code as scalars) gives the row of one
+element, for the validation scan and for labels.  ``_code`` turns a label
+into its code, or None off the lattice of D, for ``SectorTable.position``
+(``cup``, ``pair``) and ``ValidatedDatum.sector_row`` (``shift``, ``triple
+--method localization``, ``wallcross``), which also states the refusal of a
+label that fixes no coordinate.  Fixed sets and dims are read off masks,
+dim = |I| - 1 by ``sector_dim``.  The self-test reads every sector's label
+back through ``sector_row`` against its table row.  ``SectorLabel`` (with
+its Fraction c) and ``SectorInfo`` (with Fraction thetas and shift) are the
+public views of an element and of a table row at the API boundary; a table
+builds the label of one sector, or its tuple of all labels, only on
+demand.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from functools import cached_property
 from itertools import compress, product, repeat
 from math import lcm, prod
 from operator import add, not_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
 from .exact import _refuse_float, format_rational, frac_part, parse_rational
@@ -177,17 +188,37 @@ class SectorTable:
 
     def position(self, t: SectorLabel) -> int | None:
         """Index of the sector labeled t, or None if t is no sector here."""
-        _refuse_float(t.c)
-        if self.moduli[0] % t.c.denominator:
-            return None
-        return self.index.get(_code(t, self.moduli))
+        return self.index.get(_code(t, self.moduli))  # no code is no key
 
 
-def _code(t: SectorLabel, moduli: tuple[int, ...]) -> Code:
-    """The code of t, whose c has a denominator dividing D = moduli[0]."""
+def _code(t: SectorLabel, moduli: tuple[int, ...]) -> Code | None:
+    """The code of t, or None when c * D is no integer for D = moduli[0]:
+    such a t is off the lattice of D and moves every coordinate, since
+    fixing coordinate j takes c * w_j in Z / lcm(order_k).  A float c is a
+    ``TypeError`` and a wrong component count a ``ValueError``, both before
+    the lattice test."""
+    _refuse_float(t.c)
     num, den = t.c.as_integer_ratio()
     code = (num * (moduli[0] // den), *_components(t.finite, len(moduli) - 1))
-    return tuple([x % m for x, m in zip(code, moduli)])
+    return None if moduli[0] % den else tuple([x % m for x, m in zip(code, moduli)])
+
+
+def _theta(x: int, xs: Iterable[int], ys: Iterable[int], yss: Iterable, q: int) -> list[int]:
+    """The theta formula over zipped vectors: (x * X + sum_k y_k * Y_k) mod q
+    at every entry.  For the row of one element, X is the weights, the Y_k
+    are the finite factors' numerator rows and the element's code gives the
+    scalars x, y_k; for a column at coordinate j the roles swap, with the
+    code columns as vectors and w_j and the rows' entries j as scalars."""
+    raw = [x * v for v in xs]
+    for y, vector in zip(ys, yss):
+        if y:
+            raw = [r + y * v for r, v in zip(raw, vector)]
+    return [r % q for r in raw]
+
+
+def sector_dim(mask: int) -> int:
+    """Complex dimension |I| - 1 of the sector with fixed-set mask I."""
+    return mask.bit_count() - 1
 
 
 def _components(finite: Iterable[int], count: int) -> tuple[int, ...]:
@@ -253,43 +284,38 @@ class ValidatedDatum:
 
     # -- per-element geometry ----------------------------------------------
 
-    def _numerators(self, c_num: int, finite: Iterable[int], q: int) -> tuple[int, ...]:
-        """Theta numerators over q, a multiple of D, of the element with
-        circle phase c_num / q and the given finite components."""
-        scale = q // self.denominator
-        raw = [c_num * w for w in self.weights]
-        for a, row in zip(finite, self._rows):
-            if a:
-                raw = [x + a * scale * p for x, p in zip(raw, row)]
-        return tuple([x % q for x in raw])
-
     def fixed_mask(self, numerators: Iterable[int]) -> int:
         """Bitmask of the coordinates whose theta numerator is 0."""
         return sum(compress(self._bits, map(not_, numerators)))
 
-    def code_numerators(self, code: Code) -> tuple[int, ...]:
-        """Theta numerators over D of the element with this code."""
-        return self._numerators(code[0], code[1:], self.denominator)
+    def _coordinates(self, mask: int) -> frozenset[int]:
+        return frozenset(j for j, bit in enumerate(self._bits) if mask & bit)
 
-    def theta_column(self, j: int, code_columns: Iterable[Iterable[int]]) -> list[int]:
+    def code_numerators(self, code: Code) -> tuple[int, ...]:
+        """Theta numerators over D of the element with this code: the row
+        form of the theta formula ``_theta``, with the code as scalars."""
+        return tuple(_theta(code[0], self.weights, code[1:], self._rows, self.denominator))
+
+    def theta_column(self, j: int, code_columns: Sequence[Sequence[int]]) -> list[int]:
         """Theta numerators over D at coordinate j of the elements whose code
         components are given as columns (circle, then one per finite factor):
-        (C * w_j + sum_k a_k * phases_k[j] * D / order_k) mod D."""
-        circle, *components = code_columns
-        column = [x * self.weights[j] for x in circle]
-        for a, row in zip(components, self._rows):
-            p = row[j]
-            if p:
-                column = [x + y * p for x, y in zip(column, a)]
-        return [x % self.denominator for x in column]
+        the column form of ``_theta``, (C * w_j + sum_k a_k * phases_k[j] *
+        D / order_k) mod D with the columns as vectors."""
+        scalars = [row[j] for row in self._rows]
+        return _theta(self.weights[j], code_columns[0], scalars, code_columns[1:], self.denominator)
 
     def theta_numerators(self, t: SectorLabel) -> tuple[int, tuple[int, ...]]:
-        """(q, numerators) with theta_j(t) = numerators[j] / q.  q is D for
-        every label that fixes a coordinate, a multiple of D otherwise."""
-        _refuse_float(t.c)
+        """(q, numerators) with theta_j(t) = numerators[j] / q.  A label on
+        the lattice of D has its code, and its numerators over q = D come
+        from ``code_numerators``; off it, q = lcm(D, den c), and the row form
+        of ``_theta`` takes c * q and the components times q / D as scalars."""
+        code = _code(t, self.moduli)
+        if code is not None:
+            return self.denominator, self.code_numerators(code)
         num, den = t.c.as_integer_ratio()
         q = lcm(self.denominator, den)
-        return q, self._numerators(num * (q // den), _components(t.finite, len(self.finite)), q)
+        scalars = [a * (q // self.denominator) for a in t.finite]  # checked by _code
+        return q, tuple(_theta(num * (q // den), self.weights, scalars, self._rows, q))
 
     def thetas(self, t: SectorLabel) -> tuple[Fraction, ...]:
         """Rotation phases (theta_0, ..., theta_{n-1}) of t, each in [0, 1)."""
@@ -297,21 +323,19 @@ class ValidatedDatum:
         return tuple(Fraction(x, q) for x in numerators)
 
     def fixed_set(self, t: SectorLabel) -> frozenset[int]:
-        return frozenset(j for j, x in enumerate(self.theta_numerators(t)[1]) if not x)
+        return self._coordinates(self.fixed_mask(self.theta_numerators(t)[1]))
 
     def degree_shift(self, t: SectorLabel) -> Fraction:
         """Age of t: the sum of theta_j over coordinates t moves."""
-        q, numerators = self.theta_numerators(t)
-        return Fraction(sum(numerators), q)
+        return sum(self.thetas(t))
 
     # -- sector enumeration --------------------------------------------------
 
-    def _info(self, t: SectorLabel, numerators: tuple[int, ...]) -> SectorInfo:
-        """The view of a sector, from its theta numerators over D."""
-        d = self.denominator
-        fixed = frozenset(j for j, x in enumerate(numerators) if not x)
-        thetas = tuple(Fraction(x, d) for x in numerators)
-        return SectorInfo(t, fixed, thetas, Fraction(sum(numerators), d), len(fixed) - 1)
+    def _info(self, t: SectorLabel, numerators: tuple[int, ...], mask: int) -> SectorInfo:
+        """The view of a sector, from its theta numerators over D and its
+        fixed-set mask."""
+        thetas = tuple(Fraction(x, self.denominator) for x in numerators)
+        return SectorInfo(t, self._coordinates(mask), thetas, sum(thetas), sector_dim(mask))
 
     def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
         # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where
@@ -365,7 +389,7 @@ class ValidatedDatum:
             codes,
             tuple(zip(*(compress(column, keep) for column in columns))),
             fixed,
-            tuple([m.bit_count() - 1 for m in fixed]),
+            tuple(map(sector_dim, fixed)),
             tuple(map(index.__getitem__, inverse)),
             index,
         )
@@ -378,25 +402,28 @@ class ValidatedDatum:
         the label inverse.
         """
         table = self.sector_table(chamber)
-        return tuple(map(self._info, table.labels, table.thetas))
+        return tuple(map(self._info, table.labels, table.thetas, table.fixed))
 
     def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
         """Full sector record for t; EmptySector if t labels no sector here."""
-        return self._info(t, self.sector_row(t, self._chamber(chamber))[1])
+        return self._info(t, *self.sector_row(t, self._chamber(chamber))[1:])
 
     def sector_row(
         self, t: SectorLabel, chamber: str | None = None
     ) -> tuple[Code, tuple[int, ...], int]:
-        """The integer row of t as a sector table holds it: its code, theta
-        numerators over D and fixed-set mask.  EmptySector if t fixes no
-        coordinate or, given a chamber, none on that side of the wall."""
-        numerators = self.theta_numerators(t)[1]  # over D, once t fixes a coordinate
+        """The integer row of t as a sector table holds it: its code, its
+        theta numerators over D by ``code_numerators`` (the row form of the
+        formula that builds the table's columns) and its fixed-set mask.
+        EmptySector if t fixes no coordinate (off the lattice of D it moves
+        all) or, given a chamber, none on that side of the wall."""
+        code = _code(t, self.moduli)
+        numerators = () if code is None else self.code_numerators(code)
         mask = self.fixed_mask(numerators)
         if not mask:
             raise EmptySector(f"{t} fixes no coordinate")
         if chamber and not mask & self.level_masks[self._chamber(chamber)]:
             raise EmptySector(f"{t} has no fixed coordinate on the {chamber} side of the wall")
-        return _code(t, self.moduli), numerators, mask
+        return code, numerators, mask
 
 
 def validate_datum(datum: QuotientDatum) -> ValidatedDatum:

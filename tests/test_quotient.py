@@ -17,6 +17,7 @@ from crring import (
     datum_to_doc,
     label_from_doc,
     label_to_doc,
+    triple_localized,
     validate_datum,
 )
 from crring.errors import DatumFormatError
@@ -188,6 +189,53 @@ def test_sector_info_honors_chamber(mixed):
     with pytest.raises(EmptySector):
         only_negative.sector_info(half)
     assert only_negative.sector_info(half, "negative").fixed_set == frozenset({1})
+
+
+def _label_routes(vd, t):
+    """The four readers of a label: its row, its record, a localized triple
+    of it (itself three times) and its table position."""
+    return {
+        "sector_row": lambda: vd.sector_row(t),
+        "sector_info": lambda: vd.sector_info(t),
+        "triple_localized": lambda: triple_localized(vd, (t, 0), (t, 0), (t, 0)),
+        "position": lambda: vd.sector_table().position(t),
+    }
+
+
+def test_every_label_route_refuses_alike(wp112):
+    """A label off the lattice of D fixes nothing: ``position`` answers None
+    and the others raise ``EmptySector``.  A float phase is a ``TypeError``
+    and a wrong component count a ``ValueError`` on every route, also off
+    the lattice, where ``position`` answered None before the label's code
+    became one statement."""
+    d = wp112.denominator
+    off = SectorLabel(Fraction(1, d + 1))
+    for route, read in _label_routes(wp112, off).items():
+        if route == "position":
+            assert read() is None
+        else:
+            with pytest.raises(EmptySector, match=f"^c=1/{d + 1} fixes no coordinate$"):
+                read()
+    refused = [
+        (SectorLabel(0.5), TypeError, "is a float"),
+        (SectorLabel(Fraction(1, 2), (7,)), ValueError, "label has 1 finite components"),
+        (SectorLabel(Fraction(1, d + 1), (7,)), ValueError, "datum has 0"),
+    ]
+    for t, error, text in refused:
+        for route, read in _label_routes(wp112, t).items():
+            with pytest.raises(error, match=text):
+                read()
+
+
+def test_triple_localized_refuses_its_first_refused_label(wp112):
+    """The labels of a localized triple are read in order, each refused for
+    its own first reason: an empty first label is an ``EmptySector`` even
+    when a later one has a wrong component count."""
+    off, seven = SectorLabel(Fraction(1, 3)), SectorLabel(Fraction(1, 2), (7,))
+    with pytest.raises(EmptySector, match="^c=1/3 fixes no coordinate$"):
+        triple_localized(wp112, (off, 0), (seven, 0), (seven, 0))
+    with pytest.raises(ValueError, match="label has 1 finite components"):
+        triple_localized(wp112, (seven, 0), (off, 0), (off, 0))
 
 
 def test_label_normalization(wp112):

@@ -9,7 +9,9 @@ and asks the oracle once per distinct phase sum, and check that the one
 identity the involution phase tests fails exactly when one of the three
 involution identities does, and check that the self-test sees an edit of
 the truncation rule, the pairing partner or the label lookup that
-``table``, ``cup`` and ``pair`` read."""
+``table``, ``cup`` and ``pair`` read, and an edit of the fixed-set mask or
+the theta numerators on the label route that ``shift``, ``triple --method
+localization`` and ``wallcross`` read."""
 
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from crring import (
     validate_datum,
 )
 from crring import cli
-from crring.quotient import CHAMBERS, SectorTable
+from crring.quotient import CHAMBERS, SectorTable, ValidatedDatum
 from test_ring import data
 
 TESTS = Path(__file__).resolve().parent
@@ -684,3 +686,79 @@ def test_selftest_sees_the_rules_that_the_commands_print(monkeypatch, name, edit
         after = _printed(vd)
     assert after != before
     assert (failure.name, failure.detail) == RULE_EDIT_FAILURES[name, edit]
+
+
+def _mask_drops_a_bit(monkeypatch):
+    # the lowest fixed coordinate of every row is dropped from its mask
+    fixed_mask = ValidatedDatum.fixed_mask
+
+    def patched(vd, numerators):
+        mask = fixed_mask(vd, numerators)
+        return mask & mask - 1
+
+    monkeypatch.setattr(ValidatedDatum, "fixed_mask", patched)
+
+
+def _numerator_off_by_one(monkeypatch):
+    # the last coordinate's theta numerator of every row is one too large
+    code_numerators = ValidatedDatum.code_numerators
+
+    def patched(vd, code):
+        *head, last = code_numerators(vd, code)
+        return (*head, last + 1)
+
+    monkeypatch.setattr(ValidatedDatum, "code_numerators", patched)
+
+
+ROW_EDITS = {"mask-drops-a-bit": _mask_drops_a_bit, "numerator-off-by-one": _numerator_off_by_one}
+# the first failing phase and its detail, per datum: every edit reaches the
+# identity, the first sector
+ROW_EDIT_FAILURES = {
+    "wp122333": ("sector_involution", "label c=0 reads back as another table row"),
+    "z3_on_p2": ("sector_involution", "label c=0,a=0 reads back as another table row"),
+}
+
+
+def _printed_rows(vd) -> list[str]:
+    """What ``shift`` prints on every sector label, and ``triple --method
+    localization`` and ``wallcross`` on every composable sector triple at
+    each eta power 0 or 1: the text, or the class name of the error raised
+    (an edited mask can put an eta power out of range or empty a sector)."""
+    table = vd.sector_table()
+    flags = [(label.c, label.finite) for label in table.labels]
+    requests = [(cli._cmd_shift, {"t": t}) for t in flags]
+    for s, t in product(range(len(flags)), repeat=2):
+        h = table.index.get(table.compose(table.codes[s], table.codes[t]))
+        if h is None:
+            continue
+        for k1, k2, k3 in product(range(2), repeat=3):
+            triple = {"t1": flags[s], "k1": k1, "t2": flags[t], "k2": k2}
+            triple.update(t3=flags[table.inverse[h]], k3=k3)
+            requests.append((cli._cmd_triple, {"method": "localization", **triple}))
+            requests.append((cli._cmd_wallcross, triple))
+    texts = []
+    for command, flags_ in requests:
+        try:
+            texts.append(command(argparse.Namespace(format="structured", **flags_), vd)[0])
+        except (DomainError, cli._UsageError) as exc:
+            texts.append(type(exc).__name__)
+    return texts
+
+
+@pytest.mark.parametrize("edit", sorted(ROW_EDITS))
+@pytest.mark.parametrize("name", ["wp122333", "z3_on_p2"])
+def test_selftest_sees_the_rows_that_the_label_commands_print(monkeypatch, name, edit):
+    """A fixed-set mask that drops a bit, or a theta numerator off by one,
+    on the route from a label to its row changes what ``shift``, ``triple
+    --method localization`` or ``wallcross`` print, and the self-test,
+    which reads every label's row back against its sector table, fails on
+    it."""
+    vd = _load(DEMO_DIR / f"{name}.datum")
+    assert run_selftest(vd).passed
+    before = _printed_rows(vd)
+    with monkeypatch.context() as patch:
+        ROW_EDITS[edit](patch)
+        failure = run_selftest(vd).first_failure()
+        after = _printed_rows(vd)
+    assert after != before
+    assert (failure.name, failure.detail) == ROW_EDIT_FAILURES[name]
