@@ -81,16 +81,18 @@ def _label_phase(ring: ChenRuanRing, phase: PhaseResult) -> PhaseResult:
     label does not read back as its sector: to its position through
     ``SectorTable.position``, the lookup of ``cup`` and ``pair``, and to its
     table row through ``ValidatedDatum.sector_row``, the route of ``shift``,
-    ``triple --method localization`` and ``wallcross``."""
-    table = ring.table
+    ``triple --method localization`` and ``wallcross``, and through
+    ``theta_numerators``, the route of the API's ``thetas``, ``fixed_set``
+    and ``degree_shift``."""
+    vd, table = ring.vd, ring.table
     for s, (t, *row) in enumerate(zip(table.labels, table.codes, table.thetas, table.fixed)):
         if table.position(t) != s:
             return PhaseResult(phase.name, "fail", f"label {t} does not read back as its sector")
         try:
-            same = ring.vd.sector_row(t, ring.chamber) == tuple(row)
+            same = vd.sector_row(t, ring.chamber) == tuple(row)
         except DomainError:
             same = False
-        if not same:
+        if not same or vd.theta_numerators(t) != (table.denominator, row[1]):
             return PhaseResult(phase.name, "fail", f"label {t} reads back as another table row")
     return phase
 

@@ -36,17 +36,19 @@ One statement per sector-level rule.  ``_theta`` is the theta formula,
 ``theta_column`` (the codes as vectors) builds the table a coordinate at a
 time and gives the self-test theta_r of r = (st)^-1 from the code of r;
 its row form ``code_numerators`` (one code as scalars) gives the row of one
-element, for the validation scan and for labels.  ``_code`` turns a label
+element, for the validation scan and for labels, and ``theta_numerators``
+of a label at q = lcm(D, den c).  (``_candidate_codes`` still states the
+finite part of the formula, to solve it for c.)  ``_code`` turns a label
 into its code, or None off the lattice of D, for ``SectorTable.position``
 (``cup``, ``pair``) and ``ValidatedDatum.sector_row`` (``shift``, ``triple
 --method localization``, ``wallcross``), which also states the refusal of a
 label that fixes no coordinate.  Fixed sets and dims are read off masks,
 dim = |I| - 1 by ``sector_dim``.  The self-test reads every sector's label
-back through ``sector_row`` against its table row.  ``SectorLabel`` (with
-its Fraction c) and ``SectorInfo`` (with Fraction thetas and shift) are the
-public views of an element and of a table row at the API boundary; a table
-builds the label of one sector, or its tuple of all labels, only on
-demand.
+back through ``sector_row`` and ``theta_numerators`` against its table
+row.  ``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with
+Fraction thetas and shift) are the public views of an element and of a
+table row at the API boundary; a table builds the label of one sector, or
+its tuple of all labels, only on demand.
 """
 
 from __future__ import annotations
@@ -305,16 +307,14 @@ class ValidatedDatum:
         return _theta(self.weights[j], code_columns[0], scalars, code_columns[1:], self.denominator)
 
     def theta_numerators(self, t: SectorLabel) -> tuple[int, tuple[int, ...]]:
-        """(q, numerators) with theta_j(t) = numerators[j] / q.  A label on
-        the lattice of D has its code, and its numerators over q = D come
-        from ``code_numerators``; off it, q = lcm(D, den c), and the row form
-        of ``_theta`` takes c * q and the components times q / D as scalars."""
-        code = _code(t, self.moduli)
-        if code is not None:
-            return self.denominator, self.code_numerators(code)
+        """(q, numerators) with theta_j(t) = numerators[j] / q for q =
+        lcm(D, den c): the row form of ``_theta`` with c * q and the
+        components times q / D as scalars.  q is D for every label that
+        fixes a coordinate, a multiple of D otherwise."""
+        _refuse_float(t.c)
         num, den = t.c.as_integer_ratio()
         q = lcm(self.denominator, den)
-        scalars = [a * (q // self.denominator) for a in t.finite]  # checked by _code
+        scalars = [a * (q // self.denominator) for a in _components(t.finite, len(self.finite))]
         return q, tuple(_theta(num * (q // den), self.weights, scalars, self._rows, q))
 
     def thetas(self, t: SectorLabel) -> tuple[Fraction, ...]:
@@ -327,15 +327,18 @@ class ValidatedDatum:
 
     def degree_shift(self, t: SectorLabel) -> Fraction:
         """Age of t: the sum of theta_j over coordinates t moves."""
-        return sum(self.thetas(t))
+        q, numerators = self.theta_numerators(t)
+        return Fraction(sum(numerators), q)
 
     # -- sector enumeration --------------------------------------------------
 
     def _info(self, t: SectorLabel, numerators: tuple[int, ...], mask: int) -> SectorInfo:
         """The view of a sector, from its theta numerators over D and its
         fixed-set mask."""
-        thetas = tuple(Fraction(x, self.denominator) for x in numerators)
-        return SectorInfo(t, self._coordinates(mask), thetas, sum(thetas), sector_dim(mask))
+        d = self.denominator
+        thetas = tuple(Fraction(x, d) for x in numerators)
+        shift = Fraction(sum(numerators), d)
+        return SectorInfo(t, self._coordinates(mask), thetas, shift, sector_dim(mask))
 
     def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
         # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where

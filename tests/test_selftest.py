@@ -762,3 +762,25 @@ def test_selftest_sees_the_rows_that_the_label_commands_print(monkeypatch, name,
         after = _printed_rows(vd)
     assert after != before
     assert (failure.name, failure.detail) == ROW_EDIT_FAILURES[name]
+
+
+@pytest.mark.parametrize("name", ["wp122333", "z3_on_p2"])
+def test_selftest_sees_the_thetas_that_the_api_views_return(monkeypatch, name):
+    """A theta numerator off by one in ``theta_numerators`` changes what the
+    API's ``thetas`` and ``degree_shift`` return, and the self-test, which
+    reads every label's numerators back through it, fails on it."""
+    vd = _load(DEMO_DIR / f"{name}.datum")
+    labels = vd.sector_table().labels
+    before = [(vd.thetas(t), vd.degree_shift(t)) for t in labels]
+    theta_numerators = ValidatedDatum.theta_numerators
+
+    def patched(vd, t):
+        q, (*head, last) = theta_numerators(vd, t)
+        return q, (*head, last + 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ValidatedDatum, "theta_numerators", patched)
+        failure = run_selftest(vd).first_failure()
+        after = [(vd.thetas(t), vd.degree_shift(t)) for t in labels]
+    assert after != before
+    assert (failure.name, failure.detail) == ROW_EDIT_FAILURES[name]
