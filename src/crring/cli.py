@@ -24,12 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable
 
 from .errors import DatumFormatError, DomainError
 from .exact import format_rational, parse_rational

@@ -42,9 +42,9 @@ imports nothing from the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import NonComposable
 from .exact import _refuse_float, format_rational
@@ -54,16 +54,18 @@ SectorPower = tuple[SectorLabel, int]
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class WallCrossingReport:
+class WallCrossingReport(namedtuple(
+    "WallCrossingReport", "triple value degree_check side_existence note", defaults=(None,)
+)):
     """One localized 3-point evaluation: its exact value, the collapsed
     u-power, and which chambers contain each sector of the triple."""
 
+    __slots__ = ()
     triple: tuple[SectorPower, SectorPower, SectorPower]
     value: Fraction
     degree_check: int
     side_existence: Mapping[str, tuple[bool, bool, bool]]
-    note: str | None = None
+    note: str | None
 
 
 def localized_residue(
@@ -142,7 +144,7 @@ def wall_crossing_delta(
         note = (
             "positive chamber is empty: the delta equals minus the negative-side 3-point function"
         )
-    return replace(report, note=note)
+    return report._replace(note=note)
 
 
 # -- wire format -------------------------------------------------------------

@@ -53,13 +53,13 @@ its tuple of all labels, only on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product, repeat
 from math import lcm, prod
 from operator import add, not_
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
 from .exact import _refuse_float, format_rational, frac_part, parse_rational
@@ -69,49 +69,64 @@ CHAMBERS = ("positive", "negative")
 Code = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiniteCyclicFactor:
-    """A cyclic factor Z/order acting diagonally; generator phase on
-    coordinate j is phases[j]/order in Q/Z."""
+def _int(value: object, what: str) -> int:
+    """value if it is an int; a ``TypeError`` naming it otherwise, a bool,
+    float or str included."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is a {type(value).__name__}; {what}s take int")
+    return value
 
+
+def _immutable(self, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of a value that caches in its ``__dict__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+class FiniteCyclicFactor(namedtuple("FiniteCyclicFactor", "order phases")):
+    """A cyclic factor Z/order acting diagonally; generator phase on
+    coordinate j is phases[j]/order in Q/Z.  Order and phases take int;
+    the phases are stored reduced modulo the order."""
+
+    __slots__ = ()
     order: int
     phases: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"cyclic factor order must be >= 2, got {self.order}")
-        object.__setattr__(self, "phases", tuple(p % self.order for p in self.phases))
+    def __new__(cls, order: int, phases: Iterable[int]):
+        if _int(order, "order") < 2:
+            raise ValueError(f"cyclic factor order must be >= 2, got {order}")
+        return super().__new__(cls, order, tuple(_int(p, "phase") % order for p in phases))
 
 
-@dataclass(frozen=True)
-class QuotientDatum:
-    """An orbifold presentation: weights, finite phase factors, chamber."""
+class QuotientDatum(namedtuple("QuotientDatum", "weights finite chamber")):
+    """An orbifold presentation: weights, finite phase factors, chamber.
+    Weights take int."""
 
+    __slots__ = ()
     weights: tuple[int, ...]
-    finite: tuple[FiniteCyclicFactor, ...] = ()
-    chamber: str = "positive"
+    finite: tuple[FiniteCyclicFactor, ...]
+    chamber: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "finite", tuple(self.finite))
-        if len(self.weights) < 1:
+    def __new__(cls, weights: Iterable[int], finite: Iterable[FiniteCyclicFactor] = (),
+                chamber: str = "positive"):
+        weights, finite = tuple(_int(w, "weight") for w in weights), tuple(finite)
+        if len(weights) < 1:
             raise ValueError("a quotient datum needs at least one coordinate")
-        if self.chamber not in CHAMBERS:
-            raise ValueError(f"chamber must be one of {CHAMBERS}, got {self.chamber!r}")
-        for factor in self.finite:
-            if len(factor.phases) != len(self.weights):
+        if chamber not in CHAMBERS:
+            raise ValueError(f"chamber must be one of {CHAMBERS}, got {chamber!r}")
+        for factor in finite:
+            if len(factor.phases) != len(weights):
                 raise ValueError(
                     f"finite factor has {len(factor.phases)} phases for "
-                    f"{len(self.weights)} coordinates"
+                    f"{len(weights)} coordinates"
                 )
+        return super().__new__(cls, weights, finite, chamber)
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True, order=True)
-class SectorLabel:
+class SectorLabel(namedtuple("SectorLabel", "c finite", defaults=((),))):
     """A group element: circle phase c in [0, 1) plus finite components.
 
     Labels are normalized (c reduced to [0, 1), components reduced modulo
@@ -120,12 +135,13 @@ class SectorLabel:
     than the datum's finite factors is a ``ValueError`` wherever it is read.
     """
 
+    __setattr__ = __delattr__ = _immutable  # its __dict__ holds the cached hash only
     c: Fraction
-    finite: tuple[int, ...] = ()
+    finite: tuple[int, ...]
 
     @cached_property
     def _hash(self) -> int:  # hashing c takes a modular inverse: once per label, on first use
-        return hash((self.c, self.finite))
+        return tuple.__hash__(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -137,11 +153,11 @@ class SectorLabel:
         return text
 
 
-@dataclass(frozen=True)
-class SectorInfo:
+class SectorInfo(namedtuple("SectorInfo", "label fixed_set thetas shift dim")):
     """A twisted sector: its label, fixed coordinates, rotation phases,
     degree shift, and complex dimension |I| - 1."""
 
+    __slots__ = ()
     label: SectorLabel
     fixed_set: frozenset[int]
     thetas: tuple[Fraction, ...]
@@ -149,8 +165,7 @@ class SectorInfo:
     dim: int
 
 
-@dataclass(frozen=True, eq=False)
-class SectorTable:
+class SectorTable(namedtuple("SectorTable", "moduli codes thetas fixed dims inverse index")):
     """The sectors of one chamber as integer rows, indexed by position in
     ``ValidatedDatum.sectors``: element codes, theta numerators over
     ``moduli[0]`` = D, fixed-set bitmasks, dims and the inverse sector's
@@ -158,8 +173,10 @@ class SectorTable:
     the label of sector s alone and ``labels`` all of them, on first use;
     only the commands that list every basis element (``basis``, ``table``,
     ``selftest``) build that tuple.  ``ValidatedDatum.sectors`` builds the
-    ``SectorInfo`` views of the rows."""
+    ``SectorInfo`` views of the rows.  Tables compare by identity."""
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __setattr__ = __delattr__ = _immutable  # its __dict__ holds the cached labels only
     moduli: tuple[int, ...]
     codes: tuple[Code, ...]
     thetas: tuple[tuple[int, ...], ...]

@@ -31,23 +31,23 @@ power over the sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from math import prod
 from operator import itemgetter
-from typing import Iterator, Mapping
 
 from .errors import DatumFormatError, DomainError, EmptySector
 from .exact import _fraction, _refuse_float, format_rational, parse_rational
 from .quotient import SectorLabel, ValidatedDatum, _label_key, element_to_doc, label_from_doc
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
+class BasisElement(namedtuple("BasisElement", "sector k")):
     """eta^k on the sector labeled by ``sector``; ordered by sector, then k."""
 
+    __slots__ = ()
     sector: SectorLabel
     k: int
 
@@ -154,18 +154,20 @@ def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int
     return max(total - 1, 0)
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(namedtuple("PhaseResult", "name status detail", defaults=(None,))):
     """One named check of a ring axiom or a self-test phase; a failure's
     detail names its counterexample."""
 
+    __slots__ = ()
     name: str
     status: str  # "pass" | "fail" | "skipped"
-    detail: str | None = None
+    detail: str | None
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(namedtuple("SelfTestReport", "phases")):
+    """The ``PhaseResult`` of every phase, in order."""
+
+    __slots__ = ()
     phases: tuple[PhaseResult, ...]
 
     @property
@@ -176,11 +178,11 @@ class SelfTestReport:
         return next((p for p in self.phases if p.status == "fail"), None)
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(namedtuple("StructureTable", "basis degrees pairing products")):
     """The complete multiplication data of the ring: ordered basis, degrees,
     dense pairing matrix, and the nonzero products for i <= j, each one term."""
 
+    __slots__ = ()
     basis: tuple[BasisElement, ...]
     degrees: tuple[Fraction, ...]
     pairing: tuple[tuple[Fraction, ...], ...]

@@ -293,6 +293,18 @@ def test_both_paths_refuse_a_label_that_fixes_nothing(datum_file, capsys):
         assert err.startswith("EmptySector:")
 
 
+def test_shift_refuses_a_label_that_fixes_only_the_other_side(datum_file, capsys):
+    # on weights (1, -2), c=1/2 fixes only the coordinate of weight -2
+    doc = {"n": 2, "weights": [1, -2], "finite": [], "chamber": "positive"}
+    code, out, err = run(capsys, "shift", datum_file(doc), "--t", "c=1/2")
+    assert (code, out) == (1, "")
+    assert err == "EmptySector: c=1/2 has no fixed coordinate on the positive side of the wall\n"
+    doc["chamber"] = "negative"
+    code, out, _ = run(capsys, "shift", datum_file(doc), "--t", "c=1/2")
+    assert code == 0
+    assert json.loads(out)["fixed_set"] == [1]
+
+
 def test_selftest_checks_the_other_chamber_when_its_own_is_empty(datum_file, capsys):
     doc = {"n": 2, "weights": [1, 1], "finite": [], "chamber": "negative"}
     code, out, _ = run(capsys, "selftest", datum_file(doc))

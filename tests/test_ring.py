@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -29,7 +30,8 @@ from crring import (
     triple_localized,
     validate_datum,
 )
-from crring.quotient import CHAMBERS
+from crring.quotient import CHAMBERS, datum_from_doc
+from test_golden import DATA
 
 
 def one(vd, c, k=0):
@@ -776,3 +778,18 @@ def test_table_doc_round_trip(wp112):
     rebuilt = table_from_doc(doc, wp112)
     assert rebuilt == table
     assert table_to_doc(rebuilt) == doc
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_rational_grading_pairs_to_the_top_degree(name):
+    """Each pairing-matched pair (i, j) has degrees summing to 2(n - 1), the
+    real dimension of the quotient, and ``degree`` of a basis element is
+    ``degree_at`` of its index."""
+    vd = validate_datum(datum_from_doc(json.loads(DATA[name].read_text())))
+    ring = ChenRuanRing(vd)
+    basis, top = ring.basis(), 2 * (vd.n - 1)
+    entries = list(ring._pairing_entries())
+    assert len(entries) == len(basis)
+    for i, j, _ in entries:
+        assert ring.degree_at(i) + ring.degree_at(j) == top
+        assert ring.degree(basis[i]) == ring.degree_at(i)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -259,10 +258,10 @@ def _third_of_wp122333(monkeypatch, edit):
 @pytest.mark.parametrize(
     "edit,detail",
     [
-        (lambda table, s: replace(table, thetas=_with_row(table.thetas, s, (3, 3, 4, 0, 0, 0))),
+        (lambda table, s: table._replace(thetas=_with_row(table.thetas, s, (3, 3, 4, 0, 0, 0))),
          "theta complement fails for c=1/3 at coordinate 0"),
         # the inverse of c=1/3 pointed at the identity, whose theta numerators are 0
-        (lambda table, s: replace(table, inverse=_with_row(table.inverse, s, 0)),
+        (lambda table, s: table._replace(inverse=_with_row(table.inverse, s, 0)),
          "theta complement fails for c=1/3 at coordinate 0"),
     ],
     ids=["theta-moved", "inverse-is-identity"],
@@ -300,7 +299,7 @@ def _two_thirds_edited(monkeypatch, vd):
     table = vd.sector_table()
     s = table.position(vd.label(Fraction(2, 3)))
     assert table.thetas[s] == (4, 2, 2, 0, 0, 0)
-    edited = replace(table, thetas=_with_row(table.thetas, s, (4, 2, 4, 0, 0, 0)))
+    edited = table._replace(thetas=_with_row(table.thetas, s, (4, 2, 4, 0, 0, 0)))
     monkeypatch.setattr(vd, "sector_table", lambda chamber=None: edited)
 
 
@@ -455,7 +454,7 @@ def test_obstruction_phase_matches_a_per_line_loop_under_corruption(monkeypatch,
             thetas = list(map(list, table.thetas))
             thetas[s][j] = rng.randrange(table.denominator)
             ring = ChenRuanRing(vd, chamber)
-            ring.table = replace(table, thetas=tuple(map(tuple, thetas)))
+            ring.table = table._replace(thetas=tuple(map(tuple, thetas)))
             swept, reference = _both_phases(vd, ring)
             assert swept == reference, (chamber, s, j, thetas[s])
             failing += swept.status == "fail"
@@ -539,7 +538,7 @@ def _corrupt(table, n: int, rng: random.Random):
     elif kind == "fixed":
         fixed[s] ^= 1 << j
     elif kind == "inverse":
-        return replace(table, inverse=_with_row(table.inverse, s, rng.randrange(size)))
+        return table._replace(inverse=_with_row(table.inverse, s, rng.randrange(size)))
     elif kind == "paired-thetas":
         # theta_s(j) and theta_r(j) moved together: their sum may still hold
         x = rng.randrange(d)
@@ -551,7 +550,7 @@ def _corrupt(table, n: int, rng: random.Random):
         if rng.random() < 0.7:
             x = 0 if fixed[s] >> j & 1 else rng.randrange(d)
             thetas[s][j], thetas[r][j] = x, (d - x) % d
-    return replace(table, thetas=tuple(map(tuple, thetas)), fixed=tuple(fixed))
+    return table._replace(thetas=tuple(map(tuple, thetas)), fixed=tuple(fixed))
 
 
 INVOLUTION_DATA = [

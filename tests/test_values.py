@@ -6,6 +6,7 @@ both, the label's one Fraction hash, ``SectorTable.labels`` built once, and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,23 @@ def test_self_test_report_passed_and_first_failure():
     report = SelfTestReport((PASS, FAIL, other))
     assert not report.passed
     assert report.first_failure() is FAIL
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: QuotientDatum((1, 2.5)), "weight 2.5 is a float"),
+        (lambda: QuotientDatum((1, True)), "weight True is a bool"),
+        (lambda: QuotientDatum(("1", 2)), "weight '1' is a str"),
+        (lambda: FiniteCyclicFactor(3.0, (0, 1, 2)), "order 3.0 is a float"),
+        (lambda: FiniteCyclicFactor(True, (0, 1)), "order True is a bool"),
+        (lambda: FiniteCyclicFactor(3, (0.5, 1, 2)), "phase 0.5 is a float"),
+        (lambda: FiniteCyclicFactor(3, (0, False, 2)), "phase False is a bool"),
+        (lambda: FiniteCyclicFactor(3, ("1", 1, 2)), "phase '1' is a str"),
+    ],
+    ids=["float-weight", "bool-weight", "str-weight", "float-order", "bool-order",
+         "float-phase", "bool-phase", "str-phase"],
+)
+def test_constructors_refuse_what_the_datum_reader_refuses(build, text):
+    with pytest.raises(TypeError, match=f"^{re.escape(text)}; "):
+        build()
