@@ -4,7 +4,13 @@ Commands read a single datum file (a JSON document with fields n, weights,
 finite, chamber) and write exact results to stdout or ``--out``.  All numbers
 are rendered as exact "p/q" strings.  The structured (JSON) format is the
 source of truth.  Its bytes are those of ``json.dumps(doc, indent=2)``, but
-written by this module's own writer, whose per-string work runs in C.
+written by this module's own writer, which pays per byte rather than per
+call: inside a list or dict each item is dispatched on its exact type (a
+str or int is written in place, a dict or list by a direct call); a list
+of only str or only int is joined in C; a list of two or more records
+(dicts) with one key sequence is written through one ``%`` template built
+from the first record's quoted keys, ``%`` doubled; and a list holding a
+record, met again at the same indentation, is written once (a memo).
 ``--format tsv`` prints each of its records as one row
 (``basis`` prefixes the index): a label gives two cells, c and the finite
 components joined by ':'; a list one cell joined by ','; null an empty cell;
@@ -29,7 +35,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 from .errors import DatumFormatError, DomainError
 from .exact import format_rational, parse_rational
@@ -45,7 +50,6 @@ from .quotient import (
     SectorTable,
     ValidatedDatum,
     datum_from_doc,
-    element_to_doc,
     sector_dim,
     validate_datum,
 )
@@ -316,7 +320,8 @@ def _power(vd: ValidatedDatum, flag, k: int, chamber: str | None = None):
 
 def _load(path: str) -> ValidatedDatum:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise DatumFormatError(f"cannot read datum file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -331,7 +336,13 @@ def _load(path: str) -> ValidatedDatum:
 def _structured(doc) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, byte for byte, for a
     document of str, int, bool, None, lists, tuples and str-keyed dicts.
-    A list or tuple of records (dicts) met at several places
+    Inside a list or dict a str, int, dict or list is written by its exact
+    type, with no call for a scalar; anything else (str and int subclasses,
+    bool, None, tuples) goes through ``_json``.  A list of only str or only
+    int is joined in C.  A list or tuple of two or more dicts with one key
+    sequence is written through one ``%`` template built from the first
+    dict's quoted keys, ``%`` doubled; a one-record list takes the plain
+    path.  A list or tuple holding a dict met at several places
     (``table_to_doc`` shares one ``terms`` list among equal products) is
     rendered once per indentation in this call; other nodes pay for no
     memo."""
@@ -339,11 +350,19 @@ def _structured(doc) -> str:
 
 
 def _json(value, pad: str, memo: dict) -> str:
-    """The indent-2 JSON text of ``value`` at indentation ``pad``; a list of
-    strings is quoted and joined in C.  ``memo`` maps the id of a list or
-    tuple holding a dict to its last indentation and text.  The loops are
-    written out: before CPython 3.12 a comprehension makes ``inner`` and
-    ``memo`` closure cells, built on every call, a scalar's included."""
+    """The indent-2 JSON text of ``value`` at indentation ``pad``, by
+    ``isinstance``, so that str and int subclasses, bool and None render as
+    ``json.dumps`` renders them.  The loops of ``_list``, ``_dict`` and
+    ``_texts`` dispatch each item on its exact type: str to ``_quote``, int
+    to ``int.__repr__``, dict and list to a direct call, anything else back
+    here.  ``_list`` joins a list of only str or only int in C and writes
+    two or more dicts with one key sequence through one ``%`` template: the
+    first dict's quoted keys, ``%`` doubled, each followed by a ``%s`` slot
+    that a record fills with its value texts.  ``memo`` maps the id of a
+    list or tuple holding a dict to its last indentation and text; it is
+    read before any item is rendered.  The loops are written out: before
+    CPython 3.12 a comprehension makes the names it reads closure cells,
+    built on every call."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -352,33 +371,81 @@ def _json(value, pad: str, memo: dict) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        types = set(map(type, value))
-        if dict in types:
-            known = memo.get(id(value))
-            if known is not None and known[0] == pad:
-                return known[1]
-        if types == {str}:
-            items = map(_quote, value)
-        else:
-            items = []
-            for v in value:
-                items.append(_json(v, inner, memo))
-        text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-        if dict in types:
-            memo[id(value)] = pad, text
-        return text
+        return _list(value, pad, memo)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for k, v in value.items():
-            items.append(f"{_quote(k)}: {_json(v, inner, memo)}")
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+        return _dict(value, pad, memo)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _texts(values, pad: str, memo: dict) -> list[str]:
+    """The texts of ``values`` at indentation ``pad``, by exact type."""
+    texts = []
+    for v in values:
+        kind = type(v)
+        if kind is str:
+            texts.append(_quote(v))
+        elif kind is int:
+            texts.append(int.__repr__(v))
+        elif kind is dict:
+            texts.append(_dict(v, pad, memo))
+        elif kind is list:
+            texts.append(_list(v, pad, memo))
+        else:
+            texts.append(_json(v, pad, memo))
+    return texts
+
+
+def _dict(value: dict, pad: str, memo: dict) -> str:
+    if not value:
+        return "{}"
+    inner = pad + "  "
+    items = []
+    # the dispatch of _texts, written out: a dict pays no second call
+    for k, v in value.items():
+        kind = type(v)
+        if kind is str:
+            text = _quote(v)
+        elif kind is int:
+            text = int.__repr__(v)
+        elif kind is dict:
+            text = _dict(v, inner, memo)
+        elif kind is list:
+            text = _list(v, inner, memo)
+        else:
+            text = _json(v, inner, memo)
+        items.append(f"{_quote(k)}: {text}")
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+
+
+def _list(value, pad: str, memo: dict) -> str:
+    if not value:
+        return "[]"
+    types = set(map(type, value))
+    kind = types.pop() if len(types) == 1 else None
+    shared = kind is dict or dict in types
+    if shared:
+        known = memo.get(id(value))
+        if known is not None and known[0] == pad:
+            return known[1]
+    inner = pad + "  "
+    if kind is str:
+        items = map(_quote, value)
+    elif kind is int:
+        items = map(int.__repr__, value)
+    elif kind is dict and len(value) > 1 and value[0] and len(set(map(tuple, value))) == 1:
+        # one template for every record; a quoted key holds no raw newline
+        keys = "\n".join(map(_quote, value[0])).replace("%", "%%")
+        template = f"{{\n{inner}  " + keys.replace("\n", f": %s,\n{inner}  ") + f": %s\n{inner}}}"
+        deeper, items = inner + "  ", []
+        for v in value:
+            items.append(template % tuple(_texts(v.values(), deeper, memo)))
+    else:
+        items = _texts(value, inner, memo)
+    text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if shared:
+        memo[id(value)] = pad, text
+    return text
 
 
 def _tsv(rows: list[list[str]]) -> str:
@@ -406,17 +473,33 @@ def _records(args, header: str, records: list[dict], doc) -> str:
     return _structured(doc)
 
 
+def _numerator_text(d: int):
+    """The text of a numerator over ``d``, formatted once per distinct
+    numerator for the life of the returned function."""
+    return cache(lambda x: format_rational(Fraction(x, d)))
+
+
+def _label_doc(code: Code, text) -> dict:
+    """The label cells of a sector code, c through ``text``."""
+    return {"c": text(code[0]), "finite": list(code[1:])}
+
+
 def _sector_records(d: int, rows: Iterable[tuple[Code, tuple[int, ...], int]]) -> list[dict]:
     """The records of sectors given as integer rows (code, theta numerators
     over D, fixed-set mask), as a sector table holds them; each distinct
-    numerator over D is formatted once per call."""
-    text = cache(lambda x: format_rational(Fraction(x, d)))
+    numerator over D is formatted once per call, and records with one mask
+    share its fixed-set list, read only."""
+    text = _numerator_text(d)
+    sets: dict[int, list[int]] = {}  # mask -> fixed-set list
     records = []
     for code, thetas, mask in rows:
+        fixed = sets.get(mask)
+        if fixed is None:
+            fixed = sets[mask] = [j for j in range(len(thetas)) if mask >> j & 1]
         records.append({
-            "label": {"c": text(code[0]), "finite": list(code[1:])},
-            "fixed_set": [j for j in range(len(thetas)) if mask >> j & 1],
-            "thetas": [text(x) for x in thetas],
+            "label": _label_doc(code, text),
+            "fixed_set": fixed,
+            "thetas": list(map(text, thetas)),
             "shift": text(sum(thetas)),
             "dim": sector_dim(mask),
         })
@@ -440,9 +523,12 @@ def _cmd_shift(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
+    text = _numerator_text(vd.denominator)
+    labels = [_label_doc(code, text) for code in ring.table.codes]  # shared, read only
     records = [
-        {**element_to_doc(e.sector, e.k), "degree": format_rational(ring.degree_at(i))}
-        for i, e in enumerate(ring.basis())
+        {"sector": labels[s], "eta_power": k, "degree": format_rational(ring.degree_at(start + k))}
+        for s, (start, ks) in enumerate(zip(ring.start, ring.powers))
+        for k in ks
     ]
     doc = {"basis": records}
     if args.format == "tsv":
@@ -607,7 +693,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as file:
+                file.write(text)
         except OSError as exc:
             print(f"usage error: cannot write output file: {exc}", file=sys.stderr)
             return 2

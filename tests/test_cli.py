@@ -352,6 +352,29 @@ def test_out_flag_that_cannot_be_written_is_a_usage_error(datum_file, tmp_path, 
         assert err.count("\n") == 1
 
 
+def test_empty_datum_and_out_paths(datum_file, capsys):
+    """An empty datum path names no file (``open('')``, not ``Path('')``, the
+    current directory); an empty ``--out`` is no file to write, so the
+    output goes to stdout."""
+    code, out, err = run(capsys, "sectors", "")
+    assert (code, out) == (1, "")
+    assert err == "DatumFormatError: cannot read datum file: [Errno 2] No such file or directory: ''\n"
+    path = datum_file(WP112)
+    code, out, err = run(capsys, "sectors", path, "--out", "")
+    assert (code, out, err) == (0, run(capsys, "sectors", path)[1], "")
+
+
+def test_datum_path_is_opened_as_given(datum_file, capsys):
+    # no normalizing: a trailing slash names a directory, and an error
+    # quotes the path as typed
+    path = datum_file(WP112)
+    code, _, err = run(capsys, "sectors", path + "/")
+    assert code == 1
+    assert err.endswith(f"Not a directory: {path + '/'!r}\n")
+    absent = path.replace("input.datum", ".//absent.datum")
+    assert run(capsys, "sectors", absent)[2].endswith(f"No such file or directory: {absent!r}\n")
+
+
 def test_the_parser_is_built_once_and_reused(datum_file, monkeypatch, capsys):
     build_parser.cache_clear()
     built = []
@@ -417,9 +440,9 @@ def test_no_sector_table_is_built_to_test_a_chamber_for_emptiness(datum_file, mo
 def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
     """A direct-path point request builds neither the basis tuple and
     degrees of its ring nor the labels of its sector table, and ``sectors``
-    writes its records from the table's integer rows without labels; the
-    commands that list every basis element build them.  No command builds a
-    ``SectorInfo`` view."""
+    and ``basis`` write their records from the table's integer rows without
+    labels (``basis`` reads the degrees); ``table`` and ``selftest`` build
+    them all.  No command builds a ``SectorInfo`` view."""
     rings, tables, views = [], [], []
     init, build, info = ChenRuanRing.__init__, ValidatedDatum._build_table, ValidatedDatum._info
 
@@ -440,14 +463,15 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
     monkeypatch.setattr(ValidatedDatum, "_info", recording_info)
     path = datum_file(WP122333)
     point = [path, "--t1", "c=1/3", "--t2", "c=2/3"]
+    # per command: (basis tuple, degrees, labels) built
     for argv, built in (
-        (["pair", *point], False),
-        (["cup", *point], False),
-        (["triple", *point, "--t3", "c=0", "--method", "direct"], False),
-        (["basis", path], True),
-        (["sectors", path], False),
-        (["table", path], True),
-        (["selftest", path], True),
+        (["pair", *point], (False, False, False)),
+        (["cup", *point], (False, False, False)),
+        (["triple", *point, "--t3", "c=0", "--method", "direct"], (False, False, False)),
+        (["basis", path], (False, True, False)),
+        (["sectors", path], (False, False, False)),
+        (["table", path], (True, True, True)),
+        (["selftest", path], (True, True, True)),
     ):
         rings.clear()
         tables.clear()
@@ -455,9 +479,9 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
         assert tables, argv
         assert rings or argv[0] == "sectors", argv
         for ring in rings:
-            assert ("_basis" in vars(ring), "degrees" in vars(ring)) == (built, built), argv
+            assert ("_basis" in vars(ring), "degrees" in vars(ring)) == built[:2], argv
         for table in tables:
-            assert ("labels" in vars(table)) == built, argv
+            assert ("labels" in vars(table)) == built[2], argv
     for argv in (
         ["shift", path, "--t", "c=1/3"],
         ["triple", *point, "--t3", "c=0", "--method", "localization"],

@@ -1,7 +1,7 @@
 """Importing crring needs neither ``dataclasses`` nor ``typing``: no module
 under ``src/crring`` imports either, and a fresh interpreter without site
 packages loads neither ``dataclasses`` nor the ``inspect`` module it pulls
-in when it imports ``crring`` and ``crring.cli``."""
+in, nor ``pathlib``, when it imports ``crring`` and ``crring.cli``."""
 
 from __future__ import annotations
 
@@ -31,10 +31,23 @@ def test_no_module_imports_dataclasses_or_typing():
         assert not _imported(path) & {"dataclasses", "typing"}, path.name
 
 
-def test_a_fresh_import_loads_no_dataclasses():
+def _fresh_import_loads(names: set[str]) -> str:
+    """The sorted list of those of ``names`` that a fresh ``python -S`` has
+    loaded after importing ``crring`` and ``crring.cli``, as printed."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import crring, crring.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+def test_a_fresh_import_loads_no_dataclasses():
+    assert _fresh_import_loads({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_a_fresh_import_loads_no_pathlib():
+    # the datum is read and --out written through open(); pathlib would pull
+    # in urllib.parse and ipaddress at start-up
+    assert _fresh_import_loads({"pathlib"}) == "[]\n"

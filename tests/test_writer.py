@@ -1,8 +1,11 @@
 """The structured writer is ``json.dumps(doc, indent=2)`` plus a newline, byte
-for byte, on every document shape the package writes."""
+for byte, on every document shape the package writes: scalars by exact type
+or by ``isinstance``, lists of only str or only int, and lists of records
+that share one key sequence, written through one ``%`` template."""
 
 from __future__ import annotations
 
+import enum
 import json
 
 import pytest
@@ -82,4 +85,43 @@ _record = {"terms": _terms, "rows": [_terms, [_terms]]}
 @example([_terms, {"deep": [[_terms], _terms]}, _terms])
 @example({"products": [_record, _record, [_record]], "terms": _terms})
 def test_structured_renders_a_shared_node_at_each_of_its_indentations(doc):
+    assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+keys = strings | st.sampled_from(["%", "%s", "%%", "%(x)s", "%d%%s", "a%"])
+values = (
+    scalars
+    | st.lists(integers, max_size=4)
+    | st.lists(strings, max_size=4)
+    | st.sampled_from([[], {}, ()])
+    | st.dictionaries(keys, scalars | st.lists(integers, max_size=3), max_size=3)
+)
+
+
+@st.composite
+def record_lists(draw):
+    """A list or tuple of two or more records (dicts) with one key sequence,
+    at a drawn depth in a document."""
+    names = draw(st.lists(keys, unique=True, max_size=5))
+    records = [{k: draw(values) for k in names} for _ in range(draw(st.integers(2, 5)))]
+    listed = tuple(records) if draw(st.booleans()) else records
+    return draw(st.sampled_from([listed, {"records": listed}, [[listed], "%s"]]))
+
+
+class _Power(enum.IntEnum):
+    TWO = 2
+
+
+class _Text(str):
+    pass
+
+
+@given(record_lists())
+@example([{"%s": 1, "a": [1, 2]}])
+@example([{"a": 1, "b": "x"}, {"b": "y", "a": 2}])
+@example([{"a": 1}, {"a": 2}, 3, "x", None])
+@example(({"%(x)s": "1", "%%": [1]}, {"%(x)s": "2", "%%": []}))
+@example([{}, {}])
+@example([{"k": _Power.TWO, "t": _Text("%s"), "b": True}, {"k": False, "t": None, "b": [_Power.TWO]}])
+def test_a_list_of_records_renders_through_one_template(doc):
     assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
