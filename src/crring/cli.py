@@ -41,6 +41,7 @@ from .exact import format_rational, parse_rational
 from .localization import (
     localized_residue,
     report_to_doc,
+    residue_sigma,
     triple_localized,
     wall_crossing_delta,
 )
@@ -167,19 +168,17 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
 
 
 def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
-    """Both 3-point paths on every composable basis triple, visiting the
-    ordered sector pairs (s, t) in row order.  The localized kernel is
-    symmetric in its sectors, so it runs once per unordered pair {s, t}: at
-    the first order (s, t), s <= t, for the sector triple (s, t, r =
-    (st)^-1).  The order (t, s) reuses that term when its own r is the
-    same; the term is dropped on reuse, so the memo lives for one call.  The
-    direct side reads both orders, so a non-commutative table still fails
-    at its first ordered triple.  Each side depends on the eta powers only
-    through sigma = k1 + k2 + k3 and is nonzero at one sigma at most, so
-    the sides agree on every basis triple of (s, t, r) unless some sigma in
-    [0, dim(s) + dim(t) + dim(r)] holds a nonzero side alone or two
-    different values; the smallest such sigma holds the first failing basis
-    triple in (k1, k2, k3) order."""
+    """Both 3-point paths on every composable basis triple, then the report
+    of ``triple_localized``.  The sweep visits the ordered sector pairs
+    (s, t) in row order; the symmetric kernel runs at s <= t, on (s, t, r =
+    (st)^-1), and (t, s) reuses and drops that term when its own r is the
+    same, while the direct side reads both orders.  Each side is nonzero at
+    one sigma = k1 + k2 + k3 at most, so the first failing basis triple in
+    (k1, k2, k3) order lies at the smallest sigma in [0, dim(s) + dim(t) +
+    dim(r)] that holds a nonzero side alone or two different values.  Then
+    ``triple_localized`` on (1_(s), eta^k2 1_(s^-1), eta^k3 1), s <= s^-1 and
+    k2 + k3 = dim(s), must report the pairing at u-power -1 and every
+    sector on the ring's side."""
     name = "path_agreement"
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
@@ -201,13 +200,13 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
                     )
                 if s < t:
                     first[t, s] = r, term
-            numerator, bottom, base = term
+            numerator, bottom, _ = term
             # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
             # paired with eta^k3 1_(r) when the degrees are complementary; a
-            # side that vanishes everywhere has sigma None
+            # product that vanishes has sigma None
             c = product[0] if product else 0
-            top = dims[h] - product[1] if c else None
-            at = -1 - base if numerator else None
+            top = dims[h] - product[1] if product else None
+            at = residue_sigma(term)
             span = dims[s] + dims[t] + dims[r]
             p, q = pairings[h]
             matched = top == at and c * bottom * p == numerator * q
@@ -226,6 +225,24 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
                     f"localized {format_rational(localized)}",
                 )
             triples += (dims[s] + 1) * (dims[t] + 1) * (dims[r] + 1)
+    # u-power -1: e_j is 0 on the dim(s) + 1 coordinates that s fixes, 1 elsewhere;
+    # the eta powers go on two factors, so that both enter the sum that is read
+    labels, identity = table.labels, vd.identity()
+    sides = {chamber: (chamber == ring.chamber,) * 3 for chamber in CHAMBERS}
+    for s, (inverse, dim, (p, q)) in enumerate(zip(table.inverse, dims, pairings)):
+        if s > inverse:
+            continue
+        k2, k3 = dim - dim // 2, dim // 2
+        try:
+            report = triple_localized(vd, (labels[s], 0), (labels[inverse], k2), (identity, k3))
+            read = report.value, report.degree_check, report.side_existence
+        except DomainError:
+            read = None
+        if read != (Fraction(p, q), -1, sides):
+            return PhaseResult(
+                name, "fail", f"{_triple(table, s, inverse, 0, (0, k2, k3))}: "
+                "triple_localized does not report the pairing"
+            )
     return PhaseResult(name, "pass", f"{triples} composable basis triples agree")
 
 
@@ -263,12 +280,7 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
 
 
 def selftest_to_doc(report: SelfTestReport) -> dict:
-    return {
-        "phases": [
-            {"name": p.name, "status": p.status, "detail": p.detail} for p in report.phases
-        ],
-        "passed": report.passed,
-    }
+    return {"phases": [p._asdict() for p in report.phases], "passed": report.passed}
 
 
 # -- command plumbing ----------------------------------------------------------
@@ -335,17 +347,8 @@ def _load(path: str) -> ValidatedDatum:
 
 def _structured(doc) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, byte for byte, for a
-    document of str, int, bool, None, lists, tuples and str-keyed dicts.
-    Inside a list or dict a str, int, dict or list is written by its exact
-    type, with no call for a scalar; anything else (str and int subclasses,
-    bool, None, tuples) goes through ``_json``.  A list of only str or only
-    int is joined in C.  A list or tuple of two or more dicts with one key
-    sequence is written through one ``%`` template built from the first
-    dict's quoted keys, ``%`` doubled; a one-record list takes the plain
-    path.  A list or tuple holding a dict met at several places
-    (``table_to_doc`` shares one ``terms`` list among equal products) is
-    rendered once per indentation in this call; other nodes pay for no
-    memo."""
+    document of str, int, bool, None, lists, tuples and str-keyed dicts, by
+    the rules of the module docstring, which ``_json`` spells out."""
     return _json(doc, "", {}) + "\n"
 
 
@@ -542,18 +545,14 @@ def _basis_class(vd: ValidatedDatum, flag, k: int) -> CRClass:
 
 def _cmd_pair(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
-    value = ring.pairing(
-        _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
-    )
-    return _value_output(args, value), 0
+    classes = _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
+    return _value_output(args, ring.pairing(*classes)), 0
 
 
 def _cmd_cup(args, vd: ValidatedDatum) -> tuple[str, int]:
     ring = ChenRuanRing(vd)
-    product = ring.cup(
-        _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
-    )
-    records = cr_class_to_doc(product)
+    classes = _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
+    records = cr_class_to_doc(ring.cup(*classes))
     return _records(args, "c finite eta_power coeff", records, records), 0
 
 

@@ -27,15 +27,14 @@ of 0, 1, 2, so the term is
 Only the u-power depends on the eta powers, so one sector triple has one
 collapsed coefficient and one base power sum_j e_j - n, and every basis
 triple on it reads its value off those numbers.  The kernel keeps the
-coefficient as its two integer factors.  It is symmetric in its three
-sectors, so the self-test calls it once per unordered composable sector
-pair {s, t}, on (s, t, (st)^-1), and reuses that term for the order
-(t, s), while its direct side reads both orders; it compares the two
-sides by cross-multiplication.  ``triple_localized`` is the label-level
-wrapper around the same kernel and builds the one ``Fraction`` it reports.
-It reads each label's row by ``ValidatedDatum.sector_row``, the statement
-that refuses a label fixing no coordinate and whose rows the self-test
-checks against the sector table.
+coefficient as its two integer factors.  ``residue_sigma`` is the one
+statement of the value rule: the term is the 3-point value at the eta
+power sum sigma = k1 + k2 + k3 that brings its u-power to -1, and 0 at
+every other sum.  ``triple_localized``, the label-level wrapper that builds
+the one ``Fraction`` it reports, and the self-test's agreement phase both
+read it.  ``triple_localized`` reads each label's row by
+``ValidatedDatum.sector_row``, the statement that refuses a label fixing no
+coordinate.
 Composability is decided here from the numerator sums mod D.  This path
 imports nothing from the ring.
 """
@@ -78,9 +77,9 @@ def localized_residue(
     numerators over D of their sectors, in integers: (prod_{e_j=2} w_j,
     |A| * prod_{e_j=0} w_j, u-power), the coefficient being the first over
     the second; or None when the elements do not compose to the identity.
-    Eta powers k_i only raise the u-power by k1 + k2 + k3; the 3-point
-    function is the coefficient when the raised power is -1, and 0
-    otherwise.  A float numerator raises TypeError."""
+    Eta powers k_i only raise the u-power by k1 + k2 + k3, and
+    ``residue_sigma`` gives the sum at which the coefficient is the 3-point
+    function.  A float numerator raises TypeError."""
     d, top, bottom, power = vd.denominator, 1, vd.finite_order, -vd.n
     # the product of the elements acts with phases (theta1 + theta2 + theta3) / D,
     # so it is the identity exactly when every sum is a multiple of D; a float
@@ -99,6 +98,14 @@ def localized_residue(
     return top, bottom, power
 
 
+def residue_sigma(term: tuple[int, int, int]) -> int:
+    """The eta power sum sigma = k1 + k2 + k3 at which the collapsed term
+    (top, bottom, power) of ``localized_residue`` is the 3-point function:
+    its value is the coefficient of u^-1, so top / bottom where power +
+    sigma = -1, and 0 at every other sigma."""
+    return -1 - term[2]
+
+
 def triple_localized(
     vd: ValidatedDatum, p1: SectorPower, p2: SectorPower, p3: SectorPower
 ) -> WallCrossingReport:
@@ -108,18 +115,17 @@ def triple_localized(
     ``vd.sector_row``, which refuses a label that fixes no coordinate
     (``EmptySector``); the labels must compose to the identity
     (``NonComposable``).  Evaluates the collapsed term with
-    ``localized_residue``.
+    ``localized_residue`` and reads its value by ``residue_sigma``.
     """
     rows = [vd.sector_row(t) for t, _ in (p1, p2, p3)]
     term = localized_residue(vd, *(numerators for _, numerators, _ in rows))
     if term is None:
         raise NonComposable(f"{p1[0]}, {p2[0]}, {p3[0]} do not multiply to 1")
-    top, bottom, base = term
-    power = base + p1[1] + p2[1] + p3[1]
+    sigma = p1[1] + p2[1] + p3[1]
     return WallCrossingReport(
         triple=(p1, p2, p3),
-        value=Fraction(top, bottom) if power == -1 else _ZERO,
-        degree_check=power,
+        value=Fraction(term[0], term[1]) if sigma == residue_sigma(term) else _ZERO,
+        degree_check=term[2] + sigma,
         side_existence={
             chamber: tuple(bool(mask & vd.level_masks[chamber]) for *_, mask in rows)
             for chamber in CHAMBERS

@@ -61,7 +61,7 @@ class CRClass:
     Coefficients are kept as given when they are ``int`` or ``Fraction`` and
     converted with ``Fraction`` otherwise; a ``float`` coefficient or scalar
     raises ``TypeError``.  Zero coefficients are never stored; classes are
-    immutable and support addition, subtraction, and scalar multiplication.
+    immutable and support scalar multiplication.
     """
 
     __slots__ = ("_terms",)
@@ -87,23 +87,8 @@ class CRClass:
         """Terms in the canonical (sector, eta power) order."""
         return sorted(self._terms.items())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __iter__(self) -> Iterator[tuple[BasisElement, Fraction]]:
         return iter(self.items())
-
-    def __add__(self, other: "CRClass") -> "CRClass":
-        merged = dict(self._terms)
-        for element, coeff in other._terms.items():
-            merged[element] = merged.get(element, Fraction(0)) + coeff
-        return CRClass(merged)
-
-    def __neg__(self) -> "CRClass":
-        return CRClass({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "CRClass") -> "CRClass":
-        return self + (-other)
 
     def __mul__(self, scalar) -> "CRClass":
         scalar = _fraction(scalar)

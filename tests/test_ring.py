@@ -161,7 +161,7 @@ def test_cup_unit(wp122333):
 
 def test_cup_disjoint_fixed_sets_vanish(wp122333):
     ring = ChenRuanRing(wp122333)
-    assert ring.cup(one(wp122333, "1/3"), one(wp122333, "1/2")).is_zero()
+    assert ring.cup(one(wp122333, "1/3"), one(wp122333, "1/2")) == CRClass()
 
 
 def test_pair_and_sector_product_values(wp122333):
@@ -347,7 +347,7 @@ def test_a_label_is_read_with_the_datums_component_count(wp112):
 def test_cup_truncates_past_sector_dimension(wp112):
     ring = ChenRuanRing(wp112)
     eta = one(wp112, 0, 1)
-    assert ring.cup(eta, ring.cup(eta, eta)).is_zero()
+    assert ring.cup(eta, ring.cup(eta, eta)) == CRClass()
 
 
 def test_triple_direct_values(wp122333, wp112):
@@ -717,12 +717,10 @@ def test_degree_additivity_identity(wp122333):
 
 
 def test_cr_class_arithmetic(wp112):
-    a = one(wp112, "1/2")
     b = one(wp112, 0, 1)
-    combined = a + 3 * b - a
-    assert combined == CRClass.single(BasisElement(wp112.identity(), 1), 3)
-    assert (combined - combined).is_zero()
-    assert CRClass({BasisElement(wp112.identity(), 0): Fraction(0)}).is_zero()
+    assert 3 * b == b * 3 == CRClass.single(BasisElement(wp112.identity(), 1), 3)
+    assert 0 * b == CRClass()
+    assert CRClass({BasisElement(wp112.identity(), 0): Fraction(0)}) == CRClass()
 
 
 def test_cr_class_refuses_floats(wp112):
@@ -763,7 +761,8 @@ def test_cr_class_refuses_floats(wp112):
 
 def test_cr_class_doc_round_trip(wp122333):
     ring = ChenRuanRing(wp122333)
-    value = ring.cup(one(wp122333, "1/3"), one(wp122333, "1/3")) + 2 * ring.unit()
+    square = ring.cup(one(wp122333, "1/3"), one(wp122333, "1/3"))
+    value = CRClass({**square.terms, BasisElement(wp122333.identity(), 0): 2})
     doc = cr_class_to_doc(value)
     assert cr_class_from_doc(doc, wp122333) == value
     assert doc == [

@@ -11,7 +11,8 @@ involution identities does, and check that the self-test sees an edit of
 the truncation rule, the pairing partner or the label lookup that
 ``table``, ``cup`` and ``pair`` read, and an edit of the fixed-set mask or
 the theta numerators on the label route that ``shift``, ``triple --method
-localization`` and ``wallcross`` read."""
+localization`` and ``wallcross`` read, and an edit of ``triple_localized``
+or of its one value rule, ``residue_sigma``, that the last two print."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from crring import (
     run_selftest,
     validate_datum,
 )
-from crring import cli
+from crring import cli, localization
 from crring.quotient import CHAMBERS, SectorTable, ValidatedDatum
 from test_ring import data
 
@@ -783,3 +784,142 @@ def test_selftest_sees_the_thetas_that_the_api_views_return(monkeypatch, name):
         after = [(vd.thetas(t), vd.degree_shift(t)) for t in labels]
     assert after != before
     assert (failure.name, failure.detail) == ROW_EDIT_FAILURES[name]
+
+
+def _triple_edit(edit):
+    """An edit of ``triple_localized`` where ``triple --method localization``,
+    ``wallcross`` and the self-test read it: ``edit`` gets the unedited
+    function and the arguments of the call."""
+    triple_localized = localization.triple_localized
+
+    def install(monkeypatch):
+        def patched(vd, p1, p2, p3):
+            return edit(triple_localized, vd, p1, p2, p3)
+
+        for module in (cli, localization):
+            monkeypatch.setattr(module, "triple_localized", patched)
+
+    return install
+
+
+def _selection_off_by_one(triple_localized, vd, p1, p2, p3):
+    # the coefficient is reported where the u-power is -2, that is, at the
+    # value that one more eta power on the first sector would give
+    value = triple_localized(vd, (p1[0], p1[1] + 1), p2, p3).value
+    return triple_localized(vd, p1, p2, p3)._replace(value=value)
+
+
+def _degree_check_off_by_one(triple_localized, vd, p1, p2, p3):
+    report = triple_localized(vd, p1, p2, p3)
+    return report._replace(degree_check=report.degree_check + 1)
+
+
+def _sides_of_the_other_chamber(triple_localized, vd, p1, p2, p3):
+    # each chamber's flags read against the other chamber's level mask
+    report = triple_localized(vd, p1, p2, p3)
+    flags = [report.side_existence[chamber] for chamber in reversed(CHAMBERS)]
+    return report._replace(side_existence=dict(zip(CHAMBERS, flags)))
+
+
+TRIPLE_EDITS = {
+    "selection-off-by-one": _triple_edit(_selection_off_by_one),
+    "degree-check-off-by-one": _triple_edit(_degree_check_off_by_one),
+    "sides-of-the-other-chamber": _triple_edit(_sides_of_the_other_chamber),
+}
+# every edit reaches the first sector pair (s, s^-1) that the agreement phase
+# reads, the identity's
+TRIPLE_EDIT_FAILURES = {
+    "wp122333": (
+        "path_agreement", "(c=0,0) (c=0,3) (c=0,2): triple_localized does not report the pairing"
+    ),
+    "z3_on_p2": (
+        "path_agreement",
+        "(c=0,a=0,0) (c=0,a=0,1) (c=0,a=0,1): triple_localized does not report the pairing",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(TRIPLE_EDITS))
+@pytest.mark.parametrize("name", ["wp122333", "z3_on_p2"])
+def test_selftest_sees_the_localized_report_that_the_commands_print(monkeypatch, name, edit):
+    """A u-power selection off by one, a ``degree_check`` off by one, or side
+    flags read against the other chamber's level mask, in ``triple_localized``,
+    changes what ``triple --method localization`` or ``wallcross`` print, and
+    the self-test, which reads ``triple_localized`` once per sector pair
+    (s, s^-1), fails on it."""
+    vd = _load(DEMO_DIR / f"{name}.datum")
+    assert run_selftest(vd).passed
+    before = _printed_rows(vd)
+    with monkeypatch.context() as patch:
+        TRIPLE_EDITS[edit](patch)
+        failure = run_selftest(vd).first_failure()
+        after = _printed_rows(vd)
+    assert after != before
+    assert failure is not None
+    assert (failure.name, failure.detail) == TRIPLE_EDIT_FAILURES[name]
+
+
+# the first basis triple on which the sweep's sides differ once the value rule
+# selects u-power -2: the identity triple one eta power below its top
+VALUE_RULE_FAILURES = {
+    "wp122333": "(c=0,0) (c=0,0) (c=0,4): direct 0 != localized 1/108",
+    "z3_on_p2": "(c=0,a=0,0) (c=0,a=0,0) (c=0,a=0,1): direct 0 != localized 1/3",
+}
+
+
+@pytest.mark.parametrize("name", ["wp122333", "z3_on_p2"])
+def test_both_localized_readers_read_the_one_value_rule(monkeypatch, name):
+    """An edit of ``residue_sigma`` alone, to select u-power -2, changes the
+    value that ``triple --method localization`` prints and fails the
+    agreement sweep, which reads the same statement."""
+    vd = _load(DEMO_DIR / f"{name}.datum")
+    identity = vd.identity()
+    flag = {"t1": (identity.c, identity.finite), "k1": 0}
+    triple = {**flag, "t2": flag["t1"], "k2": 0, "t3": flag["t1"]}
+    top = vd.sector_table().dims[0]
+
+    def printed():
+        args = argparse.Namespace(format="structured", method="localization", k3=top, **triple)
+        return cli._cmd_triple(args, vd)[0]
+
+    before = printed()
+    with monkeypatch.context() as patch:
+        patch.setattr(localization.residue_sigma, "__code__", (lambda term: -2 - term[2]).__code__)
+        agreement = _phase(run_selftest(vd), "path_agreement")
+        after = printed()
+    assert before != after
+    assert agreement.status == "fail"
+    assert agreement.detail == VALUE_RULE_FAILURES[name]
+
+
+READ_DATA = [
+    DEMO_DIR / "wp112.datum", DEMO_DIR / "wp122333.datum", DEMO_DIR / "z3_on_p2.datum",
+    TESTS / "golden" / "data" / "z4_154.datum",
+]
+
+
+@pytest.mark.parametrize(
+    "vd",
+    [_load(path) for path in READ_DATA]
+    + [validate_datum(QuotientDatum((-1, -2, -2), chamber="negative"))],
+    ids=[path.stem for path in READ_DATA] + ["m1m2m2_negative"],
+)
+def test_agreement_reads_triple_localized_once_per_inverse_pair(monkeypatch, vd):
+    """The agreement phase calls ``triple_localized`` exactly once on each
+    (1_(s), eta^k2 1_(s^-1), eta^k3 1) with s <= s^-1, in row order, where
+    k2 = dim(s) - k3 and k3 = floor(dim(s) / 2)."""
+    triple_localized, calls = cli.triple_localized, []
+
+    def recorded(vd_, *powers):
+        calls.append(powers)
+        return triple_localized(vd_, *powers)
+
+    monkeypatch.setattr(cli, "triple_localized", recorded)
+    assert run_selftest(vd).passed
+    table = vd.sector_table()
+    labels = table.labels
+    assert calls == [
+        ((labels[s], 0), (labels[inverse], dim - dim // 2), (vd.identity(), dim // 2))
+        for s, (inverse, dim) in enumerate(zip(table.inverse, table.dims))
+        if s <= inverse
+    ]

@@ -11,6 +11,7 @@ import pytest
 
 from crring import (
     ChenRuanRing,
+    CRClass,
     DatumFormatError,
     QuotientDatum,
     cr_class_from_doc,
@@ -141,7 +142,7 @@ def test_label_memo_never_skips_a_records_checks(with_datum):
     vd = validate_datum(datum_from_doc(_datum_doc())) if with_datum else None
     good = {"sector": {"c": "0", "finite": [1]}, "eta_power": 0, "coeff": "1"}
     bad = {"sector": {"c": "0", "finite": [True]}, "eta_power": 0, "coeff": "1"}
-    assert not cr_class_from_doc([good, good], vd).is_zero()
+    assert cr_class_from_doc([good, good], vd) != CRClass()
     with pytest.raises(DatumFormatError):
         cr_class_from_doc([good, bad], vd)
 
