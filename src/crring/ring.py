@@ -420,20 +420,37 @@ class ChenRuanRing:
         trailing sentinel (-1 for "zero product", 0 for coefficients and
         pairing values), which a zero product reads.
 
-        Associativity and the Frobenius identity are settled by one
-        comparison per basis pair (i, j).  Every (target, coefficient,
-        pairing) entry, times every distinct coefficient c of the table (0
-        included), is packed as the one int target + c * (B * coefficient +
-        B^2 * pairing) in balanced digits of radix B = 4 * max(N, max c^2)
-        + 4, taken from the data: the target lies in [-1, N) and c times a
-        coefficient within max c^2, so both low digits lie in [-B/2, B/2)
-        and equal ints are equal entries.  Row r holds one block of packed
-        entries per scalar.  The block of the coefficient of i*j in row i*j
-        reads (i*j)*k and <i*j, k> for every k; row i read at j*k, in the
-        block of the coefficient of j*k, gives i*(j*k) and <i, j*k>.  Only
-        where the two tuples differ are the entries unpacked, by balanced
-        division, to name the first counterexample of each check in
-        (i, j, k) order.
+        Associativity and the Frobenius identity are compared packed.
+        Every (target, coefficient, pairing) entry, times every distinct
+        coefficient c of the table (0 included), is packed as the one int
+        target + c * (B * coefficient + B^2 * pairing) in balanced digits of
+        radix B = 4 * max(N, max c^2) + 4, taken from the data: the target
+        lies in [-1, N) and c times a coefficient within max c^2, so both
+        low digits lie in [-B/2, B/2) and equal ints are equal entries.  Row
+        r holds one block of packed entries per scalar.  The block of the
+        coefficient of i*j in row i*j reads (i*j)*k and <i*j, k> for every
+        k; row i read at j*k, in the block of the coefficient of j*k, gives
+        i*(j*k) and <i, j*k>.
+
+        Both are decided exactly over every (i, j, k), with no sampling, by
+        comparing only pairs (i, j) with j in a generating set G: the basis
+        in ascending degree, ties in basis order, each element that no
+        left-normed product of earlier generators reaches with a nonzero
+        coefficient.  By bilinearity, the middles y with (x*y)*z = x*(y*z)
+        for all x, z form a subspace, closed under products: (x*(y1*y2))*z
+        = ((x*y1)*y2)*z = (x*y1)*(y2*z) = x*(y1*(y2*z)) = x*((y1*y2)*z).  It
+        holds G, so a nonzero multiple of every basis element.  Given
+        associativity, the middles y with <x*y, z> = <x, y*z> for all x, z
+        are closed the same way: <x*(y1*y2), z> = <(x*y1)*y2, z> =
+        <x*y1, y2*z> = <x, y1*(y2*z)> = <x, (y1*y2)*z>.
+
+        The proof reads equal packed entries as equal vectors, so G is used
+        only on a well-formed table: every entry is (-1, 0), or a target in
+        [0, N) with a nonzero coefficient.  From the first unequal
+        comparison on, or on any other table, the same loop runs from i = 0
+        over every j, unpacks the entries where two tuples differ, by
+        balanced division, and names the first counterexample of each check
+        in (i, j, k) order.
         """
         basis, table, size = self._basis, self.table, len(self._basis)
         pidx, pnum = [], []
@@ -484,21 +501,47 @@ class ChenRuanRing:
             upper = [radix * (x + radix * y) for x, y in zip(nums, pairs)]
             blocks.append([tuple([t + c * x for t, x in zip(idx, upper)]) for c in scalars])
         blocks.append([(-1,) * width] * len(scalars))
-        # gather[j] reads i*(j*k) with <i, j*k> for every k off row i's
-        # blocks laid end to end: at j*k, or at the sentinel for a zero j*k,
-        # in the block of the coefficient of j*k
-        gather = [
-            itemgetter(*(scalars[c] * width + (t if t >= 0 else size) for t, c in zip(idx, nums)))
+        well_formed = all(
+            min(idx) >= -1 and max(idx) < size
+            and list(map((-1).__ne__, idx)) == list(map(bool, nums))
             for idx, nums in zip(pidx, pnum)
-        ]
+        )
+        # generators: in ascending degree, ties in basis order, each element
+        # that no left-normed product of earlier ones reaches; each product
+        # x * g of a reached x and a generator g is read once
+        generators, reached = [], set()
+        for e in sorted(range(size), key=self.degrees.__getitem__) if well_formed else ():
+            if e not in reached:
+                generators.append(e)
+                todo = [(x, e) for x in reached] + [(e, g) for g in generators]
+                reached.add(e)
+                while todo:
+                    x, g = todo.pop()
+                    if pnum[x][g] and (t := pidx[x][g]) not in reached:
+                        reached.add(t)
+                        todo += [(t, h) for h in generators]
+        # the middles j: the generators while every comparison is equal, and
+        # every j from the start once one is not; gather[j] reads i*(j*k)
+        # with <i, j*k> for every k off row i's blocks laid end to end: at
+        # j*k, or at the sentinel for a zero j*k, in the block of the
+        # coefficient of j*k
+        middles, gather, i = generators if well_formed else range(size), [None] * size, 0
         assoc_bad = frob_bad = None
-        for i in range(size):
+        while i < size and not (assoc_bad and frob_bad):
             row = tuple(chain.from_iterable(blocks[i]))
-            for j, (ij, a, g) in enumerate(zip(pidx[i], pnum[i], gather)):
+            for j in middles:
+                if gather[j] is None:
+                    gather[j] = itemgetter(*(
+                        scalars[c] * width + (t if t >= 0 else size)
+                        for t, c in zip(pidx[j], pnum[j])
+                    ))
                 # (i*j)*k with <i*j, k> for every k against i*(j*k) with <i, j*k>
-                lhs, rhs = blocks[ij][scalars[a]], g(row)
+                lhs, rhs = blocks[pidx[i][j]][scalars[pnum[i][j]]], gather[j](row)
                 if lhs == rhs:
                     continue
+                if middles is generators:
+                    middles, i = range(size), -1
+                    break
                 x, y = basis[i], basis[j]
                 # k runs over the basis: a pairing entry that lands in the
                 # sentinel column is named by the nondegeneracy check
@@ -508,8 +551,7 @@ class ChenRuanRing:
                         assoc_bad = f"({x} * {y}) * {basis[k]} != {x} * ({y} * {basis[k]})"
                     if frob_bad is None and left[2] != right[2]:
                         frob_bad = f"<{x} * {y}, {basis[k]}> != <{x}, {y} * {basis[k]}>"
-            if assoc_bad and frob_bad:
-                break
+            i += 1
 
         # the pairing couples each basis element with exactly one other: one
         # nonzero in every row and every column, which makes it nondegenerate

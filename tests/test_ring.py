@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from math import prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -30,6 +31,7 @@ from crring import (
     triple_localized,
     validate_datum,
 )
+import crring.ring
 from crring.quotient import CHAMBERS, datum_from_doc
 from test_golden import DATA
 
@@ -644,10 +646,15 @@ CORRUPTIONS = {
         (QuotientDatum((2, -3, 5)), "negative"),
         (QuotientDatum((1, -1, 2, -2)), "negative"),
         (QuotientDatum((-1, -2, -2), chamber="negative"), None),
+        # a generating set far smaller than the basis: 2 of 26 elements, and
+        # 10 of 40
+        (QuotientDatum((1, 25)), None),
+        (QuotientDatum((1, 5, 4), (FiniteCyclicFactor(4, (1, 2, 2)),)), None),
     ],
     ids=[
         "wp112", "wp122333", "p3_5_7", "p2_3_4", "z3_on_p2", "z2_on_wp112",
         "mixed_2m35-positive", "mixed_2m35-negative", "mixed_1m12m2-negative", "negative_122",
+        "p1_25", "z4_on_wp154",
     ],
 )
 def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber):
@@ -671,6 +678,58 @@ def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber
                 assert report.phases == reference_axiom_checks(ring), (kind, s, t, corrupted)
             failing += not report.passed
     assert failing
+
+
+def counting_gathers(monkeypatch) -> list[int]:
+    """The length of every ``itemgetter`` gather that ``verify_ring_axioms``
+    builds from now on, one per middle factor j that it compares."""
+    built = []
+
+    def counted(*items):
+        built.append(len(items))
+        return itemgetter(*items)
+
+    monkeypatch.setattr(crring.ring, "itemgetter", counted)
+    return built
+
+
+def test_a_passing_axiom_check_compares_a_generating_set_only(monkeypatch):
+    # the basis of P(1,100) is generated by the unit and 1_(c=1/100)
+    ring = ChenRuanRing(validate_datum(QuotientDatum((1, 100))))
+    built = counting_gathers(monkeypatch)
+    assert ring.verify_ring_axioms().passed
+    assert 1 <= len(built) <= 3
+    assert set(built) == {len(ring.basis()) + 1}
+
+
+@pytest.mark.parametrize(
+    "datum,pair,edit,failing",
+    [
+        # a well-formed table: a generator's comparison fails, and every
+        # middle factor is compared from the start
+        (QuotientDatum((1, 25)), ("1/25", "2/25"), lambda coeff, shift: (coeff, shift + 1),
+         {"associativity", "frobenius"}),
+        # 1_(c=2/3)^2 = eta 1_(c=1/3) with coefficient 0: three products of
+        # 0 with a target, and every check passes; the closure over the
+        # nonzero products would give 5 generators of 14, but none is used
+        # on a table that is not well formed
+        (QuotientDatum((1, 2, 2, 3, 3, 3)), ("2/3", "2/3"), lambda coeff, shift: (0, shift), set()),
+    ],
+    ids=["p1_25-shift-raised", "wp122333-coefficient-zeroed"],
+)
+def test_a_failing_or_ill_formed_table_is_compared_over_every_middle(
+    monkeypatch, datum, pair, edit, failing
+):
+    vd = validate_datum(datum)
+    table = vd.sector_table()
+    s, t = (table.position(vd.label(Fraction(c))) for c in pair)
+    monkeypatch.setattr(ChenRuanRing, "row", corrupting(edit, {(s, t), (t, s)}))
+    ring = ChenRuanRing(vd)
+    built = counting_gathers(monkeypatch)
+    report = ring.verify_ring_axioms()
+    assert len(built) == len(ring.basis())
+    assert {phase.name for phase in report.phases if phase.status == "fail"} == failing
+    assert report.phases == reference_axiom_checks(ring)
 
 
 def test_a_chamber_with_no_sectors_has_an_empty_ring():
