@@ -7,8 +7,13 @@ jump of the 3-point function when the moment level crosses 0.  Run:
     python3 demos/04_wall_crossing.py
 """
 
-from crring import QuotientDatum, format_rational, validate_datum, wall_crossing_delta
-from crring.cli import run_selftest
+from crring import (
+    QuotientDatum,
+    format_rational,
+    run_selftest,
+    validate_datum,
+    wall_crossing_delta,
+)
 
 vd = validate_datum(QuotientDatum((1, 1, -1)))
 identity = vd.identity()

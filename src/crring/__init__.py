@@ -9,7 +9,6 @@ be evaluated along two independent paths, the twist-factor cup product
 agreement together with the ring axioms on any datum.
 """
 
-from .cli import run_selftest
 from .errors import (
     DatumFormatError,
     DomainError,
@@ -46,10 +45,10 @@ from .ring import (
     StructureTable,
     cr_class_from_doc,
     cr_class_to_doc,
-    obstruction_rank_oracle,
     table_from_doc,
     table_to_doc,
 )
+from .selftest import obstruction_rank_oracle, run_selftest
 
 __version__ = "0.1.0"
 
@@ -58,5 +57,5 @@ __all__ = sorted(
     name
     for name in dir()
     if not name.startswith("_")
-    and name not in {"cli", "errors", "exact", "localization", "quotient", "ring"}
+    and name not in {"cli", "errors", "exact", "localization", "quotient", "ring", "selftest"}
 )

@@ -15,7 +15,7 @@ truncated to zero past the dimension of the target sector (and zero outright
 when the fixed sets of s and t are disjoint).  Coordinates of T that h fixes
 are Thom pushforward directions; the remaining ones span the obstruction
 bundle, whose rank on each line is independently confirmed by the index
-count in ``obstruction_rank_oracle``.
+count of ``obstruction_rank_oracle``, which lives in ``selftest.py``.
 
 The ring works on the integer ``SectorTable`` of its chamber.  With theta
 numerators over the common denominator D, T is the carry mask
@@ -40,7 +40,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import DatumFormatError, DomainError, EmptySector
-from .exact import _fraction, _refuse_float, format_rational, parse_rational
+from .exact import _fraction, format_rational, parse_rational
 from .quotient import SectorLabel, ValidatedDatum, _label_key, element_to_doc, label_from_doc
 
 
@@ -116,27 +116,6 @@ def _unpack(x: int, radix: int) -> tuple[int, int, int]:
     x = (x - low) // radix
     middle = (x + half) % radix - half
     return low, middle, (x - middle) // radix
-
-
-def obstruction_rank_oracle(theta1, theta2, theta3, denominator: int = 1) -> int:
-    """Invariant H^1 rank of one normal line over the 3-marked sphere.
-
-    For a line where the three group elements act with phases theta_i, the
-    equivariant index of the pushed-forward sheaf is chi = 1 - sum(theta_i)
-    (the first Chern class of the pushforward of a constant sheaf vanishes),
-    so the invariant H^1 has rank max(-chi, 0): 1 exactly when the phase sum
-    is 2.  Raises DomainError when the sum is not an integer, since then the
-    three elements cannot compose to the identity on this line.  The phases
-    are rationals, or integer numerators over ``denominator``; a float raises
-    TypeError.
-    """
-    for value in (theta1, theta2, theta3, denominator):
-        _refuse_float(value)
-    total, rest = divmod(theta1 + theta2 + theta3, denominator)
-    if rest:
-        total = Fraction(theta1 + theta2 + theta3, denominator)
-        raise DomainError(f"phase sum {format_rational(total)} is not an integer")
-    return max(total - 1, 0)
 
 
 class PhaseResult(namedtuple("PhaseResult", "name status detail", defaults=(None,))):

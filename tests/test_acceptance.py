@@ -17,11 +17,11 @@ from crring import (
     DomainError,
     FiniteCyclicFactor,
     QuotientDatum,
+    run_selftest,
     triple_localized,
     validate_datum,
     wall_crossing_delta,
 )
-from crring.cli import run_selftest
 
 
 @contextmanager

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from crring import cli
-from crring.cli import build_parser, main, run_selftest
-from crring import ChenRuanRing, QuotientDatum, ValidatedDatum, validate_datum
+from crring.cli import build_parser, main
+from crring import ChenRuanRing, QuotientDatum, ValidatedDatum, run_selftest, validate_datum
 from test_frontend import CASES as FRONT_END
 from test_golden import CASES as GOLDEN, DATA, point_flags
 

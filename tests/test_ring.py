@@ -146,6 +146,10 @@ def test_obstruction_rank_oracle():
     for phases in [(0.5, 0.5, 1.0), (1, 1, 0, 1.0), (0.5, 0.25, third)]:
         with pytest.raises(TypeError, match="is a float"):
             obstruction_rank_oracle(*phases)
+    # a denominator below 1 is refused by name, not divided by
+    for denominator in (0, -3):
+        with pytest.raises(ValueError, match=f"denominator {denominator} "):
+            obstruction_rank_oracle(1, 1, 1, denominator)
 
 
 def test_cup_square_of_cube_root_sector(wp122333):

@@ -38,7 +38,7 @@ from crring import (
     run_selftest,
     validate_datum,
 )
-from crring import cli, localization
+from crring import cli, localization, selftest
 from crring.quotient import CHAMBERS, SectorTable, ValidatedDatum
 from test_ring import data
 
@@ -94,7 +94,7 @@ def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, name):
     s = vd.label(c)
     r = vd.inverse(vd.compose(s, s))
     target = tuple(vd.theta_numerators(x)[1] for x in (s, s, r))
-    kernel, hits = cli.localized_residue, []
+    kernel, hits = selftest.localized_residue, []
 
     def patched(vd_, *thetas):
         term = kernel(vd_, *thetas)
@@ -106,7 +106,7 @@ def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, name):
             return coeff.numerator, coeff.denominator, base
         return term
 
-    monkeypatch.setattr(cli, "localized_residue", patched)
+    monkeypatch.setattr(selftest, "localized_residue", patched)
     agreement = _phase(run_selftest(vd), "path_agreement")
     assert hits
     assert agreement.status == "fail"
@@ -115,7 +115,7 @@ def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, name):
 
 def test_gate_fails_when_the_localized_side_finds_no_triple(monkeypatch):
     vd = validate_datum(QuotientDatum((1, 1, 2)))
-    monkeypatch.setattr(cli, "localized_residue", lambda *args: None)
+    monkeypatch.setattr(selftest, "localized_residue", lambda *args: None)
     agreement = _phase(run_selftest(vd), "path_agreement")
     assert agreement.status == "fail"
     assert "do not multiply to 1" in agreement.detail
@@ -130,7 +130,7 @@ def test_gate_fails_on_one_wrong_unordered_sector_pair(monkeypatch):
     table = vd.sector_table()
     assert table.position(third) < table.position(two_thirds)
     a, b, r = (vd.theta_numerators(x)[1] for x in (third, two_thirds, vd.identity()))
-    kernel, hits = cli.localized_residue, []
+    kernel, hits = selftest.localized_residue, []
 
     def patched(vd_, *thetas):
         top, bottom, base = kernel(vd_, *thetas)
@@ -139,7 +139,7 @@ def test_gate_fails_on_one_wrong_unordered_sector_pair(monkeypatch):
             return 2 * top, bottom, base
         return top, bottom, base
 
-    monkeypatch.setattr(cli, "localized_residue", patched)
+    monkeypatch.setattr(selftest, "localized_residue", patched)
     agreement = _phase(run_selftest(vd), "path_agreement")
     assert hits == [(a, b, r)]
     assert agreement.status == "fail"
@@ -170,13 +170,13 @@ def test_agreement_calls_the_kernel_once_per_unordered_pair(monkeypatch, path):
     share r, and one per order otherwise; the sector table is commutative,
     so that is one call per unordered composable pair."""
     vd = _load(path)
-    kernel, calls = cli.localized_residue, []
+    kernel, calls = selftest.localized_residue, []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(cli, "localized_residue", counted)
+    monkeypatch.setattr(selftest, "localized_residue", counted)
     assert run_selftest(vd).passed
     pairs = _table_pairs(vd.sector_table())
     expected = sum(1 for (s, t), r in pairs.items() if s <= t or pairs.get((t, s)) != r)
@@ -273,22 +273,22 @@ def test_involution_phase_names_the_failing_sector(monkeypatch, edit, detail):
 
 
 def _flip_first(monkeypatch, vd):
-    oracle, calls = cli.obstruction_rank_oracle, []
+    oracle, calls = selftest.obstruction_rank_oracle, []
 
     def flipped(*args):
         rank = oracle(*args)
         calls.append(args)
         return 1 - rank if len(calls) == 1 else rank
 
-    monkeypatch.setattr(cli, "obstruction_rank_oracle", flipped)
+    monkeypatch.setattr(selftest, "obstruction_rank_oracle", flipped)
 
 
 def _non_integral(monkeypatch, vd):
     # one more numerator on every line makes its phase sum non-integral, so
     # the oracle raises DomainError on the first line
-    oracle = cli.obstruction_rank_oracle
+    oracle = selftest.obstruction_rank_oracle
     monkeypatch.setattr(
-        cli, "obstruction_rank_oracle", lambda theta1, *rest: oracle(theta1 + 1, *rest)
+        selftest, "obstruction_rank_oracle", lambda theta1, *rest: oracle(theta1 + 1, *rest)
     )
 
 
@@ -346,10 +346,10 @@ def reference_obstruction_phase(vd, ring, name):
         try:
             rank = obstruction_rank_oracle(x, y, z, d)
         except DomainError as exc:
-            return PhaseResult(name, "fail", f"{cli._line(table, s, t, j)}: {exc}")
+            return PhaseResult(name, "fail", f"{selftest._line(table, s, t, j)}: {exc}")
         if (rank == 1) != bool(carry):
             return PhaseResult(
-                name, "fail", f"{cli._line(table, s, t, j)}: index rank {rank} vs exponent rule"
+                name, "fail", f"{selftest._line(table, s, t, j)}: index rank {rank} vs exponent rule"
             )
         lines += 1
     return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
@@ -357,7 +357,7 @@ def reference_obstruction_phase(vd, ring, name):
 
 def _both_phases(vd, ring):
     return (
-        cli._obstruction_phase(vd, ring, "obstruction_oracle"),
+        selftest._obstruction_phase(vd, ring, "obstruction_oracle"),
         reference_obstruction_phase(vd, ring, "obstruction_oracle"),
     )
 
@@ -479,7 +479,7 @@ def test_obstruction_phase_names_an_earlier_sector_at_a_later_line(monkeypatch):
             patch.setattr(ChenRuanRing, "row", _flipping(flips))
             swept, reference = _both_phases(vd, ChenRuanRing(vd))
         assert swept == reference
-        assert swept.detail.startswith(f"{cli._line(ring.table, *named)}: index rank ")
+        assert swept.detail.startswith(f"{selftest._line(ring.table, *named)}: index rank ")
 
 
 @pytest.mark.parametrize("path", KERNEL_COUNT_DATA, ids=[p.stem for p in KERNEL_COUNT_DATA])
@@ -487,7 +487,7 @@ def test_obstruction_oracle_runs_once_per_distinct_phase_sum(monkeypatch, path):
     """One oracle call per distinct (chamber, row, coordinate, phase sum,
     carry bit) of the normal lines, far fewer than one per line."""
     vd = _load(path)
-    oracle, calls = cli.obstruction_rank_oracle, []
+    oracle, calls = selftest.obstruction_rank_oracle, []
 
     def counted(*args):
         calls.append(args)
@@ -499,7 +499,7 @@ def test_obstruction_oracle_runs_once_per_distinct_phase_sum(monkeypatch, path):
         for s, t, j, x, y, z, carry in reference_lines(vd, ring):
             expected.add((chamber, s, j, x + y + z, carry))
             lines += 1
-    monkeypatch.setattr(cli, "obstruction_rank_oracle", counted)
+    monkeypatch.setattr(selftest, "obstruction_rank_oracle", counted)
     assert run_selftest(vd).passed
     assert len(calls) == len(expected) < lines
     d = vd.denominator
@@ -578,7 +578,7 @@ def test_involution_phase_agrees_with_all_three_identities(datum):
     for _ in range(300):
         corrupted = _corrupt(table, vd.n, rng)
         expected = three_involution_identities(corrupted, vd.n)
-        phase = cli._involution_phase(corrupted, "sector_involution")
+        phase = selftest._involution_phase(corrupted, "sector_involution")
         assert (phase.status == "pass") == expected, corrupted
         outcomes.add(expected)
     assert outcomes == {True, False}
@@ -796,7 +796,7 @@ def _triple_edit(edit):
         def patched(vd, p1, p2, p3):
             return edit(triple_localized, vd, p1, p2, p3)
 
-        for module in (cli, localization):
+        for module in (cli, localization, selftest):
             monkeypatch.setattr(module, "triple_localized", patched)
 
     return install
@@ -908,13 +908,13 @@ def test_agreement_reads_triple_localized_once_per_inverse_pair(monkeypatch, vd)
     """The agreement phase calls ``triple_localized`` exactly once on each
     (1_(s), eta^k2 1_(s^-1), eta^k3 1) with s <= s^-1, in row order, where
     k2 = dim(s) - k3 and k3 = floor(dim(s) / 2)."""
-    triple_localized, calls = cli.triple_localized, []
+    triple_localized, calls = selftest.triple_localized, []
 
     def recorded(vd_, *powers):
         calls.append(powers)
         return triple_localized(vd_, *powers)
 
-    monkeypatch.setattr(cli, "triple_localized", recorded)
+    monkeypatch.setattr(selftest, "triple_localized", recorded)
     assert run_selftest(vd).passed
     table = vd.sector_table()
     labels = table.labels
