@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .errors import DatumFormatError, DomainError
 from .exact import format_rational, parse_rational
@@ -238,9 +239,14 @@ def _records(args, header: str, records: list[dict], doc) -> str:
 
 
 def _numerator_text(d: int):
-    """The text of a numerator over ``d``, formatted once per distinct
+    """The text of a numerator over ``d``, p/q in lowest terms or p when q
+    is 1, as ``format_rational`` writes it, formatted once per distinct
     numerator for the life of the returned function."""
-    return cache(lambda x: format_rational(Fraction(x, d)))
+    def text(x: int) -> str:
+        g = gcd(x, d)
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+    return cache(text)
 
 
 def _label_doc(code: Code, text) -> dict:

@@ -40,15 +40,17 @@ element, for the validation scan and for labels, and ``theta_numerators``
 of a label at q = lcm(D, den c).  (``_candidate_codes`` still states the
 finite part of the formula, to solve it for c.)  ``_code`` turns a label
 into its code, or None off the lattice of D, for ``SectorTable.position``
-(``cup``, ``pair``) and ``ValidatedDatum.sector_row`` (``shift``, ``triple
---method localization``, ``wallcross``), which also states the refusal of a
-label that fixes no coordinate.  Fixed sets and dims are read off masks,
-dim = |I| - 1 by ``sector_dim``.  The self-test reads every sector's label
-back through ``sector_row`` and ``theta_numerators`` against its table
-row.  ``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with
-Fraction thetas and shift) are the public views of an element and of a
-table row at the API boundary; a table builds the label of one sector, or
-its tuple of all labels, only on demand.
+(the table reader) and ``ValidatedDatum.sector_row`` (every point request:
+``shift``, ``pair``, ``cup``, ``triple`` and ``wallcross``), which also
+states the refusal of a label that fixes no coordinate; ``code_label`` is
+its inverse, and ``compose_codes`` and ``invert_code`` compose and invert
+one code.  Fixed sets and dims are read off masks, dim = |I| - 1 by
+``sector_dim``.  The self-test reads every sector's label back through
+``sector_row`` and ``theta_numerators`` against its table row.
+``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with Fraction
+thetas and shift) are the public views of an element and of a table row at
+the API boundary; a table builds the label of one sector, or its tuple of
+all labels, only on demand.
 """
 
 from __future__ import annotations
@@ -196,14 +198,7 @@ class SectorTable(namedtuple("SectorTable", "moduli codes thetas fixed dims inve
 
     def label(self, s: int) -> SectorLabel:
         """The label of sector s alone."""
-        code = self.codes[s]
-        return SectorLabel(Fraction(code[0], self.moduli[0]), code[1:])
-
-    def compose(self, a: Code, b: Code) -> Code:
-        return tuple([(x + y) % m for x, y, m in zip(a, b, self.moduli)])
-
-    def invert(self, a: Code) -> Code:
-        return tuple([-x % m for x, m in zip(a, self.moduli)])
+        return code_label(self.codes[s], self.moduli[0])
 
     def position(self, t: SectorLabel) -> int | None:
         """Index of the sector labeled t, or None if t is no sector here."""
@@ -220,6 +215,21 @@ def _code(t: SectorLabel, moduli: tuple[int, ...]) -> Code | None:
     num, den = t.c.as_integer_ratio()
     code = (num * (moduli[0] // den), *_components(t.finite, len(moduli) - 1))
     return None if moduli[0] % den else tuple([x % m for x, m in zip(code, moduli)])
+
+
+def code_label(code: Code, d: int) -> SectorLabel:
+    """The label of the element with this code over D = d: the inverse of ``_code``."""
+    return SectorLabel(Fraction(code[0], d), code[1:])
+
+
+def compose_codes(a: Code, b: Code, moduli: tuple[int, ...]) -> Code:
+    """The code of the product of the elements with codes a and b."""
+    return tuple([(x + y) % m for x, y, m in zip(a, b, moduli)])
+
+
+def invert_code(a: Code, moduli: tuple[int, ...]) -> Code:
+    """The code of the inverse of the element with code a."""
+    return tuple([-x % m for x, m in zip(a, moduli)])
 
 
 def _theta(x: int, xs: Iterable[int], ys: Iterable[int], yss: Iterable, q: int) -> list[int]:
@@ -461,7 +471,7 @@ def validate_datum(datum: QuotientDatum) -> ValidatedDatum:
     # an element acting trivially in particular fixes coordinate 0
     for code in sorted(vd._candidate_codes([0])):
         if any(code) and not any(vd.code_numerators(code)):
-            t = SectorLabel(Fraction(code[0], vd.denominator), code[1:])
+            t = code_label(code, vd.denominator)
             raise IneffectiveAction(f"{t} acts trivially on every coordinate")
     return vd
 

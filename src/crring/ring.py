@@ -17,8 +17,10 @@ are Thom pushforward directions; the remaining ones span the obstruction
 bundle, whose rank on each line is independently confirmed by the index
 count of ``obstruction_rank_oracle``, which lives in ``selftest.py``.
 
-The ring works on the integer ``SectorTable`` of its chamber.  With theta
-numerators over the common denominator D, T is the carry mask
+The ring works on integer sector rows: the ``SectorTable`` of its chamber
+for the tables and the self-test, and for a point request only the rows of
+the sectors it names and of their composite, which cost O(n) each.  With
+theta numerators over the common denominator D, T is the carry mask
 {j : theta_s(j) + theta_t(j) >= D} of the numerator sums, so every structure
 constant is the integer prod_{j in T} w_j.  The truncation and the pairing
 each have one statement in ``ChenRuanRing`` (``basis_rows``, ``partner`` and
@@ -41,7 +43,10 @@ from operator import itemgetter
 
 from .errors import DatumFormatError, DomainError, EmptySector
 from .exact import _fraction, format_rational, parse_rational
-from .quotient import SectorLabel, ValidatedDatum, _label_key, element_to_doc, label_from_doc
+from .quotient import (
+    Code, SectorLabel, SectorTable, ValidatedDatum, _label_key, code_label, compose_codes,
+    element_to_doc, invert_code, label_from_doc, sector_dim,
+)
 
 
 class BasisElement(namedtuple("BasisElement", "sector k")):
@@ -158,29 +163,48 @@ class ChenRuanRing:
 
     The ring is attached to the datum's chamber by default; pass ``chamber``
     to build the ring on the other side of the wall (used by the self-test
-    on mixed-sign weights).  Sectors are addressed by their position in the
-    chamber's ``SectorTable``; basis element eta^k 1_(s), k in ``powers[s]``,
-    has index ``start[s] + k`` and integer degree ``degrees[start[s] + k]``
-    = k * D + sum_j theta_s(j), the one derivation of the age.
+    on mixed-sign weights).
 
-    ``row(s, span)`` gives (h, T, product) of sector s against every sector
-    t in ``span``, and ``product(s, t)`` is its one-sector case.
-    ``basis_rows`` turns a row into basis products for the axiom check over
-    ``pairs`` (one row per s, built once on first use), for
-    ``structure_constants`` over t >= s and for ``cup_basis``.  ``partner``,
-    ``pairing_value`` and ``degree_at`` state the pairing and the rational
-    grading for every reader.
+    Construction builds nothing.  The point methods ``cup_basis`` and
+    ``pairing_basis``, and through them ``cup``, ``pairing`` and
+    ``triple_direct``, read the rows of the sectors they name through
+    ``ValidatedDatum.sector_row``, and the row of a composite st from its
+    code, the modular sum of the codes of s and t: a point request costs
+    O(n), whatever the number of sectors.  The tabulating methods
+    (``basis``, ``degrees``, ``pairs``, ``structure_constants`` and the
+    axiom check) read the chamber's ``SectorTable``, ``table``, built on
+    first use, where sectors are addressed by position: basis element
+    eta^k 1_(s), k in ``powers[s]``, has index ``start[s] + k`` and integer
+    degree ``degrees[start[s] + k]`` = k * D + sum_j theta_s(j), the one
+    derivation of the age.
 
-    Construction builds ``powers`` and ``start`` only, so a point query pays
-    for no basis element or sector label it does not name.
+    ``_products`` is the one sector-pair kernel: the carry masks and the
+    products of one sector against columns of sectors.  ``row(s, span)``
+    runs it on the table's columns, with composites looked up in the table,
+    and ``product(s, t)`` is its one-sector case; the point methods run it
+    on the column of their second sector.  ``heads`` and ``basis_rows``
+    state the truncation rule, for the axiom check over ``pairs`` (one row
+    per s, built once on first use), for ``structure_constants`` over t >=
+    s and for ``cup_basis``.  ``partner``, ``pairing_value`` and
+    ``degree_at`` state the pairing and the rational grading for every
+    reader.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
         self.vd = vd
-        self.chamber = chamber or vd.chamber
-        self.table = vd.sector_table(self.chamber)
-        self.powers = [range(dim + 1) for dim in self.table.dims]
-        self.start = list(accumulate(map(len, self.powers), initial=0))[:-1]
+        self.chamber = vd._chamber(chamber)
+
+    @cached_property
+    def table(self) -> SectorTable:
+        return self.vd.sector_table(self.chamber)
+
+    @cached_property
+    def powers(self) -> list[range]:
+        return [range(dim + 1) for dim in self.table.dims]
+
+    @cached_property
+    def start(self) -> list[int]:
+        return list(accumulate(map(len, self.powers), initial=0))[:-1]
 
     @cached_property
     def _basis(self) -> tuple[BasisElement, ...]:
@@ -198,7 +222,8 @@ class ChenRuanRing:
 
     def degree(self, element: BasisElement) -> Fraction:
         """Rational grading 2*(k + age) of a basis element."""
-        return self.degree_at(self.start[self._position(element)] + element.k)
+        s = self.table.index[self._element_row(element)[0]]
+        return self.degree_at(self.start[s] + element.k)
 
     def degree_at(self, i: int) -> Fraction:
         """Rational grading of basis element i: 2 * ``degrees[i]`` / D."""
@@ -207,15 +232,20 @@ class ChenRuanRing:
     def unit(self) -> CRClass:
         return CRClass.single(BasisElement(self.vd.identity(), 0))
 
-    def _position(self, e: BasisElement) -> int:
-        """Sector index of a basis element; EmptySector if its label names no
-        sector of this chamber, DomainError if its eta power is outside [0, dim]."""
-        s = self.table.position(e.sector)
-        if s is None:
-            raise EmptySector(f"{e.sector} labels no sector in the {self.chamber} chamber")
-        if not 0 <= e.k <= self.table.dims[s]:
-            raise DomainError(f"eta power {e.k} of {e.sector} is outside [0, {self.table.dims[s]}]")
-        return s
+    def _element_row(self, e: BasisElement) -> tuple[Code, tuple[int, ...], int]:
+        """The sector row (code, theta numerators over D, fixed-set mask) of a
+        basis element, by ``ValidatedDatum.sector_row``; EmptySector if its
+        label names no sector of this chamber, DomainError if its eta power
+        is outside [0, dim]."""
+        try:
+            row = self.vd.sector_row(e.sector, self.chamber)
+        except EmptySector:
+            text = f"{e.sector} labels no sector in the {self.chamber} chamber"
+            raise EmptySector(text) from None
+        dim = sector_dim(row[2])
+        if not 0 <= e.k <= dim:
+            raise DomainError(f"eta power {e.k} of {e.sector} is outside [0, {dim}]")
+        return row
 
     # -- products ------------------------------------------------------------
 
@@ -225,36 +255,26 @@ class ChenRuanRing:
         per code component, and one per coordinate's theta numerator."""
         return list(zip(*self.table.codes)), list(zip(*self.table.thetas))
 
-    def row(self, s: int, span: slice = slice(None)) -> tuple[list[int], list[int], list]:
-        """(composites, carries, products) of sector s against each sector t
-        in ``span`` of the positions: the position h of the composite sector
-        s*t (-1 when it is no sector of this chamber), the bitmask of the
-        interacting coordinates T = {j : theta_s(j) + theta_t(j) >= D}, and
-        1_(s) * 1_(t) = coeff * eta^shift 1_(h) as (coeff, shift) =
-        (prod_{j in T} w_j, |T|), or None when h is no sector or the fixed
-        sets of s and t are disjoint.
+    def _products(self, thetas, fixed: int, theta_columns, fixed_column, composite: list[int],
+                  span: slice = slice(None)) -> tuple[list[int], list]:
+        """(carries, products) of a sector s with theta numerators ``thetas``
+        over D and fixed-set mask ``fixed`` against each sector t whose theta
+        numerators at coordinate j are ``theta_columns[j][span]``, whose
+        fixed-set mask is in ``fixed_column`` and whose composite s*t is at
+        the position in ``composite`` (-1 when it is no sector of this
+        chamber): the bitmask of the interacting coordinates T = {j :
+        theta_s(j) + theta_t(j) >= D}, and 1_(s) * 1_(t) = coeff * eta^shift
+        1_(s*t) as (coeff, shift) = (prod_{j in T} w_j, |T|), or None when
+        s*t is no sector or the fixed sets of s and t are disjoint.
 
-        Each code component of s*t is one comprehension, (x + code_s) mod m
-        over that component's column, and the composite codes are looked up
-        in ``table.index``.  h comes from the codes and the carries from the
-        thetas; the obstruction phase reads only the carries, with theta_r
-        taken from the code of r = (st)^-1.  For each coordinate j that s
-        moves, one comprehension sets bit j of the carry mask wherever
-        theta_t(j) >= D - theta_s(j); the first such comprehension starts
-        the masks.
-        The product of weights is formed once per distinct carry mask of a
-        product that is not None."""
-        table = self.table
-        code_columns, theta_columns = self._columns
-        components = [
-            [(x + a) % m for x in column[span]]
-            for column, a, m in zip(code_columns, table.codes[s], table.moduli)
-        ]
-        composite = list(map(table.index.get, zip(*components), repeat(-1)))
+        For each coordinate j that s moves, one comprehension sets bit j of
+        the carry mask wherever theta_t(j) >= D - theta_s(j); the first such
+        comprehension starts the masks.  The product of weights is formed
+        once per distinct carry mask of a product that is not None."""
         carries = None
-        for j, x in enumerate(table.thetas[s]):
+        for j, x in enumerate(thetas):
             if x:
-                bit, low = 1 << j, table.denominator - x
+                bit, low = 1 << j, self.vd.denominator - x
                 column = theta_columns[j][span]
                 if carries is None:
                     carries = [bit if y >= low else 0 for y in column]
@@ -262,14 +282,36 @@ class ChenRuanRing:
                     carries = [c | bit if y >= low else c for c, y in zip(carries, column)]
         if carries is None:  # s moves no coordinate
             carries = [0] * len(composite)
-        f = table.fixed[s]
-        nonzero = [h >= 0 and f & g for h, g in zip(composite, table.fixed[span])]
+        nonzero = [h >= 0 and fixed & g for h, g in zip(composite, fixed_column)]
         coefficients = {}
         for c in set(compress(carries, nonzero)):
             weights = [w for j, w in enumerate(self.vd.weights) if c >> j & 1]
             coefficients[c] = prod(weights), len(weights)
         products = [coefficients[c] if x else None for c, x in zip(carries, nonzero)]
-        return composite, carries, products
+        return carries, products
+
+    def row(self, s: int, span: slice = slice(None)) -> tuple[list[int], list[int], list]:
+        """(composites, carries, products) of sector s against each sector t
+        in ``span`` of the table's positions: the position h of the composite
+        sector s*t (-1 when it is no sector of this chamber) and the carry
+        mask and product of ``_products``.
+
+        Each code component of s*t is one comprehension, (x + code_s) mod m
+        over that component's column, and the composite codes are looked up
+        in ``table.index``.  h comes from the codes and the carries from the
+        thetas; the obstruction phase reads only the carries, with theta_r
+        taken from the code of r = (st)^-1."""
+        table = self.table
+        code_columns, theta_columns = self._columns
+        components = [
+            [(x + a) % m for x in column[span]]
+            for column, a, m in zip(code_columns, table.codes[s], table.moduli)
+        ]
+        composite = list(map(table.index.get, zip(*components), repeat(-1)))
+        products = self._products(
+            table.thetas[s], table.fixed[s], theta_columns, table.fixed[span], composite, span
+        )
+        return (composite, *products)
 
     def product(self, s: int, t: int) -> tuple[int, int, tuple[int, int] | None]:
         """(h, carry, product) of the ordered sector pair: ``row`` on the one
@@ -284,33 +326,46 @@ class ChenRuanRing:
         rows = [self.row(s) for s in range(len(self.table.codes))]
         return tuple(map(list, zip(*rows))) or ([], [], [])
 
-    def heads(self, composite: list[int], products: list) -> list[tuple[int, int, int]]:
-        """(head, room, coeff) = (start[h] + shift, dim(h) - shift, coeff) of each
-        1_(s) * 1_(t) = coeff eta^shift 1_(h) of a row, (0, -1, 0) for zero."""
-        start, dims = self.start, self.table.dims
+    def heads(self, composite: list[int], products: list, start, dims) -> list[tuple]:
+        """(head, room, coeff) = (start[h] + shift, dims[h] - shift, coeff) of
+        each 1_(s) * 1_(t) = coeff eta^shift 1_(h) of a row, where ``start``
+        and ``dims`` give the first basis index and the dimension of each
+        composite h; (0, -1, 0) for zero."""
         return [(start[h] + p[1], dims[h] - p[1], p[0]) if p else (0, -1, 0)
                 for h, p in zip(composite, products)]
 
-    def basis_rows(self, s: int, composite: list[int], products: list, first: int = 0) -> list:
-        """For each k1 = 0..dim(s), the targets and coefficients of eta^k1 1_(s)
-        times each basis column eta^k2 1_(t), t = first, first + 1, ..., of a
-        row of s.  The one truncation rule: with the ``heads`` of the row, it
-        is coeff * basis[head + k1 + k2] if k1 + k2 <= room, else zero
-        (target -1, coefficient 0)."""
-        powers = self.powers
-        heads = zip(self.heads(composite, products), powers[first:first + len(composite)])
-        columns = [(head + k2, room - k2, c) for (head, room, c), k2s in heads for k2 in k2s]
+    def basis_rows(self, k1s, heads: list[tuple[int, int, int]], k2s) -> list:
+        """For each k1 in ``k1s``, the targets and coefficients of eta^k1 1_(s)
+        times each basis column eta^k2 1_(t), k2 in ``k2s[i]`` for the i-th
+        sector t of a row of s with these ``heads``.  The one truncation
+        rule: it is coeff * basis[head + k1 + k2] if k1 + k2 <= room, else
+        zero (target -1, coefficient 0)."""
+        columns = [
+            (head + k2, room - k2, c) for (head, room, c), ks in zip(heads, k2s) for k2 in ks
+        ]
         return [([head + k1 if k1 <= room else -1 for head, room, _ in columns],
-                 [coeff if k1 <= room else 0 for _, room, coeff in columns]) for k1 in powers[s]]
+                 [coeff if k1 <= room else 0 for _, room, coeff in columns]) for k1 in k1s]
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
-        """Product of two basis elements: a scaled basis element, or None for 0."""
-        s, t = self._position(a), self._position(b)
-        h, _, product = self.product(s, t)
-        targets, coeffs = self.basis_rows(s, [h], [product], t)[a.k]
-        if (target := targets[b.k]) < 0:
+        """Product of two basis elements: a scaled basis element, or None for 0.
+
+        The code of the composite h = st is the modular sum of the codes of s
+        and t, and its fixed-set mask, from its theta numerators, must meet
+        the chamber's level mask for h to be a sector here.  ``_products``
+        runs on the one column of t, and the truncation reads h's dimension,
+        with the eta powers of h as its basis indices."""
+        code_s, thetas_s, fixed_s = self._element_row(a)
+        code_t, thetas_t, fixed_t = self._element_row(b)
+        vd = self.vd
+        code = compose_codes(code_s, code_t, vd.moduli)
+        mask = vd.fixed_mask(vd.code_numerators(code))
+        composite = [0 if mask & vd.level_masks[self.chamber] else -1]
+        _, products = self._products(thetas_s, fixed_s, list(zip(thetas_t)), [fixed_t], composite)
+        heads = self.heads(composite, products, [0], [sector_dim(mask)])
+        [([k], [coeff])] = self.basis_rows([a.k], heads, [[b.k]])
+        if k < 0:
             return None
-        return Fraction(coeffs[b.k]), BasisElement(self.table.label(h), target - self.start[h])
+        return Fraction(coeff), BasisElement(code_label(code, vd.denominator), k)
 
     def cup(self, a: CRClass, b: CRClass) -> CRClass:
         """Bilinear extension of ``cup_basis``."""
@@ -326,20 +381,22 @@ class ChenRuanRing:
 
     # -- pairing ---------------------------------------------------------------
 
-    def pairing_value(self, s: int) -> Fraction:
-        """1 / (|A| * prod_{j in I(s)} w_j): eta^k 1_(s) paired with its partner."""
-        fixed = self.table.fixed[s]
+    def pairing_value(self, fixed: int) -> Fraction:
+        """1 / (|A| * prod_{j in I} w_j): eta^k 1_(s) paired with its partner,
+        for s with fixed-set mask I."""
         weights = [w for j, w in enumerate(self.vd.weights) if fixed >> j & 1]
         return Fraction(1, self.vd.finite_order * prod(weights))
 
-    def partner(self, s: int, k: int) -> tuple[int, int]:
-        """(s^-1, dim(s) - k): the one element that eta^k 1_(s) pairs with."""
-        return self.table.inverse[s], self.table.dims[s] - k
+    def partner(self, inverse, dim: int, k: int) -> tuple:
+        """(s^-1, dim(s) - k): the one element that eta^k 1_(s) pairs with,
+        given s^-1 (a table position or a code) and dim(s)."""
+        return inverse, dim - k
 
     def pairing_basis(self, a: BasisElement, b: BasisElement) -> Fraction:
-        s = self._position(a)
-        matched = (self._position(b), b.k) == self.partner(s, a.k)
-        return self.pairing_value(s) if matched else Fraction(0)
+        code, _, fixed = self._element_row(a)
+        partner = self.partner(invert_code(code, self.vd.moduli), sector_dim(fixed), a.k)
+        matched = (self._element_row(b)[0], b.k) == partner
+        return self.pairing_value(fixed) if matched else Fraction(0)
 
     def pairing(self, a: CRClass, b: CRClass) -> Fraction:
         value = Fraction(0)
@@ -356,25 +413,27 @@ class ChenRuanRing:
 
     def _pairing_entries(self) -> Iterator[tuple[int, int, int]]:
         """(i, j, s) for every nonzero pairing entry: eta^k 1_(s) and its partner."""
-        start = self.start
+        start, table = self.start, self.table
         for s, ks in enumerate(self.powers):
             for k in ks:
-                u, partner_k = self.partner(s, k)
+                u, partner_k = self.partner(table.inverse[s], table.dims[s], k)
                 yield start[s] + k, start[u] + partner_k, s
 
     def structure_constants(self) -> StructureTable:
         """Deterministic full tables; products are stored sparsely for i <= j.
         Equal products are one ``CRClass`` object, built once per call."""
-        basis = self._basis
+        basis, powers, dims = self._basis, self.powers, self.table.dims
         degrees = tuple(map(self.degree_at, range(len(basis))))
+        values = list(map(self.pairing_value, self.table.fixed))
         pairing = [[Fraction(0)] * len(basis) for _ in basis]
         for i, j, s in self._pairing_entries():
-            pairing[i][j] = self.pairing_value(s)
+            pairing[i][j] = values[s]
         products: dict[tuple[int, int], CRClass] = {}
         classes: dict[tuple[int, int], CRClass] = {}  # (target, coeff) -> its class
         for s, first in enumerate(self.start):
             composite, _, row = self.row(s, slice(s, None))
-            for k1, (targets, coeffs) in enumerate(self.basis_rows(s, composite, row, s)):
+            heads = self.heads(composite, row, self.start, dims)
+            for k1, (targets, coeffs) in enumerate(self.basis_rows(powers[s], heads, powers[s:])):
                 # columns start at j = first: row i keeps j >= i, nonzero only
                 i = first + k1
                 entries = zip(count(i), targets[k1:], coeffs[k1:])
@@ -434,11 +493,12 @@ class ChenRuanRing:
         basis, table, size = self._basis, self.table, len(self._basis)
         pidx, pnum = [], []
         for s, (composite, _, products) in enumerate(zip(*self.pairs)):
-            for targets, coeffs in self.basis_rows(s, composite, products):
+            heads = self.heads(composite, products, self.start, table.dims)
+            for targets, coeffs in self.basis_rows(self.powers[s], heads, self.powers):
                 pidx.append(targets + [-1])
                 pnum.append(coeffs + [0])
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)
-        values = [int(scale * self.pairing_value(s)) for s in range(len(self.powers))]
+        values = [int(scale * self.pairing_value(f)) for f in table.fixed]
         pair = [[0] * (size + 1) for _ in range(size)]
         for i, j, s in self._pairing_entries():
             pair[i][j] = values[s]

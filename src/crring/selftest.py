@@ -62,11 +62,11 @@ def _involution_phase(table: SectorTable, name: str) -> PhaseResult:
 def _label_phase(ring: ChenRuanRing, phase: PhaseResult) -> PhaseResult:
     """``phase``, the passed involution phase, failed at the first sector whose
     label does not read back as its sector: to its position through
-    ``SectorTable.position``, the lookup of ``cup`` and ``pair``, and to its
-    table row through ``ValidatedDatum.sector_row``, the route of ``shift``,
-    ``triple --method localization`` and ``wallcross``, and through
-    ``theta_numerators``, the route of the API's ``thetas``, ``fixed_set``
-    and ``degree_shift``."""
+    ``SectorTable.position``, the lookup of the table reader, and to its
+    table row through ``ValidatedDatum.sector_row``, the route of every
+    point request (``shift``, ``pair``, ``cup``, ``triple`` and
+    ``wallcross``), and through ``theta_numerators``, the route of the
+    API's ``thetas``, ``fixed_set`` and ``degree_shift``."""
     vd, table = ring.vd, ring.table
     for s, (t, *row) in enumerate(zip(table.labels, table.codes, table.thetas, table.fixed)):
         if table.position(t) != s:
@@ -160,7 +160,7 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
     name = "path_agreement"
     table = ring.table
     dims, thetas, zero = table.dims, table.thetas, Fraction(0)
-    pairings = [(v.numerator, v.denominator) for v in map(ring.pairing_value, range(len(dims)))]
+    pairings = [(v.numerator, v.denominator) for v in map(ring.pairing_value, table.fixed)]
     triples, first = 0, {}  # (t, s) -> r and term of the first order (s, t), s < t
     for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
         for t, (h, product) in enumerate(zip(composite, products)):

@@ -5,13 +5,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from crring import cli
 from crring.cli import build_parser, main
-from crring import ChenRuanRing, QuotientDatum, ValidatedDatum, run_selftest, validate_datum
+from crring import (
+    BasisElement,
+    ChenRuanRing,
+    CRClass,
+    QuotientDatum,
+    ValidatedDatum,
+    run_selftest,
+    validate_datum,
+)
 from test_frontend import CASES as FRONT_END
 from test_golden import CASES as GOLDEN, DATA, point_flags
 
@@ -430,17 +439,81 @@ def test_no_sector_table_is_built_to_test_a_chamber_for_emptiness(datum_file, mo
     for argv, tables in (
         (["wallcross", path, "--t1", "c=1/2", "--t2", "c=1/2", "--t3", "c=0"], []),
         (["selftest", path], ["positive"]),
-        (["pair", path, "--t1", "c=1/2", "--t2", "c=1/2"], ["positive"]),
+        (["pair", path, "--t1", "c=1/2", "--t2", "c=1/2"], []),
     ):
         built.clear()
         assert run(capsys, *argv)[0] == 0
         assert built == tables, argv
 
 
+class _TableBuilt(Exception):
+    pass
+
+
+def test_point_requests_answer_without_a_sector_table(datum_file, monkeypatch, capsys):
+    """With no sector table to be had, ``pair``, ``cup`` and ``triple
+    --method direct`` answer through ``main``, and ``pairing_basis``,
+    ``cup_basis`` and ``triple_direct`` through the ring, on P(1,10^6),
+    whose table holds 10^6 sectors, and on P(1,2,2,3,3,3); ``sectors``,
+    ``basis``, ``table`` and ``selftest`` still build the table."""
+    def refuse(vd, chamber):
+        raise _TableBuilt(chamber)
+
+    monkeypatch.setattr(ValidatedDatum, "_build_table", refuse)
+    big = {"n": 2, "weights": [1, 1000000], "finite": [], "chamber": "positive"}
+    top, low, high = "c=0", "c=1/1000000", "c=999999/1000000"
+    cases = {
+        datum_file(big, "big.datum"): [
+            (["pair", "--t1", low, "--t2", high], '"1/1000000"\n'),
+            (["pair", "--t1", low, "--t2", low], '"0"\n'),
+            (["cup", "--t1", low, "--t2", high], [{"c": "0", "eta_power": 1, "coeff": "1"}]),
+            (["cup", "--t1", low, "--t2", low], [{"c": "1/500000", "eta_power": 0, "coeff": "1"}]),
+            (["cup", "--t1", top, "--k1", "1", "--t2", top, "--k2", "1"], []),
+            (["triple", "--method", "direct", "--t1", low, "--t2", high, "--t3", top],
+             '"1/1000000"\n'),
+        ],
+        datum_file(WP122333): [
+            (["pair", "--t1", "c=1/3", "--t2", "c=2/3", "--k2", "2"], '"1/27"\n'),
+            (["cup", "--t1", "c=1/3", "--t2", "c=1/3"],
+             [{"c": "2/3", "eta_power": 2, "coeff": "4"}]),
+            (["cup", "--t1", "c=1/3", "--t2", "c=1/2"], []),
+            (["triple", "--method", "direct", "--t1", "c=1/3", "--t2", "c=1/3", "--t3", "c=1/3"],
+             '"4/27"\n'),
+        ],
+    }
+    for path, requests in cases.items():
+        for (command, *flags), expected in requests:
+            code, out, err = run(capsys, command, path, *flags)
+            assert (code, err) == (0, ""), (command, flags)
+            if command == "cup":
+                out = [{"c": t["sector"]["c"], "eta_power": t["eta_power"], "coeff": t["coeff"]}
+                       for t in json.loads(out)]
+            assert out == expected, (command, flags)
+        for command in ("sectors", "basis", "table", "selftest"):
+            with pytest.raises(_TableBuilt):
+                main([command, path])
+    vd = validate_datum(QuotientDatum((1, 1000000)))
+    ring, step = ChenRuanRing(vd), Fraction(1, 1000000)
+    low, high = BasisElement(vd.label(step), 0), BasisElement(vd.label(1 - step), 0)
+    assert ring.pairing_basis(low, high) == step
+    assert ring.pairing_basis(low, low) == 0
+    assert ring.cup_basis(low, high) == (1, BasisElement(vd.identity(), 1))
+    assert ring.cup_basis(low, low) == (1, BasisElement(vd.label(2 * step), 0))
+    classes = [CRClass.single(e) for e in (low, high, BasisElement(vd.identity(), 0))]
+    assert ring.triple_direct(*classes) == step
+    vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
+    ring = ChenRuanRing(vd)
+    third, two_thirds = (BasisElement(vd.label(Fraction(k, 3)), 0) for k in (1, 2))
+    assert ring.pairing_basis(third, two_thirds._replace(k=2)) == Fraction(1, 27)
+    assert ring.cup_basis(third, third) == (4, two_thirds._replace(k=2))
+    cube_root = CRClass.single(third)
+    assert ring.triple_direct(cube_root, cube_root, cube_root) == Fraction(4, 27)
+
+
 def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
-    """A direct-path point request builds neither the basis tuple and
-    degrees of its ring nor the labels of its sector table, and ``sectors``
-    and ``basis`` write their records from the table's integer rows without
+    """A direct-path point request builds no sector table, so neither the
+    basis tuple and degrees of its ring nor any labels, and ``sectors`` and
+    ``basis`` write their records from the table's integer rows without
     labels (``basis`` reads the degrees); ``table`` and ``selftest`` build
     them all.  No command builds a ``SectorInfo`` view."""
     rings, tables, views = [], [], []
@@ -463,25 +536,25 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
     monkeypatch.setattr(ValidatedDatum, "_info", recording_info)
     path = datum_file(WP122333)
     point = [path, "--t1", "c=1/3", "--t2", "c=2/3"]
-    # per command: (basis tuple, degrees, labels) built
+    # per command: (sector table, basis tuple, degrees, labels) built
     for argv, built in (
-        (["pair", *point], (False, False, False)),
-        (["cup", *point], (False, False, False)),
-        (["triple", *point, "--t3", "c=0", "--method", "direct"], (False, False, False)),
-        (["basis", path], (False, True, False)),
-        (["sectors", path], (False, False, False)),
-        (["table", path], (True, True, True)),
-        (["selftest", path], (True, True, True)),
+        (["pair", *point], (False, False, False, False)),
+        (["cup", *point], (False, False, False, False)),
+        (["triple", *point, "--t3", "c=0", "--method", "direct"], (False, False, False, False)),
+        (["basis", path], (True, False, True, False)),
+        (["sectors", path], (True, False, False, False)),
+        (["table", path], (True, True, True, True)),
+        (["selftest", path], (True, True, True, True)),
     ):
         rings.clear()
         tables.clear()
         assert run(capsys, *argv)[0] == 0
-        assert tables, argv
+        assert bool(tables) == built[0], argv
         assert rings or argv[0] == "sectors", argv
         for ring in rings:
-            assert ("_basis" in vars(ring), "degrees" in vars(ring)) == built[:2], argv
+            assert ("_basis" in vars(ring), "degrees" in vars(ring)) == built[1:3], argv
         for table in tables:
-            assert ("labels" in vars(table)) == built[2], argv
+            assert ("labels" in vars(table)) == built[3], argv
     for argv in (
         ["shift", path, "--t", "c=1/3"],
         ["triple", *point, "--t3", "c=0", "--method", "localization"],

@@ -32,7 +32,7 @@ from crring import (
     triple_localized,
     validate_datum,
 )
-from crring.quotient import CHAMBERS
+from crring.quotient import CHAMBERS, compose_codes
 from test_acceptance import _random_datum
 from test_ring import data
 
@@ -333,7 +333,7 @@ def test_localized_kernel_is_symmetric_in_its_three_sectors(vd):
         thetas, size = table.thetas, len(table.codes)
         for s in range(size):
             for t in range(s, size):
-                h = table.index.get(table.compose(table.codes[s], table.codes[t]), -1)
+                h = table.index.get(compose_codes(table.codes[s], table.codes[t], table.moduli), -1)
                 if h < 0:
                     continue
                 r = table.inverse[h]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ from crring import (
     validate_datum,
 )
 import crring.ring
-from crring.quotient import CHAMBERS, datum_from_doc
+from crring.quotient import CHAMBERS, compose_codes, datum_from_doc
 from test_golden import DATA
 
 
@@ -214,7 +215,7 @@ def reference_pair(table, s: int, t: int) -> tuple[int, int]:
     for j, (x, y) in enumerate(zip(table.thetas[s], table.thetas[t])):
         if x + y >= table.denominator:
             carry |= 1 << j
-    return table.index.get(table.compose(table.codes[s], table.codes[t]), -1), carry
+    return table.index.get(compose_codes(table.codes[s], table.codes[t], table.moduli), -1), carry
 
 
 @st.composite
@@ -576,7 +577,7 @@ def reference_axiom_checks(ring):
                     if k <= dims[h]:
                         product[start[s] + k1, start[t] + k2] = start[h] + k, coeff
     for i, j, s in ring._pairing_entries():
-        pairing[i, j] = ring.pairing_value(s)
+        pairing[i, j] = ring.pairing_value(ring.table.fixed[s])
 
     def times(i, j):
         return product.get((i, j), (-1, 0))
@@ -744,6 +745,73 @@ def test_a_chamber_with_no_sectors_has_an_empty_ring():
     assert ring.verify_ring_axioms().passed
     table = ring.structure_constants()
     assert table.basis == () and table.products == {}
+
+
+NEGATIVE_122 = QuotientDatum((-1, -2, -2), chamber="negative")
+# c=1/6 fixes only the coordinate of weight -6, and so does the composite of
+# c=1/2 and c=1/3, which both fix it and one more
+MIXED_23M6 = QuotientDatum((2, 3, -6))
+Z2_Z3_ON_P123 = QuotientDatum(
+    (1, 2, 3), (FiniteCyclicFactor(2, (0, 1, 1)), FiniteCyclicFactor(3, (0, 1, 2)))
+)
+
+
+@pytest.mark.parametrize(
+    "datum,chamber",
+    [
+        *((datum_from_doc(json.loads(DATA[name].read_text())), None)
+          for name in ("wp112", "wp122333", "z3_on_p2")),
+        (QuotientDatum((1, 1, -1)), "positive"),
+        (QuotientDatum((1, 1, -1)), "negative"),
+        (NEGATIVE_122, "negative"),
+        (NEGATIVE_122, "positive"),
+        (MIXED_23M6, "positive"),
+        (MIXED_23M6, "negative"),
+        (Z2_Z3_ON_P123, None),
+    ],
+    ids=[
+        "wp112", "wp122333", "z3_on_p2", "mixed_11m1-positive", "mixed_11m1-negative",
+        "negative_122", "negative_122-positive", "mixed_23m6-positive", "mixed_23m6-negative",
+        "z2_z3_on_p123",
+    ],
+)
+def test_the_point_route_equals_the_table_route(datum, chamber):
+    """``cup_basis`` and ``pairing_basis`` read sector rows, never the
+    sector table, and give the ``structure_constants`` entry of every
+    ordered pair of basis elements (the product of i > j read at (j, i)).
+    Every label on the lattice of 2D, each finite component included, that
+    names no sector of the chamber, and every eta power just outside [0,
+    dim] of a sector, is refused in either place of either method with
+    the class and text that the table decides."""
+    vd = validate_datum(datum)
+    tabulated = ChenRuanRing(vd, chamber)
+    table, full = tabulated.table, tabulated.structure_constants()
+    ring = ChenRuanRing(vd, chamber)
+    for i, a in enumerate(full.basis):
+        for j, b in enumerate(full.basis):
+            product = ring.cup_basis(a, b)
+            point = None if product is None else CRClass.single(product[1], product[0])
+            assert point == full.products.get((min(i, j), max(i, j))), (a, b)
+            assert ring.pairing_basis(a, b) == full.pairing[i][j], (a, b)
+    refused, d = 0, 2 * vd.denominator
+    for x, finite in itertools.product(range(d), itertools.product(*map(range, vd.moduli[1:]))):
+        label = vd.label(Fraction(x, d), finite)
+        s = table.position(label)
+        for k in (0,) if s is None else (-1, table.dims[s] + 1):
+            e = BasisElement(label, k)
+            if s is None:
+                expected = EmptySector, f"{label} labels no sector in the {ring.chamber} chamber"
+            else:
+                expected = DomainError, f"eta power {k} of {label} is outside [0, {table.dims[s]}]"
+            other = full.basis[0] if full.basis else e
+            for call in (ring.cup_basis, ring.pairing_basis):
+                for pair in ((e, other), (other, e)):
+                    with pytest.raises(DomainError) as refusal:
+                        call(*pair)
+                    assert (type(refusal.value), str(refusal.value)) == expected, pair
+            refused += 1
+    assert refused > len(table.codes)
+    assert "table" not in vars(ring)
 
 
 def test_verify_ring_axioms_mixed_chambers(mixed):

@@ -8,11 +8,12 @@ that the obstruction phase's row sweep reports what a per-line loop reports
 and asks the oracle once per distinct phase sum, and check that the one
 identity the involution phase tests fails exactly when one of the three
 involution identities does, and check that the self-test sees an edit of
-the truncation rule, the pairing partner or the label lookup that
-``table``, ``cup`` and ``pair`` read, and an edit of the fixed-set mask or
-the theta numerators on the label route that ``shift``, ``triple --method
-localization`` and ``wallcross`` read, and an edit of ``triple_localized``
-or of its one value rule, ``residue_sigma``, that the last two print."""
+the truncation rule, the pairing partner or the label row that ``table``,
+``cup`` and ``pair`` read, of the label lookup of the table reader, and of
+the fixed-set mask or the theta numerators on the label route that
+``shift``, ``triple --method localization`` and ``wallcross`` read, and an
+edit of ``triple_localized`` or of its one value rule, ``residue_sigma``,
+that the last two print."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 
 from crring import (
     ChenRuanRing,
+    DatumFormatError,
     DomainError,
     FiniteCyclicFactor,
     IneffectiveAction,
@@ -36,10 +38,11 @@ from crring import (
     datum_from_doc,
     obstruction_rank_oracle,
     run_selftest,
+    table_from_doc,
     validate_datum,
 )
 from crring import cli, localization, selftest
-from crring.quotient import CHAMBERS, SectorTable, ValidatedDatum
+from crring.quotient import CHAMBERS, SectorTable, ValidatedDatum, compose_codes, invert_code
 from test_ring import data
 
 TESTS = Path(__file__).resolve().parent
@@ -152,7 +155,7 @@ def _table_pairs(table) -> dict:
     pairs, size = {}, len(table.codes)
     for s in range(size):
         for t in range(size):
-            h = table.index.get(table.compose(table.codes[s], table.codes[t]), -1)
+            h = table.index.get(compose_codes(table.codes[s], table.codes[t], table.moduli), -1)
             if h >= 0:
                 pairs[s, t] = table.inverse[h]
     return pairs
@@ -329,7 +332,8 @@ def reference_lines(vd, ring):
     thetas, fixed, everything = table.thetas, table.fixed, (1 << vd.n) - 1
     for s, carry in enumerate(ring.pairs[1]):
         for t, interacting in enumerate(carry):
-            code = table.invert(table.compose(table.codes[s], table.codes[t]))
+            code = compose_codes(table.codes[s], table.codes[t], table.moduli)
+            code = invert_code(code, table.moduli)
             theta_r = vd.code_numerators(code)
             fixed_r = vd.fixed_mask(theta_r)
             outside = everything & ~(fixed[s] | fixed[t] | fixed_r)
@@ -596,22 +600,26 @@ def _room_off_by_one(monkeypatch):
 def _partner_off_by_one(monkeypatch):
     partner = ChenRuanRing.partner
 
-    def patched(ring, s, k):
-        u, partner_k = partner(ring, s, k)
+    def patched(ring, *args):
+        u, partner_k = partner(ring, *args)
         return u, partner_k - 1
 
     monkeypatch.setattr(ChenRuanRing, "partner", patched)
 
 
 def _label_at_the_wrong_row(monkeypatch):
-    # the label of sector 1, the first twisted one, reads back as sector 2
-    position = SectorTable.position
+    # the label of sector 1, the first twisted one, reads back as the row of
+    # sector 2 on the route of every point request
+    sector_row = ValidatedDatum.sector_row
 
-    def patched(table, t):
-        s = position(table, t)
-        return 2 if s == 1 else s
+    def patched(vd, t, chamber=None):
+        row = sector_row(vd, t, chamber)
+        table = vd.sector_table(chamber)
+        if row[0] == table.codes[1]:
+            return table.codes[2], table.thetas[2], table.fixed[2]
+        return row
 
-    monkeypatch.setattr(SectorTable, "position", patched)
+    monkeypatch.setattr(ValidatedDatum, "sector_row", patched)
 
 
 RULE_EDITS = {
@@ -631,7 +639,7 @@ RULE_EDIT_FAILURES = {
         "<eta^0*1_(c=0), eta^2*1_(c=1/3) * eta^1*1_(c=1/2)>",
     ),
     ("wp122333", "label-at-the-wrong-row"):
-        ("sector_involution", "label c=1/3 does not read back as its sector"),
+        ("sector_involution", "label c=1/3 reads back as another table row"),
     ("z3_on_p2", "room-off-by-one"): (
         "ring_axioms",
         "degree_additivity: deg(eta^1*1_(c=0,a=0)) + deg(eta^2*1_(c=0,a=0)) "
@@ -643,7 +651,7 @@ RULE_EDIT_FAILURES = {
         "<eta^0*1_(c=0,a=0), eta^0*1_(c=0,a=1) * eta^0*1_(c=0,a=1)>",
     ),
     ("z3_on_p2", "label-at-the-wrong-row"):
-        ("sector_involution", "label c=0,a=1 does not read back as its sector"),
+        ("sector_involution", "label c=0,a=1 reads back as another table row"),
 }
 
 
@@ -664,9 +672,9 @@ def _printed(vd) -> list[str]:
     ]
     texts = []
     for command, flags_ in requests:
-        try:
+        try:  # an edited rule may break a command
             texts.append(command(argparse.Namespace(format="structured", **flags_), vd)[0])
-        except (DomainError, IndexError) as exc:  # an edited rule may break a command
+        except (DomainError, IndexError, cli._UsageError) as exc:
             texts.append(type(exc).__name__)
     return texts
 
@@ -686,6 +694,29 @@ def test_selftest_sees_the_rules_that_the_commands_print(monkeypatch, name, edit
         after = _printed(vd)
     assert after != before
     assert (failure.name, failure.detail) == RULE_EDIT_FAILURES[name, edit]
+
+
+def test_selftest_sees_the_lookup_that_the_table_reader_reads(monkeypatch):
+    """``SectorTable.position``, the lookup of the table reader, reading the
+    label of sector 1 back as sector 2 makes ``table_from_doc`` with the
+    datum refuse the table that ``table`` printed, and the self-test fails
+    on it."""
+    vd = _load(DEMO_DIR / "wp122333.datum")
+    doc = json.loads(cli._cmd_table(argparse.Namespace(format="structured"), vd)[0])
+    assert table_from_doc(doc, vd).basis == ChenRuanRing(vd).basis()
+    position = SectorTable.position
+
+    def patched(table, t):
+        s = position(table, t)
+        return 2 if s == 1 else s
+
+    monkeypatch.setattr(SectorTable, "position", patched)
+    with pytest.raises(DatumFormatError, match=r"^eta power 2 of c=1/3 is outside \[0, 1\]$"):
+        table_from_doc(doc, vd)
+    failure = run_selftest(vd).first_failure()
+    assert (failure.name, failure.detail) == (
+        "sector_involution", "label c=1/3 does not read back as its sector"
+    )
 
 
 def _mask_drops_a_bit(monkeypatch):
@@ -728,7 +759,7 @@ def _printed_rows(vd) -> list[str]:
     flags = [(label.c, label.finite) for label in table.labels]
     requests = [(cli._cmd_shift, {"t": t}) for t in flags]
     for s, t in product(range(len(flags)), repeat=2):
-        h = table.index.get(table.compose(table.codes[s], table.codes[t]))
+        h = table.index.get(compose_codes(table.codes[s], table.codes[t], table.moduli))
         if h is None:
             continue
         for k1, k2, k3 in product(range(2), repeat=3):
