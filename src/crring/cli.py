@@ -37,7 +37,7 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from .errors import DatumFormatError, DomainError
+from .errors import DatumFormatError, DomainError, EtaPowerRange
 from .exact import format_rational, parse_rational
 from .localization import report_to_doc, triple_localized, wall_crossing_delta
 from .quotient import Code, ValidatedDatum, datum_from_doc, sector_dim, validate_datum
@@ -81,15 +81,19 @@ def _resolve(vd: ValidatedDatum, flag: tuple[Fraction, tuple[int, ...]]):
         raise _UsageError(str(exc)) from exc
 
 
-def _power(vd: ValidatedDatum, flag, k: int, chamber: str | None = None):
-    """A (label, eta power) request.  EmptySector when the label fixes no
-    coordinate (with a chamber: none on that side of the wall); a usage
-    error when k lies outside [0, |fixed set| - 1]."""
-    label = _resolve(vd, flag)
-    dim = sector_dim(vd.sector_row(label, chamber)[2])
-    if not 0 <= k <= dim:
-        raise _UsageError(f"eta power {k} of {label} is outside [0, {dim}]")
-    return label, k
+def _elements(args, vd: ValidatedDatum) -> list[BasisElement]:
+    """The element of each flag --t<i> with its --k<i>, every label resolved
+    before any row is read; whether it exists is left to ``sector_row``."""
+    flags = [(args.t1, args.k1), (args.t2, args.k2)]
+    if "t3" in args:
+        flags.append((args.t3, args.k3))
+    return [BasisElement(_resolve(vd, t), k) for t, k in flags]
+
+
+def _power(vd: ValidatedDatum, element: BasisElement) -> BasisElement:
+    """``element`` checked by ``sector_row``, no chamber: ``triple_localized`` takes any k."""
+    vd.sector_row(element.sector, None, element.k)
+    return element
 
 
 def _load(path: str) -> ValidatedDatum:
@@ -306,20 +310,16 @@ def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     return _records(args, "index c finite eta_power degree", records, doc), 0
 
 
-def _basis_class(vd: ValidatedDatum, flag, k: int) -> CRClass:
-    return CRClass.single(BasisElement(*_power(vd, flag, k, vd.chamber)))
+def _classes(args, vd: ValidatedDatum) -> list[CRClass]:
+    return list(map(CRClass.single, _elements(args, vd)))
 
 
 def _cmd_pair(args, vd: ValidatedDatum) -> tuple[str, int]:
-    ring = ChenRuanRing(vd)
-    classes = _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
-    return _value_output(args, ring.pairing(*classes)), 0
+    return _value_output(args, ChenRuanRing(vd).pairing(*_classes(args, vd))), 0
 
 
 def _cmd_cup(args, vd: ValidatedDatum) -> tuple[str, int]:
-    ring = ChenRuanRing(vd)
-    classes = _basis_class(vd, args.t1, args.k1), _basis_class(vd, args.t2, args.k2)
-    records = cr_class_to_doc(ring.cup(*classes))
+    records = cr_class_to_doc(ChenRuanRing(vd).cup(*_classes(args, vd)))
     return _records(args, "c finite eta_power coeff", records, records), 0
 
 
@@ -329,16 +329,11 @@ def _value_output(args, value: Fraction) -> str:
     return _structured(format_rational(value))
 
 
-def _triple_flags(args) -> list:
-    return [(args.t1, args.k1), (args.t2, args.k2), (args.t3, args.k3)]
-
-
 def _cmd_triple(args, vd: ValidatedDatum) -> tuple[str, int]:
     if args.method == "direct":
-        classes = [_basis_class(vd, t, k) for t, k in _triple_flags(args)]
-        value = ChenRuanRing(vd).triple_direct(*classes)
+        value = ChenRuanRing(vd).triple_direct(*_classes(args, vd))
     else:
-        value = triple_localized(vd, *(_power(vd, t, k) for t, k in _triple_flags(args))).value
+        value = triple_localized(vd, *(_power(vd, e) for e in _elements(args, vd))).value
     return _value_output(args, value), 0
 
 
@@ -367,7 +362,7 @@ def _cmd_table(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 
 def _cmd_wallcross(args, vd: ValidatedDatum) -> tuple[str, int]:
-    report = wall_crossing_delta(vd, *(_power(vd, t, k) for t, k in _triple_flags(args)))
+    report = wall_crossing_delta(vd, *(_power(vd, e) for e in _elements(args, vd)))
     if args.format == "tsv":
         rows = [
             ["value", format_rational(report.value)],
@@ -451,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         vd = _load(args.datum)
         text, code = _COMMANDS[args.command][0](args, vd)
-    except _UsageError as exc:
+    except (_UsageError, EtaPowerRange) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by the whole package.
 
 ``DomainError`` is the base of every mathematically meaningful failure; the
-command line maps any of these to exit code 1 and prints the class name, so
-subclass names are part of the user-facing contract.
+command line maps each of these but ``EtaPowerRange`` (a usage error, exit 2)
+to exit code 1 and prints the class name, so subclass names are part of the
+user-facing contract.
 """
 
 
@@ -20,6 +21,10 @@ class IneffectiveAction(DomainError):
 
 class EmptySector(DomainError):
     """The label does not name a twisted sector in the requested chamber."""
+
+
+class EtaPowerRange(DomainError):
+    """The eta power of a basis element lies outside [0, dim] of its sector."""
 
 
 class NonComposable(DomainError):

@@ -40,11 +40,13 @@ element, for the validation scan and for labels, and ``theta_numerators``
 of a label at q = lcm(D, den c).  (``_candidate_codes`` still states the
 finite part of the formula, to solve it for c.)  ``_code`` turns a label
 into its code, or None off the lattice of D, for ``SectorTable.position``
-(the table reader) and ``ValidatedDatum.sector_row`` (every point request:
-``shift``, ``pair``, ``cup``, ``triple`` and ``wallcross``), which also
-states the refusal of a label that fixes no coordinate; ``code_label`` is
-its inverse, and ``compose_codes`` and ``invert_code`` compose and invert
-one code.  Fixed sets and dims are read off masks, dim = |I| - 1 by
+and ``ValidatedDatum.sector_row``; ``code_label`` is its inverse, and
+``compose_codes`` and ``invert_code`` compose and invert one code.
+``sector_row`` is the one statement of which basis elements eta^k 1_(t)
+exist, read by every point request, the ring's point methods and the wire
+reader: it refuses a label that fixes no coordinate, or none on the
+chamber's side (``EmptySector``), and k outside [0, dim] (``EtaPowerRange``).
+Fixed sets and dims are read off masks, dim = |I| - 1 by
 ``sector_dim``.  The self-test reads every sector's label back through
 ``sector_row`` and ``theta_numerators`` against its table row.
 ``SectorLabel`` (with its Fraction c) and ``SectorInfo`` (with Fraction
@@ -63,7 +65,7 @@ from itertools import compress, product, repeat
 from math import lcm, prod
 from operator import add, not_
 
-from .errors import DatumFormatError, EmptySector, IneffectiveAction, ZeroWeight
+from .errors import DatumFormatError, EmptySector, EtaPowerRange, IneffectiveAction, ZeroWeight
 from .exact import _refuse_float, format_rational, frac_part, parse_rational
 
 CHAMBERS = ("positive", "negative")
@@ -435,17 +437,18 @@ class ValidatedDatum:
         return tuple(map(self._info, table.labels, table.thetas, table.fixed))
 
     def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
-        """Full sector record for t; EmptySector if t labels no sector here."""
+        """Full sector record for t; EmptySector if t names no sector here."""
         return self._info(t, *self.sector_row(t, self._chamber(chamber))[1:])
 
     def sector_row(
-        self, t: SectorLabel, chamber: str | None = None
+        self, t: SectorLabel, chamber: str | None = None, k: int | None = None
     ) -> tuple[Code, tuple[int, ...], int]:
         """The integer row of t as a sector table holds it: its code, its
         theta numerators over D by ``code_numerators`` (the row form of the
         formula that builds the table's columns) and its fixed-set mask.
         EmptySector if t fixes no coordinate (off the lattice of D it moves
-        all) or, given a chamber, none on that side of the wall."""
+        all) or, given a chamber, none on that side of the wall; given an
+        eta power k, EtaPowerRange if k lies outside [0, dim]."""
         code = _code(t, self.moduli)
         numerators = () if code is None else self.code_numerators(code)
         mask = self.fixed_mask(numerators)
@@ -453,6 +456,8 @@ class ValidatedDatum:
             raise EmptySector(f"{t} fixes no coordinate")
         if chamber and not mask & self.level_masks[self._chamber(chamber)]:
             raise EmptySector(f"{t} has no fixed coordinate on the {chamber} side of the wall")
+        if k is not None and not 0 <= k <= sector_dim(mask):
+            raise EtaPowerRange(f"eta power {k} of {t} is outside [0, {sector_dim(mask)}]")
         return code, numerators, mask
 
 

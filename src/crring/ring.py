@@ -41,10 +41,10 @@ from itertools import accumulate, chain, compress, count, repeat
 from math import prod
 from operator import itemgetter
 
-from .errors import DatumFormatError, DomainError, EmptySector
+from .errors import DatumFormatError, DomainError
 from .exact import _fraction, format_rational, parse_rational
 from .quotient import (
-    Code, SectorLabel, SectorTable, ValidatedDatum, _label_key, code_label, compose_codes,
+    SectorLabel, SectorTable, ValidatedDatum, _label_key, code_label, compose_codes,
     element_to_doc, invert_code, label_from_doc, sector_dim,
 )
 
@@ -165,9 +165,9 @@ class ChenRuanRing:
     to build the ring on the other side of the wall (used by the self-test
     on mixed-sign weights).
 
-    Construction builds nothing.  The point methods ``cup_basis`` and
-    ``pairing_basis``, and through them ``cup``, ``pairing`` and
-    ``triple_direct``, read the rows of the sectors they name through
+    Construction builds nothing.  The point methods ``cup_basis``,
+    ``pairing_basis`` and ``degree``, and through them ``cup``, ``pairing``
+    and ``triple_direct``, read the rows of the elements they name through
     ``ValidatedDatum.sector_row``, and the row of a composite st from its
     code, the modular sum of the codes of s and t: a point request costs
     O(n), whatever the number of sectors.  The tabulating methods
@@ -175,8 +175,8 @@ class ChenRuanRing:
     axiom check) read the chamber's ``SectorTable``, ``table``, built on
     first use, where sectors are addressed by position: basis element
     eta^k 1_(s), k in ``powers[s]``, has index ``start[s] + k`` and integer
-    degree ``degrees[start[s] + k]`` = k * D + sum_j theta_s(j), the one
-    derivation of the age.
+    degree ``degrees[start[s] + k]`` = k * D + sum_j theta_s(j) by
+    ``_degree``, the one derivation of the age.
 
     ``_products`` is the one sector-pair kernel: the carry masks and the
     products of one sector against columns of sectors.  ``row(s, span)``
@@ -213,39 +213,30 @@ class ChenRuanRing:
 
     @cached_property
     def degrees(self) -> list[int]:
-        d, ages = self.table.denominator, map(sum, self.table.thetas)
-        return [k * d + age for ks, age in zip(self.powers, ages) for k in ks]
+        return [self._degree(k, x) for ks, x in zip(self.powers, self.table.thetas) for k in ks]
+
+    def _degree(self, k: int, thetas: tuple[int, ...]) -> int:
+        """Integer degree k * D + sum_j theta_j of eta^k 1_(s), s with these thetas."""
+        return k * self.vd.denominator + sum(thetas)
 
     def basis(self) -> tuple[BasisElement, ...]:
         """Basis in sector order, eta power ascending within each sector."""
         return self._basis
 
     def degree(self, element: BasisElement) -> Fraction:
-        """Rational grading 2*(k + age) of a basis element."""
-        s = self.table.index[self._element_row(element)[0]]
-        return self.degree_at(self.start[s] + element.k)
+        """Rational grading 2*(k + age) of a basis element, from its sector row."""
+        thetas = self.vd.sector_row(element.sector, self.chamber, element.k)[1]
+        return self._grading(self._degree(element.k, thetas))
 
     def degree_at(self, i: int) -> Fraction:
         """Rational grading of basis element i: 2 * ``degrees[i]`` / D."""
-        return Fraction(2 * self.degrees[i], self.table.denominator)
+        return self._grading(self.degrees[i])
+
+    def _grading(self, degree: int) -> Fraction:
+        return Fraction(2 * degree, self.vd.denominator)
 
     def unit(self) -> CRClass:
         return CRClass.single(BasisElement(self.vd.identity(), 0))
-
-    def _element_row(self, e: BasisElement) -> tuple[Code, tuple[int, ...], int]:
-        """The sector row (code, theta numerators over D, fixed-set mask) of a
-        basis element, by ``ValidatedDatum.sector_row``; EmptySector if its
-        label names no sector of this chamber, DomainError if its eta power
-        is outside [0, dim]."""
-        try:
-            row = self.vd.sector_row(e.sector, self.chamber)
-        except EmptySector:
-            text = f"{e.sector} labels no sector in the {self.chamber} chamber"
-            raise EmptySector(text) from None
-        dim = sector_dim(row[2])
-        if not 0 <= e.k <= dim:
-            raise DomainError(f"eta power {e.k} of {e.sector} is outside [0, {dim}]")
-        return row
 
     # -- products ------------------------------------------------------------
 
@@ -354,9 +345,9 @@ class ChenRuanRing:
         the chamber's level mask for h to be a sector here.  ``_products``
         runs on the one column of t, and the truncation reads h's dimension,
         with the eta powers of h as its basis indices."""
-        code_s, thetas_s, fixed_s = self._element_row(a)
-        code_t, thetas_t, fixed_t = self._element_row(b)
         vd = self.vd
+        code_s, thetas_s, fixed_s = vd.sector_row(a.sector, self.chamber, a.k)
+        code_t, thetas_t, fixed_t = vd.sector_row(b.sector, self.chamber, b.k)
         code = compose_codes(code_s, code_t, vd.moduli)
         mask = vd.fixed_mask(vd.code_numerators(code))
         composite = [0 if mask & vd.level_masks[self.chamber] else -1]
@@ -367,8 +358,15 @@ class ChenRuanRing:
             return None
         return Fraction(coeff), BasisElement(code_label(code, vd.denominator), k)
 
+    def _refuse_unread(self, a: CRClass, b: CRClass) -> None:
+        """Refuse by ``sector_row`` each element of a class whose partner is zero."""
+        if not a._terms or not b._terms:
+            for e in chain(a._terms, b._terms):
+                self.vd.sector_row(e.sector, self.chamber, e.k)
+
     def cup(self, a: CRClass, b: CRClass) -> CRClass:
         """Bilinear extension of ``cup_basis``."""
+        self._refuse_unread(a, b)
         out: dict[BasisElement, Fraction] = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
@@ -393,12 +391,13 @@ class ChenRuanRing:
         return inverse, dim - k
 
     def pairing_basis(self, a: BasisElement, b: BasisElement) -> Fraction:
-        code, _, fixed = self._element_row(a)
+        code, _, fixed = self.vd.sector_row(a.sector, self.chamber, a.k)
         partner = self.partner(invert_code(code, self.vd.moduli), sector_dim(fixed), a.k)
-        matched = (self._element_row(b)[0], b.k) == partner
+        matched = (self.vd.sector_row(b.sector, self.chamber, b.k)[0], b.k) == partner
         return self.pairing_value(fixed) if matched else Fraction(0)
 
     def pairing(self, a: CRClass, b: CRClass) -> Fraction:
+        self._refuse_unread(a, b)
         value = Fraction(0)
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
@@ -621,16 +620,14 @@ class _Reader:
     it.  Every record still gets its own shape and type checks; a memo is
     consulted only once they have passed.
 
-    With a datum, a basis element must name a sector of the datum's chamber
-    and an eta power in [0, dim] of that sector.
+    With a datum, ``sector_row`` checks each distinct basis element once, in
+    the datum's chamber, and its refusal is raised as ``DatumFormatError``.
     """
 
     def __init__(self, vd: ValidatedDatum | None):
         self.vd = vd
-        self.table = None if vd is None else vd.sector_table()
         self.rationals: dict[str, Fraction] = {}
-        # (c text, finite components) -> (label, sector dim or None)
-        self.labels: dict[tuple, tuple[SectorLabel, int | None]] = {}
+        self.labels: dict[tuple, SectorLabel] = {}  # (c text, finite components) -> label
         self.elements: dict[tuple[SectorLabel, int], BasisElement] = {}
 
     def rational(self, text: object) -> Fraction:
@@ -642,21 +639,14 @@ class _Reader:
             self.rationals[text] = value
         return value
 
-    def sector(self, doc: object) -> tuple[SectorLabel, int | None]:
+    def sector(self, doc: object) -> SectorLabel:
         # the types are checked before the memo is read: ("0", (True,)) is an
         # equal key to ("0", (1,)), but only the latter is a valid record
         key = _label_key(doc)
-        known = self.labels.get(key) if type(key[0]) is str else None
-        if known is not None:
-            return known
-        label, dim = label_from_doc(doc, self.vd), None
-        if self.table is not None:
-            s = self.table.position(label)
-            if s is None:
-                raise DatumFormatError(f"{label} labels no sector in the {self.vd.chamber} chamber")
-            dim = self.table.dims[s]
-        self.labels[key] = label, dim  # c parsed, so it is a str
-        return label, dim
+        label = self.labels.get(key) if type(key[0]) is str else None
+        if label is None:
+            label = self.labels[key] = label_from_doc(doc, self.vd)  # c parsed, so it is a str
+        return label
 
     def element(self, doc: object) -> BasisElement:
         if not isinstance(doc, dict) or "sector" not in doc or "eta_power" not in doc:
@@ -664,11 +654,14 @@ class _Reader:
         k = doc["eta_power"]
         if type(k) is not int:
             raise DatumFormatError(f"eta_power must be an integer, got {k!r}")
-        label, dim = self.sector(doc["sector"])
-        if dim is not None and not 0 <= k <= dim:
-            raise DatumFormatError(f"eta power {k} of {label} is outside [0, {dim}]")
+        label = self.sector(doc["sector"])
         element = self.elements.get((label, k))
         if element is None:
+            if self.vd is not None:
+                try:
+                    self.vd.sector_row(label, self.vd.chamber, k)
+                except DomainError as exc:
+                    raise DatumFormatError(str(exc)) from exc
             element = self.elements[label, k] = BasisElement(label, k)
         return element
 

@@ -62,11 +62,11 @@ def _involution_phase(table: SectorTable, name: str) -> PhaseResult:
 def _label_phase(ring: ChenRuanRing, phase: PhaseResult) -> PhaseResult:
     """``phase``, the passed involution phase, failed at the first sector whose
     label does not read back as its sector: to its position through
-    ``SectorTable.position``, the lookup of the table reader, and to its
-    table row through ``ValidatedDatum.sector_row``, the route of every
-    point request (``shift``, ``pair``, ``cup``, ``triple`` and
-    ``wallcross``), and through ``theta_numerators``, the route of the
-    API's ``thetas``, ``fixed_set`` and ``degree_shift``."""
+    ``SectorTable.position``, and to its table row through
+    ``ValidatedDatum.sector_row``, the route of every point request
+    (``shift``, ``pair``, ``cup``, ``triple`` and ``wallcross``) and of the
+    wire reader given a datum, and through ``theta_numerators``, the route
+    of the API's ``thetas``, ``fixed_set`` and ``degree_shift``."""
     vd, table = ring.vd, ring.table
     for s, (t, *row) in enumerate(zip(table.labels, table.codes, table.thetas, table.fixed)):
         if table.position(t) != s:

@@ -510,6 +510,23 @@ def test_point_requests_answer_without_a_sector_table(datum_file, monkeypatch, c
     assert ring.triple_direct(cube_root, cube_root, cube_root) == Fraction(4, 27)
 
 
+def test_a_zero_factor_hides_no_bad_label_and_every_label_is_read_first(datum_file, capsys):
+    """On P(1,1,2) the first two classes of this ``triple --method direct``
+    multiply to 0, and its third label, which fixes no coordinate, is still
+    refused.  Every label command reads all of its labels before any row,
+    so a second label with a finite component too many is a usage error
+    ahead of a first label that fixes no coordinate."""
+    path = datum_file(WP112)
+    triple = ["--method", "direct", "--t1", "c=1/2", "--t2", "c=0", "--k2", "2", "--t3", "c=1/5"]
+    assert run(capsys, "triple", path, *triple) == (1, "", "EmptySector: c=1/5 fixes no coordinate\n")
+    flags = ["--t1", "c=1/5", "--t2", "c=0,a=1"]
+    usage = (2, "", "usage error: label has 1 finite components, datum has 0\n")
+    for command in (["pair"], ["cup"], ["triple", "--method", "direct"],
+                    ["triple", "--method", "localization"], ["wallcross"]):
+        third = ["--t3", "c=0"] if command[0] in ("triple", "wallcross") else []
+        assert run(capsys, command[0], path, *command[1:], *flags, *third) == usage, command
+
+
 def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
     """A direct-path point request builds no sector table, so neither the
     basis tuple and degrees of its ring nor any labels, and ``sectors`` and

@@ -15,6 +15,7 @@ from crring import (
     BasisElement,
     CRClass,
     ChenRuanRing,
+    DatumFormatError,
     DomainError,
     EmptySector,
     FiniteCyclicFactor,
@@ -22,6 +23,7 @@ from crring import (
     PhaseResult,
     QuotientDatum,
     SectorLabel,
+    ValidatedDatum,
     cr_class_from_doc,
     cr_class_to_doc,
     format_rational,
@@ -33,7 +35,10 @@ from crring import (
     validate_datum,
 )
 import crring.ring
-from crring.quotient import CHAMBERS, compose_codes, datum_from_doc
+from crring import cli
+from crring.errors import EtaPowerRange
+from crring.quotient import CHAMBERS, compose_codes, datum_from_doc, datum_to_doc, element_to_doc
+from crring.ring import element_from_doc
 from test_golden import DATA
 
 
@@ -63,10 +68,50 @@ def test_point_api_refuses_elements_outside_the_basis():
     for message, call in refusals.items():
         with pytest.raises(DomainError) as refused:
             call()
-        assert type(refused.value) is DomainError
+        assert type(refused.value) is EtaPowerRange
         assert str(refused.value) == message
-    with pytest.raises(EmptySector, match="c=1/2 labels no sector in the positive chamber"):
+    with pytest.raises(EmptySector) as refused:
         ring.degree(BasisElement(p2.label(Fraction(1, 2)), 0))
+    assert (type(refused.value), str(refused.value)) == (EmptySector, "c=1/2 fixes no coordinate")
+
+
+def test_a_zero_factor_hides_no_element_outside_the_basis(wp112):
+    """``cup`` and ``pairing`` refuse an element outside the basis in a class
+    whose partner class is zero, so ``triple_direct`` refuses a bad third
+    class when the first two multiply to 0."""
+    ring = ChenRuanRing(wp112)
+    half, top = one(wp112, "1/2"), one(wp112, 0, 2)
+    assert ring.cup(half, top) == CRClass()
+    refusals = {
+        BasisElement(wp112.label(Fraction(1, 5)), 0): (EmptySector, "c=1/5 fixes no coordinate"),
+        BasisElement(wp112.identity(), 3): (EtaPowerRange, "eta power 3 of c=0 is outside [0, 2]"),
+    }
+    for element, refusal in refusals.items():
+        bad, zero = CRClass.single(element), CRClass()
+        calls = [lambda: ring.triple_direct(half, top, bad)] + [
+            lambda call=call, pair=pair: call(*pair)
+            for call in (ring.cup, ring.pairing) for pair in ((zero, bad), (bad, zero))
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert (type(refused.value), str(refused.value)) == refusal
+
+
+def test_degree_reads_one_sector_row(monkeypatch, wp122333):
+    """``degree`` reads the element's sector row, never the sector table, and
+    agrees with ``degree_at`` on every basis element."""
+    ring = ChenRuanRing(wp122333)
+    assert list(map(ring.degree, ring.basis())) == list(map(ring.degree_at, range(14)))
+
+    def refuse(vd, chamber):
+        raise AssertionError(f"the {chamber} sector table was built")
+
+    monkeypatch.setattr(ValidatedDatum, "_build_table", refuse)
+    vd = validate_datum(QuotientDatum((1, 100000)))
+    ring = ChenRuanRing(vd)
+    assert ring.degree(BasisElement(vd.label(Fraction(1, 100000)), 0)) == Fraction(1, 50000)
+    assert ring.degree(BasisElement(vd.identity(), 1)) == 2
 
 
 def test_basis_wp112(wp112):
@@ -775,15 +820,21 @@ Z2_Z3_ON_P123 = QuotientDatum(
         "z2_z3_on_p123",
     ],
 )
-def test_the_point_route_equals_the_table_route(datum, chamber):
+def test_the_point_route_equals_the_table_route(datum, chamber, tmp_path, capsys):
     """``cup_basis`` and ``pairing_basis`` read sector rows, never the
     sector table, and give the ``structure_constants`` entry of every
     ordered pair of basis elements (the product of i > j read at (j, i)).
     Every label on the lattice of 2D, each finite component included, that
     names no sector of the chamber, and every eta power just outside [0,
     dim] of a sector, is refused in either place of either method with
-    the class and text that the table decides."""
+    the class and text that the tables of both chambers decide.  In the
+    datum's own chamber the same text comes from ``element_from_doc``
+    with the datum, as ``DatumFormatError``, and from the ``pair``
+    command: exit 1 with the class name, or exit 2 as a usage error for
+    an eta power."""
     vd = validate_datum(datum)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_doc(datum)))
     tabulated = ChenRuanRing(vd, chamber)
     table, full = tabulated.table, tabulated.structure_constants()
     ring = ChenRuanRing(vd, chamber)
@@ -799,16 +850,28 @@ def test_the_point_route_equals_the_table_route(datum, chamber):
         s = table.position(label)
         for k in (0,) if s is None else (-1, table.dims[s] + 1):
             e = BasisElement(label, k)
-            if s is None:
-                expected = EmptySector, f"{label} labels no sector in the {ring.chamber} chamber"
+            if s is not None:
+                expected = EtaPowerRange, f"eta power {k} of {label} is outside [0, {table.dims[s]}]"
+            elif vd.sector_table(CHAMBERS[ring.chamber == "positive"]).position(label) is None:
+                expected = EmptySector, f"{label} fixes no coordinate"
             else:
-                expected = DomainError, f"eta power {k} of {label} is outside [0, {table.dims[s]}]"
+                side = f"has no fixed coordinate on the {ring.chamber} side of the wall"
+                expected = EmptySector, f"{label} {side}"
             other = full.basis[0] if full.basis else e
             for call in (ring.cup_basis, ring.pairing_basis):
                 for pair in ((e, other), (other, e)):
                     with pytest.raises(DomainError) as refusal:
                         call(*pair)
                     assert (type(refusal.value), str(refusal.value)) == expected, pair
+            if ring.chamber == vd.chamber:
+                with pytest.raises(DatumFormatError) as refusal:
+                    element_from_doc(element_to_doc(label, k), vd)
+                assert (type(refusal.value), str(refusal.value)) == (DatumFormatError, expected[1])
+                flags = ["--t1", str(label), f"--k1={k}", "--t2", str(other.sector), f"--k2={other.k}"]
+                code, usage = cli.main(["pair", str(path), *flags]), expected[0] is EtaPowerRange
+                shown = "usage error" if usage else expected[0].__name__
+                printed = ("", f"{shown}: {expected[1]}\n")
+                assert (code, capsys.readouterr()) == (2 if usage else 1, printed), flags
             refused += 1
     assert refused > len(table.codes)
     assert "table" not in vars(ring)

@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from crring import (
+    BasisElement,
+    CRClass,
     ChenRuanRing,
     DatumFormatError,
     QuotientDatum,
+    ValidatedDatum,
     cli,
     cr_class_from_doc,
     datum_from_doc,
@@ -79,13 +83,52 @@ def test_reader_with_datum_refuses_eta_power_outside_dim(wp112, c, k):
 
 
 @pytest.mark.parametrize(
-    "weights,c", [((1, 1, 2), "1/3"), ((1, -2), "1/2")], ids=["fixes-nothing", "other-chamber"]
+    "weights,c,text",
+    [
+        ((1, 1, 2), "1/3", "c=1/3 fixes no coordinate"),
+        ((1, -2), "1/2", "c=1/2 has no fixed coordinate on the positive side of the wall"),
+    ],
+    ids=["fixes-nothing", "other-chamber"],
 )
-def test_reader_with_datum_refuses_a_label_that_is_no_sector(weights, c):
+def test_reader_with_datum_refuses_a_label_that_is_no_sector(weights, c, text):
     vd = validate_datum(QuotientDatum(weights))
-    with pytest.raises(DatumFormatError, match="no sector"):
+    with pytest.raises(DatumFormatError) as refusal:
         element_from_doc(_term(c, 0), vd)
+    assert (type(refusal.value), str(refusal.value)) == (DatumFormatError, text)
     assert element_from_doc(_term(c, 0)).sector.c == vd.label(c).c
+
+
+def test_the_reader_checks_each_element_once_and_builds_no_sector_table(monkeypatch):
+    """With a datum, the reader accepts and refuses elements without a sector
+    table, and reads each distinct basis element of a table document
+    through ``sector_row`` once."""
+    wp122333 = QuotientDatum((1, 2, 2, 3, 3, 3))
+    doc = table_to_doc(ChenRuanRing(validate_datum(wp122333)).structure_constants())
+    sector_row, rows = ValidatedDatum.sector_row, []
+
+    def refuse(vd, chamber):
+        raise AssertionError(f"the {chamber} sector table was built")
+
+    def counted(vd, t, chamber=None, k=None):
+        rows.append((t, k))
+        return sector_row(vd, t, chamber, k)
+
+    monkeypatch.setattr(ValidatedDatum, "_build_table", refuse)
+    monkeypatch.setattr(ValidatedDatum, "sector_row", counted)
+    wp112 = validate_datum(QuotientDatum((1, 1, 2)))
+    assert element_from_doc(_term("1/2", 0), wp112) == BasisElement(wp112.label(Fraction(1, 2)), 0)
+    assert cr_class_from_doc([_term("0", 2), _term("0", 2)], wp112) == CRClass.single(
+        BasisElement(wp112.identity(), 2), 2
+    )
+    for term, text in ((_term("1/3", 0), "c=1/3 fixes no coordinate"),
+                       (_term("1/2", 1), "eta power 1 of c=1/2 is outside [0, 0]")):
+        for read in (element_from_doc, lambda doc, vd: cr_class_from_doc([doc], vd)):
+            with pytest.raises(DatumFormatError) as refusal:
+                read(term, wp112)
+            assert str(refusal.value) == text
+    rows.clear()
+    table = table_from_doc(doc, validate_datum(wp122333))
+    assert sorted(rows) == sorted(table.basis) and len(table.basis) == 14
 
 
 def test_table_reader_with_datum_checks_products(wp112):
