@@ -13,6 +13,7 @@ from .errors import (
     DatumFormatError,
     DomainError,
     EmptySector,
+    EtaPowerRange,
     IneffectiveAction,
     NonComposable,
     ZeroWeight,

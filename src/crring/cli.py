@@ -16,9 +16,12 @@ record, met again at the same indentation, is written once (a memo).
 components joined by ':'; a list one cell joined by ','; null an empty cell;
 anything else its str.  ``table`` and ``wallcross`` keep their own layouts.
 
-``main`` reads argv (``sys.argv[1:]`` when given none) with the parser of
-the command that argv[0] names; the top-level parser reads it only when
-argv[0] names no command or arguments are left over.  The namespace and
+``main`` reads argv (``sys.argv[1:]`` when given none) into the namespace
+of ``build_parser().parse_args(argv)``.  The plain form ``command datum
+(--option value)*``, each option spelled in full and given once and no value
+starting with '-', is read by ``_read`` from the options table that
+``build_parser`` reads too, and builds no parser.  Help, errors and every
+other spelling go to argparse, which builds the parser once per process:
 every help page and error are those of ``build_parser().parse_args(argv)``.
 
 Exit codes: 0 on success, 1 on domain errors (the error class name goes to
@@ -382,6 +385,13 @@ def _cmd_selftest(args, vd: ValidatedDatum) -> tuple[str, int]:
     return _records(args, "phase status detail", doc["phases"], doc), 0 if report.passed else 1
 
 
+# the options that every command or every sector flag takes, as add_argument
+# keywords; _options lists a command's, for build_parser and _read alike
+_FORMAT = ("--format", {"choices": ("structured", "tsv"), "default": "structured"})
+_OUT = ("--out", {"help": "write output to this file instead of stdout"})
+_LABEL = {"required": True, "type": _sector_flag, "metavar": "c=p/q[,a=k1:k2:...]"}
+_POWER = {"type": int, "default": 0, "metavar": "K"}
+
 # name -> (handler, help line, extra arguments, sector flags); every sector
 # flag but shift's lone --t comes with its eta power --k<i>
 _METHOD = ("--method", {"choices": ("direct", "localization"), "required": True})
@@ -401,11 +411,20 @@ _COMMANDS = {
 }
 
 
+def _options(extras, flags) -> list[tuple[str, dict]]:
+    """A command's options after its datum, as (flag, ``add_argument``
+    keywords), in the order of its help page."""
+    options = [_FORMAT, _OUT, *extras]
+    for flag in flags:
+        options.append((flag, _LABEL))
+        if flag != "--t":
+            options.append((flag.replace("--t", "--k"), _POWER))
+    return options
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of all nine commands, built once per process.  Its
-    ``commands`` attribute maps each command name to that command's own
-    parser."""
+    """The parser of all nine commands, built once per process."""
     parser = argparse.ArgumentParser(
         prog="crring",
         description="Exact Chen-Ruan cohomology of diagonal abelian quotients.",
@@ -414,28 +433,48 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, extras, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("datum", help="datum file (JSON: n, weights, finite, chamber)")
-        p.add_argument("--format", choices=("structured", "tsv"), default="structured")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        for flag, options in extras:
+        for flag, options in _options(extras, flags):
             p.add_argument(flag, **options)
-        for flag in flags:
-            p.add_argument(flag, required=True, type=_sector_flag, metavar="c=p/q[,a=k1:k2:...]")
-            if flag != "--t":
-                p.add_argument(flag.replace("--t", "--k"), type=int, default=0, metavar="K")
-    parser.commands = sub.choices
     return parser
 
 
+# command -> flag -> add_argument keywords
+_READER = {name: dict(_options(extras, flags)) for name, (_, _, extras, flags) in _COMMANDS.items()}
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for the plain form ``command
+    datum (--option value)*``, each option of the command's ``_options``
+    spelled in full and given once, no value starting with '-', every value
+    valid and every required option given; None for any other argv.  It
+    never prints and never exits."""
+    options = _READER.get(argv[0]) if argv else None
+    if options is None or len(argv) % 2 or argv[1][:1] == "-":
+        return None
+    values = {"command": argv[0], "datum": argv[1]}
+    for flag, text in zip(argv[2::2], argv[3::2]):
+        option = options.get(flag)
+        if option is None or flag[2:] in values or text[:1] == "-":
+            return None
+        try:
+            value = option.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        values[flag[2:]] = value
+    for flag, option in options.items():
+        if flag[2:] not in values:
+            if option.get("required"):
+                return None
+            values[flag[2:]] = option.get("default")
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, read by the command's own parser
-    when argv[0] names one and it leaves no argument over."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    """``build_parser().parse_args(argv)``; the parser is built only for an
+    argv that ``_read`` declines."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -400,13 +400,16 @@ def test_the_parser_is_built_once_and_reused(datum_file, monkeypatch, capsys):
         (["shift", path, "--t", "nonsense"], 2),
         (["--help"], 0),
         (["no-such-command", path], 2),
+        (["pair", path, "--t1", "c=1/2", "--t2", "c=1/2"], 0),
     ]
     counts = []
     for argv, code in requests:
         built.clear()
         assert run(capsys, *argv)[0] == code
         counts.append(len(built))
-    assert counts == [10, 0, 0, 0]  # the top level and all nine commands, once
+    # a well-formed request builds none; the first that _read declines builds
+    # the top level and all nine commands, once
+    assert counts == [0, 10, 0, 0, 0]
 
 
 def test_each_request_rereads_its_datum(datum_file, capsys):
@@ -582,11 +585,12 @@ def test_point_requests_build_no_basis_tuple(datum_file, monkeypatch, capsys):
 
 
 def test_each_command_parser_gives_the_top_level_namespace(tmp_path, monkeypatch, capsys):
-    """``main`` hands each command its own parser's reading of the request.
-    On every golden request and front-end case, the handler receives the
-    namespace of ``build_parser().parse_args(argv)``, and a request that
-    parser refuses exits with its code and reaches no handler; the
-    front-end texts pin what the refusals print."""
+    """``main`` hands each command argparse's reading of the request, whether
+    ``_read`` or the parser reads it.  On every golden request and front-end
+    case, the handler receives the namespace of
+    ``build_parser().parse_args(argv)``, and a request that parser refuses
+    exits with its code and reaches no handler; the front-end texts pin what
+    the refusals print."""
     received = []
 
     def recording_handler(args, vd):

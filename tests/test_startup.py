@@ -71,7 +71,7 @@ def test_run_selftest_is_one_function_under_every_name():
 def test_the_package_exports_its_names_and_no_submodule():
     assert crring.__all__ == [
         "BasisElement", "CRClass", "ChenRuanRing", "DatumFormatError", "DomainError",
-        "EmptySector", "FiniteCyclicFactor", "IneffectiveAction", "NonComposable",
+        "EmptySector", "EtaPowerRange", "FiniteCyclicFactor", "IneffectiveAction", "NonComposable",
         "PhaseResult", "QuotientDatum", "SectorInfo", "SectorLabel", "SelfTestReport",
         "StructureTable", "ValidatedDatum", "WallCrossingReport", "ZeroWeight",
         "cr_class_from_doc", "cr_class_to_doc", "datum_from_doc", "datum_to_doc",
