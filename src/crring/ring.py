@@ -479,7 +479,8 @@ class ChenRuanRing:
         holds G, so a nonzero multiple of every basis element.  Given
         associativity, the middles y with <x*y, z> = <x, y*z> for all x, z
         are closed the same way: <x*(y1*y2), z> = <(x*y1)*y2, z> =
-        <x*y1, y2*z> = <x, y1*(y2*z)> = <x, (y1*y2)*z>.
+        <x*y1, y2*z> = <x, y1*(y2*z)> = <x, (y1*y2)*z>.  When the unit and
+        commutativity checks pass, 1*z = z = z*1 puts 1 in both; G omits it.
 
         The proof reads equal packed entries as equal vectors, so G is used
         only on a well-formed table: every entry is (-1, 0), or a target in
@@ -547,7 +548,7 @@ class ChenRuanRing:
         # generators: in ascending degree, ties in basis order, each element
         # that no left-normed product of earlier ones reaches; each product
         # x * g of a reached x and a generator g is read once
-        generators, reached = [], set()
+        generators, reached = [], {0} if unit_bad is None and comm_bad is None else set()
         for e in sorted(range(size), key=self.degrees.__getitem__) if well_formed else ():
             if e not in reached:
                 generators.append(e)

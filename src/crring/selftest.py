@@ -9,7 +9,9 @@ When the datum's own chamber is the only nonempty one, ``path_agreement``
 compares the two 3-point paths on every composable basis triple (and is
 skipped otherwise): the twist-factor product of ``ring`` against the
 wall-crossing residue of ``localization``, which imports nothing from
-``ring``.  This is the one module that reads both paths.
+``ring``.  This is the one module that reads both paths.  Once
+``ring_axioms`` passes, it visits each unordered sector triple once, since
+unit, commutativity and Frobenius make <x*y, z> symmetric in x, y, z.
 """
 
 from __future__ import annotations
@@ -145,64 +147,70 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
     return PhaseResult(name, "pass", f"{lines} normal lines agree with the index count")
 
 
-def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
+def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) -> PhaseResult:
     """Both 3-point paths on every composable basis triple, then the report
-    of ``triple_localized``.  The sweep visits the ordered sector pairs
-    (s, t) in row order; the symmetric kernel runs at s <= t, on (s, t, r =
-    (st)^-1), and (t, s) reuses and drops that term when its own r is the
-    same, while the direct side reads both orders.  Each side is nonzero at
-    one sigma = k1 + k2 + k3 at most, so the first failing basis triple in
-    (k1, k2, k3) order lies at the smallest sigma in [0, dim(s) + dim(t) +
-    dim(r)] that holds a nonzero side alone or two different values.  Then
-    ``triple_localized`` on (1_(s), eta^k2 1_(s^-1), eta^k3 1), s <= s^-1 and
-    k2 + k3 = dim(s), must report the pairing at u-power -1 and every
-    sector on the ring's side."""
+    of ``triple_localized``.  The sweep visits ordered sector pairs (s, t)
+    in row order, with the kernel on (s, t, r = (st)^-1) and the direct side
+    on the product of that order.  Each side is nonzero at one sigma = k1 +
+    k2 + k3 at most, so the first failing basis triple in (k1, k2, k3) order
+    lies at the smallest sigma in [0, dim(s) + dim(t) + dim(r)] that holds a
+    nonzero side alone or two different values.  When ``symmetric`` (the
+    axiom check passed), only t >= s and r >= t are visited, and each basis
+    triple counts once per distinct order of its sectors.  This is exact:
+    the direct side is <x*y, z> as ``heads``, ``partner`` and
+    ``pairing_value`` state it, and unit, commutativity and Frobenius give
+    <x, y> = <1, x*y> = <1, y*x> = <y, x>, so <x*y, z> = <y*x, z> =
+    <x, y*z> = <y*z, x>; the kernel reads its rows only through their sum.
+    A miss restarts the loop over every ordered pair, which fails there or
+    before.  Then ``triple_localized`` on (1_(s), eta^k2 1_(s^-1), eta^k3
+    1), s <= s^-1 and k2 + k3 = dim(s), must report the pairing at u-power
+    -1 and every sector on the ring's side."""
     name = "path_agreement"
     table = ring.table
-    dims, thetas, zero = table.dims, table.thetas, Fraction(0)
+    dims, thetas, inverses, zero = table.dims, table.thetas, table.inverse, Fraction(0)
     pairings = [(v.numerator, v.denominator) for v in map(ring.pairing_value, table.fixed)]
-    triples, first = 0, {}  # (t, s) -> r and term of the first order (s, t), s < t
-    for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
-        for t, (h, product) in enumerate(zip(composite, products)):
-            if h < 0:
-                continue
-            r = table.inverse[h]
-            if s > t and (known := first.pop((s, t), None)) and known[0] == r:
-                term = known[1]
-            else:
-                term = localized_residue(vd, thetas[s], thetas[t], thetas[r])
-                if term is None:
-                    return PhaseResult(
-                        name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: the localized "
-                        "path finds that the sectors do not multiply to 1"
-                    )
-                if s < t:
-                    first[t, s] = r, term
-            numerator, bottom, _ = term
-            # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
-            # paired with eta^k3 1_(r) when the degrees are complementary; a
-            # product that vanishes has sigma None
-            c = product[0] if product else 0
-            top = dims[h] - product[1] if product else None
-            at = residue_sigma(term)
-            span = dims[s] + dims[t] + dims[r]
-            p, q = pairings[h]
-            matched = top == at and c * bottom * p == numerator * q
-            inside = () if matched else [x for x in (top, at) if x is not None and 0 <= x <= span]
-            if inside:
-                sigma = min(inside)
-                k1 = max(0, sigma - dims[t] - dims[r])
-                k2 = max(0, sigma - k1 - dims[r])
-                direct = Fraction(c * p, q) if sigma == top else zero
-                localized = Fraction(numerator, bottom) if sigma == at else zero
-                return PhaseResult(
-                    name,
-                    "fail",
-                    f"{_triple(table, s, t, r, (k1, k2, sigma - k1 - k2))}: "
-                    f"direct {format_rational(direct)} != "
-                    f"localized {format_rational(localized)}",
-                )
-            triples += (dims[s] + 1) * (dims[t] + 1) * (dims[r] + 1)
+    rows, s, triples = list(zip(*ring.pairs)), 0, 0
+    while s < len(rows):
+        composite, _, products = rows[s]
+        if symmetric:  # s <= t <= r: each unordered triple once
+            visits = [(t, h, r) for t, h in enumerate(composite[s:], s)
+                      if h >= 0 and (r := inverses[h]) >= t]
+        else:
+            visits = [(t, h, inverses[h]) for t, h in enumerate(composite) if h >= 0]
+        for t, h, r in visits:
+            term = localized_residue(vd, thetas[s], thetas[t], thetas[r])
+            if term is not None:
+                numerator, bottom, _ = term
+                # direct side: eta^k1 1_(s) * eta^k2 1_(t) = c eta^(k1+k2+shift) 1_(h),
+                # paired with eta^k3 1_(r) when the degrees are complementary; a
+                # product that vanishes has sigma -1, outside every range
+                product = products[t]
+                c = product[0] if product else 0
+                top = dims[h] - product[1] if product else -1
+                at = residue_sigma(term)
+                span = dims[s] + dims[t] + dims[r]
+                p, q = pairings[h]
+                matched = top == at and c * bottom * p == numerator * q
+                inside = () if matched else [x for x in (top, at) if 0 <= x <= span]
+                if not inside:
+                    orders = (1, 3, 6)[len({s, t, r}) - 1] if symmetric else 1
+                    triples += orders * (dims[s] + 1) * (dims[t] + 1) * (dims[r] + 1)
+                    continue
+            if symmetric:  # a miss: the loop over every ordered pair names it
+                symmetric, s = False, -1
+                break
+            if term is None:
+                text = "the localized path finds that the sectors do not multiply to 1"
+                return PhaseResult(name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: {text}")
+            sigma = min(inside)
+            k1 = max(0, sigma - dims[t] - dims[r])
+            k2 = max(0, sigma - k1 - dims[r])
+            direct = Fraction(c * p, q) if sigma == top else zero
+            localized = Fraction(numerator, bottom) if sigma == at else zero
+            powers = k1, k2, sigma - k1 - k2
+            text = f"direct {format_rational(direct)} != localized {format_rational(localized)}"
+            return PhaseResult(name, "fail", f"{_triple(table, s, t, r, powers)}: {text}")
+        s += 1
     # u-power -1: e_j is 0 on the dim(s) + 1 coordinates that s fixes, 1 elsewhere;
     # the eta powers go on two factors, so that both enter the sum that is read
     labels, identity = table.labels, vd.identity()
@@ -227,7 +235,8 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing) -> PhaseResult:
 def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
     """The phases of the module docstring, in order; the datum's chamber is
     the only nonempty one when every weight has its sign.  Phase names carry
-    the chamber they checked whenever that is not simply the datum's own."""
+    the chamber they checked whenever that is not simply the datum's own;
+    the agreement phase gets the axiom check's verdict."""
     phases: list[PhaseResult] = []
     # the identity fixes every coordinate: a chamber is empty exactly when
     # no weight has its sign
@@ -243,7 +252,7 @@ def run_selftest(vd: ValidatedDatum) -> SelfTestReport:
         phases.append(_label_phase(ring, involution) if involution.status == "pass" else involution)
         phases.append(_obstruction_phase(vd, ring, "obstruction_oracle" + suffix))
     if not tagged:
-        phases.append(_agreement_phase(vd, ring))
+        phases.append(_agreement_phase(vd, ring, failure is None))
     else:
         skip = (
             "mixed-sign weights: both sides of the wall are noncompact, so only "

@@ -1,14 +1,16 @@
 """The self-test's agreement gate reads the localized kernel once per
-unordered composable sector pair; these tests check that a wrong kernel
-value on one sector triple, or on both orders of one sector pair, still
-fails the gate and is named, pin the kernel calls and the work counts of
-the demo data, check that one self-test builds each sector row of the ring
-once, pin the failure texts of the involution and obstruction phases, check
-that the obstruction phase's row sweep reports what a per-line loop reports
-and asks the oracle once per distinct phase sum, and check that the one
-identity the involution phase tests fails exactly when one of the three
-involution identities does, and check that the self-test sees an edit of
-the truncation rule, the pairing partner or the label row that ``table``,
+unordered composable sector triple once the ring axioms pass; these tests
+check that the kernel is one term under every order of its three rows, that
+a kernel wrong on one unordered sector triple still fails the gate and is
+named as the sweep over every ordered pair names it, that both sweeps give
+one result, pin the kernel calls and the work counts of the demo data,
+check that one self-test builds each sector row of the ring once, pin the
+failure texts of the involution and obstruction phases, check that the
+obstruction phase's row sweep reports what a per-line loop reports and asks
+the oracle once per distinct phase sum, and check that the one identity the
+involution phase tests fails exactly when one of the three involution
+identities does, and check that the self-test sees an edit of the
+truncation rule, the pairing partner or the label row that ``table``,
 ``cup`` and ``pair`` read, of the label lookup of the table reader, and of
 the fixed-set mask or the theta numerators on the label route that
 ``shift``, ``triple --method localization`` and ``wallcross`` read, and an
@@ -21,11 +23,12 @@ import argparse
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crring import (
     ChenRuanRing,
@@ -42,7 +45,7 @@ from crring import (
 )
 from crring import cli, localization, selftest
 from crring.quotient import CHAMBERS, SectorTable, ValidatedDatum, compose_codes, invert_code
-from test_ring import data
+from test_ring import CORRUPTIONS, corrupting, data
 
 TESTS = Path(__file__).resolve().parent
 DEMO_DIR = TESTS.parent / "demos" / "data"
@@ -72,10 +75,11 @@ WRONG_TRIPLE_DETAILS = {
         "(c=1/3,0) (c=1/3,0) (c=1/3,0): direct 4/27 != localized 8/27",
     ("wp122333", "base-power-past-the-range"):
         "(c=1/3,0) (c=1/3,0) (c=1/3,0): direct 4/27 != localized 0",
-    ("wp112", "base-power-shifted"): "(c=1/2,0) (c=1/2,0) (c=0,0): direct 1/2 != localized 0",
-    ("wp112", "coefficient-scaled"): "(c=1/2,0) (c=1/2,0) (c=0,0): direct 1/2 != localized 1",
+    # the first ordered triple in row order that holds c=1/2 twice and c=0
+    ("wp112", "base-power-shifted"): "(c=0,0) (c=1/2,0) (c=1/2,0): direct 1/2 != localized 0",
+    ("wp112", "coefficient-scaled"): "(c=0,0) (c=1/2,0) (c=1/2,0): direct 1/2 != localized 1",
     ("wp112", "base-power-past-the-range"):
-        "(c=1/2,0) (c=1/2,0) (c=0,0): direct 1/2 != localized 0",
+        "(c=0,0) (c=1/2,0) (c=1/2,0): direct 1/2 != localized 0",
     # P^2: the identity sector has dimension 2, so nonzero eta powers are named
     ("p2", "base-power-shifted"): "(c=0,0) (c=0,0) (c=0,1): direct 0 != localized 1",
     ("p2", "coefficient-scaled"): "(c=0,0) (c=0,0) (c=0,2): direct 1 != localized 2",
@@ -95,12 +99,13 @@ def test_gate_fails_on_one_wrong_sector_triple(monkeypatch, mutation, name):
     vd = validate_datum(QuotientDatum(weights))
     s = vd.label(c)
     r = vd.inverse(vd.compose(s, s))
-    target = tuple(vd.theta_numerators(x)[1] for x in (s, s, r))
+    # the kernel is one term under every order of its rows, and so is its fault
+    target = sorted(vd.theta_numerators(x)[1] for x in (s, s, r))
     kernel, hits = selftest.localized_residue, []
 
     def patched(vd_, *thetas):
         term = kernel(vd_, *thetas)
-        if thetas == target:
+        if sorted(thetas) == target:
             hits.append(thetas)
             # the kernel's coefficient is top / bottom
             top, bottom, base = term
@@ -124,28 +129,30 @@ def test_gate_fails_when_the_localized_side_finds_no_triple(monkeypatch):
 
 
 def test_gate_fails_on_one_wrong_unordered_sector_pair(monkeypatch):
-    """A kernel wrong on both orders of the sectors c=1/3 and c=2/3 of
+    """A kernel wrong on every order of the sectors c=1/3, c=2/3 and c=0 of
     P(1,2,2,3,3,3) fails the gate at the first ordered triple in row order,
-    (c=1/3, c=2/3, c=0), and is called on that order alone."""
+    (c=0, c=1/3, c=2/3), and is called on that order twice: by the sweep over
+    unordered triples, which misses there, and by its restart over every
+    ordered pair."""
     vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
     third, two_thirds = vd.label(Fraction(1, 3)), vd.label(Fraction(2, 3))
     table = vd.sector_table()
     assert table.position(third) < table.position(two_thirds)
-    a, b, r = (vd.theta_numerators(x)[1] for x in (third, two_thirds, vd.identity()))
+    r, a, b = (vd.theta_numerators(x)[1] for x in (vd.identity(), third, two_thirds))
     kernel, hits = selftest.localized_residue, []
 
     def patched(vd_, *thetas):
         top, bottom, base = kernel(vd_, *thetas)
-        if sorted(thetas[:2]) == sorted((a, b)) and thetas[2] == r:
+        if sorted(thetas) == sorted((a, b, r)):
             hits.append(thetas)
             return 2 * top, bottom, base
         return top, bottom, base
 
     monkeypatch.setattr(selftest, "localized_residue", patched)
     agreement = _phase(run_selftest(vd), "path_agreement")
-    assert hits == [(a, b, r)]
+    assert hits == [(r, a, b)] * 2
     assert agreement.status == "fail"
-    assert agreement.detail == "(c=1/3,0) (c=2/3,0) (c=0,2): direct 1/27 != localized 2/27"
+    assert agreement.detail == "(c=0,0) (c=1/3,0) (c=2/3,2): direct 1/27 != localized 2/27"
 
 
 def _table_pairs(table) -> dict:
@@ -168,9 +175,9 @@ KERNEL_COUNT_DATA = [
 
 @pytest.mark.parametrize("path", KERNEL_COUNT_DATA, ids=[p.stem for p in KERNEL_COUNT_DATA])
 def test_agreement_calls_the_kernel_once_per_unordered_pair(monkeypatch, path):
-    """One kernel call per unordered composable pair {s, t} whose two orders
-    share r, and one per order otherwise; the sector table is commutative,
-    so that is one call per unordered composable pair."""
+    """On a passing run, one kernel call per unordered composable triple
+    {s, t, r = (st)^-1}, on its rows in ascending position: fewer calls than
+    unordered composable pairs {s, t}."""
     vd = _load(path)
     kernel, calls = selftest.localized_residue, []
 
@@ -180,10 +187,40 @@ def test_agreement_calls_the_kernel_once_per_unordered_pair(monkeypatch, path):
 
     monkeypatch.setattr(selftest, "localized_residue", counted)
     assert run_selftest(vd).passed
-    pairs = _table_pairs(vd.sector_table())
-    expected = sum(1 for (s, t), r in pairs.items() if s <= t or pairs.get((t, s)) != r)
-    assert len(calls) == expected == sum(1 for s, t in pairs if s <= t)
-    assert expected < len(pairs)
+    table = vd.sector_table()
+    triples = sorted({tuple(sorted((s, t, r))) for (s, t), r in _table_pairs(table).items()})
+    assert [thetas for _, *thetas in calls] == [
+        [table.thetas[x] for x in triple] for triple in triples
+    ]
+    assert len(triples) < sum(1 for s, t in _table_pairs(table) if s <= t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data(), st.randoms(use_true_random=False))
+def test_the_kernel_is_one_term_under_every_order_of_its_rows(vd, rng):
+    """``localized_residue`` returns one term under all 6 orders of the rows
+    of a composable sector triple, and None under all 6 when the rows do not
+    compose: the identity that lets the agreement sweep visit each unordered
+    triple once."""
+    for chamber in CHAMBERS:
+        table = vd.sector_table(chamber)
+        size, zero = len(table.codes), (0,) * len(table.moduli)
+        for _ in range(10 if size else 0):
+            s, t, u = (rng.randrange(size) for _ in range(3))
+            h = table.index.get(compose_codes(table.codes[s], table.codes[t], table.moduli), -1)
+            # a drawn triple, and a composable one: (s, t, (st)^-1), or (s, s^-1, 1)
+            composable = (s, t, table.inverse[h]) if h >= 0 else (s, table.inverse[s], 0)
+            for triple in (s, t, u), composable:
+                codes = [table.codes[x] for x in triple]
+                composes = compose_codes(compose_codes(*codes[:2], table.moduli), codes[2],
+                                         table.moduli) == zero
+                terms = {
+                    selftest.localized_residue(vd, *(table.thetas[x] for x in order))
+                    for order in permutations(triple)
+                }
+                assert len(terms) == 1, (chamber, triple)
+                assert (terms.pop() is not None) == composes, (chamber, triple)
+                assert composes or triple != composable
 
 
 # (obstruction lines per chamber, agreement triples or None when skipped)
@@ -950,3 +987,122 @@ def test_agreement_reads_triple_localized_once_per_inverse_pair(monkeypatch, vd)
         for s, (inverse, dim) in enumerate(zip(table.inverse, table.dims))
         if s <= inverse
     ]
+
+
+def _ordered_sweep(monkeypatch):
+    """The self-test with the agreement sweep over every ordered sector pair,
+    whatever the axiom check found."""
+    phase = selftest._agreement_phase
+    monkeypatch.setattr(
+        selftest, "_agreement_phase", lambda vd, ring, symmetric: phase(vd, ring, False)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data())
+def test_both_agreement_sweeps_agree_once_the_axioms_pass(vd):
+    """On drawn data, in each chamber whose ring passes the axiom check, the
+    sweep over unordered triples reports what the sweep over every ordered
+    pair reports."""
+    for chamber in CHAMBERS:
+        ring = ChenRuanRing(vd, chamber)
+        if ring.table.codes and ring.verify_ring_axioms().passed:
+            unordered = selftest._agreement_phase(vd, ring, True)
+            assert unordered == selftest._agreement_phase(vd, ring, False), chamber
+
+
+def _kernel_fault(mutation):
+    """A kernel whose term under every order of the rows of one seeded
+    composable sector triple is edited by ``MUTATIONS[mutation]``: a triple
+    whose 3-point value lies in its eta power range, so that the edit shows."""
+
+    def install(monkeypatch, vd):
+        table, kernel = vd.sector_table(), selftest.localized_residue
+        thetas, dims = table.thetas, table.dims
+        triples = [
+            (s, t, r) for (s, t), r in sorted(_table_pairs(table).items())
+            if 0 <= localization.residue_sigma(kernel(vd, thetas[s], thetas[t], thetas[r]))
+            <= dims[s] + dims[t] + dims[r]
+        ]
+        triple = random.Random(f"{vd.weights}:{mutation}").choice(triples)
+        target = sorted(thetas[x] for x in triple)
+
+        def patched(vd_, *thetas):
+            term = kernel(vd_, *thetas)
+            if sorted(thetas) == target:
+                top, bottom, base = term
+                coeff, base = MUTATIONS[mutation](Fraction(top, bottom), base)
+                return coeff.numerator, coeff.denominator, base
+            return term
+
+        monkeypatch.setattr(selftest, "localized_residue", patched)
+
+    return install
+
+
+def _value_rule_at_u_power_minus_two(monkeypatch, vd):
+    monkeypatch.setattr(localization.residue_sigma, "__code__", (lambda term: -2 - term[2]).__code__)
+
+
+# every edit of this file that reaches the agreement phase or the axiom check
+SELFTEST_FAULTS = {
+    **{name: lambda patch, vd, edit=edit: edit(patch)
+       for name, edit in {**RULE_EDITS, **ROW_EDITS, **TRIPLE_EDITS}.items()},
+    **{f"kernel-{mutation}": _kernel_fault(mutation) for mutation in MUTATIONS},
+    "kernel-finds-no-triple": lambda patch, vd: patch.setattr(
+        selftest, "localized_residue", lambda *args: None
+    ),
+    "value-rule-at-u-power-minus-two": _value_rule_at_u_power_minus_two,
+}
+# the label edit reads a third sector, which P(1,1,2) does not have
+FAULT_DATA = [DEMO_DIR / f"{name}.datum" for name in ("wp122333", "z3_on_p2")]
+FAULT_DATA.append(TESTS / "golden" / "data" / "p1_25.datum")
+
+
+@pytest.mark.parametrize("fault", sorted(SELFTEST_FAULTS))
+@pytest.mark.parametrize("path", FAULT_DATA, ids=[path.stem for path in FAULT_DATA])
+def test_both_agreement_sweeps_agree_under_every_fault(monkeypatch, path, fault):
+    """Under each edit of a rule, a row, the kernel or the value rule, the two
+    sweeps report the same when the axiom check passes, and the self-test
+    reports what it reports with the sweep over every ordered pair."""
+    vd = _load(path)
+    assert run_selftest(vd).passed
+    with monkeypatch.context() as patch:
+        SELFTEST_FAULTS[fault](patch, vd)
+        ring = ChenRuanRing(vd)
+        if ring.verify_ring_axioms().passed:
+            unordered = selftest._agreement_phase(vd, ring, True)
+            assert unordered == selftest._agreement_phase(vd, ring, False)
+        report = run_selftest(vd)
+        _ordered_sweep(patch)
+        assert report == run_selftest(vd)
+    assert not report.passed
+
+
+CORRUPTION_DATA = [
+    QuotientDatum((1, 1, 2)),
+    QuotientDatum((1, 2, 2, 3, 3, 3)),
+    QuotientDatum((3, 5, 7)),
+    QuotientDatum((1, 1, 1), (FiniteCyclicFactor(3, (0, 1, 2)),)),
+    QuotientDatum((1, 5, 4), (FiniteCyclicFactor(4, (1, 2, 2)),)),
+    QuotientDatum((-1, -2, -2), chamber="negative"),
+]
+
+
+@pytest.mark.parametrize("datum", CORRUPTION_DATA, ids=str)
+def test_a_corrupted_sector_product_gives_the_ordered_sweeps_report(monkeypatch, datum):
+    """Under seeded corruptions of the product of one ordered sector pair,
+    the self-test reports what it reports with the sweep over every ordered
+    pair."""
+    vd = validate_datum(datum)
+    ring = ChenRuanRing(vd)
+    nonzero = [(s, t) for s, row in enumerate(ring.pairs[2]) for t, data in enumerate(row) if data]
+    for kind, edit in CORRUPTIONS.items():
+        rng = random.Random(f"{datum}:{kind}")
+        for _ in range(4):
+            s, t = rng.choice(nonzero)
+            with monkeypatch.context() as patch:
+                patch.setattr(ChenRuanRing, "row", corrupting(edit, {(s, t)}))
+                report = run_selftest(vd)
+                _ordered_sweep(patch)
+                assert report == run_selftest(vd), (kind, s, t)
