@@ -42,7 +42,7 @@ from math import gcd
 
 from .errors import DatumFormatError, DomainError, EtaPowerRange
 from .exact import format_rational, parse_rational
-from .localization import report_to_doc, triple_localized, wall_crossing_delta
+from .localization import WallCrossingReport, localized_report, report_to_doc, wall_note
 from .quotient import Code, ValidatedDatum, datum_from_doc, sector_dim, validate_datum
 from .ring import BasisElement, ChenRuanRing, CRClass, cr_class_to_doc, table_to_doc
 from .selftest import selftest_to_doc
@@ -93,10 +93,11 @@ def _elements(args, vd: ValidatedDatum) -> list[BasisElement]:
     return [BasisElement(_resolve(vd, t), k) for t, k in flags]
 
 
-def _power(vd: ValidatedDatum, element: BasisElement) -> BasisElement:
-    """``element`` checked by ``sector_row``, no chamber: ``triple_localized`` takes any k."""
-    vd.sector_row(element.sector, None, element.k)
-    return element
+def _localized(args, vd: ValidatedDatum) -> WallCrossingReport:
+    """The localized report of the request's elements, each row read once by
+    ``sector_row`` with its eta power and no chamber: the report takes any k."""
+    triple = tuple(_elements(args, vd))
+    return localized_report(vd, triple, [vd.sector_row(t, None, k) for t, k in triple])
 
 
 def _load(path: str) -> ValidatedDatum:
@@ -336,7 +337,7 @@ def _cmd_triple(args, vd: ValidatedDatum) -> tuple[str, int]:
     if args.method == "direct":
         value = ChenRuanRing(vd).triple_direct(*_classes(args, vd))
     else:
-        value = triple_localized(vd, *(_power(vd, e) for e in _elements(args, vd))).value
+        value = _localized(args, vd).value
     return _value_output(args, value), 0
 
 
@@ -365,7 +366,7 @@ def _cmd_table(args, vd: ValidatedDatum) -> tuple[str, int]:
 
 
 def _cmd_wallcross(args, vd: ValidatedDatum) -> tuple[str, int]:
-    report = wall_crossing_delta(vd, *(_power(vd, e) for e in _elements(args, vd)))
+    report = wall_note(vd, _localized(args, vd))
     if args.format == "tsv":
         rows = [
             ["value", format_rational(report.value)],

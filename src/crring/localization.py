@@ -30,11 +30,13 @@ triple on it reads its value off those numbers.  The kernel keeps the
 coefficient as its two integer factors.  ``residue_sigma`` is the one
 statement of the value rule: the term is the 3-point value at the eta
 power sum sigma = k1 + k2 + k3 that brings its u-power to -1, and 0 at
-every other sum.  ``triple_localized``, the label-level wrapper that builds
-the one ``Fraction`` it reports, and the self-test's agreement phase both
-read it.  ``triple_localized`` reads each label's row by
+every other sum.  ``localized_report``, which builds the one ``Fraction``
+it reports from the three sector rows, and the self-test's agreement sweep
+both read it.  ``triple_localized`` reads each label's row by
 ``ValidatedDatum.sector_row``, the statement that refuses a label fixing no
-coordinate.
+coordinate, and hands the rows to ``localized_report``; the command line
+hands it the rows it has read already, and the self-test its sector
+table's rows.
 Composability is decided here from the numerator sums mod D.  This path
 imports nothing from the ring.
 """
@@ -109,21 +111,23 @@ def residue_sigma(term: tuple[int, int, int]) -> int:
 def triple_localized(
     vd: ValidatedDatum, p1: SectorPower, p2: SectorPower, p3: SectorPower
 ) -> WallCrossingReport:
-    """Localized 3-point function of eta^{k_i} lifts on sectors t_i.
+    """Localized 3-point function of eta^{k_i} lifts on sectors t_i: the
+    ``localized_report`` of the rows that ``vd.sector_row`` reads, which
+    refuses a label that fixes no coordinate (``EmptySector``)."""
+    return localized_report(vd, (p1, p2, p3), [vd.sector_row(t) for t, _ in (p1, p2, p3)])
 
-    Reads each label's theta numerators and fixed-set mask by
-    ``vd.sector_row``, which refuses a label that fixes no coordinate
-    (``EmptySector``); the labels must compose to the identity
-    (``NonComposable``).  Evaluates the collapsed term with
-    ``localized_residue`` and reads its value by ``residue_sigma``.
-    """
-    rows = [vd.sector_row(t) for t, _ in (p1, p2, p3)]
+
+def localized_report(vd: ValidatedDatum, triple: tuple, rows) -> WallCrossingReport:
+    """The report of ``triple_localized`` on ``triple``, given each sector's
+    (code, theta numerators, fixed-set mask) row; the labels must compose to
+    the identity (``NonComposable``).  ``localized_residue`` evaluates the
+    collapsed term and ``residue_sigma`` reads its value."""
     term = localized_residue(vd, *(numerators for _, numerators, _ in rows))
     if term is None:
-        raise NonComposable(f"{p1[0]}, {p2[0]}, {p3[0]} do not multiply to 1")
-    sigma = p1[1] + p2[1] + p3[1]
+        raise NonComposable(", ".join(str(t) for t, _ in triple) + " do not multiply to 1")
+    sigma = sum(k for _, k in triple)
     return WallCrossingReport(
-        triple=(p1, p2, p3),
+        triple=triple,
         value=Fraction(term[0], term[1]) if sigma == residue_sigma(term) else _ZERO,
         degree_check=term[2] + sigma,
         side_existence={
@@ -136,13 +140,15 @@ def triple_localized(
 def wall_crossing_delta(
     vd: ValidatedDatum, p1: SectorPower, p2: SectorPower, p3: SectorPower
 ) -> WallCrossingReport:
-    """Change of the 3-point function across the wall at 0.
+    """Change of the 3-point function across the wall at 0: the report of
+    ``triple_localized`` with ``wall_note``."""
+    return wall_note(vd, triple_localized(vd, p1, p2, p3))
 
-    Numerically identical to ``triple_localized``; additionally notes when
-    one chamber is empty.  By Res = int_+ - int_-, the delta then *is* the
-    positive side's 3-point function, or minus the negative side's.
-    """
-    report = triple_localized(vd, p1, p2, p3)
+
+def wall_note(vd: ValidatedDatum, report: WallCrossingReport) -> WallCrossingReport:
+    """``report`` noting when one chamber is empty.  By Res = int_+ - int_-,
+    the delta then *is* the positive side's 3-point function, or minus the
+    negative side's."""
     note = None
     if not vd.level_masks["negative"]:  # a chamber with no weight of its sign has no sector
         note = "negative chamber is empty: the delta equals the positive-side 3-point function"

@@ -28,16 +28,18 @@ each have one statement in ``ChenRuanRing`` (``basis_rows``, ``partner`` and
 
 The Poincare pairing couples eta^k 1_(t) with eta^(dim-k) 1_(t^{-1}) and has
 value 1/(|A| * prod_{j in I(t)} w_j), the orbifold integral of the top eta
-power over the sector.
+power over the sector.  So <a, b> = <a*b, 1>: the ring is a commutative
+Frobenius algebra, and the axiom check reads its Frobenius identity through
+that counit.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, product, repeat
 from math import prod
 from operator import itemgetter
 
@@ -111,16 +113,6 @@ class CRClass:
             return "CRClass(0)"
         body = " + ".join(f"({format_rational(c)})*{e}" for e, c in self.items())
         return f"CRClass({body})"
-
-
-def _unpack(x: int, radix: int) -> tuple[int, int, int]:
-    """The balanced digits (low, middle, rest) of x = low + radix * (middle
-    + radix * rest), low and middle in [-radix/2, radix/2), radix even."""
-    half = radix // 2
-    low = (x + half) % radix - half
-    x = (x - low) // radix
-    middle = (x + half) % radix - half
-    return low, middle, (x - middle) // radix
 
 
 class PhaseResult(namedtuple("PhaseResult", "name status detail", defaults=(None,))):
@@ -452,43 +444,39 @@ class ChenRuanRing:
         counterexample of a failing check.
 
         The integer product table is ``basis_rows`` over each row of
-        ``pairs``, as in ``table`` and ``cup``, and pairing values are
-        ``pairing_value`` times |A| * prod_j |w_j|.  Each row carries a
-        trailing sentinel (-1 for "zero product", 0 for coefficients and
-        pairing values), which a zero product reads.
+        ``pairs``, as in ``table`` and ``cup``, with a trailing sentinel (-1
+        for "zero product", 0 for coefficients).  The pairing, times |A| *
+        prod_j |w_j|, is one dict of nonzero entries per row.
 
-        Associativity and the Frobenius identity are compared packed.
-        Every (target, coefficient, pairing) entry, times every distinct
-        coefficient c of the table (0 included), is packed as the one int
-        target + c * (B * coefficient + B^2 * pairing) in balanced digits of
-        radix B = 4 * max(N, max c^2) + 4, taken from the data: the target
-        lies in [-1, N) and c times a coefficient within max c^2, so both
-        low digits lie in [-B/2, B/2) and equal ints are equal entries.  Row
-        r holds one block of packed entries per scalar.  The block of the
-        coefficient of i*j in row i*j reads (i*j)*k and <i*j, k> for every
-        k; row i read at j*k, in the block of the coefficient of j*k, gives
-        i*(j*k) and <i, j*k>.
+        Associativity is compared packed.  Every (target, coefficient) entry,
+        times every distinct coefficient c of the table, is packed as the one
+        int target + c * B * coefficient, B = 4 * N + 4: the target lies in
+        [-1, N), so equal ints are equal entries.  Row r holds one block of
+        packed entries per scalar, none for 0 on a well-formed table, where a
+        zero product reads only the sentinel that ends every row.  The block
+        of the coefficient of i*j in row i*j reads (i*j)*k for every k; row i
+        read at j*k, in the block of the coefficient of j*k, gives i*(j*k).
 
-        Both are decided exactly over every (i, j, k), with no sampling, by
+        This is decided exactly over every (i, j, k), with no sampling, by
         comparing only pairs (i, j) with j in a generating set G: the basis
         in ascending degree, ties in basis order, each element that no
         left-normed product of earlier generators reaches with a nonzero
         coefficient.  By bilinearity, the middles y with (x*y)*z = x*(y*z)
         for all x, z form a subspace, closed under products: (x*(y1*y2))*z
         = ((x*y1)*y2)*z = (x*y1)*(y2*z) = x*(y1*(y2*z)) = x*((y1*y2)*z).  It
-        holds G, so a nonzero multiple of every basis element.  Given
-        associativity, the middles y with <x*y, z> = <x, y*z> for all x, z
-        are closed the same way: <x*(y1*y2), z> = <(x*y1)*y2, z> =
-        <x*y1, y2*z> = <x, y1*(y2*z)> = <x, (y1*y2)*z>.  When the unit and
-        commutativity checks pass, 1*z = z = z*1 puts 1 in both; G omits it.
-
+        holds G, so a nonzero multiple of every basis element.  When the unit
+        and commutativity checks pass, 1*z = z = z*1 puts 1 in it; G omits it.
         The proof reads equal packed entries as equal vectors, so G is used
         only on a well-formed table: every entry is (-1, 0), or a target in
         [0, N) with a nonzero coefficient.  From the first unequal
         comparison on, or on any other table, the same loop runs from i = 0
-        over every j, unpacks the entries where two tuples differ, by
-        balanced division, and names the first counterexample of each check
-        in (i, j, k) order.
+        over every j and names the first counterexample in (i, j, k) order.
+
+        Once G proved associativity and the pairing is a matching, Frobenius
+        is decided by ``_counit``: given associativity, <a, b> = <a*b, 1> for
+        all a, b gives <x*y, z> = <(x*y)*z, 1> = <x*(y*z), 1> = <x, y*z>.
+        Otherwise, or when ``_counit`` fails, one loop over the sparse pairing
+        compares <i*j, k> with <i, j*k> and names the first (i, j, k).
         """
         basis, table, size = self._basis, self.table, len(self._basis)
         pidx, pnum = [], []
@@ -499,9 +487,9 @@ class ChenRuanRing:
                 pnum.append(coeffs + [0])
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)
         values = [int(scale * self.pairing_value(f)) for f in table.fixed]
-        pair = [[0] * (size + 1) for _ in range(size)]
+        pairing = [{} for _ in range(size + 1)]  # a target past the basis reads an empty row
         for i, j, s in self._pairing_entries():
-            pair[i][j] = values[s]
+            pairing[i][j] = values[s]
 
         unit_bad = None
         if size and table.codes[0] == (0,) * len(table.moduli):
@@ -530,21 +518,22 @@ class ChenRuanRing:
             if degree_bad:
                 break
 
-        # blocks[r][n]: row r's entries times the n-th scalar, packed; the
-        # appended none row is read by the index -1 of a zero product
-        width = size + 1
-        scalars = {c: n for n, c in enumerate(dict.fromkeys(chain([0], *pnum)))}
-        radix = 4 * max(size, max(c * c for c in scalars)) + 4
-        blocks = []
-        for idx, nums, pairs in zip(pidx, pnum, pair):
-            upper = [radix * (x + radix * y) for x, y in zip(nums, pairs)]
-            blocks.append([tuple([t + c * x for t, x in zip(idx, upper)]) for c in scalars])
-        blocks.append([(-1,) * width] * len(scalars))
         well_formed = all(
             min(idx) >= -1 and max(idx) < size
             and list(map((-1).__ne__, idx)) == list(map(bool, nums))
             for idx, nums in zip(pidx, pnum)
         )
+        # blocks[r][n]: row r's entries times the n-th scalar, packed; the
+        # appended none row is read by a target past the basis
+        width, radix = size + 1, 4 * size + 4
+        scalars = [c for c in dict.fromkeys(chain.from_iterable(pnum)) if c or not well_formed]
+        scalars = {c: n for n, c in enumerate(scalars)}
+        sentinel, none = len(scalars) * width, (-1,) * width
+        blocks = []
+        for idx, nums in zip(pidx, pnum):
+            upper = [radix * x for x in nums]
+            blocks.append([tuple([t + c * x for t, x in zip(idx, upper)]) for c in scalars])
+        blocks.append([none] * len(scalars))
         # generators: in ascending degree, ties in basis order, each element
         # that no left-normed product of earlier ones reaches; each product
         # x * g of a reached x and a generator g is read once
@@ -560,47 +549,54 @@ class ChenRuanRing:
                         reached.add(t)
                         todo += [(t, h) for h in generators]
         # the middles j: the generators while every comparison is equal, and
-        # every j from the start once one is not; gather[j] reads i*(j*k)
-        # with <i, j*k> for every k off row i's blocks laid end to end: at
-        # j*k, or at the sentinel for a zero j*k, in the block of the
-        # coefficient of j*k
+        # every j from the start once one is not; gather[j] reads i*(j*k) for
+        # every k off row i's blocks laid end to end: at j*k in the block of
+        # its coefficient, or at the shared sentinel for a zero j*k
         middles, gather, i = generators if well_formed else range(size), [None] * size, 0
-        assoc_bad = frob_bad = None
-        while i < size and not (assoc_bad and frob_bad):
-            row = tuple(chain.from_iterable(blocks[i]))
+        assoc_bad = None
+        while i < size and assoc_bad is None:
+            row = (*chain.from_iterable(blocks[i]), -1)
             for j in middles:
                 if gather[j] is None:
                     gather[j] = itemgetter(*(
-                        scalars[c] * width + (t if t >= 0 else size)
+                        scalars[c] * width + t if t >= 0 else sentinel
                         for t, c in zip(pidx[j], pnum[j])
                     ))
-                # (i*j)*k with <i*j, k> for every k against i*(j*k) with <i, j*k>
-                lhs, rhs = blocks[pidx[i][j]][scalars[pnum[i][j]]], gather[j](row)
-                if lhs == rhs:
+                t = pidx[i][j]
+                lhs, rhs = blocks[t][scalars[pnum[i][j]]] if t >= 0 else none, gather[j](row)
+                if lhs == rhs:  # (i*j)*k against i*(j*k) for every k
                     continue
                 if middles is generators:
                     middles, i = range(size), -1
                     break
                 x, y = basis[i], basis[j]
-                # k runs over the basis: a pairing entry that lands in the
-                # sentinel column is named by the nondegeneracy check
-                for k, u, v in zip(range(size), lhs, rhs):
-                    left, right = _unpack(u, radix), _unpack(v, radix)
-                    if assoc_bad is None and left[:2] != right[:2]:
-                        assoc_bad = f"({x} * {y}) * {basis[k]} != {x} * ({y} * {basis[k]})"
-                    if frob_bad is None and left[2] != right[2]:
-                        frob_bad = f"<{x} * {y}, {basis[k]}> != <{x}, {y} * {basis[k]}>"
+                z = basis[next(k for k, u in enumerate(lhs) if u != rhs[k])]
+                assoc_bad = f"({x} * {y}) * {z} != {x} * ({y} * {z})"
+                break
             i += 1
 
         # the pairing couples each basis element with exactly one other: one
         # nonzero in every row and every column, which makes it nondegenerate
-        match_bad = None
-        for kind, lines in ("row", pair), ("column", list(zip(*pair))[:size]):
-            counts = [len(line) - line.count(0) for line in lines]
+        columns, match_bad = Counter(chain.from_iterable(pairing)), None
+        for kind, counts in [("row", list(map(len, pairing[:size]))),
+                             ("column", [columns[j] for j in range(size)])]:
             bad = [i for i, count in enumerate(counts) if count != 1]
             if bad:
                 match_bad = f"the {kind} of {basis[bad[0]]} holds {counts[bad[0]]} nonzero entries"
                 break
+
+        frob_bad = None
+        if not (middles is generators and match_bad is None and self._counit(pidx, pnum, pairing)):
+            at = [{} for _ in range(size)]  # at[j][m]: every k with j*k at m
+            for j, k in product(range(size), repeat=2):
+                at[j].setdefault(pidx[j][k], []).append(k)
+            for i, j in product(range(size), repeat=2):
+                lhs = {k: pnum[i][j] * v for k, v in pairing[pidx[i][j]].items() if 0 <= k < size}
+                rhs = {k: pnum[j][k] * v for m, v in pairing[i].items() for k in at[j].get(m, ())}
+                if ks := [k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0)]:
+                    x, y, z = basis[i], basis[j], basis[min(ks)]
+                    frob_bad = f"<{x} * {y}, {z}> != <{x}, {y} * {z}>"
+                    break
         found = {
             "unit": unit_bad, "commutativity": comm_bad, "degree_additivity": degree_bad,
             "associativity": assoc_bad, "frobenius": frob_bad, "pairing_nondegenerate": match_bad,
@@ -608,6 +604,17 @@ class ChenRuanRing:
         return SelfTestReport(tuple(
             PhaseResult(name, "pass" if bad is None else "fail", bad) for name, bad in found.items()
         ))
+
+    @staticmethod
+    def _counit(pidx: list[list[int]], pnum: list[list[int]], pairing: list[dict]) -> bool:
+        """Whether <a, b> = <a*b, 1> for all a, b, 1 the first basis element,
+        on a matching: <x, 1> is nonzero at x = ``top`` alone, so row a must
+        land on ``top`` at b = partner(a) only, with the pairing's value."""
+        top = next((i for i, entries in enumerate(pairing) if 0 in entries), None)
+        return all(
+            row.count(top) == 1 and row.index(top) == j and nums[j] * pairing[top][0] == v
+            for row, nums, ((j, v),) in zip(pidx, pnum, map(dict.items, pairing))
+        )
 
 
 # -- wire format -------------------------------------------------------------

@@ -4,14 +4,16 @@ On each nonempty chamber of a datum, ``run_selftest`` runs
 ``ring_axioms`` (``ChenRuanRing.verify_ring_axioms``), ``sector_involution``
 (theta_s + theta_(s^-1) against the fixed set of s, with every label read
 back to its sector and table row) and ``obstruction_oracle`` (the carry of
-every normal line against the index count of ``obstruction_rank_oracle``).
+every normal line against the index count of ``obstruction_rank_oracle``,
+asked once per distinct phase sum).
 When the datum's own chamber is the only nonempty one, ``path_agreement``
 compares the two 3-point paths on every composable basis triple (and is
 skipped otherwise): the twist-factor product of ``ring`` against the
 wall-crossing residue of ``localization``, which imports nothing from
 ``ring``.  This is the one module that reads both paths.  Once
 ``ring_axioms`` passes, it visits each unordered sector triple once, since
-unit, commutativity and Frobenius make <x*y, z> symmetric in x, y, z.
+unit, commutativity and Frobenius make <x*y, z> symmetric in x, y, z.  It
+reads the table's rows; the involution phase checks each label's ``sector_row``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exact import _refuse_float, format_rational
-from .localization import localized_residue, residue_sigma, triple_localized
+from .localization import localized_report, localized_residue, residue_sigma
 from .quotient import CHAMBERS, SectorTable, ValidatedDatum
 from .ring import ChenRuanRing, PhaseResult, SelfTestReport
 
@@ -102,13 +104,15 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
     ``vd.theta_column`` gives theta_r(j) from those codes, never off the
     carry or the table; the line is normal where theta_r(j) is not 0 and t
     moves j.  One comprehension lists the (phase sum, carry bit) of every
-    normal line in t order, and the oracle, which reads the three phases
-    only through their sum, runs once per distinct pair, in first-occurrence
-    order.  A failure names the first failing line in (s, t, j) order from
-    the verdicts of its row, without asking the oracle again."""
+    normal line in t order.  The oracle reads the three phases only through
+    their sum, so it runs once per distinct sum in the phase, in
+    first-occurrence order.  A failure names the first failing line in (s,
+    t, j) order from the verdicts of its row, without asking the oracle
+    again."""
     table = ring.table
     d, fixed, lines = table.denominator, table.fixed, 0
     code_columns, columns = ring._columns
+    ranks = {}  # phase sum -> the oracle's rank, or the text of its refusal
     for s, carries in enumerate(ring.pairs[1]):
         # the code of r = (st)^-1 for every t, one comprehension per component
         r_columns = [
@@ -130,12 +134,15 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
             verdicts = {}  # failing key -> its text
             for key in dict.fromkeys(keys):
                 total, carry = key
-                try:
-                    rank = obstruction_rank_oracle(total, 0, 0, d)
-                except DomainError as exc:
-                    verdicts[key] = str(exc)
-                    continue
-                if (rank == 1) != bool(carry):
+                if total not in ranks:
+                    try:
+                        ranks[total] = obstruction_rank_oracle(total, 0, 0, d)
+                    except DomainError as exc:
+                        ranks[total] = str(exc)
+                rank = ranks[total]
+                if type(rank) is str:
+                    verdicts[key] = rank
+                elif (rank == 1) != bool(carry):
                     verdicts[key] = f"index rank {rank} vs exponent rule"
             if verdicts:
                 i = next(i for i, key in enumerate(keys) if key in verdicts)
@@ -148,8 +155,8 @@ def _obstruction_phase(vd: ValidatedDatum, ring: ChenRuanRing, name: str) -> Pha
 
 
 def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) -> PhaseResult:
-    """Both 3-point paths on every composable basis triple, then the report
-    of ``triple_localized``.  The sweep visits ordered sector pairs (s, t)
+    """Both 3-point paths on every composable basis triple, then the
+    localized report.  The sweep visits ordered sector pairs (s, t)
     in row order, with the kernel on (s, t, r = (st)^-1) and the direct side
     on the product of that order.  Each side is nonzero at one sigma = k1 +
     k2 + k3 at most, so the first failing basis triple in (k1, k2, k3) order
@@ -162,9 +169,10 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) ->
     <x, y> = <1, x*y> = <1, y*x> = <y, x>, so <x*y, z> = <y*x, z> =
     <x, y*z> = <y*z, x>; the kernel reads its rows only through their sum.
     A miss restarts the loop over every ordered pair, which fails there or
-    before.  Then ``triple_localized`` on (1_(s), eta^k2 1_(s^-1), eta^k3
-    1), s <= s^-1 and k2 + k3 = dim(s), must report the pairing at u-power
-    -1 and every sector on the ring's side."""
+    before.  Then ``localized_report``, which ``triple_localized`` and the
+    commands read, on (1_(s), eta^k2 1_(s^-1), eta^k3 1), s <= s^-1 and k2 +
+    k3 = dim(s), with the table's rows (the identity's is the first), must
+    report the pairing at u-power -1 and every sector on the ring's side."""
     name = "path_agreement"
     table = ring.table
     dims, thetas, inverses, zero = table.dims, table.thetas, table.inverse, Fraction(0)
@@ -214,13 +222,15 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) ->
     # u-power -1: e_j is 0 on the dim(s) + 1 coordinates that s fixes, 1 elsewhere;
     # the eta powers go on two factors, so that both enter the sum that is read
     labels, identity = table.labels, vd.identity()
+    rows = list(zip(table.codes, thetas, table.fixed))
     sides = {chamber: (chamber == ring.chamber,) * 3 for chamber in CHAMBERS}
     for s, (inverse, dim, (p, q)) in enumerate(zip(table.inverse, dims, pairings)):
         if s > inverse:
             continue
         k2, k3 = dim - dim // 2, dim // 2
+        triple = (labels[s], 0), (labels[inverse], k2), (identity, k3)
         try:
-            report = triple_localized(vd, (labels[s], 0), (labels[inverse], k2), (identity, k3))
+            report = localized_report(vd, triple, (rows[s], rows[inverse], rows[0]))
             read = report.value, report.degree_check, report.side_existence
         except DomainError:
             read = None

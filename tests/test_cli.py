@@ -513,6 +513,29 @@ def test_point_requests_answer_without_a_sector_table(datum_file, monkeypatch, c
     assert ring.triple_direct(cube_root, cube_root, cube_root) == Fraction(4, 27)
 
 
+def test_localized_requests_read_each_row_once(datum_file, monkeypatch, capsys):
+    """``triple --method localization`` and ``wallcross`` read each label's
+    row once, by ``sector_row`` with its eta power and no chamber, and hand
+    those rows to the localized report: 3 reads for 3 labels on P(1,10^5)."""
+    sector_row, reads = ValidatedDatum.sector_row, []
+
+    def counted(vd, t, chamber=None, k=None):
+        reads.append((str(t), chamber, k))
+        return sector_row(vd, t, chamber, k)
+
+    monkeypatch.setattr(ValidatedDatum, "sector_row", counted)
+    path = datum_file({"n": 2, "weights": [1, 100000], "finite": [], "chamber": "positive"})
+    flags = ["--t1", "c=1/100000", "--t2", "c=99999/100000", "--t3", "c=0", "--k3", "1"]
+    for command, printed in (
+        (["triple", "--method", "localization"], '"0"'),
+        (["wallcross", "--format", "tsv"], "value\t0"),
+    ):
+        reads.clear()
+        code, out, err = run(capsys, command[0], path, *command[1:], *flags)
+        assert (code, err, out.splitlines()[0]) == (0, "", printed), command
+        assert reads == [("c=1/100000", None, 0), ("c=99999/100000", None, 0), ("c=0", None, 1)]
+
+
 def test_a_zero_factor_hides_no_bad_label_and_every_label_is_read_first(datum_file, capsys):
     """On P(1,1,2) the first two classes of this ``triple --method direct``
     multiply to 0, and its third label, which fixes no coordinate, is still

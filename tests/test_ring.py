@@ -782,6 +782,88 @@ def test_a_failing_or_ill_formed_table_is_compared_over_every_middle(
     assert report.phases == reference_axiom_checks(ring)
 
 
+def breaking_x_times_1(x: int):
+    """``ChenRuanRing.basis_rows`` with the basis product basis[x] * 1 doubled,
+    for an element x of the identity sector, the first: only the axiom
+    check's row of that sector, over every column, is edited, so 1 * x = x
+    still holds.  A seam at the basis level, where ``corrupting`` edits whole
+    sector products."""
+    basis_rows = ChenRuanRing.basis_rows
+
+    def patched(self, k1s, heads, k2s):
+        rows = basis_rows(self, k1s, heads, k2s)
+        if k1s is self.powers[0] and k2s is self.powers:
+            rows[x][1][0] *= 2
+        return rows
+
+    return patched
+
+
+ONE, ETA = "eta^0*1_(c=0)", "eta^1*1_(c=0)"
+
+
+@pytest.mark.parametrize(
+    "x,failures",
+    [
+        # 1 * 1 = 2: the unit check fails, so the unit stays in G, and only
+        # that middle sees (1 * 1) * eta != 1 * (1 * eta)
+        (0, [
+            ("unit", f"1 * {ONE} = 2 * basis[0]"),
+            ("associativity", f"({ONE} * {ONE}) * {ETA} != {ONE} * ({ONE} * {ETA})"),
+            ("frobenius", f"<{ONE} * {ONE}, {ETA}> != <{ONE}, {ONE} * {ETA}>"),
+        ]),
+        # eta * 1 = 2 eta while 1 * eta = eta: the unit check passes and
+        # commutativity fails, so the unit stays in G; G = {eta} alone proves
+        # nothing, and the counit test, which then passes row 0, would
+        # miss the Frobenius failure without the direct loop
+        (1, [
+            ("commutativity", f"{ONE} * {ETA} != {ETA} * {ONE}"),
+            ("associativity", f"({ETA} * {ONE}) * {ONE} != {ETA} * ({ONE} * {ONE})"),
+            ("frobenius", f"<{ONE} * {ETA}, {ONE}> != <{ONE}, {ETA} * {ONE}>"),
+        ]),
+    ],
+    ids=["one-times-one", "eta-times-one"],
+)
+def test_the_unit_leaves_the_generating_set_only_when_x_times_1_is_x(monkeypatch, x, failures):
+    """On P^1 (basis 1, eta; G = {eta} once the unit is proved) a broken
+    x * 1 is seen only with the middle 1, so the axiom check keeps the unit
+    in G unless the unit and commutativity checks both pass."""
+    ring = ChenRuanRing(validate_datum(QuotientDatum((1, 1))))
+    assert [str(e) for e in ring.basis()] == [ONE, ETA]
+    monkeypatch.setattr(ChenRuanRing, "basis_rows", breaking_x_times_1(x))
+    report = ring.verify_ring_axioms()
+    assert [c for c in report.phases if c.status != "pass"] == [
+        PhaseResult(name, "fail", detail) for name, detail in failures
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data(), st.sampled_from(sorted(CORRUPTIONS)), st.randoms(use_true_random=False))
+def test_the_counit_route_and_the_direct_loop_give_one_frobenius_verdict(vd, kind, rng):
+    """``_counit`` decides Frobenius on every drawn ring that passes (some
+    mixed-sign rings fail associativity, ROADMAP defect 5); with it forced
+    to fail, the direct loop over the sparse pairing gives the same report,
+    on the drawn ring and under one drawn corruption of one sector product,
+    where either may decide."""
+    counit = ChenRuanRing._counit
+    for chamber in CHAMBERS:
+        ring = ChenRuanRing(vd, chamber)
+        nonzero = [(s, t) for s, row in enumerate(ring.pairs[2]) for t, d in enumerate(row) if d]
+        for corrupted in [set()] + ([{rng.choice(nonzero)}] if nonzero else []):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ChenRuanRing, "row", corrupting(CORRUPTIONS[kind], corrupted))
+                verdicts = []
+                patch.setattr(ChenRuanRing, "_counit", staticmethod(
+                    lambda *args: verdicts.append(counit(*args)) or verdicts[-1]
+                ))
+                routed = ChenRuanRing(vd, chamber).verify_ring_axioms()
+                patch.setattr(ChenRuanRing, "_counit", staticmethod(lambda *args: False))
+                forced = ChenRuanRing(vd, chamber).verify_ring_axioms()
+            assert routed.phases == forced.phases, (chamber, kind, corrupted)
+            if not corrupted and routed.passed:
+                assert verdicts == [True], chamber
+
+
 def test_a_chamber_with_no_sectors_has_an_empty_ring():
     # P(1,2) has no negative weight, so its negative chamber has no sector
     ring = ChenRuanRing(validate_datum(QuotientDatum((1, 2))), "negative")

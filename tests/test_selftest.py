@@ -14,8 +14,8 @@ truncation rule, the pairing partner or the label row that ``table``,
 ``cup`` and ``pair`` read, of the label lookup of the table reader, and of
 the fixed-set mask or the theta numerators on the label route that
 ``shift``, ``triple --method localization`` and ``wallcross`` read, and an
-edit of ``triple_localized`` or of its one value rule, ``residue_sigma``,
-that the last two print."""
+edit of the row-level ``localized_report`` or of its one value rule,
+``residue_sigma``, that the last two print."""
 
 from __future__ import annotations
 
@@ -174,7 +174,7 @@ KERNEL_COUNT_DATA = [
 
 
 @pytest.mark.parametrize("path", KERNEL_COUNT_DATA, ids=[p.stem for p in KERNEL_COUNT_DATA])
-def test_agreement_calls_the_kernel_once_per_unordered_pair(monkeypatch, path):
+def test_agreement_calls_the_kernel_once_per_unordered_triple(monkeypatch, path):
     """On a passing run, one kernel call per unordered composable triple
     {s, t, r = (st)^-1}, on its rows in ascending position: fewer calls than
     unordered composable pairs {s, t}."""
@@ -524,8 +524,9 @@ def test_obstruction_phase_names_an_earlier_sector_at_a_later_line(monkeypatch):
 
 @pytest.mark.parametrize("path", KERNEL_COUNT_DATA, ids=[p.stem for p in KERNEL_COUNT_DATA])
 def test_obstruction_oracle_runs_once_per_distinct_phase_sum(monkeypatch, path):
-    """One oracle call per distinct (chamber, row, coordinate, phase sum,
-    carry bit) of the normal lines, far fewer than one per line."""
+    """One oracle call per distinct (chamber, phase sum) of the normal lines,
+    far fewer than one per line: the oracle reads the three phases only
+    through their sum."""
     vd = _load(path)
     oracle, calls = selftest.obstruction_rank_oracle, []
 
@@ -537,13 +538,13 @@ def test_obstruction_oracle_runs_once_per_distinct_phase_sum(monkeypatch, path):
     for chamber in CHAMBERS:
         ring = ChenRuanRing(vd, chamber)
         for s, t, j, x, y, z, carry in reference_lines(vd, ring):
-            expected.add((chamber, s, j, x + y + z, carry))
+            expected.add((chamber, x + y + z))
             lines += 1
     monkeypatch.setattr(selftest, "obstruction_rank_oracle", counted)
     assert run_selftest(vd).passed
     assert len(calls) == len(expected) < lines
     d = vd.denominator
-    assert sorted(sum(args[:3]) for args in calls) == sorted(key[3] for key in expected)
+    assert sorted(sum(args[:3]) for args in calls) == sorted(key[1] for key in expected)
     assert all(args[3] == d for args in calls)
 
 
@@ -851,36 +852,37 @@ def test_selftest_sees_the_thetas_that_the_api_views_return(monkeypatch, name):
 
 
 def _triple_edit(edit):
-    """An edit of ``triple_localized`` where ``triple --method localization``,
-    ``wallcross`` and the self-test read it: ``edit`` gets the unedited
-    function and the arguments of the call."""
-    triple_localized = localization.triple_localized
+    """An edit of the row-level ``localized_report`` where ``triple
+    --method localization``, ``wallcross`` and the self-test read it:
+    ``edit`` gets the unedited function and the arguments of the call."""
+    localized_report = localization.localized_report
 
     def install(monkeypatch):
-        def patched(vd, p1, p2, p3):
-            return edit(triple_localized, vd, p1, p2, p3)
+        def patched(vd, triple, rows):
+            return edit(localized_report, vd, triple, rows)
 
         for module in (cli, localization, selftest):
-            monkeypatch.setattr(module, "triple_localized", patched)
+            monkeypatch.setattr(module, "localized_report", patched)
 
     return install
 
 
-def _selection_off_by_one(triple_localized, vd, p1, p2, p3):
+def _selection_off_by_one(localized_report, vd, triple, rows):
     # the coefficient is reported where the u-power is -2, that is, at the
     # value that one more eta power on the first sector would give
-    value = triple_localized(vd, (p1[0], p1[1] + 1), p2, p3).value
-    return triple_localized(vd, p1, p2, p3)._replace(value=value)
+    (t, k), *rest = triple
+    value = localized_report(vd, ((t, k + 1), *rest), rows).value
+    return localized_report(vd, triple, rows)._replace(value=value)
 
 
-def _degree_check_off_by_one(triple_localized, vd, p1, p2, p3):
-    report = triple_localized(vd, p1, p2, p3)
+def _degree_check_off_by_one(localized_report, vd, triple, rows):
+    report = localized_report(vd, triple, rows)
     return report._replace(degree_check=report.degree_check + 1)
 
 
-def _sides_of_the_other_chamber(triple_localized, vd, p1, p2, p3):
+def _sides_of_the_other_chamber(localized_report, vd, triple, rows):
     # each chamber's flags read against the other chamber's level mask
-    report = triple_localized(vd, p1, p2, p3)
+    report = localized_report(vd, triple, rows)
     flags = [report.side_existence[chamber] for chamber in reversed(CHAMBERS)]
     return report._replace(side_existence=dict(zip(CHAMBERS, flags)))
 
@@ -907,10 +909,10 @@ TRIPLE_EDIT_FAILURES = {
 @pytest.mark.parametrize("name", ["wp122333", "z3_on_p2"])
 def test_selftest_sees_the_localized_report_that_the_commands_print(monkeypatch, name, edit):
     """A u-power selection off by one, a ``degree_check`` off by one, or side
-    flags read against the other chamber's level mask, in ``triple_localized``,
-    changes what ``triple --method localization`` or ``wallcross`` print, and
-    the self-test, which reads ``triple_localized`` once per sector pair
-    (s, s^-1), fails on it."""
+    flags read against the other chamber's level mask, in the row-level
+    ``localized_report``, changes what ``triple --method localization`` or
+    ``wallcross`` print, and the self-test, which reads ``localized_report``
+    once per sector pair (s, s^-1), fails on it."""
     vd = _load(DEMO_DIR / f"{name}.datum")
     assert run_selftest(vd).passed
     before = _printed_rows(vd)
@@ -969,21 +971,35 @@ READ_DATA = [
     ids=[path.stem for path in READ_DATA] + ["m1m2m2_negative"],
 )
 def test_agreement_reads_triple_localized_once_per_inverse_pair(monkeypatch, vd):
-    """The agreement phase calls ``triple_localized`` exactly once on each
-    (1_(s), eta^k2 1_(s^-1), eta^k3 1) with s <= s^-1, in row order, where
-    k2 = dim(s) - k3 and k3 = floor(dim(s) / 2)."""
-    triple_localized, calls = selftest.triple_localized, []
+    """The agreement phase calls the row-level ``localized_report`` exactly
+    once on each (1_(s), eta^k2 1_(s^-1), eta^k3 1) with s <= s^-1, in row
+    order, where k2 = dim(s) - k3 and k3 = floor(dim(s) / 2), with the sector
+    table's rows of s, s^-1 and the identity: the self-test reads a row by
+    ``sector_row`` only to check each label once."""
+    localized_report, calls = selftest.localized_report, []
+    sector_row, reads = ValidatedDatum.sector_row, []
 
-    def recorded(vd_, *powers):
-        calls.append(powers)
-        return triple_localized(vd_, *powers)
+    def recorded(vd_, triple, rows):
+        calls.append((triple, tuple(rows)))
+        return localized_report(vd_, triple, rows)
 
-    monkeypatch.setattr(selftest, "triple_localized", recorded)
+    def read(vd_, t, *rest):
+        reads.append(t)
+        return sector_row(vd_, t, *rest)
+
+    monkeypatch.setattr(selftest, "localized_report", recorded)
+    monkeypatch.setattr(ValidatedDatum, "sector_row", read)
     assert run_selftest(vd).passed
     table = vd.sector_table()
-    labels = table.labels
+    assert reads == list(table.labels)  # the label phase's reads alone
+    labels, identity = table.labels, table.position(vd.identity())
+
+    def row(s):
+        return table.codes[s], table.thetas[s], table.fixed[s]
+
     assert calls == [
-        ((labels[s], 0), (labels[inverse], dim - dim // 2), (vd.identity(), dim // 2))
+        (((labels[s], 0), (labels[inverse], dim - dim // 2), (vd.identity(), dim // 2)),
+         (row(s), row(inverse), row(identity)))
         for s, (inverse, dim) in enumerate(zip(table.inverse, table.dims))
         if s <= inverse
     ]
