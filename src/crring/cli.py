@@ -304,7 +304,7 @@ def _cmd_basis(args, vd: ValidatedDatum) -> tuple[str, int]:
     text = _numerator_text(vd.denominator)
     labels = [_label_doc(code, text) for code in ring.table.codes]  # shared, read only
     records = [
-        {"sector": labels[s], "eta_power": k, "degree": format_rational(ring.degree_at(start + k))}
+        {"sector": labels[s], "eta_power": k, "degree": text(2 * ring.degrees[start + k])}
         for s, (start, ks) in enumerate(zip(ring.start, ring.powers))
         for k in ks
     ]

@@ -319,9 +319,6 @@ class ValidatedDatum:
         """Bitmask of the coordinates whose theta numerator is 0."""
         return sum(compress(self._bits, map(not_, numerators)))
 
-    def _coordinates(self, mask: int) -> frozenset[int]:
-        return frozenset(j for j, bit in enumerate(self._bits) if mask & bit)
-
     def code_numerators(self, code: Code) -> tuple[int, ...]:
         """Theta numerators over D of the element with this code: the row
         form of the theta formula ``_theta``, with the code as scalars."""
@@ -351,9 +348,6 @@ class ValidatedDatum:
         q, numerators = self.theta_numerators(t)
         return tuple(Fraction(x, q) for x in numerators)
 
-    def fixed_set(self, t: SectorLabel) -> frozenset[int]:
-        return self._coordinates(self.fixed_mask(self.theta_numerators(t)[1]))
-
     def degree_shift(self, t: SectorLabel) -> Fraction:
         """Age of t: the sum of theta_j over coordinates t moves."""
         q, numerators = self.theta_numerators(t)
@@ -367,7 +361,8 @@ class ValidatedDatum:
         d = self.denominator
         thetas = tuple(Fraction(x, d) for x in numerators)
         shift = Fraction(sum(numerators), d)
-        return SectorInfo(t, self._coordinates(mask), thetas, shift, sector_dim(mask))
+        fixed_set = frozenset(j for j, bit in enumerate(self._bits) if mask & bit)
+        return SectorInfo(t, fixed_set, thetas, shift, sector_dim(mask))
 
     def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
         # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where
@@ -435,10 +430,6 @@ class ValidatedDatum:
         """
         table = self.sector_table(chamber)
         return tuple(map(self._info, table.labels, table.thetas, table.fixed))
-
-    def sector_info(self, t: SectorLabel, chamber: str | None = None) -> SectorInfo:
-        """Full sector record for t; EmptySector if t names no sector here."""
-        return self._info(t, *self.sector_row(t, self._chamber(chamber))[1:])
 
     def sector_row(
         self, t: SectorLabel, chamber: str | None = None, k: int | None = None

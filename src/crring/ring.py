@@ -172,14 +172,14 @@ class ChenRuanRing:
 
     ``_products`` is the one sector-pair kernel: the carry masks and the
     products of one sector against columns of sectors.  ``row(s, span)``
-    runs it on the table's columns, with composites looked up in the table,
-    and ``product(s, t)`` is its one-sector case; the point methods run it
-    on the column of their second sector.  ``heads`` and ``basis_rows``
-    state the truncation rule, for the axiom check over ``pairs`` (one row
-    per s, built once on first use), for ``structure_constants`` over t >=
-    s and for ``cup_basis``.  ``partner``, ``pairing_value`` and
-    ``degree_at`` state the pairing and the rational grading for every
-    reader.
+    runs it on the table's columns, with composites looked up in the table;
+    the point methods run it on the column of their second sector.
+    ``heads`` and ``basis_rows`` state the truncation rule, for the axiom
+    check over ``pairs`` (one row per s, built once on first use), for
+    ``structure_constants`` over t >= s and for ``cup_basis``.
+    ``partner`` and ``pairing_value`` state the pairing for every reader,
+    and ``degree_at`` the rational grading 2 * ``degrees[i]`` / D, which
+    the ``basis`` command prints from ``degrees`` itself.
     """
 
     def __init__(self, vd: ValidatedDatum, chamber: str | None = None):
@@ -226,9 +226,6 @@ class ChenRuanRing:
 
     def _grading(self, degree: int) -> Fraction:
         return Fraction(2 * degree, self.vd.denominator)
-
-    def unit(self) -> CRClass:
-        return CRClass.single(BasisElement(self.vd.identity(), 0))
 
     # -- products ------------------------------------------------------------
 
@@ -295,12 +292,6 @@ class ChenRuanRing:
             table.thetas[s], table.fixed[s], theta_columns, table.fixed[span], composite, span
         )
         return (composite, *products)
-
-    def product(self, s: int, t: int) -> tuple[int, int, tuple[int, int] | None]:
-        """(h, carry, product) of the ordered sector pair: ``row`` on the one
-        sector t."""
-        (h,), (carry,), (product,) = self.row(s, slice(t, t + 1))
-        return h, carry, product
 
     @cached_property
     def pairs(self) -> tuple[list[list[int]], list[list[int]], list[list]]:
@@ -512,8 +503,10 @@ class ChenRuanRing:
         degrees, degree_bad = self.degrees, None
         for i in range(size):
             for j, target in enumerate(pidx[i][:size]):
-                if target >= 0 and degrees[i] + degrees[j] != degrees[target]:
-                    degree_bad = f"deg({basis[i]}) + deg({basis[j]}) != deg({basis[target]})"
+                # a target past the basis has no degree: named by its index
+                if target >= 0 and (target >= size or degrees[i] + degrees[j] != degrees[target]):
+                    named = basis[target] if target < size else f"basis[{target}]"
+                    degree_bad = f"deg({basis[i]}) + deg({basis[j]}) != deg({named})"
                     break
             if degree_bad:
                 break
@@ -685,12 +678,6 @@ class _Reader:
             except (KeyError, ValueError) as exc:
                 raise DatumFormatError(f"a term record needs a rational 'coeff': {exc}") from exc
         return terms
-
-
-def element_from_doc(doc: object, vd: ValidatedDatum | None = None) -> BasisElement:
-    """Parse a basis element document; with vd, the element must exist in
-    vd's chamber (see ``_Reader``)."""
-    return _Reader(vd).element(doc)
 
 
 def cr_class_to_doc(value: CRClass) -> list[dict]:

@@ -70,7 +70,8 @@ def _label_phase(ring: ChenRuanRing, phase: PhaseResult) -> PhaseResult:
     ``ValidatedDatum.sector_row``, the route of every point request
     (``shift``, ``pair``, ``cup``, ``triple`` and ``wallcross``) and of the
     wire reader given a datum, and through ``theta_numerators``, the route
-    of the API's ``thetas``, ``fixed_set`` and ``degree_shift``."""
+    of the API's ``thetas`` (whose zeros are the fixed set) and
+    ``degree_shift``."""
     vd, table = ring.vd, ring.table
     for s, (t, *row) in enumerate(zip(table.labels, table.codes, table.thetas, table.fixed)):
         if table.position(t) != s:
@@ -168,18 +169,21 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) ->
     ``pairing_value`` state it, and unit, commutativity and Frobenius give
     <x, y> = <1, x*y> = <1, y*x> = <y, x>, so <x*y, z> = <y*x, z> =
     <x, y*z> = <y*z, x>; the kernel reads its rows only through their sum.
-    A miss restarts the loop over every ordered pair, which fails there or
-    before.  Then ``localized_report``, which ``triple_localized`` and the
-    commands read, on (1_(s), eta^k2 1_(s^-1), eta^k3 1), s <= s^-1 and k2 +
-    k3 = dim(s), with the table's rows (the identity's is the first), must
-    report the pairing at u-power -1 and every sector on the ring's side."""
+    So the failing ordered triples are whole orbits under reordering of
+    their sectors, and the ordered sweep's first failure (s, t, r) is the
+    sorted order of the orbit with the least (min, middle): the first
+    unordered visit that misses, which it names alike.  The ordered sweep
+    runs only after a failed axiom check.  Then ``localized_report``, which
+    ``triple_localized`` and the commands read, on (1_(s), eta^k2 1_(s^-1),
+    eta^k3 1), s <= s^-1 and k2 + k3 = dim(s), with the table's rows (the
+    identity's is the first), must report the pairing at u-power -1 and
+    every sector on the ring's side."""
     name = "path_agreement"
     table = ring.table
     dims, thetas, inverses, zero = table.dims, table.thetas, table.inverse, Fraction(0)
     pairings = [(v.numerator, v.denominator) for v in map(ring.pairing_value, table.fixed)]
-    rows, s, triples = list(zip(*ring.pairs)), 0, 0
-    while s < len(rows):
-        composite, _, products = rows[s]
+    triples = 0
+    for s, (composite, _, products) in enumerate(zip(*ring.pairs)):
         if symmetric:  # s <= t <= r: each unordered triple once
             visits = [(t, h, r) for t, h in enumerate(composite[s:], s)
                       if h >= 0 and (r := inverses[h]) >= t]
@@ -204,9 +208,6 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) ->
                     orders = (1, 3, 6)[len({s, t, r}) - 1] if symmetric else 1
                     triples += orders * (dims[s] + 1) * (dims[t] + 1) * (dims[r] + 1)
                     continue
-            if symmetric:  # a miss: the loop over every ordered pair names it
-                symmetric, s = False, -1
-                break
             if term is None:
                 text = "the localized path finds that the sectors do not multiply to 1"
                 return PhaseResult(name, "fail", f"{_triple(table, s, t, r, (0, 0, 0))}: {text}")
@@ -218,7 +219,6 @@ def _agreement_phase(vd: ValidatedDatum, ring: ChenRuanRing, symmetric: bool) ->
             powers = k1, k2, sigma - k1 - k2
             text = f"direct {format_rational(direct)} != localized {format_rational(localized)}"
             return PhaseResult(name, "fail", f"{_triple(table, s, t, r, powers)}: {text}")
-        s += 1
     # u-power -1: e_j is 0 on the dim(s) + 1 coordinates that s fixes, 1 elsewhere;
     # the eta powers go on two factors, so that both enter the sum that is read
     labels, identity = table.labels, vd.identity()

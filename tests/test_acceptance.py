@@ -54,7 +54,8 @@ def test_criterion_2_degree_shift_5_3():
         third = vd.label(Fraction(1, 3))
         assert vd.degree_shift(third) == Fraction(5, 3)
         weight_three = frozenset(j for j, w in enumerate(vd.weights) if w == 3)
-        assert vd.fixed_set(third) == weight_three  # {4,5,6} in 1-based terms
+        # the fixed set is the zeros of the thetas: {4,5,6} in 1-based terms
+        assert frozenset(j for j, x in enumerate(vd.thetas(third)) if x == 0) == weight_three
 
 
 def test_criterion_3_classical_limit():

@@ -21,6 +21,7 @@ from crring import (
     validate_datum,
 )
 from crring.errors import DatumFormatError
+from crring.quotient import sector_dim
 
 
 def brute_force_sector_labels(datum: QuotientDatum, chamber: str) -> set[SectorLabel]:
@@ -95,12 +96,14 @@ def test_theta_values(wp122333):
 
 
 def test_fixed_sets(wp122333):
-    # c = 1/3 fixes exactly the weight-3 coordinates
+    # the fixed set of a label is the zeros of its thetas: c = 1/3 fixes
+    # exactly the weight-3 coordinates
     weight_three = frozenset(j for j, w in enumerate(wp122333.weights) if w == 3)
-    assert wp122333.fixed_set(wp122333.label(Fraction(1, 3))) == weight_three
     even = frozenset(j for j, w in enumerate(wp122333.weights) if w % 2 == 0)
-    assert wp122333.fixed_set(wp122333.label(Fraction(1, 2))) == even
-    assert wp122333.fixed_set(wp122333.identity()) == frozenset(range(6))
+    for t, fixed in [(wp122333.label(Fraction(1, 3)), weight_three),
+                     (wp122333.label(Fraction(1, 2)), even),
+                     (wp122333.identity(), frozenset(range(6)))]:
+        assert frozenset(j for j, x in enumerate(wp122333.thetas(t)) if x == 0) == fixed
 
 
 def test_degree_shift_values(wp122333, wp112):
@@ -164,7 +167,7 @@ def test_sector_invariants(weights, finite):
     for info in vd.sectors():
         t, inv = info.label, vd.inverse(info.label)
         assert inv in sector_labels
-        assert vd.fixed_set(inv) == info.fixed_set
+        assert frozenset(j for j, x in enumerate(vd.thetas(inv)) if x == 0) == info.fixed_set
         assert info.shift + vd.degree_shift(inv) == vd.n - len(info.fixed_set)
         for j in range(vd.n):
             total = vd.thetas(t)[j] + vd.thetas(inv)[j]
@@ -174,29 +177,28 @@ def test_sector_invariants(weights, finite):
 
 
 def test_sector_info(wp122333):
-    info = wp122333.sector_info(wp122333.label(Fraction(1, 3)))
-    assert info.shift == Fraction(5, 3)
-    assert info.dim == 2
+    third = wp122333.label(Fraction(1, 3))
+    assert wp122333.degree_shift(third) == Fraction(5, 3)
+    assert sector_dim(wp122333.sector_row(third, wp122333.chamber)[2]) == 2
     with pytest.raises(EmptySector):
-        wp122333.sector_info(wp122333.label(Fraction(1, 6)))
+        wp122333.sector_row(wp122333.label(Fraction(1, 6)), wp122333.chamber)
 
 
 def test_sector_info_honors_chamber(mixed):
     # identity exists on both sides of the wall for (1, 1, -1)
-    assert mixed.sector_info(mixed.identity(), "negative").dim == 2
+    assert sector_dim(mixed.sector_row(mixed.identity(), "negative")[2]) == 2
     only_negative = validate_datum(QuotientDatum((1, -2), chamber="positive"))
     half = only_negative.label(Fraction(1, 2))
     with pytest.raises(EmptySector):
-        only_negative.sector_info(half)
-    assert only_negative.sector_info(half, "negative").fixed_set == frozenset({1})
+        only_negative.sector_row(half, only_negative.chamber)
+    assert only_negative.sector_row(half, "negative")[2] == 1 << 1
 
 
 def _label_routes(vd, t):
-    """The four readers of a label: its row, its record, a localized triple
-    of it (itself three times) and its table position."""
+    """The three readers of a label: its row, a localized triple of it
+    (itself three times) and its table position."""
     return {
         "sector_row": lambda: vd.sector_row(t),
-        "sector_info": lambda: vd.sector_info(t),
         "triple_localized": lambda: triple_localized(vd, (t, 0), (t, 0), (t, 0)),
         "position": lambda: vd.sector_table().position(t),
     }
@@ -288,4 +290,4 @@ def test_unknown_chamber_is_rejected(wp112):
         with pytest.raises(ValueError):
             query("sideways")
     with pytest.raises(ValueError):
-        wp112.sector_info(half, "sideways")
+        wp112.sector_row(half, "sideways")

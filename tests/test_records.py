@@ -1,7 +1,7 @@
 """The records that ``sectors``, ``basis`` and ``shift`` print are written
 from the integer rows of the sector table; each must equal the record
 derived from the Fraction views of the same sector or basis element:
-``ValidatedDatum.sectors`` and ``sector_info`` for sectors, and
+``ValidatedDatum.sectors`` for sectors, and
 ``ChenRuanRing.basis`` with ``degree_at`` for basis elements.  Checked on
 the golden data and on drawn data, in both chambers."""
 
@@ -46,7 +46,7 @@ def check_records(vd) -> None:
         assert printed(cli._cmd_sectors, vd) == {"sectors": list(map(sector_record, infos))}
         for info in infos:
             shift = printed(cli._cmd_shift, vd, t=(info.label.c, info.label.finite))
-            assert shift == sector_record(vd.sector_info(info.label)), (chamber, info.label)
+            assert shift == sector_record(info), (chamber, info.label)
         ring = ChenRuanRing(vd)
         expected = [
             {"sector": label_record(e.sector), "eta_power": e.k, "degree": format_rational(ring.degree_at(i))}

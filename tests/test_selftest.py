@@ -131,9 +131,9 @@ def test_gate_fails_when_the_localized_side_finds_no_triple(monkeypatch):
 def test_gate_fails_on_one_wrong_unordered_sector_pair(monkeypatch):
     """A kernel wrong on every order of the sectors c=1/3, c=2/3 and c=0 of
     P(1,2,2,3,3,3) fails the gate at the first ordered triple in row order,
-    (c=0, c=1/3, c=2/3), and is called on that order twice: by the sweep over
-    unordered triples, which misses there, and by its restart over every
-    ordered pair."""
+    (c=0, c=1/3, c=2/3), and is called on that order once: by the sweep over
+    unordered triples, which misses there and names it as the sweep over
+    every ordered pair does."""
     vd = validate_datum(QuotientDatum((1, 2, 2, 3, 3, 3)))
     third, two_thirds = vd.label(Fraction(1, 3)), vd.label(Fraction(2, 3))
     table = vd.sector_table()
@@ -150,7 +150,7 @@ def test_gate_fails_on_one_wrong_unordered_sector_pair(monkeypatch):
 
     monkeypatch.setattr(selftest, "localized_residue", patched)
     agreement = _phase(run_selftest(vd), "path_agreement")
-    assert hits == [(r, a, b)] * 2
+    assert hits == [(r, a, b)]
     assert agreement.status == "fail"
     assert agreement.detail == "(c=0,0) (c=1/3,0) (c=2/3,2): direct 1/27 != localized 2/27"
 
@@ -267,16 +267,15 @@ def _counted(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("path", PAIR_DATA, ids=[path.stem for path in PAIR_DATA])
 def test_selftest_derives_each_sector_pair_once(monkeypatch, path):
     """Each (chamber, s) row of the kernel is built once, over every sector
-    t, and the one-sector ``product`` is never called."""
+    t."""
     vd = _load(path)
-    rows, singles = _counted(monkeypatch, "row"), _counted(monkeypatch, "product")
+    rows = _counted(monkeypatch, "row")
     assert run_selftest(vd).passed
     sizes = {chamber: len(vd.sectors(chamber)) for chamber in CHAMBERS}
     expected = sorted((chamber, s) for chamber, size in sizes.items() for s in range(size))
     assert sorted((chamber, s) for chamber, s, _ in rows) == expected
     for chamber, _, (composite, carry, products) in rows:
         assert len(composite) == len(carry) == len(products) == sizes[chamber]
-    assert singles == []
 
 
 def _with_row(rows: tuple, s: int, value) -> tuple:
@@ -1014,19 +1013,6 @@ def _ordered_sweep(monkeypatch):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(data())
-def test_both_agreement_sweeps_agree_once_the_axioms_pass(vd):
-    """On drawn data, in each chamber whose ring passes the axiom check, the
-    sweep over unordered triples reports what the sweep over every ordered
-    pair reports."""
-    for chamber in CHAMBERS:
-        ring = ChenRuanRing(vd, chamber)
-        if ring.table.codes and ring.verify_ring_axioms().passed:
-            unordered = selftest._agreement_phase(vd, ring, True)
-            assert unordered == selftest._agreement_phase(vd, ring, False), chamber
-
-
 def _kernel_fault(mutation):
     """A kernel whose term under every order of the rows of one seeded
     composable sector triple is edited by ``MUTATIONS[mutation]``: a triple
@@ -1054,6 +1040,33 @@ def _kernel_fault(mutation):
         monkeypatch.setattr(selftest, "localized_residue", patched)
 
     return install
+
+
+@settings(max_examples=100, deadline=None)
+@given(data(), st.sampled_from(sorted(MUTATIONS)))
+def test_both_agreement_sweeps_agree_once_the_axioms_pass(vd, mutation):
+    """On drawn data, in each chamber whose ring passes the axiom check, the
+    sweep over unordered triples reports what the sweep over every ordered
+    pair reports: on the kernel as it is, and under one drawn order-free
+    kernel fault, which edits the term of one seeded composable sector
+    triple of the datum's chamber under every order of its rows and fails
+    that chamber's sweep wherever it passed."""
+    faults = [None, _kernel_fault(mutation)] if vd.sector_table().codes else [None]
+    statuses = []
+    for fault in faults:
+        with pytest.MonkeyPatch.context() as patch:
+            if fault:
+                fault(patch, vd)
+            statuses.append({})
+            for chamber in CHAMBERS:
+                ring = ChenRuanRing(vd, chamber)
+                if ring.table.codes and ring.verify_ring_axioms().passed:
+                    unordered = selftest._agreement_phase(vd, ring, True)
+                    ordered = selftest._agreement_phase(vd, ring, False)
+                    assert unordered == ordered, (chamber, mutation if fault else None)
+                    statuses[-1][chamber] = unordered.status
+    if faults[1:] and statuses[0].get(vd.chamber) == "pass":
+        assert statuses[1][vd.chamber] == "fail", mutation
 
 
 def _value_rule_at_u_power_minus_two(monkeypatch, vd):

@@ -21,7 +21,7 @@ from crring import (
     table_to_doc,
     validate_datum,
 )
-from crring.ring import element_from_doc
+from crring.ring import _Reader
 
 from test_golden import DATA as GOLDEN_DATA
 from test_golden import GOLDEN
@@ -89,11 +89,11 @@ def test_label_doc_with_wrong_component_count_is_a_format_error():
 def test_element_doc_requires_an_integer_eta_power(power):
     doc = {"sector": {"c": "0", "finite": []}, "eta_power": power}
     with pytest.raises(DatumFormatError):
-        element_from_doc(doc)
+        _Reader(None).element(doc)
 
 
 def test_element_doc_keeps_an_integer_eta_power():
-    element = element_from_doc({"sector": {"c": "1/2", "finite": []}, "eta_power": 1})
+    element = _Reader(None).element({"sector": {"c": "1/2", "finite": []}, "eta_power": 1})
     assert element.k == 1 and type(element.k) is int
 
 

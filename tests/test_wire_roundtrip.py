@@ -25,7 +25,7 @@ from crring import (
     table_to_doc,
     validate_datum,
 )
-from crring.ring import element_from_doc
+from crring.ring import _Reader
 
 from test_acceptance import _random_datum
 
@@ -75,11 +75,11 @@ def _term(c: str, k: int) -> dict:
 )
 def test_reader_with_datum_refuses_eta_power_outside_dim(wp112, c, k):
     with pytest.raises(DatumFormatError, match="outside"):
-        element_from_doc(_term(c, k), wp112)
+        _Reader(wp112).element(_term(c, k))
     with pytest.raises(DatumFormatError, match="outside"):
         cr_class_from_doc([_term(c, k)], wp112)
     # without a datum the reader checks shape and type only
-    assert element_from_doc(_term(c, k)).k == k
+    assert _Reader(None).element(_term(c, k)).k == k
 
 
 @pytest.mark.parametrize(
@@ -93,9 +93,9 @@ def test_reader_with_datum_refuses_eta_power_outside_dim(wp112, c, k):
 def test_reader_with_datum_refuses_a_label_that_is_no_sector(weights, c, text):
     vd = validate_datum(QuotientDatum(weights))
     with pytest.raises(DatumFormatError) as refusal:
-        element_from_doc(_term(c, 0), vd)
+        _Reader(vd).element(_term(c, 0))
     assert (type(refusal.value), str(refusal.value)) == (DatumFormatError, text)
-    assert element_from_doc(_term(c, 0)).sector.c == vd.label(c).c
+    assert _Reader(None).element(_term(c, 0)).sector.c == vd.label(c).c
 
 
 def test_the_reader_checks_each_element_once_and_builds_no_sector_table(monkeypatch):
@@ -116,13 +116,14 @@ def test_the_reader_checks_each_element_once_and_builds_no_sector_table(monkeypa
     monkeypatch.setattr(ValidatedDatum, "_build_table", refuse)
     monkeypatch.setattr(ValidatedDatum, "sector_row", counted)
     wp112 = validate_datum(QuotientDatum((1, 1, 2)))
-    assert element_from_doc(_term("1/2", 0), wp112) == BasisElement(wp112.label(Fraction(1, 2)), 0)
+    assert _Reader(wp112).element(_term("1/2", 0)) == BasisElement(wp112.label(Fraction(1, 2)), 0)
     assert cr_class_from_doc([_term("0", 2), _term("0", 2)], wp112) == CRClass.single(
         BasisElement(wp112.identity(), 2), 2
     )
     for term, text in ((_term("1/3", 0), "c=1/3 fixes no coordinate"),
                        (_term("1/2", 1), "eta power 1 of c=1/2 is outside [0, 0]")):
-        for read in (element_from_doc, lambda doc, vd: cr_class_from_doc([doc], vd)):
+        for read in (lambda doc, vd: _Reader(vd).element(doc),
+                     lambda doc, vd: cr_class_from_doc([doc], vd)):
             with pytest.raises(DatumFormatError) as refusal:
                 read(term, wp112)
             assert str(refusal.value) == text
