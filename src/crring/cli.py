@@ -7,10 +7,10 @@ source of truth.  Its bytes are those of ``json.dumps(doc, indent=2)``, but
 written by this module's own writer, which pays per byte rather than per
 call: inside a list or dict each item is dispatched on its exact type (a
 str or int is written in place, a dict or list by a direct call); a list
-of only str or only int is joined in C; a list of two or more records
-(dicts) with one key sequence is written through one ``%`` template built
-from the first record's quoted keys, ``%`` doubled; and a list holding a
-record, met again at the same indentation, is written once (a memo).
+of only str or only int is joined in C; a list of more than eight records
+(dicts) with one key sequence is written by columns, each field of all its
+records in C passes; and a list holding a record, met again at the same
+indentation, is written once (a memo).
 ``--format tsv`` prints each of its records as one row
 (``basis`` prefixes the index): a label gives two cells, c and the finite
 components joined by ':'; a list one cell joined by ','; null an empty cell;
@@ -36,7 +36,7 @@ import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
@@ -125,17 +125,18 @@ def _structured(doc) -> str:
 def _json(value, pad: str, memo: dict) -> str:
     """The indent-2 JSON text of ``value`` at indentation ``pad``, by
     ``isinstance``, so that str and int subclasses, bool and None render as
-    ``json.dumps`` renders them.  The loops of ``_list``, ``_dict`` and
-    ``_texts`` dispatch each item on its exact type: str to ``_quote``, int
-    to ``int.__repr__``, dict and list to a direct call, anything else back
-    here.  ``_list`` joins a list of only str or only int in C and writes
-    two or more dicts with one key sequence through one ``%`` template: the
-    first dict's quoted keys, ``%`` doubled, each followed by a ``%s`` slot
-    that a record fills with its value texts.  ``memo`` maps the id of a
-    list or tuple holding a dict to its last indentation and text; it is
-    read before any item is rendered.  The loops are written out: before
-    CPython 3.12 a comprehension makes the names it reads closure cells,
-    built on every call."""
+    ``json.dumps`` renders them.  ``_list`` joins a list of only str or only
+    int in C and hands any other to ``_texts``, which writes a column (the
+    items of a list, or one field of its records) of only str or only int by
+    one ``map``; of more than eight records with one key sequence by one
+    ``%`` template, their quoted keys (``%`` doubled) each with a ``%s`` slot
+    that the texts of its own column fill; of more than eight lists as
+    ``[]`` if all are empty, else each distinct list once, joined in C if all
+    hold only str or only int; and any other item by item on its exact type
+    (dict and list by a direct call, anything else back here).  ``memo`` maps
+    the id of a list or tuple holding a dict to its last indentation and text;
+    it is read before any item is rendered.  The loops are written out: before
+    CPython 3.12 a comprehension makes the names it reads closure cells."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -151,8 +152,30 @@ def _json(value, pad: str, memo: dict) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _texts(values, pad: str, memo: dict) -> list[str]:
-    """The texts of ``values`` at indentation ``pad``, by exact type."""
+def _texts(values, pad: str, memo: dict) -> Iterable[str]:
+    """The texts of ``values`` at indentation ``pad``, by the rule of ``_json``."""
+    types = set(map(type, values))
+    kind = types.pop() if len(types) == 1 else None
+    if kind is str or kind is int:
+        return map(_quote if kind is str else int.__repr__, values)
+    wide = len(values) > 8  # below about ten items a column costs more than it saves
+    if wide and kind is dict and values[0] and len(set(map(tuple, values))) == 1:
+        # one template for every record; a quoted key holds no raw newline
+        keys = "\n".join(map(_quote, values[0])).replace("%", "%%")
+        template = f"{{\n{pad}  " + keys.replace("\n", f": %s,\n{pad}  ") + f": %s\n{pad}}}"
+        columns = map(_texts, zip(*map(dict.values, values)), repeat(pad + "  "), repeat(memo))
+        return map(template.__mod__, zip(*columns))
+    if wide and kind is list:
+        items = set(map(type, chain.from_iterable(values)))
+        if not items:
+            return ["[]"] * len(values)
+        lists = dict(zip(map(id, values), values))  # a shared list is written once
+        if all(values) and (items == {str} or items == {int}):
+            texts = map(map, repeat(_quote if str in items else int.__repr__), lists.values())
+            texts = map(f"[\n{pad}  %s\n{pad}]".__mod__, map(f",\n{pad}  ".join, texts))
+        else:
+            texts = map(_list, lists.values(), repeat(pad), repeat(memo))
+        return map(dict(zip(lists, texts)).__getitem__, map(id, values))
     texts = []
     for v in values:
         kind = type(v)
@@ -206,13 +229,6 @@ def _list(value, pad: str, memo: dict) -> str:
         items = map(_quote, value)
     elif kind is int:
         items = map(int.__repr__, value)
-    elif kind is dict and len(value) > 1 and value[0] and len(set(map(tuple, value))) == 1:
-        # one template for every record; a quoted key holds no raw newline
-        keys = "\n".join(map(_quote, value[0])).replace("%", "%%")
-        template = f"{{\n{inner}  " + keys.replace("\n", f": %s,\n{inner}  ") + f": %s\n{inner}}}"
-        deeper, items = inner + "  ", []
-        for v in value:
-            items.append(template % tuple(_texts(v.values(), deeper, memo)))
     else:
         items = _texts(value, inner, memo)
     text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
@@ -265,23 +281,21 @@ def _label_doc(code: Code, text) -> dict:
 def _sector_records(d: int, rows: Iterable[tuple[Code, tuple[int, ...], int]]) -> list[dict]:
     """The records of sectors given as integer rows (code, theta numerators
     over D, fixed-set mask), as a sector table holds them; each distinct
-    numerator over D is formatted once per call, and records with one mask
-    share its fixed-set list, read only."""
+    numerator over D is formatted once per call, and each distinct mask
+    gives its fixed-set list and dim once, the list shared and read only."""
     text = _numerator_text(d)
-    sets: dict[int, list[int]] = {}  # mask -> fixed-set list
-    records = []
-    for code, thetas, mask in rows:
-        fixed = sets.get(mask)
-        if fixed is None:
-            fixed = sets[mask] = [j for j in range(len(thetas)) if mask >> j & 1]
-        records.append({
+    masks = cache(lambda mask, n: ([j for j in range(n) if mask >> j & 1], sector_dim(mask)))
+    return [
+        {
             "label": _label_doc(code, text),
             "fixed_set": fixed,
             "thetas": list(map(text, thetas)),
             "shift": text(sum(thetas)),
-            "dim": sector_dim(mask),
-        })
-    return records
+            "dim": dim,
+        }
+        for code, thetas, mask in rows
+        for fixed, dim in [masks(mask, len(thetas))]
+    ]
 
 
 _SECTOR_HEADER = "c finite fixed_set thetas shift dim"

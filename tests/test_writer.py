@@ -1,18 +1,22 @@
 """The structured writer is ``json.dumps(doc, indent=2)`` plus a newline, byte
 for byte, on every document shape the package writes: scalars by exact type
 or by ``isinstance``, lists of only str or only int, and lists of records
-that share one key sequence, written through one ``%`` template."""
+that share one key sequence, written item by item up to eight records and by
+columns above."""
 
 from __future__ import annotations
 
+import argparse
 import enum
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crring import cli
+from test_golden import DATA
 
 strings = st.text() | st.sampled_from(
     ["</", "</script>", '"\\/', "\x00\x1f\x7f", "é", "\u2028", "\ud800", "😀"]
@@ -124,4 +128,70 @@ class _Text(str):
 @example([{}, {}])
 @example([{"k": _Power.TWO, "t": _Text("%s"), "b": True}, {"k": False, "t": None, "b": [_Power.TWO]}])
 def test_a_list_of_records_renders_through_one_template(doc):
+    assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def column(count: int, depth: int):
+    """``count`` values of one column type, strings with ``%`` among them:
+    str; int with bool and ``_Power`` mixed in; nonempty lists of only str or
+    only int; fresh empty lists; empty and nonempty lists; tuples; one shared
+    list, of scalars or of records, repeated; and, while ``depth`` lasts,
+    records with one key sequence."""
+    def of(values):
+        return st.lists(values, min_size=count, max_size=count)
+
+    shared = st.lists(keys | integers, max_size=3) | st.lists(
+        st.dictionaries(keys, scalars, max_size=2), min_size=1, max_size=2
+    )
+    kinds = [
+        of(keys),
+        of(integers) | of(integers | st.booleans() | st.just(_Power.TWO)),
+        of(st.lists(keys, min_size=1, max_size=3)) | of(st.lists(integers, min_size=1, max_size=3)),
+        st.builds(lambda: [[] for _ in range(count)]),
+        of(st.lists(integers, max_size=2)).map(lambda lists: [[], [1], *lists[2:]]),
+        of(st.lists(integers, max_size=2).map(tuple)),
+        shared.map(lambda value: [value] * count),
+    ]
+    return st.one_of(kinds + [column_records(count, depth - 1)] if depth else kinds)
+
+
+def column_records(count: int, depth: int):
+    """``count`` records with one key sequence, each key drawing one column
+    type of ``column``."""
+    return st.lists(keys, unique=True, min_size=1, max_size=4).flatmap(
+        lambda names: st.tuples(*(column(count, depth) for _ in names)).map(
+            lambda columns: [dict(zip(names, row)) for row in zip(*columns)]
+        )
+    )
+
+
+@st.composite
+def column_lists(draw):
+    """A list or tuple of two to twelve such records, on both sides of the
+    writer's column threshold, at a drawn depth in a document."""
+    records = draw(st.integers(2, 12).flatmap(lambda count: column_records(count, 2)))
+    listed = tuple(records) if draw(st.booleans()) else records
+    return draw(st.sampled_from([listed, {"records": listed}, [[listed], "%s"]]))
+
+
+def printed(command: str, name: str):
+    """The document that ``command`` hands the writer on a golden datum, with
+    its shared lists and labels."""
+    args = argparse.Namespace(format="structured")
+    with mock.patch.object(cli, "_structured", lambda doc: doc):
+        return cli._COMMANDS[command][0](args, cli._load(str(DATA[name])))[0]
+
+
+@given(column_lists())
+@example(printed("sectors", "z4_154"))
+@example(printed("basis", "z4_154"))
+@example(printed("table", "z4_154"))
+@example(printed("sectors", "p1_25"))
+@example(printed("basis", "p1_25"))
+@example(printed("table", "p1_25"))
+@example([{"%": [], "%s": "%%"} for _ in range(9)])
+@example([{"%": [k] * (k % 2), "%s": ["%%"] * (k % 3)} for k in range(9)])
+@example([{"%%": [1], "b": [_terms, []][k % 2]} for k in range(10)])
+@example([{"a": 1, "b": "x"}, {"b": "y", "a": 2}] * 5)
+def test_a_list_of_records_renders_by_columns(doc):
     assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
