@@ -9,8 +9,8 @@ call: inside a list or dict each item is dispatched on its exact type (a
 str or int is written in place, a dict or list by a direct call); a list
 of only str or only int is joined in C; a list of more than eight records
 (dicts) with one key sequence is written by columns, each field of all its
-records in C passes; and a list holding a record, met again at the same
-indentation, is written once (a memo).
+records in C passes; and in a column of more than eight lists each distinct
+list is written once.
 ``--format tsv`` prints each of its records as one row
 (``basis`` prefixes the index): a label gives two cells, c and the finite
 components joined by ':'; a list one cell joined by ','; null an empty cell;
@@ -119,23 +119,21 @@ def _structured(doc) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, byte for byte, for a
     document of str, int, bool, None, lists, tuples and str-keyed dicts, by
     the rules of the module docstring, which ``_json`` spells out."""
-    return _json(doc, "", {}) + "\n"
+    return _json(doc, "") + "\n"
 
 
-def _json(value, pad: str, memo: dict) -> str:
+def _json(value, pad: str) -> str:
     """The indent-2 JSON text of ``value`` at indentation ``pad``, by
     ``isinstance``, so that str and int subclasses, bool and None render as
-    ``json.dumps`` renders them.  ``_list`` joins a list of only str or only
-    int in C and hands any other to ``_texts``, which writes a column (the
-    items of a list, or one field of its records) of only str or only int by
-    one ``map``; of more than eight records with one key sequence by one
-    ``%`` template, their quoted keys (``%`` doubled) each with a ``%s`` slot
-    that the texts of its own column fill; of more than eight lists as
-    ``[]`` if all are empty, else each distinct list once, joined in C if all
-    hold only str or only int; and any other item by item on its exact type
-    (dict and list by a direct call, anything else back here).  ``memo`` maps
-    the id of a list or tuple holding a dict to its last indentation and text;
-    it is read before any item is rendered.  The loops are written out: before
+    ``json.dumps`` renders them.  ``_list`` joins the texts of its items from
+    ``_texts``, which writes a column (the items of a list, or one field of
+    its records) of only str or only int by one ``map``; of more than eight
+    records with one key sequence by one ``%`` template, their quoted keys
+    (``%`` doubled) each with a ``%s`` slot that the texts of its own column
+    fill; of more than eight lists as ``[]`` if all are empty, else each
+    distinct list (by id) once, joined in C if all hold only str or only int;
+    and any other item by item on its exact type (dict and list by a direct
+    call, anything else back here).  The loops are written out: before
     CPython 3.12 a comprehension makes the names it reads closure cells."""
     if isinstance(value, str):
         return _quote(value)
@@ -146,13 +144,13 @@ def _json(value, pad: str, memo: dict) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, (list, tuple)):
-        return _list(value, pad, memo)
+        return _list(value, pad)
     if isinstance(value, dict):
-        return _dict(value, pad, memo)
+        return _dict(value, pad)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _texts(values, pad: str, memo: dict) -> Iterable[str]:
+def _texts(values, pad: str) -> Iterable[str]:
     """The texts of ``values`` at indentation ``pad``, by the rule of ``_json``."""
     types = set(map(type, values))
     kind = types.pop() if len(types) == 1 else None
@@ -163,7 +161,7 @@ def _texts(values, pad: str, memo: dict) -> Iterable[str]:
         # one template for every record; a quoted key holds no raw newline
         keys = "\n".join(map(_quote, values[0])).replace("%", "%%")
         template = f"{{\n{pad}  " + keys.replace("\n", f": %s,\n{pad}  ") + f": %s\n{pad}}}"
-        columns = map(_texts, zip(*map(dict.values, values)), repeat(pad + "  "), repeat(memo))
+        columns = map(_texts, zip(*map(dict.values, values)), repeat(pad + "  "))
         return map(template.__mod__, zip(*columns))
     if wide and kind is list:
         items = set(map(type, chain.from_iterable(values)))
@@ -174,7 +172,7 @@ def _texts(values, pad: str, memo: dict) -> Iterable[str]:
             texts = map(map, repeat(_quote if str in items else int.__repr__), lists.values())
             texts = map(f"[\n{pad}  %s\n{pad}]".__mod__, map(f",\n{pad}  ".join, texts))
         else:
-            texts = map(_list, lists.values(), repeat(pad), repeat(memo))
+            texts = map(_list, lists.values(), repeat(pad))
         return map(dict(zip(lists, texts)).__getitem__, map(id, values))
     texts = []
     for v in values:
@@ -184,15 +182,15 @@ def _texts(values, pad: str, memo: dict) -> Iterable[str]:
         elif kind is int:
             texts.append(int.__repr__(v))
         elif kind is dict:
-            texts.append(_dict(v, pad, memo))
+            texts.append(_dict(v, pad))
         elif kind is list:
-            texts.append(_list(v, pad, memo))
+            texts.append(_list(v, pad))
         else:
-            texts.append(_json(v, pad, memo))
+            texts.append(_json(v, pad))
     return texts
 
 
-def _dict(value: dict, pad: str, memo: dict) -> str:
+def _dict(value: dict, pad: str) -> str:
     if not value:
         return "{}"
     inner = pad + "  "
@@ -205,36 +203,20 @@ def _dict(value: dict, pad: str, memo: dict) -> str:
         elif kind is int:
             text = int.__repr__(v)
         elif kind is dict:
-            text = _dict(v, inner, memo)
+            text = _dict(v, inner)
         elif kind is list:
-            text = _list(v, inner, memo)
+            text = _list(v, inner)
         else:
-            text = _json(v, inner, memo)
+            text = _json(v, inner)
         items.append(f"{_quote(k)}: {text}")
     return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
 
 
-def _list(value, pad: str, memo: dict) -> str:
+def _list(value, pad: str) -> str:
     if not value:
         return "[]"
-    types = set(map(type, value))
-    kind = types.pop() if len(types) == 1 else None
-    shared = kind is dict or dict in types
-    if shared:
-        known = memo.get(id(value))
-        if known is not None and known[0] == pad:
-            return known[1]
     inner = pad + "  "
-    if kind is str:
-        items = map(_quote, value)
-    elif kind is int:
-        items = map(int.__repr__, value)
-    else:
-        items = _texts(value, inner, memo)
-    text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if shared:
-        memo[id(value)] = pad, text
-    return text
+    return f"[\n{inner}" + f",\n{inner}".join(_texts(value, inner)) + f"\n{pad}]"
 
 
 def _tsv(rows: list[list[str]]) -> str:

@@ -37,10 +37,10 @@ One statement per sector-level rule.  ``_theta`` is the theta formula,
 time and gives the self-test theta_r of r = (st)^-1 from the code of r;
 its row form ``code_numerators`` (one code as scalars) gives the row of one
 element, for the validation scan and for labels, and ``theta_numerators``
-of a label at q = lcm(D, den c).  (``_candidate_codes`` still states the
-finite part of the formula, to solve it for c.)  ``_code`` turns a label
-into its code, or None off the lattice of D, for ``SectorTable.position``
-and ``ValidatedDatum.sector_row``; ``code_label`` is its inverse, and
+of a label at q = lcm(D, den c); ``_candidate_codes`` solves the column
+form at the codes (0, a) for c.  ``_code`` turns a label into its code, or
+None off the lattice of D, for ``SectorTable.position`` and
+``ValidatedDatum.sector_row``; ``code_label`` is its inverse, and
 ``compose_codes`` and ``invert_code`` compose and invert one code.
 ``sector_row`` is the one statement of which basis elements eta^k 1_(t)
 exist, read by every point request, the ring's point methods and the wire
@@ -366,17 +366,20 @@ class ValidatedDatum:
 
     def _candidate_codes(self, coordinates: Iterable[int]) -> set[Code]:
         # An element fixes coordinate j iff C*w_j + Phi_j(a) = 0 mod D, where
-        # Phi_j(a) = sum_k a_k * rows_k[j] is divisible by |w_j|; the |w_j|
-        # solutions are C = -Phi_j(a)/w_j + m*D/|w_j|, the residues in [0, D)
-        # of -Phi_j(a)/w_j modulo D/|w_j|.
+        # Phi_j(a) = sum_k a_k * rows_k[j] is the theta column at j of the codes
+        # (0, a), read mod D for every a in A at once.  Phi_j(a) and D are
+        # divisible by |w_j|, so the |w_j| solutions are C = -Phi_j(a)/w_j +
+        # m*D/|w_j|: the residues in [0, D) of -Phi_j(a)/w_j modulo D/|w_j|,
+        # alike for every representative of Phi_j(a) mod D.
         d = self.denominator
+        finite = list(product(*(range(f.order) for f in self.finite)))
+        columns = [[0] * len(finite), *zip(*finite)]
         codes = set()
-        for a in product(*(range(f.order) for f in self.finite)):
-            for j in coordinates:
-                w = self.weights[j]
-                step = d // abs(w)
-                base = -sum(x * row[j] for x, row in zip(a, self._rows)) // w
-                codes.update(zip(range(base % step, d, step), *map(repeat, a)))
+        for j in coordinates:
+            w = self.weights[j]
+            step = d // abs(w)
+            for a, phi in zip(finite, self.theta_column(j, columns)):
+                codes.update(zip(range(-phi // w % step, d, step), *map(repeat, a)))
         return codes
 
     def _chamber(self, chamber: str | None) -> str:

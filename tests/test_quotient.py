@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from crring import (
     EmptySector,
@@ -150,6 +152,34 @@ def test_enumeration_matches_brute_force(weights, finite, chamber):
     assert vd.sectors() == validate_datum(datum).sectors()
     if expected:
         assert vd.sectors()[0].label == vd.identity()
+
+
+@st.composite
+def small_data(draw):
+    """Up to 3 coordinates with weights in [-6, 6] of either sign and up to 2
+    finite factors of unequal orders in [2, 5], with D at most 60."""
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n))
+    orders = draw(st.lists(st.integers(2, 5), max_size=2, unique=True))
+    assume(math.lcm(*map(abs, weights)) * math.lcm(*orders) <= 60)  # D, for the brute force
+    finite = tuple(
+        FiniteCyclicFactor(k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
+        for k in orders
+    )
+    return QuotientDatum(tuple(weights), finite)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_data())
+@example(QuotientDatum((1, -2), (FiniteCyclicFactor(3, (1, 2)),)))
+@example(QuotientDatum((2, -3, 1), (FiniteCyclicFactor(2, (1, 0, 1)), FiniteCyclicFactor(3, (0, 1, 2)))))
+def test_enumeration_matches_brute_force_on_drawn_data(datum):
+    try:
+        vd = validate_datum(datum)
+    except IneffectiveAction:
+        assume(False)
+    for chamber in ("positive", "negative"):
+        assert {s.label for s in vd.sectors(chamber)} == brute_force_sector_labels(datum, chamber)
 
 
 @pytest.mark.parametrize(

@@ -195,3 +195,21 @@ def printed(command: str, name: str):
 @example([{"a": 1, "b": "x"}, {"b": "y", "a": 2}] * 5)
 def test_a_list_of_records_renders_by_columns(doc):
     assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_the_column_path_renders_each_distinct_terms_list_once(monkeypatch):
+    doc = printed("table", "p1_25")
+    terms = [record["terms"] for record in doc["products"]]
+    distinct = {id(value) for value in terms}
+    assert len(terms) > 8 and len(distinct) < len(terms)  # shared lists, in a column
+    rendered = []
+    render = cli._list
+
+    def recording(value, pad):
+        if id(value) in distinct:
+            rendered.append(id(value))
+        return render(value, pad)
+
+    monkeypatch.setattr(cli, "_list", recording)
+    assert cli._structured(doc) == json.dumps(doc, indent=2) + "\n"
+    assert sorted(rendered) == sorted(distinct)
