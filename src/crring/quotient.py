@@ -29,7 +29,9 @@ componentwise modular addition and negation.  Its phases are the integer
 numerators theta_j * D in [0, D) and its fixed set is a bitmask.  A
 ``SectorTable``, built once per (datum, chamber) on first use, holds these
 rows together with the inverse sector's index, in the listing order of
-``ValidatedDatum.sectors``.
+``ValidatedDatum.sectors``.  Each table is solved on its chamber's side: the
+elements that fix a coordinate of the chamber's sign are exactly its
+sectors, and their fixed-set masks are read over every coordinate.
 
 One statement per sector-level rule.  ``_theta`` is the theta formula,
 (x * X + sum_k y_k * Y_k) mod q over zipped vectors.  Its column form
@@ -397,28 +399,24 @@ class ValidatedDatum:
         return table
 
     def _build_table(self, chamber: str) -> SectorTable:
-        # one theta column per coordinate over all candidates, sorted: the
-        # identity (the zero code) first, then by (c, finite components)
-        candidates = sorted(self._candidate_codes(range(self.n)))
-        code_columns = list(zip(*candidates))
+        # an element that fixes a coordinate on the chamber's side is a
+        # sector there, so only those coordinates are solved; sorted codes put
+        # the identity (the zero code) first, then go by (c, finite
+        # components); then one theta column per coordinate
+        side = [j for j, bit in enumerate(self._bits) if self.level_masks[chamber] & bit]
+        codes = tuple(sorted(self._candidate_codes(side)))
+        code_columns = list(zip(*codes)) or [()] * len(self.moduli)  # no rows: an empty chamber
         columns = [self.theta_column(j, code_columns) for j in range(self.n)]
-        masks = [0] * len(candidates)
+        fixed = [0] * len(codes)
         for column, bit in zip(columns, self._bits):
-            masks = [m if x else m | bit for m, x in zip(masks, column)]
-        level = self.level_masks[chamber]
-        keep = [m & level for m in masks]
-        codes = tuple(compress(candidates, keep))
-        fixed = tuple(compress(masks, keep))
+            fixed = [m if x else m | bit for m, x in zip(fixed, column)]
         index = dict(zip(codes, range(len(codes))))
-        inverse = zip(*(
-            [-x % m for x in compress(column, keep)]
-            for column, m in zip(code_columns, self.moduli)
-        ))
+        inverse = zip(*([-x % m for x in column] for column, m in zip(code_columns, self.moduli)))
         return SectorTable(
             self.moduli,
             codes,
-            tuple(zip(*(compress(column, keep) for column in columns))),
-            fixed,
+            tuple(zip(*columns)),
+            tuple(fixed),
             tuple(map(sector_dim, fixed)),
             tuple(map(index.__getitem__, inverse)),
             index,
@@ -467,8 +465,10 @@ def validate_datum(datum: QuotientDatum) -> ValidatedDatum:
         if w == 0:
             raise ZeroWeight(f"coordinate {j} has weight 0")
     vd = ValidatedDatum(datum)
-    # an element acting trivially in particular fixes coordinate 0
-    for code in sorted(vd._candidate_codes([0])):
+    # an element acting trivially fixes every coordinate, so it is among the
+    # |A| * |w_j| candidates of a coordinate j of least |w_j|
+    least = min(range(vd.n), key=lambda j: abs(vd.weights[j]))
+    for code in sorted(vd._candidate_codes([least])):
         if any(code) and not any(vd.code_numerators(code)):
             t = code_label(code, vd.denominator)
             raise IneffectiveAction(f"{t} acts trivially on every coordinate")

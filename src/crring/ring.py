@@ -615,21 +615,20 @@ class ChenRuanRing:
 
 class _Reader:
     """Parser of one wire document, living for one call of a ``*_from_doc``
-    function.  It reads each distinct rational string and each distinct
-    sector label document once, and builds one ``BasisElement`` per (label,
-    eta power).  A rational must be written as ``format_rational`` writes
-    it.  Every record still gets its own shape and type checks; a memo is
+    function.  It reads each distinct rational string once and builds one
+    ``BasisElement`` per distinct (c text, finite components, eta power)
+    record.  A rational must be written as ``format_rational`` writes it.
+    Every record still gets its own shape and type checks; a memo is
     consulted only once they have passed.
 
-    With a datum, ``sector_row`` checks each distinct basis element once, in
-    the datum's chamber, and its refusal is raised as ``DatumFormatError``.
+    With a datum, ``sector_row`` checks each distinct element record once,
+    in the datum's chamber, and its refusal is raised as ``DatumFormatError``.
     """
 
     def __init__(self, vd: ValidatedDatum | None):
         self.vd = vd
         self.rationals: dict[str, Fraction] = {}
-        self.labels: dict[tuple, SectorLabel] = {}  # (c text, finite components) -> label
-        self.elements: dict[tuple[SectorLabel, int], BasisElement] = {}
+        self.elements: dict[tuple, BasisElement] = {}  # (c text, finite components, k) -> element
 
     def rational(self, text: object) -> Fraction:
         value = self.rationals.get(text) if type(text) is str else None
@@ -640,30 +639,24 @@ class _Reader:
             self.rationals[text] = value
         return value
 
-    def sector(self, doc: object) -> SectorLabel:
-        # the types are checked before the memo is read: ("0", (True,)) is an
-        # equal key to ("0", (1,)), but only the latter is a valid record
-        key = _label_key(doc)
-        label = self.labels.get(key) if type(key[0]) is str else None
-        if label is None:
-            label = self.labels[key] = label_from_doc(doc, self.vd)  # c parsed, so it is a str
-        return label
-
     def element(self, doc: object) -> BasisElement:
         if not isinstance(doc, dict) or "sector" not in doc or "eta_power" not in doc:
             raise DatumFormatError("basis element must have 'sector' and 'eta_power'")
         k = doc["eta_power"]
         if type(k) is not int:
             raise DatumFormatError(f"eta_power must be an integer, got {k!r}")
-        label = self.sector(doc["sector"])
-        element = self.elements.get((label, k))
+        # the types are checked before the memo is read: ("0", (True,), 0) is
+        # an equal key to ("0", (1,), 0), but only the latter is a valid record
+        key = (*_label_key(doc["sector"]), k)
+        element = self.elements.get(key) if type(key[0]) is str else None
         if element is None:
+            label = label_from_doc(doc["sector"], self.vd)
             if self.vd is not None:
                 try:
                     self.vd.sector_row(label, self.vd.chamber, k)
                 except DomainError as exc:
                     raise DatumFormatError(str(exc)) from exc
-            element = self.elements[label, k] = BasisElement(label, k)
+            element = self.elements[key] = BasisElement(label, k)  # c parsed, so it is a str
         return element
 
     def terms(self, doc: object) -> list[tuple[BasisElement, Fraction]]:

@@ -199,6 +199,24 @@ def test_usage_error_exit_codes(datum_file, capsys):
                "--t2", "c=1/3", "--t3", "c=1/3,a=1")[0] == 2  # finite part mismatch
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        ("c=1/2,b=1", "expected a=k1:k2:..., got 'b=1'"),
+        ("c=1/2,a=x", "invalid literal for int() with base 10: 'x'"),
+        ("c=1/2,a=1,a=2", "too many comma fields in 'c=1/2,a=1,a=2'"),
+    ],
+    ids=["b-field", "a-not-an-int", "two-a-fields"],
+)
+def test_sector_flag_refuses_a_malformed_finite_part(datum_file, capsys, flag, message):
+    with pytest.raises(argparse.ArgumentTypeError) as refused:
+        cli._sector_flag(flag)
+    assert str(refused.value) == message
+    code, out, err = run(capsys, "shift", datum_file(WP112), "--t", flag)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"crring shift: error: argument --t: {message}\n")
+
+
 def test_missing_or_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "sectors", str(tmp_path / "absent.datum"))
     assert code == 1

@@ -23,7 +23,7 @@ from crring import (
     validate_datum,
 )
 from crring.errors import DatumFormatError
-from crring.quotient import sector_dim
+from crring.quotient import ValidatedDatum, sector_dim
 
 
 def brute_force_sector_labels(datum: QuotientDatum, chamber: str) -> set[SectorLabel]:
@@ -182,6 +182,68 @@ def test_enumeration_matches_brute_force_on_drawn_data(datum):
         assert {s.label for s in vd.sectors(chamber)} == brute_force_sector_labels(datum, chamber)
 
 
+def least_trivial_label(datum: QuotientDatum) -> SectorLabel | None:
+    """Independent oracle: the least nonzero code (k mod D, a in A) in code
+    order whose phases are all integers, as a label, or None."""
+    orders = [f.order for f in datum.finite]
+    d = math.lcm(*(abs(w) for w in datum.weights)) * math.lcm(*orders)
+    for k, *components in itertools.product(range(d), *map(range, orders)):
+        phases = (
+            Fraction(k * w, d) + sum(Fraction(a * f.phases[j], f.order)
+                                     for a, f in zip(components, datum.finite))
+            for j, w in enumerate(datum.weights)
+        )
+        if (k, *components) != (0,) * (1 + len(orders)) and all(
+            phase.denominator == 1 for phase in phases
+        ):
+            return SectorLabel(Fraction(k, d), tuple(components))
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_data())
+@example(QuotientDatum((2, 2), (FiniteCyclicFactor(2, (1, 1)),)))
+@example(QuotientDatum((6, -2, 4), (FiniteCyclicFactor(3, (1, 1, 1)),)))
+def test_validation_refuses_exactly_the_data_with_a_trivial_element(datum):
+    """Effective or not: validation refuses a datum exactly when some nonzero
+    code acts trivially, and names the least such one."""
+    least = least_trivial_label(datum)
+    if least is None:
+        validate_datum(datum)
+    else:
+        with pytest.raises(IneffectiveAction) as refused:
+            validate_datum(datum)
+        assert str(refused.value) == f"{least} acts trivially on every coordinate"
+
+
+def _spy_candidate_codes(monkeypatch) -> list[list[int]]:
+    """The coordinates of every ``_candidate_codes`` call from now on."""
+    asked = []
+    candidate_codes = ValidatedDatum._candidate_codes
+
+    def spied(vd, coordinates):
+        asked.append(list(coordinates))
+        return candidate_codes(vd, asked[-1])
+
+    monkeypatch.setattr(ValidatedDatum, "_candidate_codes", spied)
+    return asked
+
+
+def test_validation_solves_one_coordinate_of_least_weight(monkeypatch):
+    # the 10^6 candidates of coordinate 0 are never solved: coordinate 1 has one
+    asked = _spy_candidate_codes(monkeypatch)
+    validate_datum(QuotientDatum((10**6, 1)))
+    assert asked == [[1]]
+
+
+def test_each_chamber_table_solves_the_coordinates_of_its_side(monkeypatch):
+    vd = validate_datum(QuotientDatum((2, -3, 1)))
+    asked = _spy_candidate_codes(monkeypatch)
+    vd.sector_table("positive")
+    vd.sector_table("negative")
+    assert asked == [[0, 2], [1]]
+
+
 @pytest.mark.parametrize(
     "weights,finite",
     [
@@ -300,6 +362,7 @@ def test_datum_doc_round_trip():
         {"n": 2, "weights": [1, 2], "finite": [], "chamber": "sideways"},
         {"n": 2, "weights": [1, 2], "finite": [{"order": 2, "phases": [1]}], "chamber": "positive"},
         {"n": 2, "weights": [1, 2], "finite": [{"order": 1, "phases": [0, 0]}], "chamber": "positive"},
+        {"n": 1, "weights": [1], "finite": 2, "chamber": "positive"},
     ],
 )
 def test_datum_doc_rejects_malformed(doc):

@@ -920,6 +920,30 @@ def test_a_chamber_with_no_sectors_has_an_empty_ring():
     assert table.basis == () and table.products == {}
 
 
+@pytest.mark.parametrize("datum", [QuotientDatum((1, 1, 2)), QuotientDatum((1, 2, 2, 3, 3, 3))])
+def test_a_table_without_the_identity_first_fails_the_unit_check(monkeypatch, datum):
+    """The rows rotated by one, with the inverse and the index remapped:
+    the same ring on a basis whose first element is no unit."""
+    vd = validate_datum(datum)
+    table = vd.sector_table()
+    size = len(table.codes)
+
+    def rotated(rows):
+        return rows[1:] + rows[:1]
+
+    edited = table._replace(
+        codes=rotated(table.codes), thetas=rotated(table.thetas), fixed=rotated(table.fixed),
+        dims=rotated(table.dims), inverse=tuple((s - 1) % size for s in rotated(table.inverse)),
+        index={code: (s - 1) % size for code, s in table.index.items()},
+    )
+    monkeypatch.setattr(vd, "sector_table", lambda chamber=None: edited)
+    ring = ChenRuanRing(vd)
+    phases = ring.verify_ring_axioms().phases
+    assert phases[0] == PhaseResult("unit", "fail", "no identity sector in this chamber")
+    assert [phase.status for phase in phases[1:]] == ["pass"] * 5
+    assert phases == reference_axiom_checks(ring)
+
+
 NEGATIVE_122 = QuotientDatum((-1, -2, -2), chamber="negative")
 # c=1/6 fixes only the coordinate of weight -6, and so does the composite of
 # c=1/2 and c=1/3, which both fix it and one more

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from crring import (
     ChenRuanRing,
     DomainError,
+    EmptySector,
     FiniteCyclicFactor,
     IneffectiveAction,
     PhaseResult,
@@ -774,7 +775,19 @@ def _numerator_off_by_one(monkeypatch):
     monkeypatch.setattr(ValidatedDatum, "code_numerators", patched)
 
 
-ROW_EDITS = {"mask-drops-a-bit": _mask_drops_a_bit, "numerator-off-by-one": _numerator_off_by_one}
+def _row_refused(monkeypatch):
+    # every label is refused, as one that fixes no coordinate
+    def patched(vd, t, chamber=None, k=None):
+        raise EmptySector(f"{t} fixes no coordinate")
+
+    monkeypatch.setattr(ValidatedDatum, "sector_row", patched)
+
+
+ROW_EDITS = {
+    "mask-drops-a-bit": _mask_drops_a_bit,
+    "numerator-off-by-one": _numerator_off_by_one,
+    "row-refused": _row_refused,
+}
 # the first failing phase and its detail, per datum: every edit reaches the
 # identity, the first sector
 ROW_EDIT_FAILURES = {
@@ -886,10 +899,15 @@ def _sides_of_the_other_chamber(localized_report, vd, triple, rows):
     return report._replace(side_existence=dict(zip(CHAMBERS, flags)))
 
 
+def _refused(localized_report, vd, triple, rows):
+    raise EmptySector(f"{triple[0][0]} fixes no coordinate")
+
+
 TRIPLE_EDITS = {
     "selection-off-by-one": _triple_edit(_selection_off_by_one),
     "degree-check-off-by-one": _triple_edit(_degree_check_off_by_one),
     "sides-of-the-other-chamber": _triple_edit(_sides_of_the_other_chamber),
+    "refused": _triple_edit(_refused),
 }
 # every edit reaches the first sector pair (s, s^-1) that the agreement phase
 # reads, the identity's

@@ -71,8 +71,13 @@ def test_datum_doc_rejects_non_integers(changes):
         {"c": "1/2", "finite": 1},
         {"c": 0.5, "finite": []},
         {"c": "1/0", "finite": []},
+        ["1/2"],
+        {"finite": []},
     ],
-    ids=["component-bool", "component-str", "components-int", "c-float", "c-zero-denominator"],
+    ids=[
+        "component-bool", "component-str", "components-int", "c-float", "c-zero-denominator",
+        "not-a-mapping", "no-c",
+    ],
 )
 def test_label_doc_rejects_malformed(doc):
     with pytest.raises(DatumFormatError):
@@ -95,6 +100,16 @@ def test_element_doc_requires_an_integer_eta_power(power):
 def test_element_doc_keeps_an_integer_eta_power():
     element = _Reader(None).element({"sector": {"c": "1/2", "finite": []}, "eta_power": 1})
     assert element.k == 1 and type(element.k) is int
+
+
+@pytest.mark.parametrize("c", [[1, 2], {"p": 1}, 1], ids=["list", "dict", "int"])
+def test_element_doc_refuses_a_c_that_is_no_string_before_its_memo(c):
+    # an unhashable c never reaches the element memo
+    reader = _Reader(None)
+    for _ in range(2):
+        with pytest.raises(DatumFormatError, match="not a rational in p/q form"):
+            reader.element({"sector": {"c": c, "finite": []}, "eta_power": 0})
+    assert reader.elements == {}
 
 
 _COEFF = "a term record needs a rational 'coeff':"
