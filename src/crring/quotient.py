@@ -466,12 +466,17 @@ def validate_datum(datum: QuotientDatum) -> ValidatedDatum:
             raise ZeroWeight(f"coordinate {j} has weight 0")
     vd = ValidatedDatum(datum)
     # an element acting trivially fixes every coordinate, so it is among the
-    # |A| * |w_j| candidates of a coordinate j of least |w_j|
+    # |A| * |w_j| candidates of a coordinate j of least |w_j|; one theta
+    # column per other coordinate keeps the candidates that fix it too
     least = min(range(vd.n), key=lambda j: abs(vd.weights[j]))
-    for code in sorted(vd._candidate_codes([least])):
-        if any(code) and not any(vd.code_numerators(code)):
-            t = code_label(code, vd.denominator)
-            raise IneffectiveAction(f"{t} acts trivially on every coordinate")
+    trivial = [code for code in sorted(vd._candidate_codes([least])) if any(code)]
+    for j in range(vd.n):
+        if trivial and j != least:
+            column = vd.theta_column(j, list(zip(*trivial)))
+            trivial = list(compress(trivial, map(not_, column)))
+    if trivial:
+        t = code_label(trivial[0], vd.denominator)
+        raise IneffectiveAction(f"{t} acts trivially on every coordinate")
     return vd
 
 

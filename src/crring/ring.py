@@ -39,9 +39,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from math import prod
-from operator import itemgetter
 
 from .errors import DatumFormatError, DomainError
 from .exact import _fraction, format_rational, parse_rational
@@ -148,6 +147,9 @@ class StructureTable(namedtuple("StructureTable", "basis degrees pairing product
     degrees: tuple[Fraction, ...]
     pairing: tuple[tuple[Fraction, ...], ...]
     products: dict[tuple[int, int], CRClass]
+
+
+_ZERO = (-1, 0)  # the (target, coefficient) that a column with no entry reads
 
 
 class ChenRuanRing:
@@ -308,17 +310,18 @@ class ChenRuanRing:
         return [(start[h] + p[1], dims[h] - p[1], p[0]) if p else (0, -1, 0)
                 for h, p in zip(composite, products)]
 
-    def basis_rows(self, k1s, heads: list[tuple[int, int, int]], k2s) -> list:
-        """For each k1 in ``k1s``, the targets and coefficients of eta^k1 1_(s)
-        times each basis column eta^k2 1_(t), k2 in ``k2s[i]`` for the i-th
+    def basis_rows(self, k1s, heads: list[tuple[int, int, int]], k2s, firsts) -> list[dict]:
+        """For each k1 in ``k1s``, the sparse row of eta^k1 1_(s): {column:
+        (target, coeff)} in column order, over the basis columns eta^k2
+        1_(t), k2 in ``k2s[i]``, at column ``firsts[i]`` + k2 for the i-th
         sector t of a row of s with these ``heads``.  The one truncation
-        rule: it is coeff * basis[head + k1 + k2] if k1 + k2 <= room, else
-        zero (target -1, coefficient 0)."""
-        columns = [
-            (head + k2, room - k2, c) for (head, room, c), ks in zip(heads, k2s) for k2 in ks
-        ]
-        return [([head + k1 if k1 <= room else -1 for head, room, _ in columns],
-                 [coeff if k1 <= room else 0 for _, room, coeff in columns]) for k1 in k1s]
+        rule: the entry is coeff * basis[head + k1 + k2], kept when k1 + k2
+        <= room whatever its coefficient; a column with no entry is the zero
+        product."""
+        columns = [(first + k2, head + k2, room - k2, c)
+                   for (head, room, c), ks, first in zip(heads, k2s, firsts) if room >= 0
+                   for k2 in ks if k2 <= room]
+        return [{j: (head + k1, c) for j, head, room, c in columns if k1 <= room} for k1 in k1s]
 
     def cup_basis(self, a: BasisElement, b: BasisElement) -> tuple[Fraction, BasisElement] | None:
         """Product of two basis elements: a scaled basis element, or None for 0.
@@ -336,9 +339,10 @@ class ChenRuanRing:
         composite = [0 if mask & vd.level_masks[self.chamber] else -1]
         _, products = self._products(thetas_s, fixed_s, list(zip(thetas_t)), [fixed_t], composite)
         heads = self.heads(composite, products, [0], [sector_dim(mask)])
-        [([k], [coeff])] = self.basis_rows([a.k], heads, [[b.k]])
-        if k < 0:
+        [entries] = self.basis_rows([a.k], heads, [[b.k]], [0])
+        if not entries:
             return None
+        [(k, coeff)] = entries.values()
         return Fraction(coeff), BasisElement(code_label(code, vd.denominator), k)
 
     def _refuse_unread(self, a: CRClass, b: CRClass) -> None:
@@ -402,9 +406,10 @@ class ChenRuanRing:
                 yield start[s] + k, start[u] + partner_k, s
 
     def structure_constants(self) -> StructureTable:
-        """Deterministic full tables; products are stored sparsely for i <= j.
+        """Deterministic full tables; products are stored sparsely for i <= j,
+        read off the ``basis_rows`` of each sector s over the sectors t >= s.
         Equal products are one ``CRClass`` object, built once per call."""
-        basis, powers, dims = self._basis, self.powers, self.table.dims
+        basis, powers, start = self._basis, self.powers, self.start
         degrees = tuple(map(self.degree_at, range(len(basis))))
         values = list(map(self.pairing_value, self.table.fixed))
         pairing = [[Fraction(0)] * len(basis) for _ in basis]
@@ -412,18 +417,17 @@ class ChenRuanRing:
             pairing[i][j] = values[s]
         products: dict[tuple[int, int], CRClass] = {}
         classes: dict[tuple[int, int], CRClass] = {}  # (target, coeff) -> its class
-        for s, first in enumerate(self.start):
+        for s, first in enumerate(start):
             composite, _, row = self.row(s, slice(s, None))
-            heads = self.heads(composite, row, self.start, dims)
-            for k1, (targets, coeffs) in enumerate(self.basis_rows(powers[s], heads, powers[s:])):
-                # columns start at j = first: row i keeps j >= i, nonzero only
-                i = first + k1
-                entries = zip(count(i), targets[k1:], coeffs[k1:])
-                for j, target, coeff in compress(entries, coeffs[k1:]):
-                    value = classes.get((target, coeff))
-                    if value is None:
-                        value = classes[target, coeff] = CRClass.single(basis[target], coeff)
-                    products[(i, j)] = value
+            heads = self.heads(composite, row, start, self.table.dims)
+            rows = self.basis_rows(powers[s], heads, powers[s:], start[s:])
+            for i, entries in enumerate(rows, first):
+                for j, (target, coeff) in entries.items():
+                    if j >= i:
+                        value = classes.get((target, coeff))
+                        if value is None:
+                            value = classes[target, coeff] = CRClass.single(basis[target], coeff)
+                        products[(i, j)] = value
         return StructureTable(basis, degrees, tuple(map(tuple, pairing)), products)
 
     # -- axioms ------------------------------------------------------------------
@@ -434,48 +438,41 @@ class ChenRuanRing:
         one ``PhaseResult`` each, in that order, whose detail is the first
         counterexample of a failing check.
 
-        The integer product table is ``basis_rows`` over each row of
-        ``pairs``, as in ``table`` and ``cup``, with a trailing sentinel (-1
-        for "zero product", 0 for coefficients).  The pairing, times |A| *
-        prod_j |w_j|, is one dict of nonzero entries per row.
+        The product table is ``basis_rows`` over each row of ``pairs``, as in
+        ``table`` and ``cup``: one sparse row {j: (target, coeff)} per basis
+        element i.  A column with no entry is the zero product, which reads
+        (-1, 0) wherever an entry is compared, so every check runs over the
+        stored entries only and is still decided over every (i, j, k).  The
+        pairing, times |A| * prod_j |w_j|, is one dict of nonzero entries per
+        row.
 
-        Associativity is compared packed.  Every (target, coefficient) entry,
-        times every distinct coefficient c of the table, is packed as the one
-        int target + c * B * coefficient, B = 4 * N + 4: the target lies in
-        [-1, N), so equal ints are equal entries.  Row r holds one block of
-        packed entries per scalar, none for 0 on a well-formed table, where a
-        zero product reads only the sentinel that ends every row.  The block
-        of the coefficient of i*j in row i*j reads (i*j)*k for every k; row i
-        read at j*k, in the block of the coefficient of j*k, gives i*(j*k).
-
-        This is decided exactly over every (i, j, k), with no sampling, by
-        comparing only pairs (i, j) with j in a generating set G: the basis
-        in ascending degree, ties in basis order, each element that no
-        left-normed product of earlier generators reaches with a nonzero
-        coefficient.  By bilinearity, the middles y with (x*y)*z = x*(y*z)
-        for all x, z form a subspace, closed under products: (x*(y1*y2))*z
-        = ((x*y1)*y2)*z = (x*y1)*(y2*z) = x*(y1*(y2*z)) = x*((y1*y2)*z).  It
-        holds G, so a nonzero multiple of every basis element.  When the unit
-        and commutativity checks pass, 1*z = z = z*1 puts 1 in it; G omits it.
-        The proof reads equal packed entries as equal vectors, so G is used
-        only on a well-formed table: every entry is (-1, 0), or a target in
-        [0, N) with a nonzero coefficient.  From the first unequal
-        comparison on, or on any other table, the same loop runs from i = 0
-        over every j and names the first counterexample in (i, j, k) order.
+        Associativity is decided exactly, with no sampling, by
+        ``_first_unequal`` over pairs (i, j) with j in a generating set G:
+        the basis in ascending degree, ties in basis order, each element that
+        no left-normed product of earlier generators reaches.  By
+        bilinearity, the middles y with (x*y)*z = x*(y*z) for all x, z form
+        a subspace, closed under products: (x*(y1*y2))*z = ((x*y1)*y2)*z =
+        (x*y1)*(y2*z) = x*(y1*(y2*z)) = x*((y1*y2)*z).  It holds G, so a
+        nonzero multiple of every basis element.  When the unit and
+        commutativity checks pass, 1*z = z = z*1 puts 1 in it; G omits it.
+        The proof reads equal rows as equal vectors, so G is used only on a
+        well-formed table: every entry a target in [0, N) with a nonzero
+        coefficient.  From the first unequal comparison on, or on any other
+        table, the same test runs from i = 0 over every j and names the
+        first counterexample in (i, j, k) order.
 
         Once G proved associativity and the pairing is a matching, Frobenius
         is decided by ``_counit``: given associativity, <a, b> = <a*b, 1> for
         all a, b gives <x*y, z> = <(x*y)*z, 1> = <x*(y*z), 1> = <x, y*z>.
-        Otherwise, or when ``_counit`` fails, one loop over the sparse pairing
-        compares <i*j, k> with <i, j*k> and names the first (i, j, k).
+        Otherwise, or when ``_counit`` fails, one loop over the sparse rows
+        and pairing compares <i*j, k> with <i, j*k> and names the first
+        (i, j, k).
         """
         basis, table, size = self._basis, self.table, len(self._basis)
-        pidx, pnum = [], []
+        rows = []
         for s, (composite, _, products) in enumerate(zip(*self.pairs)):
             heads = self.heads(composite, products, self.start, table.dims)
-            for targets, coeffs in self.basis_rows(self.powers[s], heads, self.powers):
-                pidx.append(targets + [-1])
-                pnum.append(coeffs + [0])
+            rows += self.basis_rows(self.powers[s], heads, self.powers, self.start)
         scale = self.vd.finite_order * prod(abs(w) for w in self.vd.weights)
         values = [int(scale * self.pairing_value(f)) for f in table.fixed]
         pairing = [{} for _ in range(size + 1)]  # a target past the basis reads an empty row
@@ -484,110 +481,80 @@ class ChenRuanRing:
 
         unit_bad = None
         if size and table.codes[0] == (0,) * len(table.moduli):
-            for j in range(size):
-                if (pidx[0][j], pnum[0][j]) != (j, 1):
-                    unit_bad = f"1 * {basis[j]} = {pnum[0][j]} * basis[{pidx[0][j]}]"
-                    break
+            j = _first_difference(rows[0], {j: (j, 1) for j in range(size)}, _ZERO)
+            if j is not None:
+                target, coeff = rows[0].get(j, _ZERO)
+                unit_bad = f"1 * {basis[j]} = {coeff} * basis[{target}]"
         elif size:
             unit_bad = "no identity sector in this chamber"
 
+        # a stored entry that differs from its transpose; the first
+        # counterexample is the least such pair either way round
+        asymmetric = [(i, j) for i, row in enumerate(rows) for j, entry in row.items()
+                      if rows[j].get(i, _ZERO) != entry]
         comm_bad = None
-        for i, (row, column, nums, num_column) in enumerate(
-            zip(pidx, zip(*pidx), pnum, zip(*pnum))
-        ):
-            if row[:size] != list(column) or nums[:size] != list(num_column):
-                j = next(j for j in range(size) if (row[j], nums[j]) != (column[j], num_column[j]))
-                comm_bad = f"{basis[i]} * {basis[j]} != {basis[j]} * {basis[i]}"
+        if asymmetric:
+            i, j = min(chain(asymmetric, ((j, i) for i, j in asymmetric)))
+            comm_bad = f"{basis[i]} * {basis[j]} != {basis[j]} * {basis[i]}"
+
+        # the entries whose target lies outside the basis, whose coefficient
+        # is 0 or whose degree does not add up, in column order; every other
+        # entry is well formed and adds degrees
+        degrees, odd = self.degrees, []
+        for i, row in enumerate(rows):
+            odd += [(i, j, t, c) for j, (t, c) in row.items()
+                    if not (0 <= t < size and c) or degrees[i] + degrees[j] != degrees[t]]
+        degree_bad, well_formed = None, not odd
+        # a target past the basis has no degree: named by its index
+        for i, j, target, _ in odd:
+            if target >= 0 and (target >= size or degrees[i] + degrees[j] != degrees[target]):
+                named = basis[target] if target < size else f"basis[{target}]"
+                degree_bad = f"deg({basis[i]}) + deg({basis[j]}) != deg({named})"
                 break
 
-        degrees, degree_bad = self.degrees, None
-        for i in range(size):
-            for j, target in enumerate(pidx[i][:size]):
-                # a target past the basis has no degree: named by its index
-                if target >= 0 and (target >= size or degrees[i] + degrees[j] != degrees[target]):
-                    named = basis[target] if target < size else f"basis[{target}]"
-                    degree_bad = f"deg({basis[i]}) + deg({basis[j]}) != deg({named})"
-                    break
-            if degree_bad:
-                break
-
-        well_formed = all(
-            min(idx) >= -1 and max(idx) < size
-            and list(map((-1).__ne__, idx)) == list(map(bool, nums))
-            for idx, nums in zip(pidx, pnum)
-        )
-        # blocks[r][n]: row r's entries times the n-th scalar, packed; the
-        # appended none row is read by a target past the basis
-        width, radix = size + 1, 4 * size + 4
-        scalars = [c for c in dict.fromkeys(chain.from_iterable(pnum)) if c or not well_formed]
-        scalars = {c: n for n, c in enumerate(scalars)}
-        sentinel, none = len(scalars) * width, (-1,) * width
-        blocks = []
-        for idx, nums in zip(pidx, pnum):
-            upper = [radix * x for x in nums]
-            blocks.append([tuple([t + c * x for t, x in zip(idx, upper)]) for c in scalars])
-        blocks.append([none] * len(scalars))
         # generators: in ascending degree, ties in basis order, each element
         # that no left-normed product of earlier ones reaches; each product
         # x * g of a reached x and a generator g is read once
-        generators, reached = [], {0} if unit_bad is None and comm_bad is None else set()
-        for e in sorted(range(size), key=self.degrees.__getitem__) if well_formed else ():
+        generators, generating = [], set()
+        reached = {0} if unit_bad is None and comm_bad is None else set()
+        for e in sorted(range(size), key=degrees.__getitem__) if well_formed else ():
             if e not in reached:
                 generators.append(e)
-                todo = [(x, e) for x in reached] + [(e, g) for g in generators]
-                reached.add(e)
+                generating.add(e)
+                todo = [e, *(t for x in reached if (t := rows[x].get(e, _ZERO)[0]) >= 0)]
                 while todo:
-                    x, g = todo.pop()
-                    if pnum[x][g] and (t := pidx[x][g]) not in reached:
+                    if (t := todo.pop()) not in reached:
                         reached.add(t)
-                        todo += [(t, h) for h in generators]
-        # the middles j: the generators while every comparison is equal, and
-        # every j from the start once one is not; gather[j] reads i*(j*k) for
-        # every k off row i's blocks laid end to end: at j*k in the block of
-        # its coefficient, or at the shared sentinel for a zero j*k
-        middles, gather, i = generators if well_formed else range(size), [None] * size, 0
+                        todo += [u for g, (u, _) in rows[t].items() if g in generating]
+        proved = well_formed and self._first_unequal(rows, generators) is None
+        unequal = None if proved else self._first_unequal(rows, range(size))
         assoc_bad = None
-        while i < size and assoc_bad is None:
-            row = (*chain.from_iterable(blocks[i]), -1)
-            for j in middles:
-                if gather[j] is None:
-                    gather[j] = itemgetter(*(
-                        scalars[c] * width + t if t >= 0 else sentinel
-                        for t, c in zip(pidx[j], pnum[j])
-                    ))
-                t = pidx[i][j]
-                lhs, rhs = blocks[t][scalars[pnum[i][j]]] if t >= 0 else none, gather[j](row)
-                if lhs == rhs:  # (i*j)*k against i*(j*k) for every k
-                    continue
-                if middles is generators:
-                    middles, i = range(size), -1
-                    break
-                x, y = basis[i], basis[j]
-                z = basis[next(k for k, u in enumerate(lhs) if u != rhs[k])]
-                assoc_bad = f"({x} * {y}) * {z} != {x} * ({y} * {z})"
-                break
-            i += 1
+        if unequal:
+            x, y, z = (basis[i] for i in unequal)
+            assoc_bad = f"({x} * {y}) * {z} != {x} * ({y} * {z})"
 
         # the pairing couples each basis element with exactly one other: one
         # nonzero in every row and every column, which makes it nondegenerate
-        columns, match_bad = Counter(chain.from_iterable(pairing)), None
+        counted, match_bad = Counter(chain.from_iterable(pairing)), None
         for kind, counts in [("row", list(map(len, pairing[:size]))),
-                             ("column", [columns[j] for j in range(size)])]:
+                             ("column", [counted[j] for j in range(size)])]:
             bad = [i for i, count in enumerate(counts) if count != 1]
             if bad:
                 match_bad = f"the {kind} of {basis[bad[0]]} holds {counts[bad[0]]} nonzero entries"
                 break
 
         frob_bad = None
-        if not (middles is generators and match_bad is None and self._counit(pidx, pnum, pairing)):
+        if not (proved and match_bad is None and self._counit(rows, pairing)):
             at = [{} for _ in range(size)]  # at[j][m]: every k with j*k at m
-            for j, k in product(range(size), repeat=2):
-                at[j].setdefault(pidx[j][k], []).append(k)
+            for j, row in enumerate(rows):
+                for k, (m, _) in row.items():
+                    at[j].setdefault(m, []).append(k)
             for i, j in product(range(size), repeat=2):
-                lhs = {k: pnum[i][j] * v for k, v in pairing[pidx[i][j]].items() if 0 <= k < size}
-                rhs = {k: pnum[j][k] * v for m, v in pairing[i].items() for k in at[j].get(m, ())}
-                if ks := [k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0)]:
-                    x, y, z = basis[i], basis[j], basis[min(ks)]
+                target, coeff = rows[i].get(j, _ZERO)
+                lhs = {k: coeff * v for k, v in pairing[target].items() if 0 <= k < size}
+                rhs = {k: rows[j][k][1] * v for m, v in pairing[i].items() for k in at[j].get(m, ())}
+                if (k := _first_difference(lhs, rhs, 0)) is not None:
+                    x, y, z = basis[i], basis[j], basis[k]
                     frob_bad = f"<{x} * {y}, {z}> != <{x}, {y} * {z}>"
                     break
         found = {
@@ -599,15 +566,44 @@ class ChenRuanRing:
         ))
 
     @staticmethod
-    def _counit(pidx: list[list[int]], pnum: list[list[int]], pairing: list[dict]) -> bool:
+    def _first_unequal(rows: list[dict], middles) -> tuple[int, int, int] | None:
+        """The first (i, j, k) in that order, j in ``middles``, at which
+        (i*j)*k != i*(j*k) on these sparse rows, or None.  Light's test: for
+        i*j = c * basis[t], c times row t against {k: (target of i*m, c' *
+        coeff of i*m)} for each j*k = c' * basis[m] with i*m stored."""
+        padded = [*rows, {}]  # read by the target -1 of a zero product and one past the basis
+        targets = {j: [m for m, _ in rows[j].values()] for j in middles}
+        for i, row in enumerate(rows):
+            get, disjoint = row.get, row.keys().isdisjoint
+            for j in middles:
+                entry = get(j)
+                if entry is None and disjoint(targets[j]):
+                    continue  # i*j = 0 and no i*(j*k) is stored: 0 = 0 at every k
+                target, coeff = entry or _ZERO
+                lhs = padded[target]
+                if coeff != 1:
+                    lhs = {k: (t, coeff * c) for k, (t, c) in lhs.items()}
+                rhs = {k: (f[0], c * f[1]) for k, (m, c) in rows[j].items() if (f := get(m))}
+                if lhs != rhs and (k := _first_difference(lhs, rhs, _ZERO)) is not None:
+                    return i, j, k
+        return None
+
+    @staticmethod
+    def _counit(rows: list[dict], pairing: list[dict]) -> bool:
         """Whether <a, b> = <a*b, 1> for all a, b, 1 the first basis element,
         on a matching: <x, 1> is nonzero at x = ``top`` alone, so row a must
         land on ``top`` at b = partner(a) only, with the pairing's value."""
         top = next((i for i, entries in enumerate(pairing) if 0 in entries), None)
         return all(
-            row.count(top) == 1 and row.index(top) == j and nums[j] * pairing[top][0] == v
-            for row, nums, ((j, v),) in zip(pidx, pnum, map(dict.items, pairing))
+            [b for b, (t, _) in row.items() if t == top] == [j] and row[j][1] * pairing[top][0] == v
+            for row, ((j, v),) in zip(rows, map(dict.items, pairing))
         )
+
+
+def _first_difference(a: dict, b: dict, absent) -> int | None:
+    """The least key at which two sparse rows differ, a missing key reading
+    ``absent``; None when they agree."""
+    return min((k for k in a.keys() | b.keys() if a.get(k, absent) != b.get(k, absent)), default=None)
 
 
 # -- wire format -------------------------------------------------------------

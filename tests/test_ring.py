@@ -5,7 +5,6 @@ import json
 import random
 from fractions import Fraction
 from math import prod
-from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,7 +33,6 @@ from crring import (
     triple_localized,
     validate_datum,
 )
-import crring.ring
 from crring import cli
 from crring.errors import EtaPowerRange
 from crring.quotient import (
@@ -722,8 +720,8 @@ CORRUPTIONS = {
     "shift-raised": lambda coeff, shift: (coeff, shift + 1),
     "shift-lowered": lambda coeff, shift: (coeff, shift - 1),
     "removed": lambda coeff, shift: None,
-    # coefficient times scalar past 2**64: the packed entries' digits are
-    # sized from the data, never fixed
+    # coefficients past 2**64, and their products with the scalars of
+    # Light's test: entries are compared as exact ints, never fixed width
     "scaled-huge": lambda coeff, shift: (coeff * 2**70 + 1, shift),
     "scaled-huge-negated": lambda coeff, shift: (-(coeff * 2**70 + 1), shift),
 }
@@ -746,11 +744,16 @@ CORRUPTIONS = {
         # 10 of 40
         (QuotientDatum((1, 25)), None),
         (QuotientDatum((1, 5, 4), (FiniteCyclicFactor(4, (1, 2, 2)),)), None),
+        # sparse, with a generating set close to the basis: 24 of 28
+        (QuotientDatum((2, 3, 5, 7, 11)), None),
+        # two finite factors of unequal orders
+        (QuotientDatum((1, 2, 3), (FiniteCyclicFactor(2, (0, 1, 1)), FiniteCyclicFactor(3, (0, 1, 2)))),
+         None),
     ],
     ids=[
         "wp112", "wp122333", "p3_5_7", "p2_3_4", "z3_on_p2", "z2_on_wp112",
         "mixed_2m35-positive", "mixed_2m35-negative", "mixed_1m12m2-negative", "negative_122",
-        "p1_25", "z4_on_wp154",
+        "p1_25", "z4_on_wp154", "p2_3_5_7_11", "z2_z3_on_p123",
     ],
 )
 def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber):
@@ -776,54 +779,78 @@ def test_axiom_check_agrees_with_a_plain_triple_loop(monkeypatch, datum, chamber
     assert failing
 
 
-def counting_gathers(monkeypatch) -> list[int]:
-    """The length of every ``itemgetter`` gather that ``verify_ring_axioms``
-    builds from now on, one per middle factor j that it compares."""
-    built = []
+@settings(max_examples=60, deadline=None)
+@given(data(), st.sampled_from(CHAMBERS), st.sampled_from(sorted(CORRUPTIONS)),
+       st.randoms(use_true_random=False))
+def test_axiom_check_agrees_with_a_plain_triple_loop_on_drawn_data(vd, chamber, kind, rng):
+    """On a drawn datum and chamber, under one drawn corruption of one
+    sector-pair product, symmetric or of one ordered pair, and with none on
+    a chamber that has no nonzero product, ``verify_ring_axioms`` reports
+    the reference's checks and first counterexamples."""
+    ring = ChenRuanRing(vd, chamber)
+    nonzero = [(s, t) for s, row in enumerate(ring.pairs[2]) for t, data in enumerate(row) if data]
+    corrupted = set()
+    if nonzero:
+        s, t = rng.choice(nonzero)
+        corrupted = {(s, t), (t, s)} if rng.random() < 0.5 else {(s, t)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChenRuanRing, "row", corrupting(CORRUPTIONS[kind], corrupted))
+        ring = ChenRuanRing(vd, chamber)
+        assert ring.verify_ring_axioms().phases == reference_axiom_checks(ring), (kind, corrupted)
 
-    def counted(*items):
-        built.append(len(items))
-        return itemgetter(*items)
 
-    monkeypatch.setattr(crring.ring, "itemgetter", counted)
-    return built
+def recording_middles(monkeypatch) -> list[list[int]]:
+    """The middle factors j of every ``_first_unequal`` pass that
+    ``verify_ring_axioms`` runs from now on, one list per pass."""
+    passes = []
+    first_unequal = ChenRuanRing._first_unequal
+
+    def recorded(rows, middles):
+        passes.append(list(middles))
+        return first_unequal(rows, middles)
+
+    monkeypatch.setattr(ChenRuanRing, "_first_unequal", staticmethod(recorded))
+    return passes
 
 
 def test_a_passing_axiom_check_compares_a_generating_set_only(monkeypatch):
     # the basis of P(1,100) is generated by the unit and 1_(c=1/100), and the
     # unit and commutativity checks settle the unit: one middle is compared
-    ring = ChenRuanRing(validate_datum(QuotientDatum((1, 100))))
-    built = counting_gathers(monkeypatch)
+    vd = validate_datum(QuotientDatum((1, 100)))
+    ring = ChenRuanRing(vd)
+    passes = recording_middles(monkeypatch)
     assert ring.verify_ring_axioms().passed
-    assert built == [len(ring.basis()) + 1]
+    assert passes == [[ring.basis().index(BasisElement(vd.label(Fraction(1, 100)), 0))]]
 
 
 @pytest.mark.parametrize(
-    "datum,pair,edit,failing",
+    "datum,pair,edit,failing,passes_run",
     [
         # a well-formed table: a generator's comparison fails, and every
         # middle factor is compared from the start
         (QuotientDatum((1, 25)), ("1/25", "2/25"), lambda coeff, shift: (coeff, shift + 1),
-         {"associativity", "frobenius"}),
+         {"associativity", "frobenius"}, 2),
         # 1_(c=2/3)^2 = eta 1_(c=1/3) with coefficient 0: three products of
         # 0 with a target, and every check passes; the closure over the
         # nonzero products would give 5 generators of 14, but none is used
         # on a table that is not well formed
-        (QuotientDatum((1, 2, 2, 3, 3, 3)), ("2/3", "2/3"), lambda coeff, shift: (0, shift), set()),
+        (QuotientDatum((1, 2, 2, 3, 3, 3)), ("2/3", "2/3"), lambda coeff, shift: (0, shift), set(),
+         1),
     ],
     ids=["p1_25-shift-raised", "wp122333-coefficient-zeroed"],
 )
 def test_a_failing_or_ill_formed_table_is_compared_over_every_middle(
-    monkeypatch, datum, pair, edit, failing
+    monkeypatch, datum, pair, edit, failing, passes_run
 ):
     vd = validate_datum(datum)
     table = vd.sector_table()
     s, t = (table.position(vd.label(Fraction(c))) for c in pair)
     monkeypatch.setattr(ChenRuanRing, "row", corrupting(edit, {(s, t), (t, s)}))
     ring = ChenRuanRing(vd)
-    built = counting_gathers(monkeypatch)
+    passes = recording_middles(monkeypatch)
     report = ring.verify_ring_axioms()
-    assert len(built) == len(ring.basis())
+    assert passes[-1] == list(range(len(ring.basis())))
+    assert len(passes) == passes_run
     assert {phase.name for phase in report.phases if phase.status == "fail"} == failing
     assert report.phases == reference_axiom_checks(ring)
 
@@ -836,10 +863,11 @@ def breaking_x_times_1(x: int):
     sector products."""
     basis_rows = ChenRuanRing.basis_rows
 
-    def patched(self, k1s, heads, k2s):
-        rows = basis_rows(self, k1s, heads, k2s)
+    def patched(self, k1s, heads, k2s, firsts):
+        rows = basis_rows(self, k1s, heads, k2s, firsts)
         if k1s is self.powers[0] and k2s is self.powers:
-            rows[x][1][0] *= 2
+            target, coeff = rows[x][0]
+            rows[x][0] = target, 2 * coeff
         return rows
 
     return patched
@@ -908,6 +936,18 @@ def test_the_counit_route_and_the_direct_loop_give_one_frobenius_verdict(vd, kin
             assert routed.phases == forced.phases, (chamber, kind, corrupted)
             if not corrupted and routed.passed:
                 assert verdicts == [True], chamber
+
+
+def test_the_counit_test_refuses_a_second_product_on_the_top_class():
+    """On the sparse rows of P^1 (basis 1, eta; eta pairs with 1), only
+    1 * eta and eta * 1 land on the top class eta, and ``_counit`` holds;
+    once eta * eta lands there too it fails, though eta * 1 still lands
+    there with the pairing's value."""
+    pairing = [{1: 1}, {0: 1}, {}]
+    rows = [{0: (0, 1), 1: (1, 1)}, {0: (1, 1)}]
+    assert ChenRuanRing._counit(rows, pairing)
+    rows[1][1] = (1, 1)
+    assert not ChenRuanRing._counit(rows, pairing)
 
 
 def test_a_chamber_with_no_sectors_has_an_empty_ring():
